@@ -18,11 +18,13 @@ use std::hint::black_box;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use openspace_core::federation::{default_station_sites, Federation};
 use openspace_core::study::{latency_vs_satellites, StudyConfig};
 use openspace_economics::prelude::*;
 use openspace_mac::prelude::*;
 use openspace_net::prelude::*;
 use openspace_orbit::prelude::*;
+use openspace_phy::hardware::SatelliteClass;
 use openspace_protocol::prelude::*;
 
 /// Time `f` for at least `window`, after a short warmup; returns mean
@@ -110,24 +112,47 @@ fn bench_snapshot() {
         black_box(build_snapshot(black_box(0.0), &nodes, &stations, &params));
     });
 
-    // Dense vs grid-gated candidate enumeration at a Starlink-shell
-    // scale, where the O(n²) pair sweep matters, and an S-band-grade
-    // 2000 km ISL range (the default 5000 km yields only ~3 grid cells
-    // per axis over a 550 km shell, so adjacency barely discriminates).
-    // Both kernels get the same params and the same precomputed
-    // ephemeris, so the pair enumeration — the part the spatial grid
-    // replaces — is the only difference; the property suite
+    // Dense vs nearest-first neighbour search at a Starlink-shell scale,
+    // where the O(n²) pair sweep matters. Each pair of kernels gets the
+    // same params and the same precomputed ephemeris, so the neighbour
+    // search is the only difference; the property suite
     // (`snapshot_equivalence`) proves the graphs bitwise equal. The
-    // grid tests ~8% of the 1.1M pairs; the gap understates that
-    // because per-candidate LoS and capacity work is shared.
+    // per-candidate LoS and capacity work is shared, so the time gap
+    // understates the pair gap.
+    //
+    // First a random 1,500-satellite shell at an S-band-grade 2000 km
+    // ISL range: the search tests ~3% of the 1.1M pairs.
     let big_params = SnapshotParams {
         max_isl_range_m: 2_000_000.0,
         ..SnapshotParams::default()
     };
     let big =
         openspace_bench::random_sat_nodes(1500, 550_000.0, 53.0, 7, PerturbationModel::TwoBody);
+    bench_snapshot_pair("1500sats", &big, &stations, &big_params);
+
+    // Then the benchmark's `shell_motion` fleet — a 72×22 Walker-Delta
+    // shell at 550 km and 53°, four operators, the default ground
+    // segment — at default `SnapshotParams`: the search tests
+    // ~3% of the 1.25M pairs.
+    let shell = walker_shell_federation();
+    bench_snapshot_pair(
+        "walker_1584",
+        &shell.sat_nodes(),
+        &shell.ground_nodes(),
+        &shell.snapshot_params,
+    );
+}
+
+/// The `snapshot_dense_<label>` / `snapshot_gated_<label>` kernel pair
+/// on one precomputed ephemeris.
+fn bench_snapshot_pair(
+    label: &str,
+    sats: &[SatNode],
+    stations: &[GroundNode],
+    params: &SnapshotParams,
+) {
     let t_s = 1_234.0;
-    let samples: Vec<openspace_orbit::ephemeris::EphemerisSample> = big
+    let samples: Vec<openspace_orbit::ephemeris::EphemerisSample> = sats
         .iter()
         .map(|s| {
             let eci = s.propagator.position_eci(t_s);
@@ -137,22 +162,42 @@ fn bench_snapshot() {
             }
         })
         .collect();
-    bench("snapshot_dense_1500sats", window(), || {
+    bench(&format!("snapshot_dense_{label}"), window(), || {
         black_box(build_snapshot_from_samples_dense(
-            &big,
-            &samples,
-            &stations,
-            &big_params,
+            sats, &samples, stations, params,
         ));
     });
-    bench("snapshot_gated_1500sats", window(), || {
+    bench(&format!("snapshot_gated_{label}"), window(), || {
         black_box(build_snapshot_from_samples(
-            &big,
-            &samples,
-            &stations,
-            &big_params,
+            sats, &samples, stations, params,
         ));
     });
+}
+
+/// A 1,584-satellite Walker-Delta shell (72 planes × 22, 550 km, 53°)
+/// split round-robin among four operators over the default ground
+/// segment.
+fn walker_shell_federation() -> Federation {
+    let elements = walker_delta(&WalkerParams {
+        total_satellites: 72 * 22,
+        planes: 72,
+        phasing: 1,
+        altitude_m: 550e3,
+        inclination_deg: 53.0,
+    })
+    .unwrap();
+    let mut fed = Federation::new();
+    let ops: Vec<_> = (1..=4)
+        .map(|i| fed.add_operator(format!("operator-{i}")))
+        .collect();
+    for (i, el) in elements.into_iter().enumerate() {
+        fed.add_satellite(ops[i % ops.len()], SatelliteClass::SmallSat, el)
+            .unwrap();
+    }
+    for (i, site) in default_station_sites().into_iter().enumerate() {
+        fed.add_ground_station(ops[i % ops.len()], site).unwrap();
+    }
+    fed
 }
 
 fn bench_contact_scan() {

@@ -52,7 +52,7 @@ fn main() {
             let user = fed.register_user(home).expect("member operator");
 
             // Recorded variants surface the horizon-skip scanner's and
-            // the range-gated snapshot builder's counters in the
+            // the nearest-first snapshot builder's counters in the
             // manifest; outputs are bitwise-identical to the plain
             // calls.
             let windows = fed.contact_plan_recorded(pos, 0.0, 3_600.0, 10.0, run.rec());

@@ -60,7 +60,7 @@ fn main() {
         let mut cov = Vec::new();
         for (_, ground) in &users {
             // Gated kernels under the hood: horizon-skip contact scan
-            // here, range-gated snapshot in fed.snapshot() below.
+            // here, nearest-first snapshot in fed.snapshot() below.
             let w = fed.contact_plan(*ground, 0.0, horizon, 20.0);
             cov.push(coverage_time_fraction(&w, 0.0, horizon));
         }

@@ -315,9 +315,11 @@ impl Federation {
         )
     }
 
-    /// [`Self::snapshot`] with telemetry: surfaces the range-gated
-    /// builder's `snapshot.pairs_tested` / `snapshot.pairs_pruned` (and
-    /// ground-prune) counters on `rec`.
+    /// [`Self::snapshot`] with telemetry: surfaces the snapshot
+    /// builder's `snapshot.pairs_tested` / `snapshot.pairs_pruned`
+    /// counters on `rec` — the satellite pairs whose distance its
+    /// nearest-first neighbour search computed (each at most once) /
+    /// never computed — and the ground-prune counters.
     pub fn snapshot_recorded(
         &self,
         t_s: f64,

@@ -50,7 +50,7 @@ use openspace_sim::fault::{TopologyEvent, TopologyEventKind};
 use openspace_sim::rng::SimRng;
 use openspace_sim::stats::Summary;
 use openspace_telemetry::{NullRecorder, Recorder};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 pub use openspace_sim::engine::EngineKind;
@@ -1166,7 +1166,10 @@ fn run_netsim_core<S: Scheduler<Ev> + Default>(
     let mut tracker = OutageTracker::new();
     let mut fault = FaultImpact::default();
     let mut down_nodes: HashSet<NodeId> = HashSet::new();
-    let mut down_since: HashMap<NodeId, f64> = HashMap::new();
+    // Ordered so the still-open outages close in `NodeId` order at run
+    // end: float addition is not associative, and a hash order would
+    // make `node_availability` vary from run to run.
+    let mut down_since: BTreeMap<NodeId, f64> = BTreeMap::new();
     let mut downtime_total = 0.0f64;
     let mut repairs = 0u64;
     let mut repair_total = 0.0f64;
@@ -1575,7 +1578,7 @@ fn run_netsim_core<S: Scheduler<Ev> + Default>(
     });
 
     // Close availability accounting for still-open outages.
-    for (_, t0) in down_since.drain() {
+    for t0 in down_since.into_values() {
         downtime_total += cfg.duration_s - t0;
     }
     let node_time = cfg.duration_s * graph.node_count() as f64;

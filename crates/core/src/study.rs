@@ -35,9 +35,9 @@
 //! [`coverage_vs_satellites`] remain as serial single-call conveniences
 //! and delegate to a serial runner.
 //!
-//! The geometry kernels underneath inherit the range-gated fast paths
-//! of `openspace-net` transparently: [`build_snapshot_from_samples`]
-//! buckets satellites into a coarse grid when `max_isl_range_m` is
+//! The geometry kernels underneath inherit the gated fast paths of
+//! `openspace-net` transparently: [`build_snapshot_from_samples`]
+//! runs its nearest-first neighbour search when `max_isl_range_m` is
 //! finite (the *Physical* study regime), and falls back to the
 //! exhaustive pair sweep for the paper's simplified regime, which sets
 //! the range to `f64::INFINITY`; [`best_access_from_ecef`] costs one

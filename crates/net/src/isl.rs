@@ -5,39 +5,72 @@
 //! count), at what capacity (RF vs optical link budgets from
 //! `openspace-phy`), and which satellites see which ground stations.
 //!
-//! # Range-gated candidate enumeration
+//! # Nearest-first ISL neighbour search
 //!
 //! Testing all `N(N−1)/2` satellite pairs per snapshot is the scaling
-//! wall for mega-constellation runs. [`build_snapshot_from_samples`]
-//! therefore buckets satellites into a coarse uniform grid with cell
-//! edge `c = max_isl_range_m · (1 + 1e-6)` and only tests pairs sharing
-//! a cell or in one of the 26 adjacent cells. The candidate set is
-//! **provably unchanged** from the exhaustive sweep in
-//! [`build_snapshot_from_samples_dense`]:
+//! wall for mega-constellation runs, and most of that work is wasted:
+//! each satellite keeps only its `k = max_isl_per_sat` nearest in-range,
+//! in-sight peers. [`build_snapshot_from_samples`] therefore searches
+//! outward from each satellite, nearest cells first, and stops as soon
+//! as no unvisited satellite can enter its list. The neighbour lists —
+//! and so the graph — are **provably identical** to the exhaustive sweep
+//! in [`build_snapshot_from_samples_dense`]:
 //!
-//! * Any pair the dense sweep accepts satisfies
-//!   `|pᵢ − pⱼ| ≤ max_isl_range_m`, so each coordinate differs by at
-//!   most `c / (1 + 1e-6)`. Exact cell quotients then differ by at most
-//!   `(1 + 1e-6)⁻¹ < 1 − 9e-7`. The fast path only engages when every
-//!   `|coordinate| / c ≤ 1e9`, so each *computed* quotient is off by at
-//!   most `1e9 · 2⁻⁵² ≈ 2.3e-7`; computed quotients of an in-range pair
-//!   therefore differ by `< 1 − 9e-7 + 4.6e-7 < 1`, which forces their
-//!   `floor`s to differ by at most 1 per axis — the pair is enumerated.
-//!   When the precondition fails (non-finite positions, infinite or
-//!   absurdly small range), the builder falls back to the exhaustive
-//!   sweep: same output, no pruning.
-//! * Every enumerated pair is still tested with the *identical*
-//!   range-and-line-of-sight predicate (evaluated with the lower index
-//!   first, exactly as the dense loops do), so extra candidates from the
-//!   inflated cell edge change nothing.
-//! * Per-satellite candidate lists are sorted by
-//!   `(distance, peer index)` before truncation. The dense sweep pushes
-//!   peers in ascending index order and then stable-sorts by distance —
-//!   the same lexicographic order — so neighbour ranking, truncation,
-//!   and the mutual-selection loop see bit-identical lists regardless of
-//!   the order the grid discovered them in. (Distance bits don't depend
-//!   on operand order: `|a−b|` and `|b−a|` agree exactly in IEEE
-//!   arithmetic.)
+//! * **Grid.** Satellites are bucketed into a dense uniform grid over
+//!   the fleet's bounding box, stored in counting-sort (CSR) order:
+//!   satellites contiguous by cell, ascending index within a cell. The
+//!   cell edge `c` is the box's largest extent over `⌈∛N⌉` cells (capped
+//!   at `MAX_CELLS_PER_AXIS`, and at least 1 m so that squared
+//!   coordinate gaps never underflow), so a cell holds O(1) satellites
+//!   on average whatever the ISL range.
+//! * **Ring termination.** Satellite `i` visits the Chebyshev rings of
+//!   cells around its own cell, `r = 0, 1, 2, …`. After ring `r`, every
+//!   unvisited satellite's cell differs from `i`'s by at least `r + 1`
+//!   along some axis, so that coordinate differs by more than `r·c`, and
+//!   so does the distance. In floating point: each axis has at most
+//!   `MAX_CELLS_PER_AXIS + 1` cells, so a computed cell quotient is off
+//!   from the exact one by at most `1025 · 4·2⁻⁵³ < 1e-12` (clamping to
+//!   the last cell only moves an index toward the exact quotient), and
+//!   a computed distance is at most four ulps short of the exact one.
+//!   Shrinking the reach to `r·c·(1 − CELL_MARGIN)` with
+//!   `CELL_MARGIN = 1e-9` covers both with three orders of magnitude
+//!   to spare: every unvisited satellite's *computed* distance exceeds
+//!   the reach. The search stops after ring `r` when its list holds `k`
+//!   entries whose worst distance is below the reach (no unvisited peer
+//!   can displace one), when the reach exceeds `max_isl_range_m` (no
+//!   unvisited peer is in range), or when the rings cover the grid.
+//! * **Each pair once.** Satellites search in index order, and each
+//!   records the last ring it visited. When `i` meets a peer `j < i` in
+//!   its ring `r`, `j`'s search already tested the pair exactly when
+//!   `r ≤` `j`'s last ring (Chebyshev distance between two cells is
+//!   symmetric), so `i` skips it. A tested pair is offered to both
+//!   satellites' lists, whether or not the other satellite's search
+//!   has finished. Range is checked first; the line-of-sight predicate
+//!   — evaluated with the lower index first, as the dense loops do —
+//!   runs only if the pair can enter at least one list right now. A
+//!   list's worst entry only ever improves, so a pair that cannot enter
+//!   now never could.
+//! * **Bounded top-k equals sort-then-truncate.** Each list keeps at
+//!   most `k` entries ordered by `(distance, peer index)`. The dense
+//!   sweep pushes peers in ascending index order and then stable-sorts
+//!   by distance — the same lexicographic order. That order is strict
+//!   on one satellite's peers, so the `k` smallest of a set do not
+//!   depend on the order they arrive in. Every peer in `i`'s true top
+//!   `k` is offered to `i`: if `i`'s search reached the peer's cell, one
+//!   of the two searches tested the pair; if not, `i` stopped early and
+//!   the peer could not be in its top `k`. Everything else offered is a
+//!   true candidate too. The sorted lists therefore equal the dense lists after
+//!   truncation, entry for entry, and mutual selection sees
+//!   bit-identical input. (Distance bits don't depend on operand order:
+//!   `|a−b|` and `|b−a|` agree exactly in IEEE arithmetic.)
+//! * **Fallback.** With a non-finite range (`f64::INFINITY` is how the
+//!   "simplified simulation" study disables the range cut) or non-finite
+//!   positions, the builder runs the exhaustive sweep instead: same
+//!   output, no pruning.
+//!
+//! `snapshot.pairs_tested` counts the satellite pairs whose distance the
+//! builder computed — each at most once — and `snapshot.pairs_pruned`
+//! the rest of the `N(N−1)/2`.
 //!
 //! The ground-link loop keeps its dense station×satellite shape but
 //! hoists a per-station **max-slant-range prune** in front of the
@@ -58,7 +91,9 @@
 //!
 //! Equivalence is pinned by `tests/tests/snapshot_equivalence.rs`:
 //! graph equality (including edge bit patterns) between the gated and
-//! dense builders over ≥128 seeded random scenarios.
+//! dense builders over ≥128 seeded random scenarios, Walker-Delta
+//! shells up to 1,584 satellites, every terminal count from 0 to
+//! `usize::MAX`, and exact distance ties.
 
 use crate::topology::{Graph, GraphDelta, LinkTech, TopologyError};
 use openspace_orbit::constants::SPEED_OF_LIGHT_M_PER_S;
@@ -72,7 +107,6 @@ use openspace_phy::bands::RfBand;
 use openspace_phy::linkbudget::{RfLink, RfTerminal};
 use openspace_phy::optical::{achievable_rate_bps as optical_rate_bps, OpticalTerminal};
 use openspace_telemetry::{NullRecorder, Recorder};
-use std::collections::BTreeMap;
 
 /// A satellite as the topology builder sees it.
 #[derive(Debug, Clone, Copy)]
@@ -219,144 +253,252 @@ pub fn build_snapshot_from_samples(
     build_snapshot_from_samples_recorded(sats, samples, stations, params, &mut NullRecorder)
 }
 
-/// Relative inflation of the grid cell edge over `max_isl_range_m`,
-/// large enough that — combined with the `|coord|/cell ≤ 1e9` fast-path
-/// precondition — fp rounding of the cell quotients can never push an
-/// in-range pair beyond adjacent cells (see the module docs).
-const CELL_MARGIN: f64 = 1e-6;
+/// Relative shrink of a search ring's reach: several orders of
+/// magnitude above the fp error of the cell quotients and distances it
+/// guards (see the module docs), so an early stop never drops a peer.
+const CELL_MARGIN: f64 = 1e-9;
 
-/// Quotient cap for the grid fast path: with coordinates at most
-/// `1e9` cells from the origin, a cell quotient carries at most
-/// `1e9 · 2⁻⁵² ≈ 2.3e-7` of absolute rounding error, comfortably inside
-/// [`CELL_MARGIN`].
-const MAX_CELL_QUOTIENT: f64 = 1e9;
+/// Cap on the grid's cells per axis, which bounds every cell quotient
+/// by `MAX_CELLS_PER_AXIS + 1` and its rounding error below `1e-12`,
+/// comfortably inside [`CELL_MARGIN`].
+const MAX_CELLS_PER_AXIS: usize = 1024;
 
 /// Relative inflation of the ground-link range gate: several orders of
 /// magnitude above the fp error of the squared-norm comparison it
 /// guards, several below anything that would admit extra work.
 const GROUND_GATE_MARGIN: f64 = 1e-9;
 
-/// The 13 "forward" neighbour offsets: half of the 26 adjacent cells,
-/// chosen lexicographically positive so each unordered cell pair is
-/// visited exactly once.
-const FORWARD_OFFSETS: [(i64, i64, i64); 13] = [
-    (0, 0, 1),
-    (0, 1, -1),
-    (0, 1, 0),
-    (0, 1, 1),
-    (1, -1, -1),
-    (1, -1, 0),
-    (1, -1, 1),
-    (1, 0, -1),
-    (1, 0, 0),
-    (1, 0, 1),
-    (1, 1, -1),
-    (1, 1, 0),
-    (1, 1, 1),
-];
+/// One satellite's ISL candidates: `(peer index, distance)`.
+type Candidates = Vec<(usize, f64)>;
 
-/// Grid cell edge for the fast path, or `None` when the preconditions
-/// fail and the builder must fall back to the exhaustive sweep
-/// (infinite or non-positive range — `f64::INFINITY` is how the
-/// "simplified simulation" study disables the range cut — or positions
-/// too many cells from the origin for exact adjacency).
-fn grid_cell_edge_m(max_isl_range_m: f64, pos_eci: &[Vec3]) -> Option<f64> {
-    let cell = max_isl_range_m * (1.0 + CELL_MARGIN);
-    if !cell.is_finite() || cell <= 0.0 {
-        return None;
-    }
-    let mut max_abs: f64 = 0.0;
-    for p in pos_eci {
-        max_abs = max_abs.max(p.x.abs()).max(p.y.abs()).max(p.z.abs());
-    }
-    (max_abs.is_finite() && max_abs / cell <= MAX_CELL_QUOTIENT).then_some(cell)
+/// `(distance, peer index)` order — the order the dense sweep's stable
+/// distance sort leaves its index-ascending pushes in.
+fn nearer(a: &(usize, f64), b: &(usize, f64)) -> std::cmp::Ordering {
+    a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
 }
 
-/// [`build_snapshot_from_samples`] with telemetry: counts
-/// `snapshot.pairs_tested` / `snapshot.pairs_pruned` (satellite pairs
-/// that reached / never reached the range-and-LOS predicate) and
-/// `snapshot.ground_tested` / `snapshot.ground_pruned` (station–satellite
-/// pairs that reached / never reached the elevation test).
-pub fn build_snapshot_from_samples_recorded(
-    sats: &[SatNode],
-    samples: &[EphemerisSample],
-    stations: &[GroundNode],
-    params: &SnapshotParams,
-    rec: &mut dyn Recorder,
-) -> Graph {
-    assert_eq!(sats.len(), samples.len(), "one sample per satellite");
-    let n = sats.len();
-    let mut g = Graph::new(n, stations.len());
-    let pos_eci: Vec<Vec3> = samples.iter().map(|s| s.eci).collect();
+/// Whether `peer` belongs in a list bounded at `k` entries. A list
+/// below `k` is unsorted; a full one is sorted, worst last.
+fn admits(list: &Candidates, k: usize, peer: (usize, f64)) -> bool {
+    list.len() < k || list.last().is_some_and(|w| nearer(&peer, w).is_lt())
+}
 
-    // Candidate neighbour lists per satellite. The closure applies the
-    // exact dense predicate to one `i < j` pair.
-    let mut candidates: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    let mut tested: u64 = 0;
-    let mut test_pair = |i: usize, j: usize, candidates: &mut Vec<Vec<(usize, f64)>>| {
-        debug_assert!(i < j);
-        tested += 1;
-        let d = pos_eci[i].distance(pos_eci[j]);
-        if d <= params.max_isl_range_m
-            && (!params.require_los
-                || line_of_sight_with_clearance(pos_eci[i], pos_eci[j], params.los_clearance_m))
-        {
-            candidates[i].push((j, d));
-            candidates[j].push((i, d));
+/// Insert an admitted `peer`, evicting the worst entry of a full list.
+fn offer(list: &mut Candidates, k: usize, peer: (usize, f64)) {
+    if list.len() < k {
+        list.push(peer);
+        if list.len() == k {
+            list.sort_unstable_by(nearer);
         }
-    };
-    match grid_cell_edge_m(params.max_isl_range_m, &pos_eci) {
-        Some(cell) => {
-            let mut cells: BTreeMap<(i64, i64, i64), Vec<usize>> = BTreeMap::new();
-            for (i, p) in pos_eci.iter().enumerate() {
-                let key = (
-                    (p.x / cell).floor() as i64,
-                    (p.y / cell).floor() as i64,
-                    (p.z / cell).floor() as i64,
-                );
-                cells.entry(key).or_default().push(i);
+    } else {
+        list.pop();
+        let at = list.partition_point(|e| nearer(e, &peer).is_lt());
+        list.insert(at, peer);
+    }
+}
+
+/// The satellites bucketed into a dense uniform grid over their
+/// bounding box, in counting-sort (CSR) layout.
+struct CellGrid {
+    /// Cell edge (m).
+    cell_m: f64,
+    /// Cells per axis.
+    dims: [usize; 3],
+    /// `members[start[c]..start[c + 1]]` are cell `c`'s satellites.
+    start: Vec<usize>,
+    /// Satellite indices, contiguous by cell, ascending within a cell.
+    members: Vec<usize>,
+    /// Each satellite's cell coordinates.
+    cell_of: Vec<[usize; 3]>,
+}
+
+impl CellGrid {
+    /// The grid over `pos`, or `None` when a position (or the box
+    /// extent) is not finite and the builder must fall back to the
+    /// exhaustive sweep.
+    fn new(pos: &[Vec3]) -> Option<CellGrid> {
+        let coords = |p: &Vec3| [p.x, p.y, p.z];
+        if !pos.iter().flat_map(coords).all(f64::is_finite) {
+            return None;
+        }
+        let mut lo = [f64::INFINITY; 3];
+        let mut hi = [f64::NEG_INFINITY; 3];
+        for p in pos {
+            for (a, v) in coords(p).into_iter().enumerate() {
+                lo[a] = lo[a].min(v);
+                hi[a] = hi[a].max(v);
             }
-            // BTreeMap iteration is key-ordered, so enumeration order is
-            // deterministic — though the per-satellite sort below makes
-            // the output independent of it anyway.
-            for (&key, members) in &cells {
-                for (a, &i) in members.iter().enumerate() {
-                    for &j in &members[a + 1..] {
-                        test_pair(i, j, &mut candidates);
+        }
+        let extent = (0..3).map(|a| hi[a] - lo[a]).fold(0.0, f64::max);
+        let per_axis = (pos.len() as f64)
+            .cbrt()
+            .ceil()
+            .clamp(1.0, MAX_CELLS_PER_AXIS as f64);
+        let cell_m = (extent / per_axis).max(1.0);
+        if !cell_m.is_finite() {
+            return None;
+        }
+        let dims: [usize; 3] =
+            std::array::from_fn(|a| ((hi[a] - lo[a]) / cell_m).floor() as usize + 1);
+        let cell_of: Vec<[usize; 3]> = pos
+            .iter()
+            .map(|p| {
+                let v = coords(p);
+                std::array::from_fn(|a| {
+                    (((v[a] - lo[a]) / cell_m).floor() as usize).min(dims[a] - 1)
+                })
+            })
+            .collect();
+        let id = |c: [usize; 3]| (c[0] * dims[1] + c[1]) * dims[2] + c[2];
+        let mut start = vec![0usize; dims.iter().product::<usize>() + 1];
+        for &c in &cell_of {
+            start[id(c) + 1] += 1;
+        }
+        for c in 1..start.len() {
+            start[c] += start[c - 1];
+        }
+        let mut fill = start.clone();
+        let mut members = vec![0usize; pos.len()];
+        for (i, &c) in cell_of.iter().enumerate() {
+            members[fill[id(c)]] = i;
+            fill[id(c)] += 1;
+        }
+        Some(CellGrid {
+            cell_m,
+            dims,
+            start,
+            members,
+            cell_of,
+        })
+    }
+
+    /// Call `visit` with the satellites of every cell at Chebyshev
+    /// distance exactly `r` from `c`, one contiguous run of cells along
+    /// the last axis at a time.
+    fn for_each_in_ring(&self, c: [usize; 3], r: usize, mut visit: impl FnMut(&[usize])) {
+        let [dx, dy, dz] = self.dims;
+        let span = |ci: usize, d: usize| ci.saturating_sub(r)..=(ci + r).min(d - 1);
+        let mut run = |x: usize, y: usize, z0: usize, z1: usize| {
+            let row = (x * dy + y) * dz;
+            visit(&self.members[self.start[row + z0]..self.start[row + z1 + 1]]);
+        };
+        for x in span(c[0], dx) {
+            for y in span(c[1], dy) {
+                if x.abs_diff(c[0]) == r || y.abs_diff(c[1]) == r {
+                    let zs = span(c[2], dz);
+                    run(x, y, *zs.start(), *zs.end());
+                } else {
+                    if c[2] >= r {
+                        run(x, y, c[2] - r, c[2] - r);
+                    }
+                    if c[2] + r < dz {
+                        run(x, y, c[2] + r, c[2] + r);
                     }
                 }
-                for (dx, dy, dz) in FORWARD_OFFSETS {
-                    if let Some(other) = cells.get(&(key.0 + dx, key.1 + dy, key.2 + dz)) {
-                        for &i in members {
-                            for &j in other {
-                                test_pair(i.min(j), i.max(j), &mut candidates);
-                            }
+            }
+        }
+    }
+}
+
+/// Every satellite's nearest `max_isl_per_sat` in-range, in-sight peers
+/// by the ring search of the module docs, sorted by [`nearer`], plus the
+/// number of pairs whose distance was computed.
+fn ring_search_candidates(
+    pos: &[Vec3],
+    grid: &CellGrid,
+    params: &SnapshotParams,
+) -> (Vec<Candidates>, u64) {
+    let k = params.max_isl_per_sat;
+    let range = params.max_isl_range_m;
+    let n = pos.len();
+    let last_ring = grid.dims.iter().max().map_or(0, |d| d - 1);
+    let mut lists: Vec<Candidates> = vec![Vec::new(); n];
+    // The last ring each satellite's search visited.
+    let mut final_ring = vec![0usize; n];
+    let mut tested: u64 = 0;
+    for i in 0..n {
+        let mut r = 0;
+        loop {
+            grid.for_each_in_ring(grid.cell_of[i], r, |run| {
+                for &j in run {
+                    if j == i || (j < i && final_ring[j] >= r) {
+                        continue;
+                    }
+                    tested += 1;
+                    let (lo, hi) = (i.min(j), i.max(j));
+                    let d = pos[lo].distance(pos[hi]);
+                    if d > range {
+                        continue;
+                    }
+                    let to_i = admits(&lists[i], k, (j, d));
+                    let to_j = admits(&lists[j], k, (i, d));
+                    if (to_i || to_j)
+                        && (!params.require_los
+                            || line_of_sight_with_clearance(
+                                pos[lo],
+                                pos[hi],
+                                params.los_clearance_m,
+                            ))
+                    {
+                        if to_i {
+                            offer(&mut lists[i], k, (j, d));
+                        }
+                        if to_j {
+                            offer(&mut lists[j], k, (i, d));
                         }
                     }
                 }
+            });
+            // Every satellite not yet visited is farther than `reach`.
+            let reach = r as f64 * grid.cell_m * (1.0 - CELL_MARGIN);
+            let settled = lists[i].len() == k && lists[i].last().is_none_or(|w| w.1 < reach);
+            if r == last_ring || reach > range || settled {
+                break;
             }
+            r += 1;
         }
-        None => {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    test_pair(i, j, &mut candidates);
-                }
+        final_ring[i] = r;
+    }
+    for list in &mut lists {
+        if list.len() < k {
+            list.sort_unstable_by(nearer);
+        }
+    }
+    (lists, tested)
+}
+
+/// The exhaustive candidate sweep: every `i < j` pair tested, lists
+/// stable-sorted by distance and truncated to `max_isl_per_sat`.
+fn dense_candidates(pos: &[Vec3], params: &SnapshotParams) -> Vec<Candidates> {
+    let mut candidates: Vec<Candidates> = vec![Vec::new(); pos.len()];
+    for i in 0..pos.len() {
+        for j in (i + 1)..pos.len() {
+            let d = pos[i].distance(pos[j]);
+            if d <= params.max_isl_range_m
+                && (!params.require_los
+                    || line_of_sight_with_clearance(pos[i], pos[j], params.los_clearance_m))
+            {
+                candidates[i].push((j, d));
+                candidates[j].push((i, d));
             }
         }
     }
-    let total_pairs = (n as u64) * (n as u64).saturating_sub(1) / 2;
-    rec.add("snapshot.pairs_tested", tested);
-    rec.add("snapshot.pairs_pruned", total_pairs - tested);
-
     for c in candidates.iter_mut() {
-        // (distance, peer index): exactly the order the dense sweep's
-        // stable distance sort leaves its index-ascending pushes in.
-        c.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        c.sort_by(|a, b| a.1.total_cmp(&b.1));
         c.truncate(params.max_isl_per_sat);
     }
-    // Mutual selection.
-    for i in 0..n {
-        for &(j, d) in &candidates[i] {
+    candidates
+}
+
+/// Mutual selection: an ISL exists when both ends keep each other.
+fn add_mutual_isls(
+    g: &mut Graph,
+    sats: &[SatNode],
+    candidates: &[Candidates],
+    params: &SnapshotParams,
+) {
+    for (i, list) in candidates.iter().enumerate() {
+        for &(j, d) in list {
             if j > i && candidates[j].iter().any(|&(k, _)| k == i) {
                 let (cap, tech) =
                     isl_capacity_bps(sats[i].has_optical, sats[j].has_optical, d, params);
@@ -374,6 +516,38 @@ pub fn build_snapshot_from_samples_recorded(
             }
         }
     }
+}
+
+/// [`build_snapshot_from_samples`] with telemetry: counts
+/// `snapshot.pairs_tested` / `snapshot.pairs_pruned` (satellite pairs
+/// whose distance the neighbour search did / did not compute) and
+/// `snapshot.ground_tested` / `snapshot.ground_pruned` (station–satellite
+/// pairs that reached / never reached the elevation test).
+pub fn build_snapshot_from_samples_recorded(
+    sats: &[SatNode],
+    samples: &[EphemerisSample],
+    stations: &[GroundNode],
+    params: &SnapshotParams,
+    rec: &mut dyn Recorder,
+) -> Graph {
+    assert_eq!(sats.len(), samples.len(), "one sample per satellite");
+    let n = sats.len();
+    let mut g = Graph::new(n, stations.len());
+    let pos_eci: Vec<Vec3> = samples.iter().map(|s| s.eci).collect();
+
+    let total_pairs = (n as u64) * (n as u64).saturating_sub(1) / 2;
+    let grid = params
+        .max_isl_range_m
+        .is_finite()
+        .then(|| CellGrid::new(&pos_eci))
+        .flatten();
+    let (candidates, tested) = match grid {
+        Some(grid) => ring_search_candidates(&pos_eci, &grid, params),
+        None => (dense_candidates(&pos_eci, params), total_pairs),
+    };
+    rec.add("snapshot.pairs_tested", tested);
+    rec.add("snapshot.pairs_pruned", total_pairs - tested);
+    add_mutual_isls(&mut g, sats, &candidates, params);
 
     // Ground links: every station links to every visible satellite,
     // behind the per-station max-slant-range prune (module docs).
@@ -427,8 +601,9 @@ pub fn build_snapshot_from_samples_recorded(
 
 /// The exhaustive reference builder: all `N(N−1)/2` satellite pairs
 /// tested, every station×satellite elevation evaluated — the original
-/// quadratic sweep, kept verbatim as ground truth for the equivalence
-/// property test and the paired bench kernels. Production callers use
+/// quadratic sweep, kept as ground truth for the equivalence property
+/// test and the paired bench kernels (its pair sweep is also the
+/// fallback for non-finite input). Production callers use
 /// [`build_snapshot_from_samples`].
 pub fn build_snapshot_from_samples_dense(
     sats: &[SatNode],
@@ -439,45 +614,7 @@ pub fn build_snapshot_from_samples_dense(
     assert_eq!(sats.len(), samples.len(), "one sample per satellite");
     let mut g = Graph::new(sats.len(), stations.len());
     let pos_eci: Vec<Vec3> = samples.iter().map(|s| s.eci).collect();
-
-    // Candidate neighbour lists per satellite.
-    let mut candidates: Vec<Vec<(usize, f64)>> = vec![Vec::new(); sats.len()];
-    for i in 0..sats.len() {
-        for j in (i + 1)..sats.len() {
-            let d = pos_eci[i].distance(pos_eci[j]);
-            if d <= params.max_isl_range_m
-                && (!params.require_los
-                    || line_of_sight_with_clearance(pos_eci[i], pos_eci[j], params.los_clearance_m))
-            {
-                candidates[i].push((j, d));
-                candidates[j].push((i, d));
-            }
-        }
-    }
-    for c in candidates.iter_mut() {
-        c.sort_by(|a, b| a.1.total_cmp(&b.1));
-        c.truncate(params.max_isl_per_sat);
-    }
-    // Mutual selection.
-    for i in 0..sats.len() {
-        for &(j, d) in &candidates[i] {
-            if j > i && candidates[j].iter().any(|&(k, _)| k == i) {
-                let (cap, tech) =
-                    isl_capacity_bps(sats[i].has_optical, sats[j].has_optical, d, params);
-                if cap > 0.0 {
-                    g.add_bidirectional(
-                        i,
-                        j,
-                        d / SPEED_OF_LIGHT_M_PER_S,
-                        cap,
-                        sats[i].operator,
-                        sats[j].operator,
-                        tech,
-                    );
-                }
-            }
-        }
-    }
+    add_mutual_isls(&mut g, sats, &dense_candidates(&pos_eci, params), params);
 
     // Ground links: every station links to every visible satellite.
     for (gi, st) in stations.iter().enumerate() {
@@ -750,7 +887,7 @@ mod tests {
         let tested = rec.counter("snapshot.pairs_tested");
         let pruned = rec.counter("snapshot.pairs_pruned");
         assert_eq!(tested + pruned, 66 * 65 / 2);
-        assert!(pruned > 0, "the grid should prune far-apart Iridium pairs");
+        assert!(pruned > 0, "the search should skip far-apart pairs");
         assert!(
             rec.counter("snapshot.ground_pruned") > 0,
             "most of the shell is beyond each station's slant-range gate"
@@ -761,8 +898,8 @@ mod tests {
     fn infinite_range_falls_back_to_exhaustive_sweep() {
         use openspace_telemetry::MemoryRecorder;
         // The "simplified simulation" study disables the range cut with
-        // an infinite max_isl_range_m; the grid cannot bucket that and
-        // must fall back to testing every pair.
+        // an infinite max_isl_range_m; the builder then falls back to
+        // testing every pair.
         let sats = iridium_nodes(false);
         let params = SnapshotParams {
             max_isl_range_m: f64::INFINITY,

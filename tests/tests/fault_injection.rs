@@ -191,6 +191,51 @@ fn faulted_sweep_is_bitwise_deterministic_across_thread_counts() {
 }
 
 #[test]
+fn availability_with_outages_open_at_run_end_is_bit_reproducible() {
+    // Five satellites of a six-satellite ring fail for good mid-run, so
+    // five outages are still open when the run ends and their downtimes
+    // are summed then. The failure times make that floating-point sum
+    // depend on its order, and availability is low enough that a
+    // one-ulp change in the sum shows in `node_availability`: only a
+    // fixed summation order gives the same bits on every run.
+    let mut rng = SimRng::new(0xA7A1);
+    let graph = arb_graph(&mut rng, 6, 1);
+    let mut plan = FaultPlan::builder();
+    for (sat, at_s) in [(0usize, 0.1), (1, 1.3), (2, 2.7), (4, 4.9), (5, 7.31)] {
+        plan = plan.sat_failure(sat, at_s);
+    }
+    let events = plan
+        .build()
+        .expect("valid plan")
+        .compile(&FaultTopology::homogeneous(6, 1, OperatorId(0)))
+        .expect("plan fits topology");
+    let flows = vec![FlowSpec::new(
+        graph.sat_node(3),
+        graph.station_node(0),
+        1.0e5,
+        1_500,
+        TrafficKind::Poisson,
+    )];
+    let availability = || {
+        let cfg = NetSimConfig {
+            duration_s: 20.0,
+            ..Default::default()
+        };
+        let report = NetSim::new(cfg)
+            .with_snapshot(&graph)
+            .with_faults(&events)
+            .run(&flows)
+            .expect("valid config");
+        report.fault.node_availability.to_bits()
+    };
+    let first = availability();
+    assert!(f64::from_bits(first) < 0.5, "most of the ring is down");
+    for run in 1..8 {
+        assert_eq!(availability(), first, "run {run}: availability bits");
+    }
+}
+
+#[test]
 fn federation_degrades_more_gracefully_than_the_monolith() {
     // The exp_fault claim as a regression test: same fault plan (operator
     // 1 withdraws mid-run), plane-contiguous ownership, and the 3-member
