@@ -285,6 +285,41 @@ fn bench_routing() {
             &mut openspace_telemetry::NullRecorder,
         ));
     });
+
+    // The adaptive-replan shape at shell scale: 256 flows from
+    // satellites spread around the 72×22 shell to the gateways, costed
+    // by the congestion weight over seeded per-edge loads. The planner
+    // variant is one replan tick: `invalidate` + one batched plan on a
+    // reused planner.
+    let mut graph = walker_shell_federation().snapshot(0.0);
+    let mut rng = openspace_sim::prelude::SimRng::new(7);
+    for u in 0..graph.node_count() {
+        for e in graph.edges_mut(u) {
+            e.load_fraction = rng.uniform_range(0.0, 0.9);
+        }
+    }
+    let n_sats = 72 * 22;
+    let n_stations = graph.node_count() - n_sats;
+    let requests: Vec<(NodeId, NodeId)> = (0..256)
+        .map(|k| (NodeId(k * n_sats / 256), NodeId(n_sats + k % n_stations)))
+        .collect();
+    let req = QosRequirement::best_effort();
+    bench("qos_256flows_walker_1584_per_flow", window(), || {
+        for &(s, d) in &requests {
+            black_box(qos_route(&graph, s, d, &req, 12_000.0));
+        }
+    });
+    let mut planner = RoutePlanner::new();
+    bench("qos_256flows_walker_1584_planner", window(), || {
+        planner.invalidate();
+        black_box(planner.plan_qos_recorded(
+            &graph,
+            &requests,
+            &req,
+            12_000.0,
+            &mut openspace_telemetry::NullRecorder,
+        ));
+    });
 }
 
 fn bench_coverage() {

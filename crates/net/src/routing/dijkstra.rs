@@ -7,7 +7,6 @@
 
 use crate::topology::{Edge, Graph, NodeId};
 use openspace_telemetry::{NullRecorder, Recorder};
-use std::cmp::Ordering;
 
 /// A computed path.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,32 +41,6 @@ impl Path {
             .windows(2)
             .map(|w| graph.find_edge(w[0], w[1]).map(|e| e.capacity_bps))
             .try_fold(f64::INFINITY, |acc, c| c.map(|c| acc.min(c)))
-    }
-}
-
-/// Frontier entry of the deterministic Dijkstra searches: a min-heap
-/// item ordered by `(cost, node)`. The node tie-break is what makes the
-/// pop sequence — and with it every extracted path — a pure function of
-/// `(graph, source, weight)`, the property the batched
-/// [`RoutePlanner`](crate::routing::RoutePlanner) relies on.
-#[derive(PartialEq)]
-pub(crate) struct HeapEntry {
-    pub(crate) cost: f64,
-    pub(crate) node: NodeId,
-}
-impl Eq for HeapEntry {}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by cost; tie-break on node index for determinism.
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then(other.node.cmp(&self.node))
-    }
-}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
     }
 }
 

@@ -10,27 +10,74 @@
 //! * **groups requests by source** and grows one settled-predecessor
 //!   shortest-path tree per distinct source, answering every destination
 //!   from that tree;
-//! * **reuses scratch buffers** (`dist`/`prev`/settled flags and the
-//!   binary heap) across trees, with generation stamps so resetting a
-//!   buffer set is O(1) instead of O(nodes);
+//! * **reuses scratch buffers** (node marks, `(dist, prev)` labels and
+//!   the frontier heap) across trees, with generation stamps so resetting
+//!   a buffer set is O(1) instead of O(nodes);
+//! * **shares compiled weight rows** between the trees of one generation
+//!   (see below);
 //! * **caches trees between calls** until [`RoutePlanner::invalidate`]
 //!   declares the topology or the edge weights changed.
 //!
+//! The one-shot [`shortest_path`](crate::routing::shortest_path) and
+//! [`qos_route`](crate::routing::qos_route) are single-request batches on
+//! a fresh planner, so one-shot queries and batched plans run this one
+//! kernel.
+//!
 //! # Bitwise equivalence to per-flow search
 //!
-//! The per-flow search ([`shortest_path`](crate::routing::shortest_path))
-//! is Dijkstra with a globally deterministic heap order — entries compare
-//! by `(cost, node)` with no randomness — that stops as soon as the
-//! destination settles. The pop/relax sequence of such a search is a pure
-//! function of `(graph, source, weight)`; the destination only decides
-//! *when to stop*. A tree grown for destination set `{d₁, …, dₖ}` is
-//! therefore an exact prefix of the per-flow run for each `dᵢ`, and once a
-//! node settles its `dist`/`prev` entries are final (non-negative
-//! weights), so the predecessor chain extracted for any settled
-//! destination — and its total cost — is **bit-for-bit identical** to what
-//! the per-flow search returns. The planner buys its speedup purely by
-//! not repeating pops, never by changing them; a property test over
-//! seeded random graphs (`tests/tests/planner_equivalence.rs`) pins this.
+//! The search is Dijkstra with a globally deterministic frontier order —
+//! entries compare by `(cost, node)` with no randomness — that stops as
+//! soon as the requested destination settles. Its pop/relax sequence is a
+//! pure function of `(graph, source, weight)`; the destination only
+//! decides *when to stop*. A tree grown for destination set
+//! `{d₁, …, dₖ}` is therefore an exact prefix of the per-flow run for each
+//! `dᵢ`, and once a node settles its `(dist, prev)` label is final
+//! (non-negative weights), so the predecessor chain extracted for any
+//! settled destination — and its total cost — is **bit-for-bit
+//! identical** to what a from-scratch per-flow search returns. The
+//! planner buys its speedup by not repeating pops, never by changing
+//! them. `tests/tests/planner_equivalence.rs` pins paths, cost bits and
+//! `routing.nodes_visited` against an independent test-only reference
+//! Dijkstra (a `BinaryHeap` ordered by `f64::total_cmp`, then node),
+//! including tie-heavy hop-count shells.
+//!
+//! # The frontier key
+//!
+//! A frontier entry is one `u128`, `cost.to_bits() << 64 | node`, in a
+//! min-heap. Unsigned order on that key is `(cost, node)` order under
+//! `f64::total_cmp` because of what a cost can be:
+//!
+//! * every cost is `+0.0` (the source) plus a sum of weights the search
+//!   asserts are `>= 0` and not NaN, so a cost is never NaN; and since
+//!   `+0.0 + -0.0 == +0.0`, a `-0.0` weight never makes a cost `-0.0`;
+//! * on non-negative, non-NaN `f64`s (including `+∞`) `total_cmp` is
+//!   exactly the unsigned order of the bit patterns;
+//! * the node index in the low 64 bits breaks cost ties toward the
+//!   smaller index, as the per-flow search always has.
+//!
+//! # Weight rows and their generations
+//!
+//! The first time any tree of the current *row generation* settles a
+//! node, the planner calls the weight closure on that node's out-edges
+//! in order, relaxing each arc as before and also appending it to a
+//! packed `(weight, to)` row (arcs weighted `INFINITY` — filtered — are
+//! dropped). Every later tree of the generation that settles the node
+//! reads the packed row instead of the 48-byte `Edge`s and the closure
+//! (for the congestion weight, two divisions per edge). Rows are compiled
+//! lazily, node by node, never for the whole graph up front, so a
+//! one-shot search pays only for the rows it reads. The weights are
+//! stored as returned and checked on every relaxation, so a NaN or
+//! negative weight panics in exactly the searches that reach it, as
+//! before.
+//!
+//! Rows carry a generation stamp like the tree buffers, and a new row
+//! generation starts whenever the cached trees stop being trustworthy:
+//! on [`invalidate`](RoutePlanner::invalidate), on
+//! [`retain_for_changed_rows`](RoutePlanner::retain_for_changed_rows),
+//! and on a node-count change. A tree kept by `retain_for_changed_rows`
+//! stays valid on the freshly compiled rows because it is exhausted: it
+//! will never settle another node, so it never reads a row again, and
+//! every row a new tree compiles comes from the patched graph.
 //!
 //! # Telemetry
 //!
@@ -44,28 +91,100 @@
 //! * `routing.planner.scratch_reuses` — trees that recycled a pooled
 //!   buffer set instead of allocating.
 
-use crate::routing::dijkstra::{HeapEntry, Path};
+use crate::routing::dijkstra::Path;
 use crate::routing::qos::{congestion_weight, residual_bps, QosRequirement};
 use crate::topology::{Edge, Graph, NodeId};
 use openspace_telemetry::{NullRecorder, Recorder};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Frontier key of a `(cost, node)` pair: the cost's bits above the
+/// node index, so unsigned order is `(cost, node)` order for every cost
+/// the search can produce (see the [module docs](self)).
+fn frontier_key(cost: f64, node: NodeId) -> u128 {
+    (u128::from(cost.to_bits()) << 64) | node.0 as u128
+}
+
+/// Inverse of [`frontier_key`].
+fn frontier_entry(key: u128) -> (f64, NodeId) {
+    (
+        f64::from_bits((key >> 64) as u64),
+        NodeId(key as u64 as usize),
+    )
+}
+
+/// Out-rows compiled under the current row generation's weight: packed
+/// `(weight, to)` arcs with the `INFINITY` (filtered) arcs dropped,
+/// written the first time any tree settles a node and then read by every
+/// later tree of the generation instead of the edges and the closure.
+struct Rows {
+    gen: u32,
+    /// Per node `(stamp, start, end)`: when `stamp == gen`, the node's
+    /// row is `arcs[start..end]`.
+    slots: Vec<(u32, u32, u32)>,
+    arcs: Vec<(f64, NodeId)>,
+}
+
+impl Rows {
+    fn new() -> Rows {
+        Rows {
+            gen: 0,
+            slots: Vec::new(),
+            arcs: Vec::new(),
+        }
+    }
+
+    /// Start a new row generation over `n` nodes: every compiled row goes
+    /// stale in O(1), with a hard clear on wrap or a node-count change.
+    fn reset(&mut self, n: usize) {
+        self.arcs.clear();
+        if self.gen == u32::MAX || self.slots.len() != n {
+            self.gen = 1;
+            self.slots.clear();
+            self.slots.resize(n, (0, 0, 0));
+        } else {
+            self.gen += 1;
+        }
+    }
+
+    /// The row of `node`, if compiled in this generation.
+    fn get(&self, node: NodeId) -> Option<&[(f64, NodeId)]> {
+        let (stamp, start, end) = self.slots[node.0];
+        (stamp == self.gen).then(|| &self.arcs[start as usize..end as usize])
+    }
+
+    /// Open a row for compiling: returns its start in `arcs`.
+    fn open(&mut self, graph: &Graph) -> usize {
+        if self.arcs.capacity() == 0 {
+            // One allocation sized for the whole graph, kept across
+            // generations.
+            self.arcs.reserve(graph.edge_count());
+        }
+        self.arcs.len()
+    }
+
+    /// Mark the arcs pushed since [`open`](Self::open) as `node`'s row.
+    fn seal(&mut self, node: NodeId, start: usize) {
+        let end = u32::try_from(self.arcs.len()).expect("row arena holds at most u32::MAX arcs");
+        // `start <= end`, so it fits too.
+        self.slots[node.0] = (self.gen, start as u32, end);
+    }
+}
 
 /// One shortest-path tree rooted at a source, pausable and resumable:
 /// the heap keeps its frontier so a later request for a deeper
 /// destination continues the same search instead of restarting it.
 struct Tree {
     src: NodeId,
-    /// Stamp generation: an entry of `touched`/`settled` is valid for
-    /// this tree iff it equals `gen`.
+    /// Stamp generation, always even: `mark[i] == gen` ⇒ node `i` was
+    /// touched (its label is live), `mark[i] == gen + 1` ⇒ it also
+    /// settled with its final cost. Older generations' marks are `< gen`.
     gen: u32,
-    /// `touched[i] == gen` ⇒ `dist[i]`/`prev[i]` hold live values.
-    touched: Vec<u32>,
-    /// `settled_stamp[i] == gen` ⇒ node `i` popped with its final cost.
-    settled_stamp: Vec<u32>,
-    dist: Vec<f64>,
-    /// Predecessor of `i` on the tree; valid when touched and `i != src`.
-    prev: Vec<NodeId>,
-    heap: BinaryHeap<HeapEntry>,
+    mark: Vec<u32>,
+    /// `(dist, prev)` of a touched node; `prev` is meaningless for `src`.
+    label: Vec<(f64, NodeId)>,
+    /// Min-heap of [`frontier_key`]s.
+    heap: BinaryHeap<Reverse<u128>>,
     /// The frontier ran dry: every reachable node is settled.
     exhausted: bool,
 }
@@ -75,24 +194,19 @@ impl Tree {
         buffers.src = src;
         buffers.heap.clear();
         buffers.exhausted = false;
-        // Generation bump invalidates every stamp in O(1); on wrap (or a
-        // resize) fall back to a hard clear so stale stamps can't alias.
-        if buffers.gen == u32::MAX || buffers.touched.len() != n {
-            buffers.gen = 1;
-            buffers.touched.clear();
-            buffers.touched.resize(n, 0);
-            buffers.settled_stamp.clear();
-            buffers.settled_stamp.resize(n, 0);
-            buffers.dist.resize(n, f64::INFINITY);
-            buffers.prev.resize(n, NodeId(0));
+        // Generation bump invalidates every mark in O(1); on wrap (or a
+        // resize) fall back to a hard clear so stale marks can't alias.
+        if buffers.gen >= u32::MAX - 3 || buffers.mark.len() != n {
+            buffers.gen = 2;
+            buffers.mark.clear();
+            buffers.mark.resize(n, 0);
+            buffers.label.resize(n, (f64::INFINITY, NodeId(0)));
+            buffers.heap.reserve(n);
         } else {
-            buffers.gen += 1;
+            buffers.gen += 2;
         }
-        buffers.touch(src, 0.0);
-        buffers.heap.push(HeapEntry {
-            cost: 0.0,
-            node: src,
-        });
+        buffers.touch(src, 0.0, src);
+        buffers.heap.push(Reverse(frontier_key(0.0, src)));
         buffers
     }
 
@@ -100,65 +214,84 @@ impl Tree {
         Tree {
             src: NodeId(0),
             gen: u32::MAX, // force the hard-clear path on first start
-            touched: Vec::new(),
-            settled_stamp: Vec::new(),
-            dist: Vec::new(),
-            prev: Vec::new(),
+            mark: Vec::new(),
+            label: Vec::new(),
             heap: BinaryHeap::new(),
             exhausted: false,
         }
     }
 
-    fn touch(&mut self, node: NodeId, dist: f64) {
-        self.touched[node.0] = self.gen;
-        self.dist[node.0] = dist;
+    fn touch(&mut self, node: NodeId, dist: f64, prev: NodeId) {
+        self.mark[node.0] = self.gen;
+        self.label[node.0] = (dist, prev);
     }
 
     fn dist_of(&self, node: NodeId) -> f64 {
-        if self.touched[node.0] == self.gen {
-            self.dist[node.0]
+        if self.mark[node.0] >= self.gen {
+            self.label[node.0].0
         } else {
             f64::INFINITY
         }
     }
 
     fn is_settled(&self, node: NodeId) -> bool {
-        self.settled_stamp[node.0] == self.gen
+        self.mark[node.0] == self.gen + 1
+    }
+
+    /// Offer `to` the cost `cost + w` through `node`. The weight check
+    /// runs here, on every relaxation, so an edge no search reaches never
+    /// panics.
+    #[inline(always)]
+    fn relax(&mut self, cost: f64, w: f64, node: NodeId, to: NodeId) {
+        assert!(w >= 0.0 && !w.is_nan(), "edge weight must be non-negative");
+        let next = cost + w;
+        if next < self.dist_of(to) {
+            self.touch(to, next, node);
+            self.heap.push(Reverse(frontier_key(next, to)));
+        }
     }
 
     /// Run (or resume) the search until `dst` settles or the frontier is
     /// exhausted. Returns the number of heap pops performed now — the
     /// same work metric the per-flow search reports.
-    fn settle(&mut self, graph: &Graph, dst: NodeId, weight: &impl Fn(&Edge) -> f64) -> u64 {
+    fn settle(
+        &mut self,
+        graph: &Graph,
+        rows: &mut Rows,
+        dst: NodeId,
+        weight: &impl Fn(&Edge) -> f64,
+    ) -> u64 {
         if self.is_settled(dst) || self.exhausted {
             return 0;
         }
         let mut visited = 0u64;
         loop {
-            let Some(HeapEntry { cost, node }) = self.heap.pop() else {
+            let Some(Reverse(key)) = self.heap.pop() else {
                 self.exhausted = true;
                 break;
             };
+            let (cost, node) = frontier_entry(key);
             if cost > self.dist_of(node) {
                 continue; // stale entry
             }
             visited += 1;
-            self.settled_stamp[node.0] = self.gen;
-            for e in graph.edges(node) {
-                let w = weight(e);
-                if w == f64::INFINITY {
-                    continue;
+            self.mark[node.0] = self.gen + 1;
+            if let Some(row) = rows.get(node) {
+                for &(w, to) in row {
+                    self.relax(cost, w, node, to);
                 }
-                assert!(w >= 0.0 && !w.is_nan(), "edge weight must be non-negative");
-                let next = cost + w;
-                if next < self.dist_of(e.to) {
-                    self.touch(e.to, next);
-                    self.prev[e.to.0] = node;
-                    self.heap.push(HeapEntry {
-                        cost: next,
-                        node: e.to,
-                    });
+            } else {
+                // First settle of `node` this row generation: compile its
+                // row while relaxing it, in edge order as always.
+                let start = rows.open(graph);
+                for e in graph.edges(node) {
+                    let w = weight(e);
+                    if w != f64::INFINITY {
+                        rows.arcs.push((w, e.to));
+                        self.relax(cost, w, node, e.to);
+                    }
                 }
+                rows.seal(node, start);
             }
             if node == dst {
                 break;
@@ -176,13 +309,13 @@ impl Tree {
         let mut nodes = vec![dst];
         let mut cur = dst;
         while cur != self.src {
-            cur = self.prev[cur.0];
+            cur = self.label[cur.0].1;
             nodes.push(cur);
         }
         nodes.reverse();
         Some(Path {
             nodes,
-            total_cost: self.dist[dst.0],
+            total_cost: self.label[dst.0].0,
         })
     }
 }
@@ -192,17 +325,21 @@ impl Tree {
 ///
 /// # Cache contract
 ///
-/// Cached trees are valid for one *topology generation*: after any change
-/// to the graph's structure **or** to anything an edge-weight function
-/// reads (e.g. `load_fraction` before QoS routing), call
-/// [`invalidate`](Self::invalidate) before planning again. Planning with
-/// a different weight function within one generation likewise requires an
-/// `invalidate` in between — the planner cannot see inside the closure.
+/// Cached trees and compiled weight rows are valid for one *topology
+/// generation*: after any change to the graph's structure **or** to
+/// anything an edge-weight function reads (e.g. `load_fraction` before
+/// QoS routing), call [`invalidate`](Self::invalidate) before planning
+/// again. Planning with a different weight function within one
+/// generation likewise requires an `invalidate` in between — the planner
+/// cannot see inside the closure, and even a new source's tree would read
+/// rows compiled under the old weight.
 pub struct RoutePlanner {
     /// Trees grown in the current generation, in first-request order.
     trees: Vec<Tree>,
     /// Retired buffer sets awaiting reuse.
     pool: Vec<Tree>,
+    /// Out-rows compiled for the current generation, shared by its trees.
+    rows: Rows,
     /// Node count the cached trees were built against.
     n: usize,
 }
@@ -219,14 +356,16 @@ impl RoutePlanner {
         Self {
             trees: Vec::new(),
             pool: Vec::new(),
+            rows: Rows::new(),
             n: 0,
         }
     }
 
-    /// Drop every cached tree (buffers are retained for reuse). Call
-    /// whenever the topology or the edge weights change.
+    /// Drop every cached tree and compiled row (buffers are retained for
+    /// reuse). Call whenever the topology or the edge weights change.
     pub fn invalidate(&mut self) {
         self.pool.append(&mut self.trees);
+        self.rows.reset(self.n);
     }
 
     /// Number of trees cached for the current generation.
@@ -278,6 +417,9 @@ impl RoutePlanner {
                 self.pool.push(t);
             }
         }
+        // Kept trees are exhausted and never read a row again; trees
+        // grown from here on compile theirs from the patched graph.
+        self.rows.reset(self.n);
         rec.add("routing.planner.trees_reused", kept as u64);
         kept
     }
@@ -335,8 +477,8 @@ impl RoutePlanner {
         let n = graph.node_count();
         if n != self.n {
             // A different-sized graph can only mean a new topology.
-            self.invalidate();
             self.n = n;
+            self.invalidate();
         }
         let mut visited = 0u64;
         let mut trees_built = 0u64;
@@ -363,7 +505,7 @@ impl RoutePlanner {
                     }
                 };
                 let tree = &mut self.trees[idx];
-                visited += tree.settle(graph, dst, &weight);
+                visited += tree.settle(graph, &mut self.rows, dst, &weight);
                 let path = tree.extract(dst);
                 if path.is_some() {
                     extractions += 1;
@@ -647,6 +789,53 @@ mod tests {
         let (c, f) = (cached[0].as_ref().unwrap(), fresh[0].as_ref().unwrap());
         assert_eq!(c.nodes, f.nodes);
         assert_eq!(c.total_cost.to_bits(), f.total_cost.to_bits());
+    }
+
+    /// The panic message of `f`, or `None` when it returns normally.
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        err.downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+    }
+
+    #[test]
+    fn bad_weights_panic_only_when_the_search_relaxes_them() {
+        // 0 —1ms— 1 —1ms— 2 —bad— 3
+        let mut g = Graph::new(4, 0);
+        g.add_bidirectional(0, 1, 0.001, 1e6, 0u32, 0u32, LinkTech::Rf);
+        g.add_bidirectional(1, 2, 0.001, 1e6, 0u32, 0u32, LinkTech::Rf);
+        g.add_bidirectional(2, 3, 0.002, 1e6, 0u32, 0u32, LinkTech::Rf);
+        for bad in [f64::NAN, -1.0, f64::NEG_INFINITY] {
+            let weight = move |e: &Edge| {
+                if e.latency_s == 0.002 {
+                    bad
+                } else {
+                    e.latency_s
+                }
+            };
+            let mut planner = RoutePlanner::new();
+            // Searches that stop before node 2 settles never relax a bad
+            // edge, whichever tree compiled the rows they read.
+            let out = planner.plan(
+                &g,
+                &[(NodeId(0), NodeId(1)), (NodeId(1), NodeId(0))],
+                weight,
+            );
+            assert!(out.iter().all(Option::is_some), "weight {bad}");
+            // Relaxing one panics with the per-flow search's message, in
+            // each tree that settles node 2.
+            for src in [0, 1] {
+                let msg = panic_message(|| {
+                    planner.plan(&g, &[(NodeId(src), NodeId(2))], weight);
+                });
+                assert_eq!(
+                    msg.as_deref(),
+                    Some("edge weight must be non-negative"),
+                    "weight {bad}, source {src}"
+                );
+            }
+        }
     }
 
     #[test]
