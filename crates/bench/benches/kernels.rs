@@ -505,60 +505,26 @@ fn bench_extensions() {
 }
 
 fn bench_engine() {
-    use openspace_core::netsim::{EngineKind, FlowSpec, NetSim, NetSimConfig, TrafficKind};
-    use openspace_sim::prelude::{CalendarQueue, EventQueue, Scheduler, SimRng};
+    use openspace_sim::prelude::{EventQueue, SimRng};
 
-    // Scheduler churn in isolation: hold ~1k pending events and run a
+    // Event-queue churn in isolation: hold ~1k pending events and run a
     // steady-state pop-one/schedule-one loop — the access pattern the
     // packet engine produces (Depart/HopArrive chains at short
-    // offsets). Both kernels replay the identical schedule; only the
-    // queue data structure differs.
-    fn churn<S: Scheduler<u64> + Default>(name: &str) {
-        bench(name, window(), || {
-            let mut q = S::default();
-            let mut rng = SimRng::new(42);
-            for i in 0..1024u64 {
-                q.schedule(rng.uniform_range(0.0, 1.0), i);
-            }
-            for _ in 0..8192u64 {
-                let (t, e) = q.pop().expect("queue stays loaded");
-                q.schedule(t + rng.uniform_range(1e-5, 2e-3), e);
-            }
-            while let Some(x) = q.pop() {
-                black_box(x);
-            }
-        });
-    }
-    churn::<EventQueue<u64>>("equeue_churn_heap");
-    churn::<CalendarQueue<u64>>("equeue_churn_calendar");
-
-    // The end-to-end pair: `netsim_1s_loaded_link` pinned to each
-    // engine explicitly (the unpinned kernel above runs the default,
-    // i.e. the calendar queue). The reports are bit-identical — the
-    // `engine_equivalence` suite pins that — so the delta is pure
-    // event-queue cost.
-    let mut g = Graph::new(2, 0);
-    g.add_bidirectional(0, 1, 0.001, 1e7, 0, 0, LinkTech::Rf);
-    let flows = [FlowSpec {
-        src: 0.into(),
-        dst: 1.into(),
-        rate_bps: 8e6,
-        packet_bytes: 1_500,
-        kind: TrafficKind::Poisson,
-    }];
-    for (name, engine) in [
-        ("netsim_1s_heap", EngineKind::Heap),
-        ("netsim_1s_calendar", EngineKind::Calendar),
-    ] {
-        let cfg = NetSimConfig {
-            duration_s: 1.0,
-            engine,
-            ..Default::default()
-        };
-        bench(name, window(), || {
-            black_box(NetSim::new(cfg).with_snapshot(&g).run(&flows)).ok();
-        });
-    }
+    // offsets).
+    bench("equeue_churn", window(), || {
+        let mut q = EventQueue::new();
+        let mut rng = SimRng::new(42);
+        for i in 0..1024u64 {
+            q.schedule(rng.uniform_range(0.0, 1.0), i);
+        }
+        for _ in 0..8192u64 {
+            let (t, e) = q.pop().expect("queue stays loaded");
+            q.schedule(t + rng.uniform_range(1e-5, 2e-3), e);
+        }
+        while let Some(x) = q.pop() {
+            black_box(x);
+        }
+    });
 }
 
 fn bench_telemetry() {

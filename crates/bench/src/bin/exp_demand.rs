@@ -19,9 +19,7 @@
 
 use openspace_bench::{print_header, standard_federation, ExpRun};
 use openspace_core::demand::record_coverage;
-use openspace_core::netsim::{
-    DemandWorkload, EngineKind, FlowSpec, NetSim, NetSimConfig, RoutingMode,
-};
+use openspace_core::netsim::{DemandWorkload, FlowSpec, NetSim, NetSimConfig, RoutingMode};
 use openspace_core::prelude::demand_flows_for;
 use openspace_core::prelude::demand_ledgers;
 use openspace_demand::grid::{PopulationConfig, PopulationGrid};
@@ -198,7 +196,6 @@ fn main() {
         queue_capacity_bytes: 512 * 1024,
         routing: RoutingMode::Proactive,
         seed: 13,
-        engine: EngineKind::from_env(),
     };
 
     let full_graph = fed.snapshot(0.0);

@@ -14,21 +14,15 @@
 //! (add `--json` for a machine-readable run manifest on stdout).
 
 use openspace_bench::{access_satellite, nairobi_user, print_header, standard_federation, ExpRun};
-use openspace_core::netsim::{
-    EngineKind, FlowSpec, NetSim, NetSimConfig, RoutingMode, TrafficKind,
-};
+use openspace_core::netsim::{FlowSpec, NetSim, NetSimConfig, RoutingMode, TrafficKind};
 use openspace_phy::hardware::SatelliteClass;
 use openspace_telemetry::{JsonValue, MemoryRecorder};
 
 fn main() {
     let mut run = ExpRun::from_args("exp_netsim", 11);
-    // `OPENSPACE_NETSIM_ENGINE=heap|calendar` selects the event engine
-    // (default calendar); either choice yields the same report bits.
-    let engine = EngineKind::from_env();
-    run.digest_config(&format!(
-        "flows=4 packet=1500 duration_s=20 queue=512KiB seed=11 sweep=[5,10,20,40,60]Mbps engine={}",
-        engine.name()
-    ));
+    run.digest_config(
+        "flows=4 packet=1500 duration_s=20 queue=512KiB seed=11 sweep=[5,10,20,40,60]Mbps",
+    );
 
     // RF-only fleet: S-band ISL capacities (~27 Mbit/s) make congestion
     // real at megabit flow rates.
@@ -75,7 +69,6 @@ fn main() {
             queue_capacity_bytes: 512 * 1024,
             routing: RoutingMode::Proactive,
             seed: 11,
-            engine,
         };
         let pro = NetSim::new(base)
             .with_snapshot(&graph)
@@ -119,12 +112,8 @@ fn main() {
         );
     }
 
-    // Engine cross-check (manifest only): the calendar queue is a
-    // drop-in for the reference heap. Re-run the mid-sweep point on both
-    // engines and require bit-identical reports — the same guarantee the
-    // `engine_equivalence` property suite pins, asserted here on the
-    // exact workload this experiment publishes.
-    run.phase("engine cross-check");
+    // Event-engine load (manifest only): the mid-sweep proactive point
+    // re-run on its own recorder, so the counters are one run's.
     {
         let flows: Vec<FlowSpec> = (0..n_flows)
             .map(|_| FlowSpec {
@@ -135,39 +124,19 @@ fn main() {
                 kind: TrafficKind::Poisson,
             })
             .collect();
-        let base = NetSimConfig {
+        let mut rec = MemoryRecorder::new();
+        NetSim::new(NetSimConfig {
             duration_s: 20.0,
             queue_capacity_bytes: 512 * 1024,
             routing: RoutingMode::Proactive,
             seed: 11,
-            engine: EngineKind::Heap,
-        };
-        let mut heap_rec = MemoryRecorder::new();
-        let heap = NetSim::new(base)
-            .with_snapshot(&graph)
-            .run_recorded(&flows, &mut heap_rec)
-            .expect("valid netsim config");
-        let mut cal_rec = MemoryRecorder::new();
-        let cal = NetSim::new(NetSimConfig {
-            engine: EngineKind::Calendar,
-            ..base
         })
         .with_snapshot(&graph)
-        .run_recorded(&flows, &mut cal_rec)
+        .run_recorded(&flows, &mut rec)
         .expect("valid netsim config");
-        assert_eq!(
-            heap, cal,
-            "heap and calendar engines must produce bit-identical reports"
-        );
-        // Load counters from the run on the engine this invocation uses.
-        let rec = match engine {
-            EngineKind::Heap => &heap_rec,
-            EngineKind::Calendar => &cal_rec,
-        };
         run.push_extra(
             "engine",
             JsonValue::object([
-                ("kind", JsonValue::Str(engine.name().to_string())),
                 (
                     "events_processed",
                     JsonValue::Uint(rec.counter("engine.events_processed")),
@@ -180,11 +149,6 @@ fn main() {
                     "slab_high_water",
                     JsonValue::Num(rec.maximum("netsim.engine.slab_high_water").unwrap_or(0.0)),
                 ),
-                (
-                    "bucket_resizes",
-                    JsonValue::Uint(rec.counter("netsim.engine.bucket_resizes")),
-                ),
-                ("cross_check_delivered", JsonValue::Uint(cal.delivered)),
             ]),
         );
     }
@@ -239,7 +203,6 @@ fn main() {
                 replan_interval_s: 1.0,
             },
             seed: 11,
-            engine,
         })
         .with_snapshot(&graph)
         .run_recorded(&flows, &mut netsim_rec)

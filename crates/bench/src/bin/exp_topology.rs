@@ -191,7 +191,6 @@ fn main() {
             queue_capacity_bytes: 512 * 1024,
             routing,
             seed: 21,
-            ..Default::default()
         };
         let rebuilt = NetSim::new(cfg)
             .with_provider(&fed, interval)

@@ -75,14 +75,6 @@ pub mod prelude {
         DemandWorkload, FaultImpact, FlowSpec, NetSim, NetSimConfig, NetSimConfigBuilder,
         NetSimReport, RoutingMode, TrafficKind,
     };
-    // The deprecated free-function entry points stay importable through
-    // the prelude so downstream code keeps compiling (with its own
-    // deprecation warnings at the call sites).
-    #[allow(deprecated)]
-    pub use crate::netsim::{
-        run_netsim, run_netsim_dynamic, run_netsim_dynamic_recorded, run_netsim_faulted,
-        run_netsim_faulted_recorded, run_netsim_recorded,
-    };
     pub use crate::operator::{make_satellite, GroundStation, Operator, Satellite};
     pub use crate::roaming::{
         associate, execute_handover, Association, AssociationError, HandoverOutcome,

@@ -34,26 +34,19 @@
 //! allows (see [`RoutePlanner::retain_for_changed_rows`]) — so the
 //! resulting [`NetSimReport`] is bit-for-bit the one the full-rebuild
 //! path produces, pinned by `tests/tests/netsim_delta_equivalence.rs`.
-//!
-//! The historical free functions ([`run_netsim`],
-//! [`run_netsim_faulted`], [`run_netsim_dynamic`], and their
-//! `_recorded` forms) remain as thin deprecated wrappers over the
-//! driver.
 
 use openspace_net::outage::OutageTracker;
 use openspace_net::routing::{latency_weight, QosRequirement, RoutePlanner};
 use openspace_net::timeline::{TopologyProvider, TopologyTimeline};
 use openspace_net::topology::{Graph, NodeId};
 use openspace_sim::config::{require_positive, ConfigError};
-use openspace_sim::engine::{CalendarQueue, EventQueue, Scheduler};
+use openspace_sim::engine::EventQueue;
 use openspace_sim::fault::{TopologyEvent, TopologyEventKind};
 use openspace_sim::rng::SimRng;
 use openspace_sim::stats::Summary;
 use openspace_telemetry::{NullRecorder, Recorder};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
-
-pub use openspace_sim::engine::EngineKind;
 
 /// Traffic model of one flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,10 +183,6 @@ pub struct NetSimConfig {
     pub routing: RoutingMode,
     /// Seed for all arrival processes.
     pub seed: u64,
-    /// Event-queue implementation. Both produce bit-identical reports
-    /// (pinned by `tests/tests/engine_equivalence.rs`); the calendar
-    /// queue is faster and the default, the heap is the reference.
-    pub engine: EngineKind,
 }
 
 impl Default for NetSimConfig {
@@ -203,7 +192,6 @@ impl Default for NetSimConfig {
             queue_capacity_bytes: 256 * 1024,
             routing: RoutingMode::Proactive,
             seed: 1,
-            engine: EngineKind::default(),
         }
     }
 }
@@ -248,12 +236,6 @@ impl NetSimConfigBuilder {
         self
     }
 
-    /// Event-queue implementation.
-    pub fn engine(mut self, v: EngineKind) -> Self {
-        self.cfg.engine = v;
-        self
-    }
-
     /// Validate and produce the config.
     pub fn build(self) -> Result<NetSimConfig, ConfigError> {
         let cfg = self.cfg;
@@ -271,9 +253,10 @@ impl NetSimConfigBuilder {
     }
 }
 
-/// Fault accounting appended to [`NetSimReport`] by
-/// [`run_netsim_faulted`]. A fault-free run carries the default value
-/// (full availability, nothing lost), so reports stay comparable.
+/// Fault accounting appended to [`NetSimReport`] by a [`NetSim`] run
+/// with a fault plan ([`NetSim::with_faults`]). A fault-free run
+/// carries the default value (full availability, nothing lost), so
+/// reports stay comparable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultImpact {
     /// Topology events applied during the run.
@@ -845,95 +828,8 @@ impl<'a> NetSim<'a> {
                 }
             }
         }
-        run_netsim_inner(source, flows, &self.cfg, self.events, self.demand, rec)
+        run_netsim_core(source, flows, &self.cfg, self.events, self.demand, rec)
     }
-}
-
-/// Run the simulation on a static topology snapshot.
-#[deprecated(note = "use `NetSim::new(cfg).with_snapshot(graph).run(flows)`")]
-pub fn run_netsim(
-    graph: &Graph,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-) -> Result<NetSimReport, ConfigError> {
-    NetSim::new(*cfg).with_snapshot(graph).run(flows)
-}
-
-/// [`run_netsim`] with telemetry.
-#[deprecated(note = "use `NetSim::new(cfg).with_snapshot(graph).run_recorded(flows, rec)`")]
-pub fn run_netsim_recorded(
-    graph: &Graph,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-    rec: &mut dyn Recorder,
-) -> Result<NetSimReport, ConfigError> {
-    NetSim::new(*cfg)
-        .with_snapshot(graph)
-        .run_recorded(flows, rec)
-}
-
-/// Run the simulation with a fault plan.
-#[deprecated(note = "use `NetSim::new(cfg).with_snapshot(graph).with_faults(events).run(flows)`")]
-pub fn run_netsim_faulted(
-    graph: &Graph,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-    events: &[TopologyEvent],
-) -> Result<NetSimReport, ConfigError> {
-    NetSim::new(*cfg)
-        .with_snapshot(graph)
-        .with_faults(events)
-        .run(flows)
-}
-
-/// [`run_netsim_faulted`] with telemetry.
-#[deprecated(
-    note = "use `NetSim::new(cfg).with_snapshot(graph).with_faults(events).run_recorded(flows, rec)`"
-)]
-pub fn run_netsim_faulted_recorded(
-    graph: &Graph,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-    events: &[TopologyEvent],
-    rec: &mut dyn Recorder,
-) -> Result<NetSimReport, ConfigError> {
-    NetSim::new(*cfg)
-        .with_snapshot(graph)
-        .with_faults(events)
-        .run_recorded(flows, rec)
-}
-
-/// Run the simulation over a moving constellation.
-#[deprecated(
-    note = "use `NetSim::new(cfg).with_provider(&provider, interval).run(flows)` \
-            (or `with_timeline` for precomputed dynamics)"
-)]
-pub fn run_netsim_dynamic(
-    topology_at: &dyn Fn(f64) -> Graph,
-    resnapshot_interval_s: f64,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-) -> Result<NetSimReport, ConfigError> {
-    NetSim::new(*cfg)
-        .with_provider(&topology_at, resnapshot_interval_s)
-        .run(flows)
-}
-
-/// [`run_netsim_dynamic`] with telemetry.
-#[deprecated(
-    note = "use `NetSim::new(cfg).with_provider(&provider, interval).run_recorded(flows, rec)` \
-            (or `with_timeline` for precomputed dynamics)"
-)]
-pub fn run_netsim_dynamic_recorded(
-    topology_at: &dyn Fn(f64) -> Graph,
-    resnapshot_interval_s: f64,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-    rec: &mut dyn Recorder,
-) -> Result<NetSimReport, ConfigError> {
-    NetSim::new(*cfg)
-        .with_provider(&topology_at, resnapshot_interval_s)
-        .run_recorded(flows, rec)
 }
 
 fn validate(
@@ -962,6 +858,13 @@ fn validate(
             return Err(ConfigError::NonPositive {
                 field: "flow.packet_bytes",
                 value: 0.0,
+            });
+        }
+        // A subnormal rate passes the check above but overflows the
+        // packet gap to infinity.
+        if !(f.packet_bytes as f64 * 8.0 / f.rate_bps).is_finite() {
+            return Err(ConfigError::NotFinite {
+                field: "flow.rate_bps",
             });
         }
         if let TrafficKind::OnOff {
@@ -999,30 +902,7 @@ fn validate(
     Ok(())
 }
 
-fn run_netsim_inner(
-    source: TopologySource<'_>,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-    events: &[TopologyEvent],
-    demand: Option<&DemandWorkload>,
-    rec: &mut dyn Recorder,
-) -> Result<NetSimReport, ConfigError> {
-    // One monomorphized simulation core per engine: the scheduler is a
-    // generic parameter (not a trait object) so the hot loop's
-    // schedule/pop calls inline. Both instantiations run the same code
-    // over the same total event order, so their reports are
-    // bit-identical (pinned by `tests/tests/engine_equivalence.rs`).
-    match cfg.engine {
-        EngineKind::Heap => {
-            run_netsim_core::<EventQueue<Ev>>(source, flows, cfg, events, demand, rec)
-        }
-        EngineKind::Calendar => {
-            run_netsim_core::<CalendarQueue<Ev>>(source, flows, cfg, events, demand, rec)
-        }
-    }
-}
-
-fn run_netsim_core<S: Scheduler<Ev> + Default>(
+fn run_netsim_core(
     source: TopologySource<'_>,
     flows: &[FlowSpec],
     cfg: &NetSimConfig,
@@ -1129,7 +1009,7 @@ fn run_netsim_core<S: Scheduler<Ev> + Default>(
     let mut active: Vec<bool> = (0..flows.len()).map(|i| i < base_count).collect();
     let mut on_until: Vec<f64> = vec![0.0; flows.len()];
 
-    let mut q: S = S::default();
+    let mut q: EventQueue<Ev> = EventQueue::new();
     for i in 0..base_count {
         let at = start_flow(&flows[i], &mut rngs[i], 0.0, &mut on_until[i]);
         q.schedule(at, Ev::Inject(i as u32));
@@ -1230,7 +1110,12 @@ fn run_netsim_core<S: Scheduler<Ev> + Default>(
                     at - now
                 }
             };
-            q.schedule(now + gap, Ev::Inject(i as u32));
+            // A gap drawn so long that the next arrival overflows to
+            // infinity lands after `duration_s` anyway: the flow is done.
+            let next = now + gap;
+            if next.is_finite() {
+                q.schedule(next, Ev::Inject(i as u32));
+            }
         }
         Ev::DemandTick(k) => {
             let k = k as usize;
@@ -1251,7 +1136,9 @@ fn run_netsim_core<S: Scheduler<Ev> + Default>(
             for i in range.clone() {
                 active[i] = true;
                 let at = start_flow(&flows[i], &mut rngs[i], now, &mut on_until[i]);
-                q.schedule(at, Ev::Inject(i as u32));
+                if at.is_finite() {
+                    q.schedule(at, Ev::Inject(i as u32));
+                }
             }
             rec.add("netsim.demand.ticks", 1);
             rec.add("netsim.demand.flows_activated", range.len() as u64);
@@ -1620,11 +1507,8 @@ fn run_netsim_core<S: Scheduler<Ev> + Default>(
     rec.gauge_max("netsim.max_link_utilization", max_util);
     rec.add("engine.events_processed", q.processed());
     rec.gauge_max("engine.queue_depth_high_water", q.depth_high_water() as f64);
-    // Engine internals: peak in-flight packets, and (calendar only)
-    // wheel rebuilds. `bucket_resizes` is the one key that legitimately
-    // differs between engines — equivalence suites filter it.
+    // Peak in-flight packets.
     rec.gauge_max("netsim.engine.slab_high_water", slab.high_water as f64);
-    rec.add("netsim.engine.bucket_resizes", q.bucket_resizes());
     if !events.is_empty() {
         rec.add("netsim.fault.events_applied", fault.events_applied);
         rec.add("netsim.fault.packets_lost", fault.packets_lost);
@@ -1710,8 +1594,8 @@ fn plan_flow_routes(
 /// Enqueue the packet on its next-hop link, starting transmission if
 /// idle. One array index replaces the old per-hop pair hash.
 #[allow(clippy::too_many_arguments)] // engine + link/packet state + loss counters, all load-bearing
-fn forward<S: Scheduler<Ev>>(
-    q: &mut S,
+fn forward(
+    q: &mut EventQueue<Ev>,
     table: &mut LinkTable,
     slab: &mut PktSlab,
     pid: PktId,
@@ -2279,33 +2163,50 @@ mod tests {
         ));
     }
 
+    /// One flow over a single 1 Mb/s link, default config.
+    fn run_one_link(f: FlowSpec) -> Result<NetSimReport, ConfigError> {
+        let mut g = Graph::new(2, 0);
+        g.add_bidirectional(0, 1, 0.002, 1e6, 0, 0, LinkTech::Rf);
+        NetSim::new(NetSimConfig::default())
+            .with_snapshot(&g)
+            .run(&[f])
+    }
+
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_driver() {
-        let g = diamond(2e6);
-        let flows = [FlowSpec::new(0, 3, 1e6, 1_200, TrafficKind::Poisson)];
-        let cfg = NetSimConfig {
-            duration_s: 5.0,
-            seed: 13,
-            ..Default::default()
+    fn subnormal_cbr_rate_is_a_config_error() {
+        // The gap `packet_bytes·8 / rate_bps` overflows to infinity.
+        let f = FlowSpec::new(0, 1, 1e-310, 1_500, TrafficKind::Cbr);
+        assert_eq!(
+            run_one_link(f).unwrap_err(),
+            ConfigError::NotFinite {
+                field: "flow.rate_bps"
+            }
+        );
+    }
+
+    #[test]
+    fn subnormal_poisson_rate_is_a_config_error() {
+        let f = FlowSpec::new(0, 1, 1e-310, 1_500, TrafficKind::Poisson);
+        assert_eq!(
+            run_one_link(f).unwrap_err(),
+            ConfigError::NotFinite {
+                field: "flow.rate_bps"
+            }
+        );
+    }
+
+    #[test]
+    fn onoff_flow_whose_next_burst_overflows_stops_injecting() {
+        // Under the default seed the first OFF draw pushes the next
+        // arrival past f64::MAX: it is never scheduled, and the report
+        // counts the opening burst alone.
+        let kind = TrafficKind::OnOff {
+            mean_on_s: 1e-3,
+            mean_off_s: 1e308,
         };
-        let driver = NetSim::new(cfg).with_snapshot(&g);
-        assert_eq!(
-            run_netsim(&g, &flows, &cfg).unwrap(),
-            driver.run(&flows).unwrap()
-        );
-        assert_eq!(
-            run_netsim_faulted(&g, &flows, &cfg, &[]).unwrap(),
-            driver.with_faults(&[]).run(&flows).unwrap()
-        );
-        let provider = |_t: f64| g.clone();
-        assert_eq!(
-            run_netsim_dynamic(&provider, 1.0, &flows, &cfg).unwrap(),
-            NetSim::new(cfg)
-                .with_provider(&provider, 1.0)
-                .run(&flows)
-                .unwrap()
-        );
+        let r = run_one_link(FlowSpec::new(0, 1, 1e6, 1_500, kind)).unwrap();
+        assert!(r.generated >= 1);
+        assert_eq!(r.generated, r.delivered);
     }
 
     // ---- fault-injection runs ----
@@ -2621,6 +2522,25 @@ mod tests {
         // thousands from the 9 Mbit/s late batch.
         assert!(r.generated < 120, "generated {}", r.generated);
         assert_eq!(r.dropped, 0);
+    }
+
+    #[test]
+    fn demand_arrival_past_f64_max_is_never_scheduled() {
+        // A batch activating just below f64::MAX with a ~1e308 s packet
+        // gap: its first arrival (phase drawn from the gap) overflows.
+        let g = diamond(1e6);
+        let slow = FlowSpec::new(0, 3, 1.2e-304, 1_500, TrafficKind::Cbr);
+        let demand = DemandWorkload::new(vec![(1.79e308, vec![slow])]).unwrap();
+        let cfg = NetSimConfig {
+            duration_s: f64::MAX,
+            ..Default::default()
+        };
+        let r = NetSim::new(cfg)
+            .with_snapshot(&g)
+            .with_demand(&demand)
+            .run(&[])
+            .unwrap();
+        assert_eq!(r.generated, 0);
     }
 
     #[test]

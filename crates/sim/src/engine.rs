@@ -1,155 +1,24 @@
 //! The discrete-event engine: a time-ordered event queue with stable
 //! tie-breaking, and a run loop.
 //!
-//! Determinism contract: two events at the same timestamp fire in the
-//! order they were scheduled (a monotone sequence number breaks ties), so
-//! a simulation's outcome is a pure function of its inputs and seed.
+//! Determinism contract: events pop in strictly ascending lexicographic
+//! `(time, seq)` order, where `seq` is the monotone schedule-call
+//! counter, so two events at the same timestamp fire in the order they
+//! were scheduled and a simulation's outcome is a pure function of its
+//! inputs and seed. `tests/tests/event_queue_order.rs` checks the pop
+//! sequence against an independent sort of every scheduled event.
 //!
-//! Two interchangeable implementations sit behind the [`Scheduler`]
-//! trait: the reference [`EventQueue`] (a binary heap, `O(log n)` per
-//! operation) and the [`CalendarQueue`] (a bucketed timing wheel,
-//! `O(1)` amortized). Both realize the *same total order* —
-//! lexicographic `(time, seq)` — so any simulation driven through the
-//! trait produces bit-identical results on either engine; the
-//! `engine_equivalence` property suite pins this.
+//! [`EventQueue`] is a binary heap, `O(log n)` per operation, and the
+//! only engine. A bucketed calendar queue (`O(1)` amortized) once sat
+//! beside it. On the repo benchmark's workloads, whose queues peak at
+//! 4,675 pending events, it tied the heap on two and lost on the
+//! deepest, so it was removed (DESIGN.md §4 has the numbers).
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Simulation timestamp (seconds since simulation epoch).
 pub type SimTime = f64;
-
-/// Which event-queue implementation a simulation driver should use.
-///
-/// Both engines produce bit-identical simulations (same event order,
-/// same accounting); they differ only in speed. [`EngineKind::Calendar`]
-/// is the default — the heap remains available as the reference
-/// implementation the property suites compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The reference binary-heap [`EventQueue`].
-    Heap,
-    /// The bucketed timing-wheel [`CalendarQueue`].
-    #[default]
-    Calendar,
-}
-
-impl EngineKind {
-    /// Stable lowercase name (`"heap"` / `"calendar"`) for manifests
-    /// and telemetry.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Heap => "heap",
-            EngineKind::Calendar => "calendar",
-        }
-    }
-
-    /// Read the engine selection from `OPENSPACE_NETSIM_ENGINE`
-    /// (`"heap"` or `"calendar"`); unset means the default.
-    ///
-    /// # Panics
-    /// Panics on an unrecognized value — a typo in a CI matrix should
-    /// fail loudly, not silently bench the wrong engine.
-    pub fn from_env() -> Self {
-        match std::env::var("OPENSPACE_NETSIM_ENGINE") {
-            Err(_) => Self::default(),
-            Ok(v) => match v.as_str() {
-                "heap" => EngineKind::Heap,
-                "calendar" => EngineKind::Calendar,
-                other => {
-                    panic!("OPENSPACE_NETSIM_ENGINE must be 'heap' or 'calendar', got {other:?}")
-                }
-            },
-        }
-    }
-}
-
-/// A deterministic discrete-event scheduler: the interface both engine
-/// implementations share.
-///
-/// # Contract
-///
-/// * Events pop in strictly ascending lexicographic `(time, seq)`
-///   order, where `seq` is the monotone schedule-call counter — ties in
-///   time fire in schedule order.
-/// * [`schedule`](Self::schedule) panics on non-finite times and on
-///   causality violations (`at < now()`), with identical messages
-///   across implementations.
-/// * [`processed`](Self::processed) counts pops;
-///   [`depth_high_water`](Self::depth_high_water) is the maximum
-///   [`pending`](Self::pending) ever observed after a schedule call.
-///
-/// Any two implementations honoring this contract drive a simulation to
-/// bit-identical results, because a discrete-event simulation's outcome
-/// is a pure function of the event sequence it pops.
-pub trait Scheduler<E> {
-    /// Current simulation time: the timestamp of the last popped event
-    /// (or the last run horizon, whichever is later).
-    fn now(&self) -> SimTime;
-
-    /// Events waiting.
-    fn pending(&self) -> usize;
-
-    /// Events processed so far.
-    fn processed(&self) -> u64;
-
-    /// Highest number of events ever waiting at once.
-    fn depth_high_water(&self) -> usize;
-
-    /// Schedule `event` at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is NaN/infinite or earlier than the current time
-    /// (causality violation — always a caller bug).
-    fn schedule(&mut self, at: SimTime, event: E);
-
-    /// Schedule `event` `delay` seconds from now.
-    ///
-    /// # Panics
-    /// Panics on a negative `delay`.
-    fn schedule_in(&mut self, delay: f64, event: E) {
-        assert!(delay >= 0.0, "delay must be non-negative, got {delay}");
-        self.schedule(self.now() + delay, event);
-    }
-
-    /// Pop the next event, advancing the clock to its timestamp.
-    fn pop(&mut self) -> Option<(SimTime, E)>;
-
-    /// Timestamp of the next event without popping it.
-    fn next_time(&self) -> Option<SimTime>;
-
-    /// Advance the clock to `to` if it lags behind (used by
-    /// [`run_until`](Self::run_until) so successive runs see monotone
-    /// time even when the queue drains early).
-    fn advance_clock(&mut self, to: SimTime);
-
-    /// Times the engine rebuilt its internal structure (always 0 for
-    /// the heap; bucket-array rebuilds for the calendar queue).
-    fn bucket_resizes(&self) -> u64 {
-        0
-    }
-
-    /// Run until the queue drains or the clock passes `until`, feeding
-    /// each event to `handler` (which may schedule more via the `&mut
-    /// Self` it receives). Events with timestamps beyond `until` remain
-    /// queued.
-    fn run_until<F>(&mut self, until: SimTime, mut handler: F)
-    where
-        F: FnMut(&mut Self, SimTime, E),
-        Self: Sized,
-    {
-        while let Some(t) = self.next_time() {
-            if t > until {
-                break;
-            }
-            let (t, e) = self.pop().expect("peeked event exists");
-            handler(self, t, e);
-        }
-        // Advance the clock to the horizon even if the queue drained early,
-        // so successive run_until calls see monotone time.
-        self.advance_clock(until);
-    }
-}
 
 struct Scheduled<E> {
     time: SimTime,
@@ -213,7 +82,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Current simulation time: the timestamp of the last popped event.
+    /// Current simulation time: the timestamp of the last popped event
+    /// (or the last [`run_until`](Self::run_until) horizon, whichever is
+    /// later).
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -289,408 +160,6 @@ impl<E> EventQueue<E> {
         if self.now < until {
             self.now = until;
         }
-    }
-}
-
-impl<E> Scheduler<E> for EventQueue<E> {
-    fn now(&self) -> SimTime {
-        EventQueue::now(self)
-    }
-    fn pending(&self) -> usize {
-        EventQueue::pending(self)
-    }
-    fn processed(&self) -> u64 {
-        EventQueue::processed(self)
-    }
-    fn depth_high_water(&self) -> usize {
-        EventQueue::depth_high_water(self)
-    }
-    fn schedule(&mut self, at: SimTime, event: E) {
-        EventQueue::schedule(self, at, event)
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-    fn next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-    fn advance_clock(&mut self, to: SimTime) {
-        if self.now < to {
-            self.now = to;
-        }
-    }
-}
-
-/// An entry in a [`CalendarQueue`] bucket.
-struct Slot<E> {
-    time: SimTime,
-    seq: u64,
-    /// The slot's virtual bucket under the width epoch it was inserted
-    /// in — cached so the pop-side scan compares integers instead of
-    /// redoing the float multiply. Rebuilds recompute it.
-    vb: u64,
-    event: E,
-}
-
-/// Virtual-bucket cap: `floor(t / width)` is clamped here so that
-/// arbitrarily far-future timestamps (or a pathologically small bucket
-/// width) collapse into one final overflow bucket instead of overflowing
-/// `u64`. `2^53` keeps every uncapped quotient exactly representable.
-const VB_CAP: u64 = 1 << 53;
-
-/// Smallest bucket count the wheel shrinks back to.
-const MIN_BUCKETS: usize = 8;
-
-/// A calendar queue (Brown 1988): a bucketed timing wheel realizing the
-/// exact `(time, seq)` total order of [`EventQueue`] with `O(1)`
-/// amortized schedule/pop instead of the heap's `O(log n)`.
-///
-/// # Structure
-///
-/// Time is divided into *virtual buckets* of `width` seconds: an event
-/// at time `t` lives in virtual bucket `vb(t) = ⌊t · (1/width)⌋`
-/// (clamped at `VB_CAP = 2^53`), stored in physical bucket
-/// `vb(t) mod nbuckets` — a bitmask, since bucket counts are always
-/// powers of two.
-/// Each physical bucket is kept sorted ascending by `(time, seq)`;
-/// because the schedule-call counter `seq` is strictly monotone, a new
-/// entry's sort position is found by binary search on time alone and is
-/// usually the bucket tail. A cursor walks virtual buckets in order;
-/// when a whole lap of the wheel finds nothing due (a sparse "empty
-/// year"), a direct search over bucket fronts jumps the cursor to the
-/// earliest pending entry. The wheel rebuilds (double/halve buckets,
-/// re-derive `width` from the live time span) when occupancy drifts
-/// outside `[nbuckets/2, 2·nbuckets]`, counted by
-/// [`bucket_resizes`](Scheduler::bucket_resizes).
-///
-/// # Why the pop order is exactly the heap's
-///
-/// * `vb(t)` is one multiplication by the *same* precomputed
-///   `1/width` at insert and at pop — bucket membership is a pure
-///   function of `t` within a width epoch, never re-derived from
-///   bucket boundaries, so no floating-point rounding can disagree
-///   about where an entry lives. (Rebuilds change the function but
-///   re-bucket every pending entry under the new one.)
-/// * `⌊t · (1/width)⌋` is monotone non-decreasing in `t` (IEEE
-///   multiplication by a finite positive constant is monotone, `floor`
-///   preserves order, and the `VB_CAP` clamp is monotone), so if
-///   `vb(a) < vb(b)` then `a < b`: popping virtual buckets in
-///   ascending order never pops a later time first.
-/// * Two entries with *equal* times always share a virtual bucket, so
-///   a time tie is always resolved inside one sorted bucket — by `seq`,
-///   the schedule order, exactly the heap's tie-break.
-/// * The cursor invariant — no pending entry has `vb < cur_vb` — holds
-///   because pops only advance the cursor past virtual buckets proven
-///   empty (all entries of virtual bucket `v` live in physical bucket
-///   `v mod nbuckets`, whose sorted front would expose them), and
-///   scheduling behind the cursor (legal: `now` itself can sit mid-way
-///   into a virtual bucket the cursor already entered) pulls the cursor
-///   back to the new entry's virtual bucket.
-///
-/// Together: every pop returns the globally least `(time, seq)` entry —
-/// the heap's order, bit for bit.
-pub struct CalendarQueue<E> {
-    buckets: Vec<VecDeque<Slot<E>>>,
-    /// Seconds per virtual bucket (finite, > 0). Kept for reporting;
-    /// bucket membership is computed with `inv_width`.
-    width: f64,
-    /// `1 / width`, finite and > 0 — bucket membership is one multiply.
-    inv_width: f64,
-    /// The virtual bucket the pop cursor is currently scanning.
-    cur_vb: u64,
-    len: usize,
-    now: SimTime,
-    seq: u64,
-    processed: u64,
-    depth_high_water: usize,
-    resizes: u64,
-}
-
-impl<E> Default for CalendarQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> CalendarQueue<E> {
-    /// An empty queue at time 0.
-    pub fn new() -> Self {
-        Self {
-            buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
-            width: 1.0,
-            inv_width: 1.0,
-            cur_vb: 0,
-            len: 0,
-            now: 0.0,
-            seq: 0,
-            processed: 0,
-            depth_high_water: 0,
-            resizes: 0,
-        }
-    }
-
-    /// Virtual bucket of time `t` under the current width: one multiply
-    /// by the precomputed reciprocal (IEEE multiplication by a positive
-    /// constant is monotone, which is all the order proof needs — see
-    /// the type docs).
-    #[inline]
-    fn vb_of(&self, t: SimTime) -> u64 {
-        let q = t * self.inv_width;
-        if q >= VB_CAP as f64 {
-            VB_CAP
-        } else {
-            q as u64 // non-negative: truncation == floor
-        }
-    }
-
-    /// Physical bucket of virtual bucket `vb`. The bucket count is
-    /// always a power of two (`MIN_BUCKETS` doubled/halved), so the
-    /// modulo is a mask.
-    #[inline]
-    fn pb_of(&self, vb: u64) -> usize {
-        debug_assert!(self.buckets.len().is_power_of_two());
-        (vb & (self.buckets.len() as u64 - 1)) as usize
-    }
-
-    /// Set `width` (and its reciprocal), falling back to 1.0 unless
-    /// both are finite and positive.
-    fn set_width(&mut self, width: f64) {
-        let inv = width.recip();
-        if width.is_finite() && width > 0.0 && inv.is_finite() && inv > 0.0 {
-            self.width = width;
-            self.inv_width = inv;
-        } else {
-            self.width = 1.0;
-            self.inv_width = 1.0;
-        }
-    }
-
-    /// Rebuild the wheel with `nbuckets` buckets and a width derived
-    /// from the live entries' time span (aiming at ~1 entry per
-    /// bucket). Preserves the total order: entries are re-inserted in
-    /// globally sorted `(time, seq)` order, so each bucket stays sorted.
-    fn rebuild(&mut self, nbuckets: usize) {
-        let mut all: Vec<Slot<E>> = self.buckets.iter_mut().flat_map(|b| b.drain(..)).collect();
-        all.sort_unstable_by(|a, b| {
-            a.time
-                .partial_cmp(&b.time)
-                .expect("simulation times are finite")
-                .then(a.seq.cmp(&b.seq))
-        });
-        // Keep the existing (drained) deques and their heap buffers —
-        // a same-size re-width rebuild then allocates nothing.
-        self.buckets.resize_with(nbuckets, VecDeque::new);
-        if let (Some(first), Some(last)) = (all.first(), all.last()) {
-            let span = last.time - first.time;
-            self.set_width(span / all.len() as f64); // 1.0 if one instant
-            self.cur_vb = self.vb_of(first.time);
-        } else {
-            self.set_width(1.0);
-            self.cur_vb = self.vb_of(self.now);
-        }
-        for mut slot in all {
-            slot.vb = self.vb_of(slot.time); // new width epoch
-            let b = self.pb_of(slot.vb);
-            self.buckets[b].push_back(slot); // sorted order preserved
-        }
-        self.resizes += 1;
-    }
-
-    /// Locate the next due entry without mutating anything: its
-    /// physical bucket, its virtual bucket (where the cursor should
-    /// land), and its time. One wheel lap from the cursor; if the whole
-    /// lap is empty (a sparse "year"), one direct search over bucket
-    /// fronts finds the global minimum — which is the front of its own
-    /// physical bucket, since fronts are per-bucket minima.
-    fn find_next(&self) -> Option<(usize, u64, SimTime)> {
-        if self.len == 0 {
-            return None;
-        }
-        let nb = self.buckets.len() as u64;
-        for vb in self.cur_vb..self.cur_vb + nb {
-            let b = self.pb_of(vb);
-            if let Some(front) = self.buckets[b].front() {
-                if front.vb == vb {
-                    return Some((b, vb, front.time));
-                }
-            }
-        }
-        let (mut best_time, mut best_seq, mut best) = (f64::INFINITY, u64::MAX, (0usize, 0u64));
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            if let Some(front) = bucket.front() {
-                if front.time < best_time || (front.time == best_time && front.seq < best_seq) {
-                    best_time = front.time;
-                    best_seq = front.seq;
-                    best = (b, front.vb);
-                }
-            }
-        }
-        debug_assert!(best_time.is_finite(), "len > 0 but no bucket front");
-        Some((best.0, best.1, best_time))
-    }
-
-    /// Remove the (just located) front of bucket `b`, advancing the
-    /// clock and the accounting, and shrinking the wheel if occupancy
-    /// dropped far enough. The cursor must already sit on the entry's
-    /// virtual bucket.
-    #[inline]
-    fn take_front(&mut self, b: usize) -> Slot<E> {
-        let slot = self.buckets[b].pop_front().expect("caller located a front");
-        self.len -= 1;
-        self.now = slot.time;
-        self.processed += 1;
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 2 {
-            self.rebuild((self.buckets.len() / 2).max(MIN_BUCKETS));
-        }
-        slot
-    }
-
-    /// Pop the next entry if it is due at or before `until` — the same
-    /// scan as [`find_next`](Self::find_next) but fused with the
-    /// removal, so the hot path touches the winning bucket once. The
-    /// cursor is parked at the next entry's virtual bucket whether or
-    /// not it is due (everything below is proven empty either way).
-    fn pop_due(&mut self, until: SimTime) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        // Fast path: the due entry sits right under the cursor — the
-        // steady state once the cursor has caught up to the live
-        // window, so it skips the lap-loop bookkeeping entirely.
-        let b0 = self.pb_of(self.cur_vb);
-        if let Some(front) = self.buckets[b0].front() {
-            if front.vb == self.cur_vb {
-                if front.time > until {
-                    return None;
-                }
-                let slot = self.take_front(b0);
-                return Some((slot.time, slot.event));
-            }
-        }
-        let nb = self.buckets.len() as u64;
-        for vb in self.cur_vb..self.cur_vb + nb {
-            let b = self.pb_of(vb);
-            if let Some(front) = self.buckets[b].front() {
-                if front.vb == vb {
-                    self.cur_vb = vb;
-                    if front.time > until {
-                        return None;
-                    }
-                    let slot = self.take_front(b);
-                    return Some((slot.time, slot.event));
-                }
-            }
-        }
-        // A whole lap found nothing due: a sparse "year". Jump straight
-        // to the global minimum, which is some bucket's front.
-        let (b, vb, t) = self.find_next().expect("len > 0");
-        self.cur_vb = vb;
-        if t > until {
-            return None;
-        }
-        let slot = self.take_front(b);
-        Some((slot.time, slot.event))
-    }
-}
-
-impl<E> Scheduler<E> for CalendarQueue<E> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn pending(&self) -> usize {
-        self.len
-    }
-
-    fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    fn depth_high_water(&self) -> usize {
-        self.depth_high_water
-    }
-
-    fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(at.is_finite(), "event time must be finite, got {at}");
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < now {}",
-            self.now
-        );
-        let vb = self.vb_of(at);
-        let slot = Slot {
-            time: at,
-            seq: self.seq,
-            vb,
-            event,
-        };
-        self.seq += 1;
-        // `now` can sit mid-way into a virtual bucket the cursor already
-        // passed through; scheduling at such a time must pull the cursor
-        // back or the entry would wait a full wheel lap.
-        if vb < self.cur_vb {
-            self.cur_vb = vb;
-        }
-        let b = self.pb_of(vb);
-        let bucket = &mut self.buckets[b];
-        // Sorted insert by (time, seq): `seq` is strictly monotone, so
-        // the slot belongs after every entry with time <= at — almost
-        // always the tail for real event flows (times mostly increase),
-        // so check the tail before paying for a positional search. Off
-        // the tail, short buckets walk back-to-front (inserts cluster
-        // near the tail); long buckets binary-search.
-        match bucket.back() {
-            Some(back) if back.time > at => {
-                let pos = if bucket.len() <= 32 {
-                    let mut pos = bucket.len() - 1;
-                    while pos > 0 && bucket[pos - 1].time > at {
-                        pos -= 1;
-                    }
-                    pos
-                } else {
-                    bucket.partition_point(|s| s.time <= at)
-                };
-                bucket.insert(pos, slot);
-            }
-            _ => bucket.push_back(slot),
-        }
-        self.len += 1;
-        self.depth_high_water = self.depth_high_water.max(self.len);
-        if self.len > 2 * self.buckets.len() {
-            self.rebuild(self.buckets.len() * 2);
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_due(f64::INFINITY)
-    }
-
-    fn next_time(&self) -> Option<SimTime> {
-        self.find_next().map(|(_, _, t)| t)
-    }
-
-    fn advance_clock(&mut self, to: SimTime) {
-        if self.now < to {
-            self.now = to;
-        }
-    }
-
-    fn bucket_resizes(&self) -> u64 {
-        self.resizes
-    }
-
-    /// Specialized run loop: the default implementation peeks
-    /// ([`next_time`](Scheduler::next_time)) and then pops, scanning the
-    /// wheel twice per event. One fused `pop_due` scan serves both
-    /// decisions here — identical event sequence, half the scans.
-    fn run_until<F>(&mut self, until: SimTime, mut handler: F)
-    where
-        F: FnMut(&mut Self, SimTime, E),
-    {
-        while let Some((t, ev)) = self.pop_due(until) {
-            handler(self, t, ev);
-        }
-        self.advance_clock(until);
     }
 }
 
@@ -802,130 +271,5 @@ mod tests {
         let mut q: EventQueue<()> = EventQueue::new();
         q.run_until(7.0, |_, _, _| {});
         assert_eq!(q.now(), 7.0);
-    }
-
-    // --- CalendarQueue: the same contract, via the trait ---------------
-
-    #[test]
-    fn calendar_events_fire_in_time_order() {
-        let mut q = CalendarQueue::new();
-        q.schedule(3.0, "c");
-        q.schedule(1.0, "a");
-        q.schedule(2.0, "b");
-        let mut order = Vec::new();
-        q.run_until(10.0, |_, _, e| order.push(e));
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn calendar_ties_break_by_insertion_order() {
-        let mut q = CalendarQueue::new();
-        for i in 0..100 {
-            q.schedule(1.0, i);
-        }
-        let mut order = Vec::new();
-        q.run_until(2.0, |_, _, e| order.push(e));
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn calendar_handler_can_schedule_more() {
-        let mut q = CalendarQueue::new();
-        q.schedule(0.0, 0u32);
-        let mut fired = 0;
-        q.run_until(10.0, |q: &mut CalendarQueue<u32>, t, n| {
-            fired += 1;
-            if n < 5 {
-                q.schedule(t + 1.0, n + 1);
-            }
-        });
-        assert_eq!(fired, 6);
-        assert_eq!(q.processed(), 6);
-    }
-
-    #[test]
-    fn calendar_run_until_respects_horizon() {
-        let mut q = CalendarQueue::new();
-        q.schedule(1.0, ());
-        q.schedule(5.0, ());
-        let mut fired = 0;
-        q.run_until(2.0, |_, _, _| fired += 1);
-        assert_eq!(fired, 1);
-        assert_eq!(q.pending(), 1);
-        assert_eq!(q.now(), 2.0);
-        q.run_until(10.0, |_, _, _| fired += 1);
-        assert_eq!(fired, 2);
-    }
-
-    #[test]
-    fn calendar_sparse_far_future_pops_correctly() {
-        // Events a "year" of empty buckets apart exercise the direct
-        // search: one lap finds nothing, then the cursor jumps.
-        let mut q = CalendarQueue::new();
-        q.schedule(0.5, "near");
-        q.schedule(86_400.0, "day");
-        q.schedule(86_400.0 * 365.0, "year");
-        assert_eq!(q.pop().unwrap().1, "near");
-        assert_eq!(q.pop().unwrap().1, "day");
-        assert_eq!(q.pop().unwrap().1, "year");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn calendar_resizes_and_stays_ordered() {
-        // Push enough to force grow rebuilds, drain to force shrinks,
-        // and check full (time, seq) order throughout.
-        let mut q = CalendarQueue::new();
-        let mut want = Vec::new();
-        for i in 0..1000u64 {
-            // A decidedly non-uniform spread with many exact ties.
-            let t = ((i * 7919) % 97) as f64 * 0.013;
-            q.schedule(t, i);
-            want.push((t, i));
-        }
-        assert!(q.bucket_resizes() > 0, "1000 inserts must grow the wheel");
-        want.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        let mut got = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            got.push((t, i));
-        }
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn calendar_schedule_behind_cursor_is_found() {
-        // Pop into a late virtual bucket, then schedule at `now` (which
-        // can lie in an earlier virtual bucket than the cursor): the
-        // new event must still pop next, not after a wheel lap.
-        let mut q = CalendarQueue::new();
-        q.schedule(100.0, "late");
-        assert_eq!(q.pop().unwrap().1, "late");
-        q.schedule(100.0, "after");
-        q.schedule(100.0, "after2");
-        assert_eq!(q.pop().unwrap().1, "after");
-        assert_eq!(q.pop().unwrap().1, "after2");
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn calendar_scheduling_into_the_past_panics() {
-        let mut q = CalendarQueue::new();
-        q.schedule(5.0, ());
-        q.pop();
-        q.schedule(1.0, ());
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn calendar_nan_time_panics() {
-        let mut q: CalendarQueue<()> = CalendarQueue::new();
-        q.schedule(f64::NAN, ());
-    }
-
-    #[test]
-    fn engine_kind_names_round_trip() {
-        assert_eq!(EngineKind::Heap.name(), "heap");
-        assert_eq!(EngineKind::Calendar.name(), "calendar");
-        assert_eq!(EngineKind::default(), EngineKind::Calendar);
     }
 }

@@ -3,10 +3,9 @@
 //! A deterministic discrete-event simulation engine for the OpenSpace
 //! stack.
 //!
-//! * [`engine`] — time-ordered event queues with stable tie-breaking
-//!   (same inputs + same seed ⇒ bit-identical runs): a reference binary
-//!   heap and an order-identical calendar queue behind one
-//!   [`engine::Scheduler`] trait.
+//! * [`engine`] — the time-ordered event queue with stable tie-breaking
+//!   (same inputs + same seed ⇒ bit-identical runs): one binary heap,
+//!   [`engine::EventQueue`].
 //! * [`rng`] — seeded RNG with substreams and the distributions traffic
 //!   models need.
 //! * [`queue`] — drop-tail and two-class priority packet queues (the
@@ -55,7 +54,7 @@ pub mod traffic;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::config::ConfigError;
-    pub use crate::engine::{CalendarQueue, EngineKind, EventQueue, Scheduler, SimTime};
+    pub use crate::engine::{EventQueue, SimTime};
     pub use crate::exec::{default_threads, parallel_map_seeded};
     pub use crate::fault::{
         mean_time_to_repair_s, FaultPlan, FaultPlanBuilder, FaultSpec, FaultTopology,

@@ -1,0 +1,183 @@
+//! Property suite pinning the event queue's order contract: every pop
+//! returns the pending event with the least `(time, seq)`, where `seq`
+//! is the schedule-call counter, so same-time events fire in schedule
+//! order and a simulation is a pure function of its inputs and seed.
+//!
+//! [`EventQueue`] runs in lockstep with an independent oracle, a plain
+//! list of every scheduled `(time, seq, payload)` whose pop is a linear
+//! scan for the least `(time, seq)`. Adversarial seeded schedules
+//! (same-timestamp bursts, microsecond-to-day spans, interleaved
+//! schedule/pop, handlers that schedule offspring mid-run) must pop the
+//! oracle's sequence bit for bit, and end with the oracle's `processed`,
+//! `depth_high_water` and clock.
+
+use openspace_sim::prelude::{EventQueue, SimRng};
+
+/// The reference model: pending events in schedule order, popped by
+/// scanning for the least `(time, seq)`.
+#[derive(Default)]
+struct Oracle {
+    pending: Vec<(f64, u64, u32)>,
+    seq: u64,
+    now: f64,
+    processed: u64,
+    high_water: usize,
+}
+
+impl Oracle {
+    fn schedule(&mut self, at: f64, payload: u32) {
+        self.pending.push((at, self.seq, payload));
+        self.seq += 1;
+        self.high_water = self.high_water.max(self.pending.len());
+    }
+
+    fn next(&self) -> Option<usize> {
+        (0..self.pending.len()).reduce(|best, i| {
+            let (a, b) = (self.pending[i], self.pending[best]);
+            if a.0 < b.0 || (a.0 == b.0 && a.1 < b.1) {
+                i
+            } else {
+                best
+            }
+        })
+    }
+
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        let (t, _, payload) = self.pending.remove(self.next()?);
+        self.now = t;
+        self.processed += 1;
+        Some((t.to_bits(), payload))
+    }
+
+    /// The clock after `run_until(until)`: the horizon if the queue
+    /// drained (or stopped) short of it.
+    fn advance_to(&mut self, until: f64) {
+        if let Some(i) = self.next() {
+            assert!(self.pending[i].0 > until, "run_until left a due event");
+        }
+        self.now = self.now.max(until);
+    }
+}
+
+fn assert_same_state(q: &EventQueue<u32>, oracle: &Oracle, ctx: &str) {
+    assert_eq!(q.processed(), oracle.processed, "{ctx}: processed");
+    assert_eq!(
+        q.depth_high_water(),
+        oracle.high_water,
+        "{ctx}: depth high-water"
+    );
+    assert_eq!(q.pending(), oracle.pending.len(), "{ctx}: pending");
+    assert_eq!(
+        q.now().to_bits(),
+        oracle.now.to_bits(),
+        "{ctx}: final clock"
+    );
+}
+
+/// Drive a seeded mix of schedule bursts and pops against the queue
+/// and the oracle, comparing every pop as `(time-bits, payload)`.
+fn assert_schedule_pops_in_order(seed: u64, spans: &[f64], ctx: &str) {
+    let ctx = format!("{ctx} seed {seed}");
+    let mut q = EventQueue::new();
+    let mut oracle = Oracle::default();
+    let mut rng = SimRng::substream(0xE9E9, seed);
+    let mut next_id = 0u32;
+    for _ in 0..600 {
+        if rng.uniform() < 0.55 {
+            // A burst of 1-4 events on the *same* timestamp: their
+            // order is decided by the seq tie-break alone.
+            let at = q.now() + spans[rng.index(spans.len())] * rng.uniform();
+            for _ in 0..1 + rng.index(4) {
+                q.schedule(at, next_id);
+                oracle.schedule(at, next_id);
+                next_id += 1;
+            }
+        } else {
+            let got = q.pop().map(|(t, e)| (t.to_bits(), e));
+            assert_eq!(got, oracle.pop(), "{ctx}: pop {}", oracle.processed);
+        }
+    }
+    while let Some((t, e)) = q.pop() {
+        assert_eq!(Some((t.to_bits(), e)), oracle.pop(), "{ctx}: drain");
+    }
+    assert_eq!(oracle.pop(), None, "{ctx}: queue drained early");
+    assert_same_state(&q, &oracle, &ctx);
+}
+
+#[test]
+fn adversarial_schedules_pop_in_time_seq_order() {
+    // Dense sub-second offsets: many near-collisions.
+    for seed in 0..20 {
+        assert_schedule_pops_in_order(seed, &[1e-4, 2e-3, 0.5], "dense");
+    }
+    // Mixed microsecond-to-day spans: far-future events wait behind
+    // long runs of near ones.
+    for seed in 0..20 {
+        assert_schedule_pops_in_order(seed, &[1e-6, 3e-5, 1.0, 86_400.0], "mixed-span");
+    }
+    // Degenerate: every event at one of two timestamps, so ordering is
+    // decided almost entirely by the seq tie-break.
+    for seed in 0..10 {
+        assert_schedule_pops_in_order(seed, &[0.0, 1.0], "two-timestamp");
+    }
+}
+
+#[test]
+fn handler_cascades_pop_in_time_seq_order() {
+    // The handler schedules offspring mid-run — the shape the packet
+    // engine produces (each `Depart` schedules the next) — at
+    // deliberately mixed time scales.
+    let until = 2.0e6;
+    let mut q = EventQueue::new();
+    let mut oracle = Oracle::default();
+    for i in 0..32u32 {
+        q.schedule(i as f64 * 0.125, i);
+        oracle.schedule(i as f64 * 0.125, i);
+    }
+    let mut pops = 0usize;
+    q.run_until(until, |q, t, e| {
+        assert_eq!(Some((t.to_bits(), e)), oracle.pop(), "cascade pop {pops}");
+        pops += 1;
+        // ≤2 children per pop for the first 6000 pops, then drain.
+        if pops < 6_000 {
+            let children = [
+                Some((t + 1e-6 * (e as f64 + 1.0), e.wrapping_add(32))),
+                pops.is_multiple_of(3)
+                    .then(|| (t + 86_400.0 / (e as f64 + 1.0), e.wrapping_add(33))),
+            ];
+            for (at, child) in children.into_iter().flatten() {
+                q.schedule(at, child);
+                oracle.schedule(at, child);
+            }
+        }
+    });
+    oracle.advance_to(until);
+    assert!(pops > 5_000, "cascade must actually cascade");
+    assert_same_state(&q, &oracle, "cascade");
+}
+
+#[test]
+fn a_batch_drains_as_its_sorted_schedule() {
+    // Schedule everything up front, then drain: the pop sequence is the
+    // schedule list sorted by (time, seq), ties and all.
+    let mut rng = SimRng::substream(0xE9EA, 0);
+    let mut q = EventQueue::new();
+    let mut want: Vec<(f64, u64, u32)> = Vec::new();
+    for i in 0..2_000u32 {
+        let t = match rng.index(3) {
+            0 => rng.index(7) as f64 * 0.25,
+            1 => rng.uniform() * 1e-6,
+            _ => rng.uniform() * 86_400.0 * 365.0,
+        };
+        q.schedule(t, i);
+        want.push((t, i as u64, i));
+    }
+    want.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    let got: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop())
+        .map(|(t, e)| (t.to_bits(), e))
+        .collect();
+    let want: Vec<(u64, u32)> = want.iter().map(|&(t, _, e)| (t.to_bits(), e)).collect();
+    assert_eq!(got, want);
+    assert_eq!(q.processed(), 2_000);
+    assert_eq!(q.depth_high_water(), 2_000);
+}

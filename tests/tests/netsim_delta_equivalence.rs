@@ -143,7 +143,6 @@ fn delta_resnapshot_run_is_bitwise_identical_to_full_rebuild() {
             queue_capacity_bytes: 128 * 1024,
             routing,
             seed: case,
-            ..Default::default()
         };
         let provider = |t: f64| mesh.at(t);
         let rebuilt = NetSim::new(cfg)
@@ -184,7 +183,6 @@ fn delta_resnapshot_run_with_faults_is_bitwise_identical_to_full_rebuild() {
             queue_capacity_bytes: 128 * 1024,
             routing: RoutingMode::Proactive,
             seed: case,
-            ..Default::default()
         };
         let provider = |t: f64| mesh.at(t);
         let rebuilt = NetSim::new(cfg)
@@ -237,7 +235,6 @@ fn timeline_runs_on_a_real_federation_match_the_rebuild_path() {
             queue_capacity_bytes: 512 * 1024,
             routing,
             seed: 17,
-            ..Default::default()
         };
         let rebuilt = NetSim::new(cfg)
             .with_provider(&fed, 30.0)

@@ -31,7 +31,6 @@ fn mm1_mean_delay_matches_theory() {
             queue_capacity_bytes: 64 * 1024 * 1024, // effectively infinite
             routing: RoutingMode::Proactive,
             seed: 3,
-            ..Default::default()
         })
         .with_snapshot(&g)
         .run(&[FlowSpec {
@@ -212,7 +211,6 @@ fn adaptive_routing_beats_proactive_under_hotspot_on_iridium() {
         queue_capacity_bytes: 512 * 1024,
         routing: RoutingMode::Proactive,
         seed: 11,
-        ..Default::default()
     };
     let pro = NetSim::new(base)
         .with_snapshot(&graph)

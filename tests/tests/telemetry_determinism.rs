@@ -45,7 +45,6 @@ fn scenario(seed: u64) -> (Graph, Vec<FlowSpec>, NetSimConfig) {
             replan_interval_s: 1.0,
         },
         seed,
-        ..Default::default()
     };
     (mesh(), flows, cfg)
 }
