@@ -448,13 +448,7 @@ fn bench_extensions() {
     use openspace_core::netsim::{FlowSpec, NetSim, NetSimConfig, TrafficKind};
     let mut g = Graph::new(2, 0);
     g.add_bidirectional(0, 1, 0.001, 1e7, 0, 0, LinkTech::Rf);
-    let flows = [FlowSpec {
-        src: 0.into(),
-        dst: 1.into(),
-        rate_bps: 8e6,
-        packet_bytes: 1_500,
-        kind: TrafficKind::Poisson,
-    }];
+    let flows = [FlowSpec::new(0, 1, 8e6, 1_500, TrafficKind::Poisson)];
     let cfg = NetSimConfig {
         duration_s: 1.0,
         ..Default::default()
@@ -537,13 +531,7 @@ fn bench_telemetry() {
     // shows what full observability costs.
     let mut g = Graph::new(2, 0);
     g.add_bidirectional(0, 1, 0.001, 1e7, 0, 0, LinkTech::Rf);
-    let flows = [FlowSpec {
-        src: 0.into(),
-        dst: 1.into(),
-        rate_bps: 8e6,
-        packet_bytes: 1_500,
-        kind: TrafficKind::Poisson,
-    }];
+    let flows = [FlowSpec::new(0, 1, 8e6, 1_500, TrafficKind::Poisson)];
     let cfg = NetSimConfig {
         duration_s: 1.0,
         ..Default::default()

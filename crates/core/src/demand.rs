@@ -12,9 +12,9 @@
 //! users wake up" to "operator B invoices operator A".
 
 use crate::federation::{Federation, FederationError, User};
-use crate::netsim::{FlowSpec, TrafficKind};
+use crate::netsim::FlowSpec;
 use openspace_demand::grid::PopulationGrid;
-use openspace_demand::mix::{AppClass, ArrivalKind};
+use openspace_demand::mix::AppClass;
 use openspace_demand::model::DemandTick;
 use openspace_economics::ledger::{BillingKey, TrafficLedger};
 use openspace_net::isl::{best_access_from_ecef, GroundNode, SatNode};
@@ -184,23 +184,12 @@ pub fn demand_flows_for(
             stats.unserved_bps += f.offered_bps;
             continue;
         };
-        let kind = match f.process {
-            ArrivalKind::Cbr => TrafficKind::Cbr,
-            ArrivalKind::Poisson => TrafficKind::Poisson,
-            ArrivalKind::OnOff {
-                mean_on_s,
-                mean_off_s,
-            } => TrafficKind::OnOff {
-                mean_on_s,
-                mean_off_s,
-            },
-        };
         flows.push(FlowSpec::new(
             graph.sat_node(att.access_sat),
             graph.station_node(att.gateway),
             f.rate_bps,
             f.packet_bytes,
-            kind,
+            f.process,
         ));
         stats.flows_mapped += 1;
     }

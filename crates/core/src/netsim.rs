@@ -7,12 +7,14 @@
 //! queueing estimate in `openspace-net` — it needs packets in queues.
 //!
 //! This module runs a store-and-forward discrete-event simulation on a
-//! topology snapshot: every directed link has a finite drop-tail queue
-//! and a serialization rate; flows inject CBR or Poisson packets; the
-//! router is either **proactive** (routes fixed from the known topology,
-//! load-blind — §2.2's beginner system) or **adaptive** (periodically
-//! re-planned against measured link utilization — the end-to-end
-//! approach the paper calls for). Deterministic under a seed.
+//! topology snapshot: every directed link has a byte-bounded
+//! [`DropTailQueue`] and a serialization rate; every flow injects
+//! packets under its [`Arrivals`] process (CBR, Poisson or on/off — the
+//! sim crate's one traffic model, re-exported here as [`TrafficKind`]);
+//! the router is either **proactive** (routes fixed from the known
+//! topology, load-blind — §2.2's beginner system) or **adaptive**
+//! (periodically re-planned against measured link utilization — the
+//! end-to-end approach the paper calls for). Deterministic under a seed.
 //!
 //! All capabilities compose through one driver, [`NetSim`]: a validated
 //! [`NetSimConfig`], an optional fault plan ([`NetSim::with_faults`] —
@@ -24,48 +26,40 @@
 //! [`TopologyProvider`] ([`NetSim::with_provider`]), or a precomputed
 //! [`TopologyTimeline`] ([`NetSim::with_timeline`]).
 //!
-//! The timeline path replays compact
-//! [`GraphDelta`](openspace_net::topology::GraphDelta)s at every
-//! `Ev::Resnapshot` instead of rebuilding the snapshot from orbital
-//! state: the patched graph is bitwise-identical to a fresh provider
-//! call (the timeline extracts its deltas *from* fresh builds), link
-//! state is reused for untouched links, and the route planner is
-//! invalidated selectively where a conservative soundness argument
-//! allows (see [`RoutePlanner::retain_for_changed_rows`]) — so the
-//! resulting [`NetSimReport`] is bit-for-bit the one the full-rebuild
-//! path produces, pinned by `tests/tests/netsim_delta_equivalence.rs`.
+//! The engine is one `SimState` — flows, link table, packet slab,
+//! planner and accounting — with one handler per event kind (`inject`,
+//! `demand_tick`, `depart`, `hop_arrive`, `replan`, `resnapshot`,
+//! `fault`) and a `finish` that builds the report; the event loop only
+//! dispatches.
+//!
+//! The timeline path replays compact [`GraphDelta`]s at every
+//! resnapshot instead of rebuilding the snapshot from orbital state:
+//! the patched graph is bitwise-identical to a fresh provider call (the
+//! timeline extracts its deltas *from* fresh builds), link state is
+//! reused for untouched links, and the route planner is invalidated
+//! selectively where a conservative soundness argument allows (see
+//! [`RoutePlanner::retain_for_changed_rows`]) — so the resulting
+//! [`NetSimReport`] is bit-for-bit the one the full-rebuild path
+//! produces, pinned by `tests/tests/netsim_delta_equivalence.rs`.
+//! Absolute reports are pinned by `tests/tests/netsim_golden.rs`.
 
 use openspace_net::outage::OutageTracker;
 use openspace_net::routing::{latency_weight, QosRequirement, RoutePlanner};
 use openspace_net::timeline::{TopologyProvider, TopologyTimeline};
-use openspace_net::topology::{Graph, NodeId};
-use openspace_sim::config::{require_positive, ConfigError};
+use openspace_net::topology::{Graph, GraphDelta, NodeId};
+use openspace_sim::config::{require_index, require_non_negative, require_positive, ConfigError};
 use openspace_sim::engine::EventQueue;
 use openspace_sim::fault::{TopologyEvent, TopologyEventKind};
+use openspace_sim::queue::DropTailQueue;
 use openspace_sim::rng::SimRng;
 use openspace_sim::stats::Summary;
+use openspace_sim::traffic::Arrivals;
 use openspace_telemetry::{NullRecorder, Recorder};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::rc::Rc;
 
-/// Traffic model of one flow.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TrafficKind {
-    /// Constant bit rate.
-    Cbr,
-    /// Poisson arrivals at the same mean rate.
-    Poisson,
-    /// Exponential on/off bursts: during an ON period packets leave
-    /// back-to-back at `rate_bps` (the *peak* rate); OFF periods are
-    /// silent. The first packet of every ON period goes out the
-    /// instant the period opens, matching `sim::traffic::OnOffSource`.
-    OnOff {
-        /// Mean ON-period duration (s).
-        mean_on_s: f64,
-        /// Mean OFF-period duration (s).
-        mean_off_s: f64,
-    },
-}
+pub use openspace_sim::traffic::TrafficKind;
 
 /// One simulated flow.
 #[derive(Debug, Clone, Copy)]
@@ -117,17 +111,7 @@ impl DemandWorkload {
     /// Validate and wrap tick batches.
     pub fn new(ticks: Vec<(f64, Vec<FlowSpec>)>) -> Result<Self, ConfigError> {
         for (t, _) in &ticks {
-            if !t.is_finite() {
-                return Err(ConfigError::NotFinite {
-                    field: "demand.tick_s",
-                });
-            }
-            if *t < 0.0 {
-                return Err(ConfigError::Negative {
-                    field: "demand.tick_s",
-                    value: *t,
-                });
-            }
+            require_non_negative("demand.tick_s", *t)?;
         }
         for w in ticks.windows(2) {
             if w[1].0 <= w[0].0 {
@@ -172,7 +156,8 @@ pub enum RoutingMode {
 }
 
 /// Simulation configuration. Build one with [`NetSimConfig::builder`]
-/// for validated construction, or use [`Default`] and struct update.
+/// or with [`Default`] and struct update; either way a run checks it
+/// with [`NetSimConfig::validate`].
 #[derive(Debug, Clone, Copy)]
 pub struct NetSimConfig {
     /// Simulated duration (s).
@@ -202,6 +187,24 @@ impl NetSimConfig {
         NetSimConfigBuilder {
             cfg: Self::default(),
         }
+    }
+
+    /// Check the config: a positive duration, a non-zero queue
+    /// capacity, and a positive replan interval in adaptive mode. Both
+    /// [`NetSimConfigBuilder::build`] and [`NetSim::run`] apply it, so a
+    /// struct-literal config is held to the same rules.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        require_positive("duration_s", self.duration_s)?;
+        if self.queue_capacity_bytes == 0 {
+            return Err(ConfigError::NonPositive {
+                field: "queue_capacity_bytes",
+                value: 0.0,
+            });
+        }
+        if let RoutingMode::Adaptive { replan_interval_s } = self.routing {
+            require_positive("replan_interval_s", replan_interval_s)?;
+        }
+        Ok(())
     }
 }
 
@@ -238,18 +241,8 @@ impl NetSimConfigBuilder {
 
     /// Validate and produce the config.
     pub fn build(self) -> Result<NetSimConfig, ConfigError> {
-        let cfg = self.cfg;
-        require_positive("duration_s", cfg.duration_s)?;
-        if cfg.queue_capacity_bytes == 0 {
-            return Err(ConfigError::NonPositive {
-                field: "queue_capacity_bytes",
-                value: 0.0,
-            });
-        }
-        if let RoutingMode::Adaptive { replan_interval_s } = cfg.routing {
-            require_positive("replan_interval_s", replan_interval_s)?;
-        }
-        Ok(cfg)
+        self.cfg.validate()?;
+        Ok(self.cfg)
     }
 }
 
@@ -291,7 +284,7 @@ impl Default for FaultImpact {
 }
 
 /// Aggregate results.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetSimReport {
     /// Packets injected.
     pub generated: u64,
@@ -337,20 +330,17 @@ struct PktId(u32);
 struct Pkt {
     bytes: u32,
     created_s: f64,
-    /// The node sequence of the compiled route (for arrival-node and
-    /// delivery checks).
-    nodes: Rc<[NodeId]>,
-    /// The per-hop link indices of the compiled route: hop `h` forwards
-    /// on `links[h]`, by array index instead of hashing a node pair.
-    links: Rc<[LinkId]>,
+    route: CompiledRoute,
+    /// Hops done: the packet is on, or queued for, `route.links[hop]`.
     hop: u32,
     /// Index into the flow list, for per-flow latency telemetry.
     flow: u32,
 }
 
 /// A route compiled against the run's [`LinkTable`]: the planner's node
-/// path plus the [`LinkId`] of every hop. Compiled once per (re)plan;
-/// packets carry `Rc` clones of both arrays.
+/// path (for arrival-node and delivery checks) plus the [`LinkId`] of
+/// every hop, so hop `h` forwards on `links[h]` by array index. Compiled
+/// once per (re)plan; packets carry `Rc` clones of both arrays.
 #[derive(Clone)]
 struct CompiledRoute {
     nodes: Rc<[NodeId]>,
@@ -378,22 +368,20 @@ enum Ev {
 struct Link {
     capacity_bps: f64,
     latency_s: f64,
-    queue: VecDeque<PktId>,
-    occupancy_bytes: u64,
-    busy: bool,
+    /// Packets waiting or in transmission; the head is on the wire, so
+    /// the link is busy exactly when the queue is non-empty.
+    queue: DropTailQueue<PktId>,
     bits_sent: f64, // since `measured_since_s` (for utilization samples)
     /// Start of the current measurement window: link creation or the
     /// last replan reset — the divisor for utilization samples.
     measured_since_s: f64,
     util_ewma: f64,
-    /// Whether the link currently exists in the topology. A dead slot
-    /// is what a missing `(u, v)` key was in the old hash-map design:
-    /// forwards onto it drop, pending `Depart`s fizzle.
+    /// Whether the link currently exists in the topology: forwards onto
+    /// a dead slot drop, pending `Depart`s fizzle.
     alive: bool,
-    /// Mirror of the old `fault_removed` set membership: set when fault
-    /// surgery removes the pair, cleared only by a fault *restore*
-    /// (resnapshot revival intentionally leaves it, exactly like the
-    /// set used to).
+    /// Set when fault surgery removes the pair, cleared only by a fault
+    /// *restore* (a resnapshot revival leaves it), so a forward onto the
+    /// dead slot counts as a fault loss.
     fault_removed: bool,
 }
 
@@ -441,6 +429,11 @@ impl PktSlab {
     fn free(&mut self, id: PktId) {
         self.free.push(id.0);
     }
+
+    /// Free every packet of a dying link queue, emptying it.
+    fn free_queue(&mut self, queue: &mut DropTailQueue<PktId>) {
+        self.free.extend(queue.drain().map(|(id, _)| id.0));
+    }
 }
 
 /// The dense link table: every directed link the run has *ever* seen
@@ -450,36 +443,32 @@ impl PktSlab {
 /// links *revive* their old slot with fresh state) instead of ever
 /// reusing a slot for a different pair.
 ///
-/// # Why pair-stable slots preserve hash-map semantics bit for bit
-///
-/// The old design keyed links by `(u, v)` in a `HashMap`; events and
-/// routes named links by pair. Its observable semantics at every
-/// lookup site were: *the pair is present* (act on its current state) or
-/// *absent* (drop / fizzle). With pair-stable slots, `alive` is
-/// exactly pair-presence — including the corner where a link vanishes
-/// and the same pair is re-created while a stale `Depart` is still in
-/// flight: the old code would find the *new* link under the old key and
-/// pop its queue early, and the revived slot reproduces precisely that.
-/// A freelist design would instead let the stale `Depart` act on an
-/// unrelated pair's link — a silent divergence this design makes
-/// impossible by construction.
+/// Pair-stable slots make `alive` exactly pair-presence, so every event
+/// and route acts on *the link of its pair* or finds it absent — also
+/// when a link vanishes and its pair is re-created while a stale
+/// `Depart` is in flight (it pops the revived link's queue early, as a
+/// `HashMap` keyed by pair would). A freelist would instead let the
+/// stale `Depart` act on an unrelated pair's link.
 struct LinkTable {
     slots: Vec<Link>,
     /// Pair of each slot (parallel to `slots`).
     pairs: Vec<(NodeId, NodeId)>,
     /// Append-only pair index; values are stable for the whole run.
     index: HashMap<(NodeId, NodeId), LinkId>,
-    /// Number of alive slots — the old `links.len()`.
+    /// Number of alive slots.
     alive_count: usize,
+    /// Byte capacity of every link queue.
+    queue_capacity_bytes: u64,
 }
 
 impl LinkTable {
-    fn new() -> Self {
+    fn new(queue_capacity_bytes: u64) -> Self {
         Self {
             slots: Vec::new(),
             pairs: Vec::new(),
             index: HashMap::new(),
             alive_count: 0,
+            queue_capacity_bytes,
         }
     }
 
@@ -493,11 +482,8 @@ impl LinkTable {
         &mut self.slots[id.0 as usize]
     }
 
-    /// The slot for `pair`, allocating a dead one on first sight.
-    /// (Compilation of a freshly planned route only ever sees alive
-    /// pairs — the table is synced to the graph before planning — but a
-    /// dead allocation is still semantically exact: it is the "absent
-    /// key", and forwards onto it drop.)
+    /// The slot for `pair`, allocating a dead one on first sight (a
+    /// route compiled onto it drops its packets there).
     fn id_for(&mut self, pair: (NodeId, NodeId)) -> LinkId {
         if let Some(&id) = self.index.get(&pair) {
             return id;
@@ -506,9 +492,7 @@ impl LinkTable {
         self.slots.push(Link {
             capacity_bps: 0.0,
             latency_s: 0.0,
-            queue: VecDeque::new(),
-            occupancy_bytes: 0,
-            busy: false,
+            queue: DropTailQueue::new(self.queue_capacity_bytes),
             bits_sent: 0.0,
             measured_since_s: 0.0,
             util_ewma: 0.0,
@@ -520,14 +504,11 @@ impl LinkTable {
         id
     }
 
-    /// Bring `pair` alive with fresh-link state (the old
-    /// `insert(fresh_link(..))`): empty queue, EWMA reset, measurement
-    /// window starting now. Like the map insert it replaces, this also
-    /// covers overwriting a still-alive link (a fault restore can race a
-    /// resnapshot revival): the old queue's packets are discarded
-    /// uncounted, exactly as the dropped map entry's were. Preserves
-    /// `fault_removed` — the old design's fault set was independent of
-    /// the link map.
+    /// Bring `pair` alive with fresh-link state: empty queue, EWMA
+    /// reset, measurement window starting now. This also overwrites a
+    /// still-alive link (a fault restore can race a resnapshot revival),
+    /// whose queued packets are discarded uncounted. Leaves
+    /// `fault_removed` as it is.
     fn revive(
         &mut self,
         pair: (NodeId, NodeId),
@@ -541,21 +522,17 @@ impl LinkTable {
             self.alive_count += 1;
         }
         let link = &mut self.slots[id.0 as usize];
-        for pid in link.queue.drain(..) {
-            slab.free.push(pid.0);
-        }
+        slab.free_queue(&mut link.queue);
         link.capacity_bps = capacity_bps;
         link.latency_s = latency_s;
-        link.occupancy_bytes = 0;
-        link.busy = false;
         link.bits_sent = 0.0;
         link.measured_since_s = now_s;
         link.util_ewma = 0.0;
         link.alive = true;
     }
 
-    /// Kill `pair`'s slot if alive (the old `remove(&pair)`), freeing
-    /// its queued packets into `slab`. Returns how many packets died
+    /// Kill `pair`'s slot if alive, freeing its queued packets into
+    /// `slab`. Returns how many packets died
     /// with the queue, or `None` if the pair was not alive.
     fn kill(&mut self, pair: (NodeId, NodeId), slab: &mut PktSlab) -> Option<u64> {
         let &id = self.index.get(&pair)?;
@@ -564,19 +541,14 @@ impl LinkTable {
             return None;
         }
         let queued = link.queue.len() as u64;
-        for pid in link.queue.drain(..) {
-            slab.free.push(pid.0);
-        }
-        link.occupancy_bytes = 0;
-        link.busy = false;
+        slab.free_queue(&mut link.queue);
         link.alive = false;
         self.alive_count -= 1;
         Some(queued)
     }
 
     /// Alive `(pair, id)` entries in sorted pair order — the
-    /// deterministic iteration the replan path needs (the old code
-    /// sorted the hash map's keys for the same reason).
+    /// deterministic iteration the replan path needs.
     fn sorted_alive(&self) -> Vec<((NodeId, NodeId), LinkId)> {
         let mut out: Vec<((NodeId, NodeId), LinkId)> = self
             .index
@@ -588,8 +560,7 @@ impl LinkTable {
         out
     }
 
-    /// Sync the table to a fresh snapshot — the old `rebuild_links`:
-    /// links present in both keep queue/EWMA (capacity and latency
+    /// Sync the table to a fresh snapshot: links present in both keep queue/EWMA (capacity and latency
     /// refreshed), links only in the graph come up fresh, links only in
     /// the table die and lose their queues. Returns
     /// `(links_kept, links_churned, packets_dropped)`.
@@ -625,6 +596,33 @@ impl LinkTable {
             }
         }
         (kept, churned, lost)
+    }
+
+    /// [`rebuild_sync`](Self::rebuild_sync) by one timeline delta, in
+    /// place: exact while the alive pairs mirror the previous snapshot's
+    /// edges (no fault surgery), since the delta then names all the
+    /// churn. Returns the same `(kept, churned, dropped)` triple.
+    fn apply_delta(&mut self, delta: &GraphDelta, now: f64, slab: &mut PktSlab) -> (u64, u64, u64) {
+        let removed = delta.edges_removed();
+        let added = delta.edges_added();
+        let kept = (self.alive_count - removed.len()) as u64;
+        let mut lost = 0u64;
+        for &pair in &removed {
+            lost += self.kill(pair, slab).unwrap_or(0);
+        }
+        for (u, e) in &added {
+            self.revive((*u, e.to), e.capacity_bps, e.latency_s, now, slab);
+        }
+        for (u, e) in delta.edges_changed() {
+            if let Some(&id) = self.index.get(&(u, e.to)) {
+                let link = self.link_mut(id);
+                if link.alive {
+                    link.capacity_bps = e.capacity_bps;
+                    link.latency_s = e.latency_s;
+                }
+            }
+        }
+        (kept, (removed.len() + added.len()) as u64, lost)
     }
 
     /// Compile a planner path into per-hop [`LinkId`]s.
@@ -832,27 +830,23 @@ impl<'a> NetSim<'a> {
     }
 }
 
-fn validate(
+/// Check the flows (base flows, then every demand batch, borrowed in
+/// place) and the fault events against `graph`, and the config.
+fn validate<'f>(
     graph: &Graph,
-    flows: &[FlowSpec],
+    flows: impl Iterator<Item = &'f FlowSpec>,
     cfg: &NetSimConfig,
     events: &[TopologyEvent],
 ) -> Result<(), ConfigError> {
-    if flows.is_empty() {
+    let mut flows = flows.peekable();
+    if flows.peek().is_none() {
         return Err(ConfigError::Empty { field: "flows" });
     }
-    require_positive("duration_s", cfg.duration_s)?;
+    cfg.validate()?;
     let n = graph.node_count();
     for f in flows {
-        for (field, node) in [("flow.src", f.src), ("flow.dst", f.dst)] {
-            if node.0 >= n {
-                return Err(ConfigError::IndexOutOfRange {
-                    field,
-                    index: node.0,
-                    len: n,
-                });
-            }
-        }
+        require_index("flow.src", f.src.0, n)?;
+        require_index("flow.dst", f.dst.0, n)?;
         require_positive("flow.rate_bps", f.rate_bps)?;
         if f.packet_bytes == 0 {
             return Err(ConfigError::NonPositive {
@@ -876,25 +870,15 @@ fn validate(
             require_positive("flow.mean_off_s", mean_off_s)?;
         }
     }
-    if let RoutingMode::Adaptive { replan_interval_s } = cfg.routing {
-        require_positive("replan_interval_s", replan_interval_s)?;
-    }
+    let field = "fault_event.node";
     for ev in events {
-        let check = |node: NodeId| -> Result<(), ConfigError> {
-            if node.0 >= n {
-                return Err(ConfigError::IndexOutOfRange {
-                    field: "fault_event.node",
-                    index: node.0,
-                    len: n,
-                });
-            }
-            Ok(())
-        };
         match ev.kind {
-            TopologyEventKind::NodeDown(a) | TopologyEventKind::NodeUp(a) => check(a)?,
+            TopologyEventKind::NodeDown(a) | TopologyEventKind::NodeUp(a) => {
+                require_index(field, a.0, n)?
+            }
             TopologyEventKind::LinkDown(a, b) | TopologyEventKind::LinkUp(a, b) => {
-                check(a)?;
-                check(b)?;
+                require_index(field, a.0, n)?;
+                require_index(field, b.0, n)?;
             }
             TopologyEventKind::OperatorWithdrawn(_) => {}
         }
@@ -902,6 +886,8 @@ fn validate(
     Ok(())
 }
 
+/// Validate, set up, and run the event loop: each event goes to the
+/// [`SimState`] handler for its kind.
 fn run_netsim_core(
     source: TopologySource<'_>,
     flows: &[FlowSpec],
@@ -915,721 +901,636 @@ fn run_netsim_core(
         TopologySource::Provider { provider, .. } => provider.topology_at(0.0),
         TopologySource::Timeline(tl) => tl.base().clone(),
     };
-    let graph = &graph;
-    // Base flows plus demand batches, concatenated with stable global
-    // indices: flow `i` always draws `SimRng::substream(cfg.seed, i)`
-    // no matter when (or whether) its batch activates, so reports are
-    // bit-reproducible for any demand content.
-    let base_count = flows.len();
-    let mut all_flows: Vec<FlowSpec> = flows.to_vec();
-    let mut demand_ranges: Vec<(f64, std::ops::Range<usize>)> = Vec::new();
-    if let Some(demand) = demand {
-        for (t, batch) in demand.ticks() {
-            let start = all_flows.len();
-            all_flows.extend_from_slice(batch);
-            demand_ranges.push((*t, start..all_flows.len()));
-        }
-    }
-    let flows: &[FlowSpec] = &all_flows;
-    validate(graph, flows, cfg, events)?;
-    let resnapshot_interval = match source {
-        TopologySource::Static(_) => None,
-        TopologySource::Provider { interval_s, .. } => Some(interval_s),
-        TopologySource::Timeline(tl) => Some(tl.step_s()),
-    };
-    // The timeline path patches a *pristine* mirror of the provider's
-    // snapshots — never touched by load writes or fault surgery — so
-    // `pristine.clone()` at a resnapshot reproduces, bit for bit, the
-    // `provider.topology_at(now)` assignment of the rebuild path.
-    let mut pristine: Option<Graph> = match source {
-        TopologySource::Timeline(tl) => Some(tl.base().clone()),
-        _ => None,
-    };
-    // Cursor into the timeline's delta sequence: the k-th resnapshot
-    // event applies delta k (coverage validated by the driver).
-    let mut tick: usize = 0;
-
-    // Per-flow histogram keys are only materialized when someone is
-    // listening — a NullRecorder run never formats a string — and even
-    // then lazily, on a flow's first delivery: a million-flow demand
-    // run allocates strings only for flows that actually deliver.
-    let mut flow_latency_keys: Vec<Option<String>> = if rec.enabled() {
-        vec![None; flows.len()]
-    } else {
-        Vec::new()
-    };
-
-    // Packet slab and the dense link table (see their docs for the
-    // equivalence argument vs the old `HashMap<(NodeId, NodeId), Link>`).
-    let mut slab = PktSlab::default();
-    let mut table = LinkTable::new();
-    for u in 0..graph.node_count() {
-        for e in graph.edges(u) {
-            table.revive(
-                (NodeId(u), e.to),
-                e.capacity_bps,
-                e.latency_s,
-                0.0,
-                &mut slab,
-            );
-        }
-    }
-
-    // All route computation goes through one batched planner: requests
-    // are grouped by source, flows sharing a source share one
-    // shortest-path tree, and the planner's scratch buffers persist
-    // across replan/resnapshot/fault events. Every recompute site
-    // invalidates the planner's tree cache first (loads or topology
-    // changed); the recorder is threaded through so route work counts
-    // toward `routing.recomputes` / `routing.nodes_visited` and the
-    // `routing.planner.*` counters.
-    let mut planner = RoutePlanner::new();
-    let flow_idxs: Vec<usize> = (0..flows.len()).collect();
-    // Initial routes: proactive latency paths for every flow, compiled
-    // to LinkId form against the table.
-    let mut work_graph = graph.clone();
-    let mut routes: Vec<Option<CompiledRoute>> = plan_flow_routes(
-        &mut planner,
-        &work_graph,
-        &mut table,
-        flows,
-        &flow_idxs,
-        false,
-        rec,
-    );
-
-    // Arrival processes.
-    let mut rngs: Vec<SimRng> = (0..flows.len())
-        .map(|i| SimRng::substream(cfg.seed, i as u64))
-        .collect();
-
-    // Activation flags and per-flow ON-period horizons (on/off flows
-    // only). Base flows start active at t = 0; demand-batch flows
-    // activate at their tick boundary and retire at the next one.
-    let mut active: Vec<bool> = (0..flows.len()).map(|i| i < base_count).collect();
-    let mut on_until: Vec<f64> = vec![0.0; flows.len()];
-
+    let ticks = demand.map_or(&[][..], DemandWorkload::ticks);
+    let all_flows = flows.iter().chain(ticks.iter().flat_map(|(_, b)| b));
+    validate(&graph, all_flows, cfg, events)?;
     let mut q: EventQueue<Ev> = EventQueue::new();
-    for i in 0..base_count {
-        let at = start_flow(&flows[i], &mut rngs[i], 0.0, &mut on_until[i]);
-        q.schedule(at, Ev::Inject(i as u32));
-    }
-    let replan_interval = match cfg.routing {
-        RoutingMode::Adaptive { replan_interval_s } => {
-            q.schedule(replan_interval_s, Ev::Replan);
-            Some(replan_interval_s)
-        }
-        RoutingMode::Proactive => None,
-    };
-    if let Some(interval) = resnapshot_interval {
-        q.schedule(interval, Ev::Resnapshot);
-    }
-    for (idx, ev) in events.iter().enumerate() {
-        if ev.at_s < cfg.duration_s {
-            q.schedule(ev.at_s.max(0.0), Ev::Fault(idx as u32));
-        }
-    }
-    for (k, (t, _)) in demand_ranges.iter().enumerate() {
-        if *t < cfg.duration_s {
-            q.schedule(*t, Ev::DemandTick(k as u32));
-        }
-    }
-
-    let mut generated = 0u64;
-    let mut delivered = 0u64;
-    let mut dropped = 0u64;
-    let mut unroutable = 0u64;
-    let mut latency = Summary::new();
-    let mut max_util: f64 = 0.0;
-
-    // Fault machinery.
-    let mut tracker = OutageTracker::new();
-    let mut fault = FaultImpact::default();
-    let mut down_nodes: HashSet<NodeId> = HashSet::new();
-    // Ordered so the still-open outages close in `NodeId` order at run
-    // end: float addition is not associative, and a hash order would
-    // make `node_availability` vary from run to run.
-    let mut down_since: BTreeMap<NodeId, f64> = BTreeMap::new();
-    let mut downtime_total = 0.0f64;
-    let mut repairs = 0u64;
-    let mut repair_total = 0.0f64;
-    let mut reassoc_latency_total = 0.0f64;
-    let mut route_lost_at: Vec<Option<f64>> = vec![None; flows.len()];
-
+    let mut state = SimState::new(source, graph, flows, ticks, cfg, events, rec);
+    state.start(&mut q);
     q.run_until(cfg.duration_s, |q, now, ev| match ev {
-        Ev::Inject(i) => {
-            let i = i as usize;
-            if !active[i] {
-                return; // flow retired at a demand tick: stop injecting
-            }
-            let f = &flows[i];
-            generated += 1;
-            if let Some(route) = &routes[i] {
-                let pid = slab.alloc(Pkt {
-                    bytes: f.packet_bytes,
-                    created_s: now,
-                    nodes: Rc::clone(&route.nodes),
-                    links: Rc::clone(&route.links),
-                    hop: 0,
-                    flow: i as u32,
-                });
-                forward(
-                    q,
-                    &mut table,
-                    &mut slab,
-                    pid,
-                    now,
-                    cfg.queue_capacity_bytes,
-                    &mut dropped,
-                    &mut fault.packets_lost,
-                );
+        Ev::Inject(i) => state.inject(q, now, i as usize),
+        Ev::DemandTick(k) => state.demand_tick(q, now, k as usize),
+        Ev::Depart(lid) => state.depart(q, now, lid),
+        Ev::HopArrive(pid) => state.hop_arrive(q, now, pid),
+        Ev::Replan => state.replan(q, now),
+        Ev::Resnapshot => state.resnapshot(q, now),
+        Ev::Fault(idx) => state.fault(now, idx as usize),
+    });
+    Ok(state.finish(&q))
+}
+
+/// The state of one run — flows, network, and accounting — with one
+/// handler per [`Ev`] kind.
+struct SimState<'a, 'r> {
+    cfg: NetSimConfig,
+    source: TopologySource<'a>,
+    events: &'a [TopologyEvent],
+    rec: &'r mut dyn Recorder,
+
+    // Flows: base flows, then each demand batch's, by stable index.
+    /// `(src, dst)` per flow — the planner's request list.
+    endpoints: Vec<(NodeId, NodeId)>,
+    /// Flow `i` draws `SimRng::substream(seed, i)` whenever (or
+    /// whether) its batch activates, so reports are bit-reproducible
+    /// for any demand content.
+    arrivals: Vec<Arrivals>,
+    /// Base flows start active; a demand batch is active from its tick
+    /// to the next.
+    active: Vec<bool>,
+    /// Tick time and flow-index range of each demand batch.
+    batches: Vec<(f64, Range<usize>)>,
+    routes: Vec<Option<CompiledRoute>>,
+    /// When a fault left each flow without a route, until it has one.
+    route_lost_at: Vec<Option<f64>>,
+    /// Per-flow histogram keys: empty for a disabled recorder, else
+    /// formatted on a flow's first delivery.
+    flow_latency_keys: Vec<Option<String>>,
+
+    // Network.
+    /// The graph routes are planned on: loads, fault surgery and
+    /// resnapshots all land here.
+    work_graph: Graph,
+    /// Timeline runs patch a *pristine* mirror of the provider's
+    /// snapshots — never touched by loads or faults — so cloning it
+    /// reproduces `provider.topology_at(now)` bit for bit.
+    pristine: Option<Graph>,
+    /// The k-th resnapshot applies timeline delta k.
+    tick: usize,
+    slab: PktSlab,
+    table: LinkTable,
+    /// One batched planner for every recompute: flows sharing a source
+    /// share a tree, and scratch buffers persist across events.
+    planner: RoutePlanner,
+    tracker: OutageTracker,
+    replan_interval: Option<f64>,
+    resnapshot_interval: Option<f64>,
+    /// Node count of the initial snapshot, the availability divisor.
+    node_count: usize,
+
+    // Accounting.
+    /// The report under construction: counts, the running utilization
+    /// maximum and the fault books accumulate here during the run, and
+    /// [`finish`](Self::finish) fills in the rest.
+    report: NetSimReport,
+    latency: Summary,
+    /// Start of each open node outage, so its keys are the nodes down
+    /// now. Ordered so the open outages close in `NodeId` order at run
+    /// end: float addition is not associative.
+    down_since: BTreeMap<NodeId, f64>,
+    /// Summed outage time: the recovered outages' repair times until
+    /// [`finish`](Self::finish) adds the open ones.
+    downtime_total: f64,
+    repairs: u64,
+    reassoc_latency_total: f64,
+}
+
+impl<'a, 'r> SimState<'a, 'r> {
+    /// Build the link table from `graph`, draw the arrival stream of
+    /// every base flow and demand-batch flow, and plan the initial
+    /// proactive latency routes.
+    fn new(
+        source: TopologySource<'a>,
+        graph: Graph,
+        base: &[FlowSpec],
+        ticks: &[(f64, Vec<FlowSpec>)],
+        cfg: &NetSimConfig,
+        events: &'a [TopologyEvent],
+        rec: &'r mut dyn Recorder,
+    ) -> Self {
+        let (endpoints, arrivals): (Vec<_>, Vec<_>) = base
+            .iter()
+            .chain(ticks.iter().flat_map(|(_, b)| b))
+            .enumerate()
+            .map(|(i, f)| {
+                let rng = SimRng::substream(cfg.seed, i as u64);
+                (
+                    (f.src, f.dst),
+                    Arrivals::new(f.kind, f.rate_bps, f.packet_bytes, rng),
+                )
+            })
+            .collect();
+        let n_flows = endpoints.len();
+        let mut next = base.len();
+        let batches = ticks
+            .iter()
+            .map(|(t, b)| {
+                next += b.len();
+                (*t, next - b.len()..next)
+            })
+            .collect();
+        // Syncing an empty table brings every edge of `graph` alive.
+        let mut slab = PktSlab::default();
+        let mut table = LinkTable::new(cfg.queue_capacity_bytes);
+        table.rebuild_sync(&graph, 0.0, &mut slab);
+        let mut state = Self {
+            cfg: *cfg,
+            source,
+            events,
+            flow_latency_keys: if rec.enabled() {
+                vec![None; n_flows]
             } else {
-                unroutable += 1;
-            }
-            // Next arrival.
-            let mean_gap = f.packet_bytes as f64 * 8.0 / f.rate_bps;
-            let gap = match f.kind {
-                TrafficKind::Cbr => mean_gap,
-                TrafficKind::Poisson => rngs[i].exponential(1.0 / mean_gap),
-                TrafficKind::OnOff {
-                    mean_on_s,
-                    mean_off_s,
-                } => {
-                    // Next slot one peak-interval on; if that falls past
-                    // the ON horizon, jump OFF gaps until a slot lands
-                    // inside an ON period — the first packet of each ON
-                    // period goes out the instant the period opens
-                    // (mirroring `sim::traffic::OnOffSource`).
-                    let mut at = now + mean_gap;
-                    while at > on_until[i] {
-                        let off = rngs[i].exponential(1.0 / mean_off_s);
-                        let on = rngs[i].exponential(1.0 / mean_on_s);
-                        at = on_until[i] + off;
-                        on_until[i] = at + on;
-                    }
-                    at - now
-                }
-            };
-            // A gap drawn so long that the next arrival overflows to
-            // infinity lands after `duration_s` anyway: the flow is done.
-            let next = now + gap;
-            if next.is_finite() {
-                q.schedule(next, Ev::Inject(i as u32));
+                Vec::new()
+            },
+            rec,
+            endpoints,
+            arrivals,
+            active: (0..n_flows).map(|i| i < base.len()).collect(),
+            batches,
+            routes: Vec::new(),
+            route_lost_at: vec![None; n_flows],
+            node_count: graph.node_count(),
+            work_graph: graph,
+            pristine: match source {
+                TopologySource::Timeline(tl) => Some(tl.base().clone()),
+                _ => None,
+            },
+            tick: 0,
+            slab,
+            table,
+            planner: RoutePlanner::new(),
+            tracker: OutageTracker::new(),
+            replan_interval: match cfg.routing {
+                RoutingMode::Adaptive { replan_interval_s } => Some(replan_interval_s),
+                RoutingMode::Proactive => None,
+            },
+            resnapshot_interval: match source {
+                TopologySource::Static(_) => None,
+                TopologySource::Provider { interval_s, .. } => Some(interval_s),
+                TopologySource::Timeline(tl) => Some(tl.step_s()),
+            },
+            report: NetSimReport::default(),
+            latency: Summary::new(),
+            down_since: BTreeMap::new(),
+            downtime_total: 0.0,
+            repairs: 0,
+            reassoc_latency_total: 0.0,
+        };
+        state.routes = state.plan_routes(None, false);
+        state
+    }
+
+    /// Schedule the opening events: the base flows' first arrivals,
+    /// the first replan and resnapshot, the fault events and the demand
+    /// ticks that fall inside the run.
+    fn start(&mut self, q: &mut EventQueue<Ev>) {
+        for i in (0..self.arrivals.len()).filter(|&i| self.active[i]) {
+            q.schedule(self.arrivals[i].start(0.0), Ev::Inject(i as u32));
+        }
+        if let Some(interval) = self.replan_interval {
+            q.schedule(interval, Ev::Replan);
+        }
+        if let Some(interval) = self.resnapshot_interval {
+            q.schedule(interval, Ev::Resnapshot);
+        }
+        let duration = self.cfg.duration_s;
+        for (idx, ev) in self.events.iter().enumerate() {
+            if ev.at_s < duration {
+                q.schedule(ev.at_s.max(0.0), Ev::Fault(idx as u32));
             }
         }
-        Ev::DemandTick(k) => {
-            let k = k as usize;
-            // Retire the previous batch (its in-flight packets still
-            // drain), then activate this one with fresh phases.
-            if k > 0 {
-                let (_, prev) = &demand_ranges[k - 1];
-                let mut retired = 0u64;
-                for i in prev.clone() {
-                    if active[i] {
-                        active[i] = false;
-                        retired += 1;
-                    }
-                }
-                rec.add("netsim.demand.flows_retired", retired);
-            }
-            let (_, range) = &demand_ranges[k];
-            for i in range.clone() {
-                active[i] = true;
-                let at = start_flow(&flows[i], &mut rngs[i], now, &mut on_until[i]);
-                if at.is_finite() {
-                    q.schedule(at, Ev::Inject(i as u32));
-                }
-            }
-            rec.add("netsim.demand.ticks", 1);
-            rec.add("netsim.demand.flows_activated", range.len() as u64);
-        }
-        Ev::Depart(lid) => {
-            // The link can vanish (fault, resnapshot) between the Depart
-            // being scheduled and firing; its queue died with it. A dead
-            // slot is the old map's missing key.
-            let link = table.link_mut(lid);
-            if !link.alive {
-                return;
-            }
-            let Some(pid) = link.queue.pop_front() else {
-                return;
-            };
-            let bytes = slab.get(pid).bytes;
-            // Exact subtraction: occupancy is the byte-sum of the queue
-            // by construction; a shortfall is an accounting bug that
-            // must surface, not saturate away.
-            debug_assert!(
-                link.occupancy_bytes >= bytes as u64,
-                "link occupancy {} under departing packet size {}",
-                link.occupancy_bytes,
-                bytes
-            );
-            link.occupancy_bytes -= bytes as u64;
-            link.bits_sent += bytes as f64 * 8.0;
-            let arrive_at = now + link.latency_s;
-            // Start the next transmission if any. Scheduled *before* the
-            // HopArrive: the relative seq numbers decide tie order when
-            // serialization equals propagation time.
-            if let Some(&next) = link.queue.front() {
-                let tx = slab.get(next).bytes as f64 * 8.0 / link.capacity_bps;
-                q.schedule(now + tx, Ev::Depart(lid));
-            } else {
-                link.busy = false;
-            }
-            q.schedule(arrive_at, Ev::HopArrive(pid));
-        }
-        Ev::HopArrive(pid) => {
-            // The arrival node is the hop's endpoint, `nodes[hop + 1]` —
-            // identical to the node the old fat event carried, since
-            // planner paths are simple (each node appears once).
-            let (hop, node) = {
-                let p = slab.get(pid);
-                (p.hop, p.nodes[p.hop as usize + 1])
-            };
-            if down_nodes.contains(&node) {
-                // The receiver died while the packet was in flight.
-                dropped += 1;
-                fault.packets_lost += 1;
-                slab.free(pid);
-                return;
-            }
-            let p = slab.get_mut(pid);
-            p.hop = hop + 1;
-            if p.hop as usize + 1 == p.nodes.len() {
-                let lat = now - p.created_s;
-                let flow = p.flow as usize;
-                slab.free(pid);
-                delivered += 1;
-                latency.add(lat);
-                if rec.enabled() {
-                    rec.observe("netsim.latency_s", lat);
-                    let key = flow_latency_keys[flow]
-                        .get_or_insert_with(|| format!("netsim.flow.{flow}.latency_s"));
-                    rec.observe(key, lat);
-                }
-            } else {
-                forward(
-                    q,
-                    &mut table,
-                    &mut slab,
-                    pid,
-                    now,
-                    cfg.queue_capacity_bytes,
-                    &mut dropped,
-                    &mut fault.packets_lost,
-                );
+        for (k, (t, _)) in self.batches.iter().enumerate() {
+            if *t < duration {
+                q.schedule(*t, Ev::DemandTick(k as u32));
             }
         }
-        Ev::Replan => {
-            let Some(interval) = replan_interval else {
-                return; // replan only ticks in adaptive mode
-            };
-            // Measure utilization, fold into EWMA, push into the graph.
-            // The per-link effects are independent today, but iterate in
-            // sorted pair order anyway (the table's pair index is a
-            // `HashMap` with a per-instance random hasher), so a future
-            // non-commutative edit inside this loop cannot silently
-            // break bit-reproducibility across processes.
-            for ((u, v), lid) in table.sorted_alive() {
-                let link = table.link_mut(lid);
-                let util = link.bits_sent / interval / link.capacity_bps;
-                // The report's max takes the raw sample (matching the
-                // end-of-run sample); only the EWMA feeding
-                // `Graph::set_load` is clamped, since a load fraction
-                // must stay below 1.
-                max_util = max_util.max(util);
-                link.util_ewma = 0.5 * link.util_ewma + 0.5 * util.min(0.98);
-                link.bits_sent = 0.0;
-                link.measured_since_s = now;
-                // A link can leave the topology between replans (contact
-                // expiry on dynamic graphs); skip the stale entry
-                // instead of dying inside the event loop.
-                if work_graph.set_load(u, v, link.util_ewma.min(0.98)).is_err() {
-                    continue;
-                }
-            }
-            // Loads changed under the QoS weight: cached trees are stale.
-            planner.invalidate();
-            let fresh = plan_flow_routes(
-                &mut planner,
-                &work_graph,
-                &mut table,
-                flows,
-                &flow_idxs,
-                true,
-                rec,
-            );
-            for (i, r) in fresh.into_iter().enumerate() {
-                if let Some(r) = r {
-                    routes[i] = Some(r);
-                }
-            }
-            rec.add("netsim.replans", 1);
-            q.schedule(now + interval, Ev::Replan);
+    }
+
+    /// A flow's packet arrives: forward it (or count it unroutable) and
+    /// schedule the flow's next arrival.
+    fn inject(&mut self, q: &mut EventQueue<Ev>, now: f64, i: usize) {
+        if !self.active[i] {
+            return; // flow retired at a demand tick: stop injecting
         }
-        Ev::Resnapshot => {
-            let Some(interval) = resnapshot_interval else {
-                return; // resnapshot only ticks in dynamic mode
-            };
-            let adaptive = replan_interval.is_some();
-            match source {
-                TopologySource::Static(_) => return, // unscheduled; unreachable
-                TopologySource::Provider { provider, .. } => {
-                    // Full rebuild: fresh snapshot, link state carried
-                    // over by pair.
-                    work_graph = provider.topology_at(now);
-                    let (kept, churned, lost) = table.rebuild_sync(&work_graph, now, &mut slab);
-                    dropped += lost;
-                    rec.add("netsim.resnapshot.links_kept", kept);
-                    rec.add("netsim.resnapshot.links_churned", churned);
-                    rec.add("netsim.resnapshot.packets_dropped", lost);
-                    // Recompute every route on the new topology.
-                    planner.invalidate();
-                }
-                TopologySource::Timeline(tl) => {
-                    let delta = tl
-                        .delta(tick)
-                        .expect("delta coverage validated before the run");
-                    tick += 1;
-                    let mirror = pristine
-                        .as_mut()
-                        .expect("timeline runs keep a pristine mirror");
-                    mirror
-                        .apply_delta(delta)
-                        .expect("consecutive timeline deltas always chain");
-                    rec.add("netsim.timeline.deltas_applied", 1);
-                    if events.is_empty() {
-                        // No fault surgery has touched the link table,
-                        // so its alive pairs mirror the previous
-                        // snapshot's edges exactly and the delta's edge
-                        // views are a complete description of the churn:
-                        // patch the table in place instead of rebuilding.
-                        let removed = delta.edges_removed();
-                        let added = delta.edges_added();
-                        let kept = (table.alive_count - removed.len()) as u64;
-                        let mut lost = 0u64;
-                        for &(u, v) in &removed {
-                            if let Some(queued) = table.kill((u, v), &mut slab) {
-                                lost += queued;
-                            }
-                        }
-                        dropped += lost;
-                        for (u, e) in &added {
-                            table.revive((*u, e.to), e.capacity_bps, e.latency_s, now, &mut slab);
-                        }
-                        for (u, e) in delta.edges_changed() {
-                            if let Some(&id) = table.index.get(&(u, e.to)) {
-                                let link = table.link_mut(id);
-                                if link.alive {
-                                    link.capacity_bps = e.capacity_bps;
-                                    link.latency_s = e.latency_s;
-                                }
-                            }
-                        }
-                        rec.add("netsim.resnapshot.links_kept", kept);
-                        rec.add(
-                            "netsim.resnapshot.links_churned",
-                            (removed.len() + added.len()) as u64,
-                        );
-                        rec.add("netsim.resnapshot.packets_dropped", lost);
-                        work_graph = mirror.clone();
-                        if adaptive {
-                            // Loads were reset by the fresh work graph
-                            // and cached trees were grown under the old
-                            // loads: nothing can be kept.
-                            planner.invalidate();
-                        } else if !delta.is_empty() {
-                            planner.retain_for_changed_rows(&delta.changed_nodes(), rec);
-                        }
-                        // Empty delta in proactive mode: the graph is
-                        // bit-identical, every cached tree stays valid.
-                    } else {
-                        // Fault surgery may have removed links the
-                        // fresh snapshot resurrects; fall back to the
-                        // full pair-carrying rebuild (still skipping the
-                        // from-orbital-state snapshot build).
-                        work_graph = mirror.clone();
-                        let (kept, churned, lost) = table.rebuild_sync(&work_graph, now, &mut slab);
-                        dropped += lost;
-                        rec.add("netsim.resnapshot.links_kept", kept);
-                        rec.add("netsim.resnapshot.links_churned", churned);
-                        rec.add("netsim.resnapshot.packets_dropped", lost);
-                        planner.invalidate();
-                    }
+        self.report.generated += 1;
+        if let Some(route) = &self.routes[i] {
+            let pid = self.slab.alloc(Pkt {
+                bytes: self.arrivals[i].packet_bytes(),
+                created_s: now,
+                route: route.clone(),
+                hop: 0,
+                flow: i as u32,
+            });
+            self.forward(q, now, pid);
+        } else {
+            self.report.unroutable += 1;
+        }
+        // A gap drawn so long that the next arrival overflows to
+        // infinity lands after `duration_s` anyway: the flow is done.
+        let next = self.arrivals[i].next(now);
+        if next.is_finite() {
+            q.schedule(next, Ev::Inject(i as u32));
+        }
+    }
+
+    /// Demand-tick boundary `k`: retire batch `k - 1` (its in-flight
+    /// packets still drain), then activate batch `k` with fresh phases.
+    fn demand_tick(&mut self, q: &mut EventQueue<Ev>, now: f64, k: usize) {
+        if k > 0 {
+            let mut retired = 0u64;
+            for i in self.batches[k - 1].1.clone() {
+                if self.active[i] {
+                    self.active[i] = false;
+                    retired += 1;
                 }
             }
-            routes = plan_flow_routes(
-                &mut planner,
-                &work_graph,
-                &mut table,
-                flows,
-                &flow_idxs,
-                adaptive,
-                rec,
-            );
-            rec.add("netsim.resnapshots", 1);
-            q.schedule(now + interval, Ev::Resnapshot);
+            self.rec.add("netsim.demand.flows_retired", retired);
         }
-        Ev::Fault(idx) => {
-            let event = &events[idx as usize];
-            // Mutate the topology *before* any bookkeeping: events were
-            // range-checked up front so application cannot fail here,
-            // but if it ever did, returning first keeps `down_nodes` /
-            // `down_since` consistent with the graph instead of
-            // corrupting availability/MTTR accounting with a
-            // half-applied event.
-            let Ok(delta) = tracker.apply(&mut work_graph, event) else {
-                return;
-            };
-            // Availability / MTTR bookkeeping from the (normalized)
-            // event stream: Down/Up alternate per node.
-            match event.kind {
-                TopologyEventKind::NodeDown(n) => {
-                    down_nodes.insert(n);
-                    down_since.entry(n).or_insert(now);
+        let range = self.batches[k].1.clone();
+        for i in range.clone() {
+            self.active[i] = true;
+            let at = self.arrivals[i].start(now);
+            if at.is_finite() {
+                q.schedule(at, Ev::Inject(i as u32));
+            }
+        }
+        self.rec.add("netsim.demand.ticks", 1);
+        self.rec
+            .add("netsim.demand.flows_activated", range.len() as u64);
+    }
+
+    /// The head-of-queue packet of `lid` finished transmitting: send it
+    /// propagating and start the next transmission.
+    fn depart(&mut self, q: &mut EventQueue<Ev>, now: f64, lid: LinkId) {
+        // The link can vanish (fault, resnapshot) between the Depart
+        // being scheduled and firing; its queue died with it.
+        let link = self.table.link_mut(lid);
+        if !link.alive {
+            return;
+        }
+        let Some((pid, bytes)) = link.queue.dequeue() else {
+            return;
+        };
+        link.bits_sent += bytes as f64 * 8.0;
+        let arrive_at = now + link.latency_s;
+        // Start the next transmission if any. Scheduled *before* the
+        // HopArrive: the relative seq numbers decide tie order when
+        // serialization equals propagation time.
+        if let Some(&(_, next_bytes)) = link.queue.front() {
+            let tx = next_bytes as f64 * 8.0 / link.capacity_bps;
+            q.schedule(now + tx, Ev::Depart(lid));
+        }
+        q.schedule(arrive_at, Ev::HopArrive(pid));
+    }
+
+    /// A packet reached the end of its current hop: lose it to a dead
+    /// receiver, deliver it, or forward it on.
+    fn hop_arrive(&mut self, q: &mut EventQueue<Ev>, now: f64, pid: PktId) {
+        // The arrival node is the hop's endpoint, `nodes[hop + 1]`.
+        let (hop, node) = {
+            let p = self.slab.get(pid);
+            (p.hop, p.route.nodes[p.hop as usize + 1])
+        };
+        if self.down_since.contains_key(&node) {
+            // The receiver died while the packet was in flight.
+            self.report.dropped += 1;
+            self.report.fault.packets_lost += 1;
+            self.slab.free(pid);
+            return;
+        }
+        let p = self.slab.get_mut(pid);
+        p.hop = hop + 1;
+        if p.hop as usize + 1 == p.route.nodes.len() {
+            let lat = now - p.created_s;
+            let flow = p.flow as usize;
+            self.slab.free(pid);
+            self.report.delivered += 1;
+            self.latency.add(lat);
+            if self.rec.enabled() {
+                self.rec.observe("netsim.latency_s", lat);
+                let key = self.flow_latency_keys[flow]
+                    .get_or_insert_with(|| format!("netsim.flow.{flow}.latency_s"));
+                self.rec.observe(key, lat);
+            }
+        } else {
+            self.forward(q, now, pid);
+        }
+    }
+
+    /// Adaptive re-plan: sample every link's utilization, fold it into
+    /// the EWMA that loads the work graph, and re-route every flow on
+    /// the congestion weight.
+    fn replan(&mut self, q: &mut EventQueue<Ev>, now: f64) {
+        let Some(interval) = self.replan_interval else {
+            return; // replan only ticks in adaptive mode
+        };
+        // Sorted pair order, not the per-process hash order: a future
+        // order-sensitive edit here cannot break reproducibility.
+        for ((u, v), lid) in self.table.sorted_alive() {
+            let link = self.table.link_mut(lid);
+            let util = link.bits_sent / interval / link.capacity_bps;
+            // The report's max takes the raw sample (matching the
+            // end-of-run sample); only the EWMA feeding `Graph::set_load`
+            // is clamped, since a load fraction must stay below 1.
+            self.report.max_link_utilization = self.report.max_link_utilization.max(util);
+            link.util_ewma = 0.5 * link.util_ewma + 0.5 * util.min(0.98);
+            link.bits_sent = 0.0;
+            link.measured_since_s = now;
+            // A link can leave the topology between replans (contact
+            // expiry on dynamic graphs): the stale entry is skipped
+            // instead of dying inside the event loop.
+            let _ = self.work_graph.set_load(u, v, link.util_ewma.min(0.98));
+        }
+        // Loads changed under the QoS weight: cached trees are stale.
+        self.planner.invalidate();
+        let fresh = self.plan_routes(None, true);
+        for (route, r) in self.routes.iter_mut().zip(fresh) {
+            if r.is_some() {
+                *route = r;
+            }
+        }
+        self.rec.add("netsim.replans", 1);
+        // An interval so long that the next replan overflows to
+        // infinity lands after `duration_s` anyway.
+        let next = now + interval;
+        if next.is_finite() {
+            q.schedule(next, Ev::Replan);
+        }
+    }
+
+    /// Topology refresh: satellites have moved. Bring the work graph
+    /// and link table to the new snapshot and re-route every flow.
+    fn resnapshot(&mut self, q: &mut EventQueue<Ev>, now: f64) {
+        let Some(interval) = self.resnapshot_interval else {
+            return; // resnapshot only ticks in dynamic mode
+        };
+        let adaptive = self.replan_interval.is_some();
+        // The timeline delta to patch the link table with in place, or
+        // `None` to fall back to the full pair-carrying rebuild.
+        let patch = match self.source {
+            TopologySource::Static(_) => return, // unscheduled; unreachable
+            TopologySource::Provider { provider, .. } => {
+                self.work_graph = provider.topology_at(now);
+                None
+            }
+            TopologySource::Timeline(tl) => {
+                let delta = tl
+                    .delta(self.tick)
+                    .expect("delta coverage validated before the run");
+                self.tick += 1;
+                let mirror = self
+                    .pristine
+                    .as_mut()
+                    .expect("timeline runs keep a pristine mirror");
+                mirror
+                    .apply_delta(delta)
+                    .expect("consecutive timeline deltas always chain");
+                self.work_graph = mirror.clone();
+                self.rec.add("netsim.timeline.deltas_applied", 1);
+                // Without fault surgery the table mirrors the previous
+                // snapshot, so the delta describes all the churn; fault
+                // surgery may have removed links the new snapshot
+                // resurrects, which only the rebuild sees.
+                self.events.is_empty().then_some(delta)
+            }
+        };
+        let (kept, churned, lost) = match patch {
+            Some(delta) => self.table.apply_delta(delta, now, &mut self.slab),
+            None => self
+                .table
+                .rebuild_sync(&self.work_graph, now, &mut self.slab),
+        };
+        self.report.dropped += lost;
+        self.rec.add("netsim.resnapshot.links_kept", kept);
+        self.rec.add("netsim.resnapshot.links_churned", churned);
+        self.rec.add("netsim.resnapshot.packets_dropped", lost);
+        match patch {
+            // Proactive latency routes on a patched graph: trees the
+            // delta cannot have changed stay valid (all of them for an
+            // empty delta).
+            Some(delta) if !adaptive => {
+                if !delta.is_empty() {
+                    self.planner
+                        .retain_for_changed_rows(&delta.changed_nodes(), self.rec);
                 }
-                TopologyEventKind::NodeUp(n) => {
-                    down_nodes.remove(&n);
-                    if let Some(t0) = down_since.remove(&n) {
-                        let span = now - t0;
-                        downtime_total += span;
-                        repairs += 1;
-                        repair_total += span;
-                    }
+            }
+            // A fresh graph resets the loads, and fault surgery or a
+            // rebuild reshapes it: no cached tree can be kept.
+            _ => self.planner.invalidate(),
+        }
+        self.routes = self.plan_routes(None, adaptive);
+        self.rec.add("netsim.resnapshots", 1);
+        let next = now + interval;
+        if next.is_finite() {
+            q.schedule(next, Ev::Resnapshot);
+        }
+    }
+
+    /// Fault-plan event `idx` takes effect: apply it to the work graph
+    /// and link table, keep the availability books, and re-route the
+    /// flows whose path broke.
+    fn fault(&mut self, now: f64, idx: usize) {
+        let events = self.events;
+        let event = &events[idx];
+        // Mutate the topology *before* any bookkeeping: events were
+        // range-checked up front so application cannot fail here, but
+        // if it ever did, returning first keeps `down_since` consistent
+        // with the graph instead of corrupting availability/MTTR
+        // accounting with a half-applied event.
+        let Ok(delta) = self.tracker.apply(&mut self.work_graph, event) else {
+            return;
+        };
+        // Availability / MTTR bookkeeping from the (normalized) event
+        // stream: Down/Up alternate per node.
+        match event.kind {
+            TopologyEventKind::NodeDown(n) => {
+                self.down_since.entry(n).or_insert(now);
+            }
+            TopologyEventKind::NodeUp(n) => {
+                if let Some(t0) = self.down_since.remove(&n) {
+                    self.downtime_total += now - t0;
+                    self.repairs += 1;
+                }
+            }
+            _ => {}
+        }
+        self.report.fault.events_applied += 1;
+        for &pair in &delta.removed_links {
+            // Mark first, then kill: the mark outlives the slot's death,
+            // so a later forward onto the dead slot counts as a fault
+            // loss.
+            let id = self.table.id_for(pair);
+            self.table.link_mut(id).fault_removed = true;
+            if let Some(queued) = self.table.kill(pair, &mut self.slab) {
+                self.report.dropped += queued;
+                self.report.fault.packets_lost += queued;
+            }
+        }
+        for (u, e) in &delta.restored_links {
+            let id = self.table.id_for((*u, e.to));
+            self.table.link_mut(id).fault_removed = false;
+            self.table
+                .revive((*u, e.to), e.capacity_bps, e.latency_s, now, &mut self.slab);
+        }
+        if delta.is_empty() {
+            return;
+        }
+        // Graceful degradation: flows whose path broke re-route on the
+        // degraded topology immediately (failure detection); flows that
+        // lost all connectivity re-associate when a recovery gives them
+        // a route again. Broken flows are re-planned in one batch —
+        // flows that lost the same access satellite or gateway share a
+        // source, hence a tree.
+        self.planner.invalidate();
+        let adaptive = self.replan_interval.is_some();
+        let broken: Vec<usize> = (0..self.routes.len())
+            .filter(|&i| match &self.routes[i] {
+                Some(route) => route.links.iter().any(|&lid| !self.table.link(lid).alive),
+                None => true,
+            })
+            .collect();
+        let fresh = self.plan_routes(Some(&broken), adaptive);
+        for (&i, r) in broken.iter().zip(fresh) {
+            let had_route = self.routes[i].is_some();
+            self.routes[i] = r;
+            match (&self.routes[i], self.route_lost_at[i]) {
+                (Some(_), Some(lost_at)) => {
+                    self.report.fault.reassociations += 1;
+                    self.reassoc_latency_total += now - lost_at;
+                    self.route_lost_at[i] = None;
+                }
+                (Some(_), None) if had_route => {
+                    // Immediate failover onto a surviving path.
+                    self.report.fault.reassociations += 1;
+                }
+                (None, None) if had_route => {
+                    self.route_lost_at[i] = Some(now);
                 }
                 _ => {}
             }
-            fault.events_applied += 1;
-            for &(u, v) in &delta.removed_links {
-                // Mark first (the old `fault_removed.insert`), then kill:
-                // the mark outlives the slot's death, so a later forward
-                // onto the dead slot counts as a fault loss.
-                let id = table.id_for((u, v));
-                table.link_mut(id).fault_removed = true;
-                if let Some(queued) = table.kill((u, v), &mut slab) {
-                    dropped += queued;
-                    fault.packets_lost += queued;
-                }
-            }
-            for (u, e) in &delta.restored_links {
-                let id = table.id_for((*u, e.to));
-                table.link_mut(id).fault_removed = false;
-                table.revive((*u, e.to), e.capacity_bps, e.latency_s, now, &mut slab);
-            }
-            if delta.is_empty() {
-                return;
-            }
-            // Graceful degradation: flows whose path broke re-route on
-            // the degraded topology immediately (failure detection);
-            // flows that lost all connectivity re-associate when a
-            // recovery gives them a route again. Broken flows are
-            // re-planned in one batch — flows that lost the same access
-            // satellite or gateway share a source, hence a tree.
-            planner.invalidate();
-            let adaptive = replan_interval.is_some();
-            let broken_idxs: Vec<usize> = (0..flows.len())
-                .filter(|&i| match &routes[i] {
-                    Some(route) => route.links.iter().any(|&lid| !table.link(lid).alive),
-                    None => true,
-                })
-                .collect();
-            let fresh = plan_flow_routes(
-                &mut planner,
-                &work_graph,
-                &mut table,
-                flows,
-                &broken_idxs,
-                adaptive,
-                rec,
-            );
-            for (&i, r) in broken_idxs.iter().zip(fresh) {
-                let had_route = routes[i].is_some();
-                routes[i] = r;
-                match (&routes[i], route_lost_at[i]) {
-                    (Some(_), Some(lost_at)) => {
-                        fault.reassociations += 1;
-                        reassoc_latency_total += now - lost_at;
-                        route_lost_at[i] = None;
-                    }
-                    (Some(_), None) if had_route => {
-                        // Immediate failover onto a surviving path.
-                        fault.reassociations += 1;
-                    }
-                    (None, None) if had_route => {
-                        route_lost_at[i] = Some(now);
-                    }
-                    _ => {}
-                }
-            }
-        }
-    });
-
-    // Close availability accounting for still-open outages.
-    for t0 in down_since.into_values() {
-        downtime_total += cfg.duration_s - t0;
-    }
-    let node_time = cfg.duration_s * graph.node_count() as f64;
-    fault.node_availability = if node_time > 0.0 {
-        1.0 - downtime_total / node_time
-    } else {
-        1.0
-    };
-    fault.mttr_s = (repairs > 0).then(|| repair_total / repairs as f64);
-    fault.mean_reassociation_latency_s =
-        (fault.reassociations > 0).then(|| reassoc_latency_total / fault.reassociations as f64);
-
-    // Final utilization sample: whatever accumulated since each link's
-    // last reset (or its creation), divided by that actual window — not
-    // the full run duration, which would dilute links created mid-run
-    // (fault restores, resnapshots) or already sampled by a replan.
-    for link in table.slots.iter().filter(|l| l.alive) {
-        let window = cfg.duration_s - link.measured_since_s;
-        if window > 0.0 {
-            max_util = max_util.max(link.bits_sent / window / link.capacity_bps);
         }
     }
 
-    // Run-level telemetry: totals, gauges, and the engine's own load
-    // counters. Recorded after the loop so a run contributes one value
-    // per key regardless of event interleaving.
-    rec.add("netsim.generated", generated);
-    rec.add("netsim.delivered", delivered);
-    rec.add("netsim.dropped", dropped);
-    rec.add("netsim.unroutable", unroutable);
-    rec.gauge(
-        "netsim.delivery_ratio",
-        if generated > 0 {
-            delivered as f64 / generated as f64
+    /// Route the flows named by `idxs` (every flow for `None`) in one
+    /// planner batch — on propagation latency (proactive) or the
+    /// congestion weight with a best-effort QoS floor (adaptive) — and
+    /// compile each path into [`LinkId`] form as it is extracted. Route
+    /// work counts toward the recorder's `routing.*` counters.
+    fn plan_routes(
+        &mut self,
+        idxs: Option<&[usize]>,
+        adaptive: bool,
+    ) -> Vec<Option<CompiledRoute>> {
+        let subset: Vec<(NodeId, NodeId)>;
+        let requests = match idxs {
+            Some(idxs) => {
+                subset = idxs.iter().map(|&i| self.endpoints[i]).collect();
+                &subset
+            }
+            None => &self.endpoints,
+        };
+        let table = &mut self.table;
+        if adaptive {
+            self.planner.plan_qos_mapped_recorded(
+                &self.work_graph,
+                requests,
+                &QosRequirement::best_effort(),
+                12_000.0,
+                |p| Some(table.compile(p.nodes)),
+                self.rec,
+            )
         } else {
-            0.0
-        },
-    );
-    rec.gauge_max("netsim.max_link_utilization", max_util);
-    rec.add("engine.events_processed", q.processed());
-    rec.gauge_max("engine.queue_depth_high_water", q.depth_high_water() as f64);
-    // Peak in-flight packets.
-    rec.gauge_max("netsim.engine.slab_high_water", slab.high_water as f64);
-    if !events.is_empty() {
-        rec.add("netsim.fault.events_applied", fault.events_applied);
-        rec.add("netsim.fault.packets_lost", fault.packets_lost);
-        rec.add("netsim.fault.reassociations", fault.reassociations);
-        rec.gauge("netsim.fault.node_availability", fault.node_availability);
-    }
-
-    let mean = latency.mean();
-    let p95 = if latency.is_empty() {
-        0.0
-    } else {
-        latency.p95()
-    };
-    Ok(NetSimReport {
-        generated,
-        delivered,
-        dropped,
-        unroutable,
-        delivery_ratio: if generated > 0 {
-            delivered as f64 / generated as f64
-        } else {
-            0.0
-        },
-        mean_latency_s: mean,
-        p95_latency_s: p95,
-        max_link_utilization: max_util,
-        fault,
-    })
-}
-
-/// Draw a flow's arrival phase (desynchronizing same-rate flows, as
-/// the driver has always done for CBR) and, for on/off flows, the
-/// first ON-period horizon. Returns the absolute time of the first
-/// injection.
-fn start_flow(f: &FlowSpec, rng: &mut SimRng, now: f64, on_until: &mut f64) -> f64 {
-    let phase = rng.uniform() * f.packet_bytes as f64 * 8.0 / f.rate_bps;
-    let at = now + phase;
-    if let TrafficKind::OnOff { mean_on_s, .. } = f.kind {
-        *on_until = at + rng.exponential(1.0 / mean_on_s);
-    }
-    at
-}
-
-/// Route the flows named by `idxs` through the batched planner in one
-/// call: requests sharing a source share one shortest-path tree.
-/// Proactive mode routes on pure propagation latency; adaptive mode on
-/// the congestion weight with a best-effort QoS floor — both exactly the
-/// per-flow costs this simulator has always used, so the extracted paths
-/// are bit-for-bit those of the old one-search-per-flow code. Each path
-/// is compiled into [`LinkId`] form against `table` as it is extracted —
-/// no intermediate `Vec<Path>` is materialized.
-fn plan_flow_routes(
-    planner: &mut RoutePlanner,
-    graph: &Graph,
-    table: &mut LinkTable,
-    flows: &[FlowSpec],
-    idxs: &[usize],
-    adaptive: bool,
-    rec: &mut dyn Recorder,
-) -> Vec<Option<CompiledRoute>> {
-    let requests: Vec<(NodeId, NodeId)> =
-        idxs.iter().map(|&i| (flows[i].src, flows[i].dst)).collect();
-    if adaptive {
-        planner.plan_qos_mapped_recorded(
-            graph,
-            &requests,
-            &QosRequirement::best_effort(),
-            12_000.0,
-            |p| Some(table.compile(p.nodes)),
-            rec,
-        )
-    } else {
-        planner.plan_mapped_recorded(
-            graph,
-            &requests,
-            latency_weight,
-            |p| Some(table.compile(p.nodes)),
-            rec,
-        )
-    }
-}
-
-/// Enqueue the packet on its next-hop link, starting transmission if
-/// idle. One array index replaces the old per-hop pair hash.
-#[allow(clippy::too_many_arguments)] // engine + link/packet state + loss counters, all load-bearing
-fn forward(
-    q: &mut EventQueue<Ev>,
-    table: &mut LinkTable,
-    slab: &mut PktSlab,
-    pid: PktId,
-    now: f64,
-    queue_capacity_bytes: u64,
-    dropped: &mut u64,
-    lost_to_faults: &mut u64,
-) {
-    let (bytes, lid) = {
-        let p = slab.get(pid);
-        (p.bytes, p.links[p.hop as usize])
-    };
-    let link = table.link_mut(lid);
-    if !link.alive {
-        // Route references a vanished link (possible after replans on a
-        // changed snapshot, or right after a fault); count as a drop.
-        *dropped += 1;
-        if link.fault_removed {
-            *lost_to_faults += 1;
+            self.planner.plan_mapped_recorded(
+                &self.work_graph,
+                requests,
+                latency_weight,
+                |p| Some(table.compile(p.nodes)),
+                self.rec,
+            )
         }
-        slab.free(pid);
-        return;
     }
-    if link.occupancy_bytes + bytes as u64 > queue_capacity_bytes {
-        *dropped += 1;
-        slab.free(pid);
-        return;
+
+    /// Enqueue the packet on its next-hop link, starting transmission if
+    /// the link was idle. One array index replaces a per-hop pair hash.
+    fn forward(&mut self, q: &mut EventQueue<Ev>, now: f64, pid: PktId) {
+        let (bytes, lid) = {
+            let p = self.slab.get(pid);
+            (p.bytes, p.route.links[p.hop as usize])
+        };
+        let link = self.table.link_mut(lid);
+        if !link.alive {
+            // Route references a vanished link (possible after replans on
+            // a changed snapshot, or right after a fault); count as a drop.
+            self.report.dropped += 1;
+            if link.fault_removed {
+                self.report.fault.packets_lost += 1;
+            }
+            self.slab.free(pid);
+            return;
+        }
+        let idle = link.queue.is_empty();
+        if link.queue.enqueue(pid, bytes).is_err() {
+            self.report.dropped += 1;
+            self.slab.free(pid);
+            return;
+        }
+        if idle {
+            let tx = bytes as f64 * 8.0 / link.capacity_bps;
+            q.schedule(now + tx, Ev::Depart(lid));
+        }
     }
-    link.occupancy_bytes += bytes as u64;
-    let tx = bytes as f64 * 8.0 / link.capacity_bps;
-    link.queue.push_back(pid);
-    if !link.busy {
-        link.busy = true;
-        q.schedule(now + tx, Ev::Depart(lid));
+
+    /// Close the books: still-open outages, the final utilization
+    /// sample, run-level telemetry, and the report.
+    fn finish(mut self, q: &EventQueue<Ev>) -> NetSimReport {
+        let duration = self.cfg.duration_s;
+        let r = &mut self.report;
+        let fault = &mut r.fault;
+        // Before the open outages are added, the downtime is exactly the
+        // recovered outages' summed repair time.
+        fault.mttr_s = (self.repairs > 0).then(|| self.downtime_total / self.repairs as f64);
+        for t0 in self.down_since.values() {
+            self.downtime_total += duration - t0;
+        }
+        let node_time = duration * self.node_count as f64;
+        fault.node_availability = if node_time > 0.0 {
+            1.0 - self.downtime_total / node_time
+        } else {
+            1.0
+        };
+        fault.mean_reassociation_latency_s = (fault.reassociations > 0)
+            .then(|| self.reassoc_latency_total / fault.reassociations as f64);
+
+        // Final utilization sample over each link's own window since its
+        // last replan reset or creation, so links created mid-run or
+        // already sampled are not diluted by the full run duration.
+        for link in self.table.slots.iter().filter(|l| l.alive) {
+            let window = duration - link.measured_since_s;
+            if window > 0.0 {
+                r.max_link_utilization = r
+                    .max_link_utilization
+                    .max(link.bits_sent / window / link.capacity_bps);
+            }
+        }
+        if r.generated > 0 {
+            r.delivery_ratio = r.delivered as f64 / r.generated as f64;
+        }
+        r.mean_latency_s = self.latency.mean();
+        if !self.latency.is_empty() {
+            r.p95_latency_s = self.latency.p95();
+        }
+
+        // Run-level telemetry: totals, gauges, and the engine's own load
+        // counters. Recorded after the loop so a run contributes one
+        // value per key regardless of event interleaving.
+        let rec = self.rec;
+        rec.add("netsim.generated", r.generated);
+        rec.add("netsim.delivered", r.delivered);
+        rec.add("netsim.dropped", r.dropped);
+        rec.add("netsim.unroutable", r.unroutable);
+        rec.gauge("netsim.delivery_ratio", r.delivery_ratio);
+        rec.gauge_max("netsim.max_link_utilization", r.max_link_utilization);
+        rec.add("engine.events_processed", q.processed());
+        rec.gauge_max("engine.queue_depth_high_water", q.depth_high_water() as f64);
+        // Peak in-flight packets.
+        rec.gauge_max("netsim.engine.slab_high_water", self.slab.high_water as f64);
+        if !self.events.is_empty() {
+            let fault = &r.fault;
+            rec.add("netsim.fault.events_applied", fault.events_applied);
+            rec.add("netsim.fault.packets_lost", fault.packets_lost);
+            rec.add("netsim.fault.reassociations", fault.reassociations);
+            rec.gauge("netsim.fault.node_availability", fault.node_availability);
+        }
+        self.report
     }
 }
 
@@ -1639,6 +1540,7 @@ mod tests {
     use openspace_net::topology::{Graph, LinkTech};
     use openspace_sim::fault::{FaultPlan, FaultTopology};
     use openspace_sim::ids::OperatorId;
+    use openspace_telemetry::MemoryRecorder;
 
     /// 0 —fast— 1 —fast— 3   plus a slow bypass 0 — 2 — 3.
     fn diamond(fast_bps: f64) -> Graph {
@@ -1652,6 +1554,14 @@ mod tests {
 
     fn flow(src: usize, dst: usize, rate: f64) -> FlowSpec {
         FlowSpec::new(src, dst, rate, 1_500, TrafficKind::Cbr)
+    }
+
+    /// The default config run for `duration_s`.
+    fn secs(duration_s: f64) -> NetSimConfig {
+        NetSimConfig {
+            duration_s,
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -1689,11 +1599,7 @@ mod tests {
     #[test]
     fn conservation_holds() {
         let g = diamond(2e6);
-        let cfg = NetSimConfig {
-            duration_s: 10.0,
-            ..Default::default()
-        };
-        let r = NetSim::new(cfg)
+        let r = NetSim::new(secs(10.0))
             .with_snapshot(&g)
             .run(&[flow(0, 3, 1.5e6), flow(3, 0, 0.5e6)])
             .unwrap();
@@ -1709,19 +1615,15 @@ mod tests {
         // overload it; adaptive re-planning moves one to the bypass.
         let g = diamond(2e6);
         let flows = [flow(0, 3, 1.4e6), flow(0, 3, 1.4e6)];
-        let pro = NetSim::new(NetSimConfig {
-            duration_s: 20.0,
-            ..Default::default()
-        })
-        .with_snapshot(&g)
-        .run(&flows)
-        .unwrap();
+        let pro = NetSim::new(secs(20.0))
+            .with_snapshot(&g)
+            .run(&flows)
+            .unwrap();
         let ada = NetSim::new(NetSimConfig {
-            duration_s: 20.0,
             routing: RoutingMode::Adaptive {
                 replan_interval_s: 1.0,
             },
-            ..Default::default()
+            ..secs(20.0)
         })
         .with_snapshot(&g)
         .run(&flows)
@@ -1738,11 +1640,7 @@ mod tests {
     fn poisson_and_cbr_offer_the_same_mean_load() {
         let g = diamond(10e6);
         let mk = |kind| FlowSpec::new(0, 3, 1e6, 1_500, kind);
-        let cfg = NetSimConfig {
-            duration_s: 30.0,
-            ..Default::default()
-        };
-        let sim = NetSim::new(cfg).with_snapshot(&g);
+        let sim = NetSim::new(secs(30.0)).with_snapshot(&g);
         let cbr = sim.run(&[mk(TrafficKind::Cbr)]).unwrap();
         let poi = sim.run(&[mk(TrafficKind::Poisson)]).unwrap();
         let ratio = poi.generated as f64 / cbr.generated as f64;
@@ -1755,13 +1653,10 @@ mod tests {
     fn unroutable_flow_is_counted_not_crashed() {
         let mut g = Graph::new(3, 0);
         g.add_bidirectional(0, 1, 0.001, 1e6, 0, 0, LinkTech::Rf);
-        let r = NetSim::new(NetSimConfig {
-            duration_s: 5.0,
-            ..Default::default()
-        })
-        .with_snapshot(&g)
-        .run(&[flow(0, 2, 1e5)])
-        .unwrap();
+        let r = NetSim::new(secs(5.0))
+            .with_snapshot(&g)
+            .run(&[flow(0, 2, 1e5)])
+            .unwrap();
         assert_eq!(r.delivered, 0);
         assert!(r.unroutable > 0);
         assert_eq!(r.unroutable, r.generated);
@@ -1772,9 +1667,8 @@ mod tests {
         let g = diamond(2e6);
         let flows = [FlowSpec::new(0, 3, 1e6, 1_200, TrafficKind::Poisson)];
         let sim = NetSim::new(NetSimConfig {
-            duration_s: 10.0,
             seed: 7,
-            ..Default::default()
+            ..secs(10.0)
         })
         .with_snapshot(&g);
         let a = sim.run(&flows).unwrap();
@@ -1837,10 +1731,7 @@ mod tests {
         // like the static simulator (modulo identical results).
         let g = diamond(5e6);
         let flows = [flow(0, 3, 1e6)];
-        let cfg = NetSimConfig {
-            duration_s: 10.0,
-            ..Default::default()
-        };
+        let cfg = secs(10.0);
         let stat = NetSim::new(cfg).with_snapshot(&g).run(&flows).unwrap();
         let provider = |_t: f64| g.clone();
         let dynamic = NetSim::new(cfg)
@@ -1870,11 +1761,7 @@ mod tests {
             }
         };
         let flows = [flow(0, 3, 1e6)];
-        let cfg = NetSimConfig {
-            duration_s: 20.0,
-            ..Default::default()
-        };
-        let r = NetSim::new(cfg)
+        let r = NetSim::new(secs(20.0))
             .with_provider(&provider, 1.0)
             .run(&flows)
             .unwrap();
@@ -1895,11 +1782,7 @@ mod tests {
         let empty = Graph::new(4, 0);
         let provider = |t: f64| if t < 2.0 { g.clone() } else { empty.clone() };
         let flows = [flow(0, 3, 1e6)];
-        let cfg = NetSimConfig {
-            duration_s: 10.0,
-            ..Default::default()
-        };
-        let r = NetSim::new(cfg)
+        let r = NetSim::new(secs(10.0))
             .with_provider(&provider, 1.0)
             .run(&flows)
             .unwrap();
@@ -1926,16 +1809,14 @@ mod tests {
 
     #[test]
     fn recorded_run_reproduces_the_plain_report_bit_for_bit() {
-        use openspace_telemetry::MemoryRecorder;
         let g = diamond(2e6);
         let flows = [
             FlowSpec::new(0, 3, 1e6, 1_200, TrafficKind::Poisson),
             flow(3, 0, 0.5e6),
         ];
         let sim = NetSim::new(NetSimConfig {
-            duration_s: 10.0,
             seed: 11,
-            ..Default::default()
+            ..secs(10.0)
         })
         .with_snapshot(&g);
         let plain = sim.run(&flows).unwrap();
@@ -1965,15 +1846,13 @@ mod tests {
 
     #[test]
     fn recorded_adaptive_run_counts_replans() {
-        use openspace_telemetry::MemoryRecorder;
         let g = diamond(2e6);
         let flows = [flow(0, 3, 1.4e6), flow(0, 3, 1.4e6)];
         let sim = NetSim::new(NetSimConfig {
-            duration_s: 10.0,
             routing: RoutingMode::Adaptive {
                 replan_interval_s: 1.0,
             },
-            ..Default::default()
+            ..secs(10.0)
         })
         .with_snapshot(&g);
         let plain = sim.run(&flows).unwrap();
@@ -2010,9 +1889,8 @@ mod tests {
             },
         ] {
             let cfg = NetSimConfig {
-                duration_s: 20.0,
                 routing,
-                ..Default::default()
+                ..secs(20.0)
             };
             let via_provider = NetSim::new(cfg)
                 .with_provider(&churning_provider, 1.0)
@@ -2044,10 +1922,7 @@ mod tests {
             .unwrap();
         let events = compile_plan(&plan, 4);
         let flows = [flow(0, 3, 1e6)];
-        let cfg = NetSimConfig {
-            duration_s: 15.0,
-            ..Default::default()
-        };
+        let cfg = secs(15.0);
         let via_provider = NetSim::new(cfg)
             .with_provider(&churning_provider, 1.0)
             .with_faults(&events)
@@ -2064,15 +1939,10 @@ mod tests {
 
     #[test]
     fn timeline_run_reports_delta_counters() {
-        use openspace_telemetry::MemoryRecorder;
         let flows = [flow(0, 3, 1e6)];
-        let cfg = NetSimConfig {
-            duration_s: 10.0,
-            ..Default::default()
-        };
         let tl = TopologyTimeline::build(&churning_provider, 0.0, 1.0, 10.0, 1).unwrap();
         let mut rec = MemoryRecorder::new();
-        NetSim::new(cfg)
+        NetSim::new(secs(10.0))
             .with_timeline(&tl)
             .run_recorded(&flows, &mut rec)
             .unwrap();
@@ -2091,7 +1961,6 @@ mod tests {
 
     #[test]
     fn resnapshot_packet_drops_are_counted_dedicated() {
-        use openspace_telemetry::MemoryRecorder;
         // A saturated link that vanishes at the first resnapshot: its
         // queue dies with it and must show up under the dedicated
         // counter on both dynamic paths.
@@ -2099,10 +1968,7 @@ mod tests {
         let empty = Graph::new(4, 0);
         let provider = move |t: f64| if t < 1.0 { full.clone() } else { empty.clone() };
         let flows = [flow(0, 3, 3e6)];
-        let cfg = NetSimConfig {
-            duration_s: 4.0,
-            ..Default::default()
-        };
+        let cfg = secs(4.0);
         let mut rec_p = MemoryRecorder::new();
         let via_provider = NetSim::new(cfg)
             .with_provider(&provider, 1.0)
@@ -2129,13 +1995,12 @@ mod tests {
     #[test]
     fn short_timeline_is_a_config_error() {
         let flows = [flow(0, 3, 1e6)];
-        let cfg = NetSimConfig {
-            duration_s: 20.0,
-            ..Default::default()
-        };
         // Covers only 5 s of a 20 s run.
         let tl = TopologyTimeline::build(&churning_provider, 0.0, 1.0, 5.0, 1).unwrap();
-        let err = NetSim::new(cfg).with_timeline(&tl).run(&flows).unwrap_err();
+        let err = NetSim::new(secs(20.0))
+            .with_timeline(&tl)
+            .run(&flows)
+            .unwrap_err();
         assert_eq!(
             err,
             ConfigError::IndexOutOfRange {
@@ -2221,9 +2086,8 @@ mod tests {
         let g = diamond(2e6);
         let flows = [FlowSpec::new(0, 3, 1e6, 1_200, TrafficKind::Poisson)];
         let sim = NetSim::new(NetSimConfig {
-            duration_s: 10.0,
             seed: 5,
-            ..Default::default()
+            ..secs(10.0)
         })
         .with_snapshot(&g);
         let plain = sim.run(&flows).unwrap();
@@ -2246,14 +2110,11 @@ mod tests {
             .unwrap();
         let events = compile_plan(&plan, 4);
         let flows = [flow(0, 3, 1e6)];
-        let r = NetSim::new(NetSimConfig {
-            duration_s: 30.0,
-            ..Default::default()
-        })
-        .with_snapshot(&g)
-        .with_faults(&events)
-        .run(&flows)
-        .unwrap();
+        let r = NetSim::new(secs(30.0))
+            .with_snapshot(&g)
+            .with_faults(&events)
+            .run(&flows)
+            .unwrap();
         assert_eq!(r.fault.events_applied, 2);
         assert!(r.fault.reassociations >= 1, "flow re-routed around node 1");
         assert!(
@@ -2279,14 +2140,11 @@ mod tests {
             .unwrap();
         let events = compile_plan(&plan, 3);
         let flows = [flow(0, 2, 1e6)];
-        let r = NetSim::new(NetSimConfig {
-            duration_s: 20.0,
-            ..Default::default()
-        })
-        .with_snapshot(&g)
-        .with_faults(&events)
-        .run(&flows)
-        .unwrap();
+        let r = NetSim::new(secs(20.0))
+            .with_snapshot(&g)
+            .with_faults(&events)
+            .run(&flows)
+            .unwrap();
         assert!(r.unroutable > 0, "post-fault packets have no route");
         assert!(r.delivered > 0, "pre-fault packets were delivered");
         assert!(r.delivery_ratio < 0.5);
@@ -2304,14 +2162,11 @@ mod tests {
             .unwrap();
         let events = compile_plan(&plan, 4);
         let flows = [flow(0, 3, 1e6)];
-        let r = NetSim::new(NetSimConfig {
-            duration_s: 30.0,
-            ..Default::default()
-        })
-        .with_snapshot(&g)
-        .with_faults(&events)
-        .run(&flows)
-        .unwrap();
+        let r = NetSim::new(secs(30.0))
+            .with_snapshot(&g)
+            .with_faults(&events)
+            .run(&flows)
+            .unwrap();
         assert!(r.delivery_ratio > 0.9, "ratio {}", r.delivery_ratio);
         assert!(r.fault.reassociations >= 1);
         // Links, not nodes, failed: availability is untouched.
@@ -2329,9 +2184,8 @@ mod tests {
         let events = compile_plan(&plan, 4);
         let flows = [FlowSpec::new(0, 3, 1e6, 1_200, TrafficKind::Poisson)];
         let sim = NetSim::new(NetSimConfig {
-            duration_s: 20.0,
             seed: 3,
-            ..Default::default()
+            ..secs(20.0)
         })
         .with_snapshot(&g)
         .with_faults(&events);
@@ -2342,7 +2196,6 @@ mod tests {
 
     #[test]
     fn recorded_faulted_run_reports_the_fault_block() {
-        use openspace_telemetry::MemoryRecorder;
         let g = diamond(5e6);
         let plan = FaultPlan::builder()
             .sat_outage(1usize, 5.0, 10.0)
@@ -2350,12 +2203,9 @@ mod tests {
             .unwrap();
         let events = compile_plan(&plan, 4);
         let flows = [flow(0, 3, 1e6)];
-        let sim = NetSim::new(NetSimConfig {
-            duration_s: 30.0,
-            ..Default::default()
-        })
-        .with_snapshot(&g)
-        .with_faults(&events);
+        let sim = NetSim::new(secs(30.0))
+            .with_snapshot(&g)
+            .with_faults(&events);
         let plain = sim.run(&flows).unwrap();
         let mut rec = MemoryRecorder::new();
         let recorded = sim.run_recorded(&flows, &mut rec).unwrap();
@@ -2401,10 +2251,7 @@ mod tests {
                 mean_off_s: 3.0,
             },
         );
-        let cfg = NetSimConfig {
-            duration_s: 400.0,
-            ..Default::default()
-        };
+        let cfg = secs(400.0);
         let r = NetSim::new(cfg).with_snapshot(&g).run(&[f]).unwrap();
         assert!(r.delivery_ratio > 0.99, "ratio {}", r.delivery_ratio);
         let measured = r.generated as f64 * 1_500.0 * 8.0 / 400.0;
@@ -2467,7 +2314,6 @@ mod tests {
 
     #[test]
     fn demand_batches_activate_and_retire() {
-        use openspace_telemetry::MemoryRecorder;
         let g = diamond(10e6);
         // Batch 0 runs [0, 8), batch 1 runs [8, 20): rates differ 4x,
         // so per-phase generation rates must differ accordingly.
@@ -2476,12 +2322,8 @@ mod tests {
             (8.0, vec![flow(0, 3, 1e5)]),
         ])
         .unwrap();
-        let cfg = NetSimConfig {
-            duration_s: 20.0,
-            ..Default::default()
-        };
         let mut rec = MemoryRecorder::new();
-        let r = NetSim::new(cfg)
+        let r = NetSim::new(secs(20.0))
             .with_snapshot(&g)
             .with_demand(&demand)
             .run_recorded(&[], &mut rec)
@@ -2509,11 +2351,7 @@ mod tests {
             (100.0, vec![flow(0, 3, 9e6)]),
         ])
         .unwrap();
-        let cfg = NetSimConfig {
-            duration_s: 10.0,
-            ..Default::default()
-        };
-        let r = NetSim::new(cfg)
+        let r = NetSim::new(secs(10.0))
             .with_snapshot(&g)
             .with_demand(&demand)
             .run(&[])
@@ -2531,11 +2369,7 @@ mod tests {
         let g = diamond(1e6);
         let slow = FlowSpec::new(0, 3, 1.2e-304, 1_500, TrafficKind::Cbr);
         let demand = DemandWorkload::new(vec![(1.79e308, vec![slow])]).unwrap();
-        let cfg = NetSimConfig {
-            duration_s: f64::MAX,
-            ..Default::default()
-        };
-        let r = NetSim::new(cfg)
+        let r = NetSim::new(secs(f64::MAX))
             .with_snapshot(&g)
             .with_demand(&demand)
             .run(&[])
@@ -2570,9 +2404,8 @@ mod tests {
         ])
         .unwrap();
         let cfg = NetSimConfig {
-            duration_s: 15.0,
             seed: 77,
-            ..Default::default()
+            ..secs(15.0)
         };
         let base = [flow(3, 1, 1e5)];
         let run = || {

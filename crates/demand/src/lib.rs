@@ -38,6 +38,6 @@ pub mod model;
 pub mod prelude {
     pub use crate::diurnal::DiurnalProfile;
     pub use crate::grid::{PopulationConfig, PopulationGrid};
-    pub use crate::mix::{AppClass, AppMix, ArrivalKind, ClassSpec};
+    pub use crate::mix::{AppClass, AppMix, ClassSpec};
     pub use crate::model::{DemandConfig, DemandFlow, DemandModel, DemandTick};
 }

@@ -5,13 +5,13 @@
 //! offers on average, the packet size, which arrival process models it
 //! and which [`DiurnalProfile`] gates its activity. An [`AppMix`] is
 //! the validated list of classes a [`crate::model::DemandModel`]
-//! aggregates over. The [`ArrivalKind`] mirrors the simulator's
-//! `TrafficKind` (CBR / Poisson / on-off bursts) without depending on
-//! `openspace-core`, so the mapping is a trivial match in the bridge
-//! layer.
+//! aggregates over. The arrival process is the simulator's own
+//! [`TrafficKind`] (CBR / Poisson / on-off bursts), so emitted flows
+//! reach the packet simulator unchanged.
 
 use crate::diurnal::DiurnalProfile;
 use openspace_sim::config::{require_positive, ConfigError};
+use openspace_sim::traffic::TrafficKind;
 
 /// The four modeled application classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -46,24 +46,6 @@ impl AppClass {
     }
 }
 
-/// Arrival process for a class, mirroring `core::netsim::TrafficKind`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalKind {
-    /// Constant bit rate.
-    Cbr,
-    /// Poisson arrivals at the mean rate.
-    Poisson,
-    /// On-off bursts: exponential ON/OFF holding times; the emitted
-    /// flow rate is the *peak* (ON-period) rate chosen so the long-run
-    /// mean matches the class's offered load.
-    OnOff {
-        /// Mean ON-period duration in seconds.
-        mean_on_s: f64,
-        /// Mean OFF-period duration in seconds.
-        mean_off_s: f64,
-    },
-}
-
 /// One application class in the mix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassSpec {
@@ -77,7 +59,7 @@ pub struct ClassSpec {
     /// Packet size in bytes for the emitted flow.
     pub packet_bytes: u32,
     /// Arrival process modeling the class.
-    pub process: ArrivalKind,
+    pub process: TrafficKind,
     /// Activity curve gating the class in local solar time.
     pub diurnal: DiurnalProfile,
 }
@@ -100,7 +82,7 @@ impl ClassSpec {
                 value: 0.0,
             });
         }
-        if let ArrivalKind::OnOff {
+        if let TrafficKind::OnOff {
             mean_on_s,
             mean_off_s,
         } = self.process
@@ -116,8 +98,8 @@ impl ClassSpec {
     /// preserves the configured long-run mean).
     pub fn peak_factor(&self) -> f64 {
         match self.process {
-            ArrivalKind::Cbr | ArrivalKind::Poisson => 1.0,
-            ArrivalKind::OnOff {
+            TrafficKind::Cbr | TrafficKind::Poisson => 1.0,
+            TrafficKind::OnOff {
                 mean_on_s,
                 mean_off_s,
             } => (mean_on_s + mean_off_s) / mean_on_s,
@@ -153,7 +135,7 @@ impl AppMix {
                 share: 0.35,
                 per_user_bps: 2_400.0,
                 packet_bytes: 1200,
-                process: ArrivalKind::OnOff {
+                process: TrafficKind::OnOff {
                     mean_on_s: 120.0,
                     mean_off_s: 240.0,
                 },
@@ -164,7 +146,7 @@ impl AppMix {
                 share: 0.60,
                 per_user_bps: 600.0,
                 packet_bytes: 800,
-                process: ArrivalKind::Poisson,
+                process: TrafficKind::Poisson,
                 diurnal: DiurnalProfile::business_hours(),
             },
             ClassSpec {
@@ -172,7 +154,7 @@ impl AppMix {
                 share: 0.40,
                 per_user_bps: 240.0,
                 packet_bytes: 160,
-                process: ArrivalKind::Cbr,
+                process: TrafficKind::Cbr,
                 diurnal: DiurnalProfile::voice_daytime(),
             },
             ClassSpec {
@@ -180,7 +162,7 @@ impl AppMix {
                 share: 0.25,
                 per_user_bps: 40.0,
                 packet_bytes: 96,
-                process: ArrivalKind::Poisson,
+                process: TrafficKind::Poisson,
                 diurnal: DiurnalProfile::iot_flat(),
             },
         ])
@@ -216,7 +198,7 @@ mod tests {
         let mix = AppMix::broadband();
         let spec = &mix.classes()[0];
         match spec.process {
-            ArrivalKind::OnOff {
+            TrafficKind::OnOff {
                 mean_on_s,
                 mean_off_s,
             } => {
@@ -236,7 +218,7 @@ mod tests {
         bad.packet_bytes = 0;
         assert!(AppMix::new(vec![bad]).is_err());
         let mut bad = AppMix::broadband().classes()[0].clone();
-        bad.process = ArrivalKind::OnOff {
+        bad.process = TrafficKind::OnOff {
             mean_on_s: 0.0,
             mean_off_s: 1.0,
         };

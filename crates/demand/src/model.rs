@@ -25,10 +25,11 @@
 
 use crate::diurnal::local_solar_hour;
 use crate::grid::PopulationGrid;
-use crate::mix::{AppClass, AppMix, ArrivalKind};
+use crate::mix::{AppClass, AppMix};
 use openspace_sim::config::{require_non_negative, require_positive, ConfigError};
 use openspace_sim::exec::parallel_map_seeded;
 use openspace_sim::rng::SimRng;
+use openspace_sim::traffic::TrafficKind;
 use openspace_telemetry::recorder::Recorder;
 
 /// Salt separating the per-cell jitter stream family from other users
@@ -100,7 +101,7 @@ pub struct DemandFlow {
     /// Packet size for the emitted flow.
     pub packet_bytes: u32,
     /// Arrival process for the emitted flow.
-    pub process: ArrivalKind,
+    pub process: TrafficKind,
 }
 
 /// The demand snapshot at one instant.
@@ -469,7 +470,7 @@ mod tests {
             .find(|f| f.class == AppClass::Streaming)
             .expect("streaming active at 21:00 somewhere");
         match streaming.process {
-            ArrivalKind::OnOff {
+            TrafficKind::OnOff {
                 mean_on_s,
                 mean_off_s,
             } => {

@@ -67,6 +67,14 @@ pub struct EphemerisSample {
     pub ecef: Vec3,
 }
 
+/// Count a computed lookup: a miss if its insert added the key, else a
+/// hit (another thread stored the key first), so misses equal distinct
+/// keys on any thread schedule.
+fn count_lookup(added: bool, misses: &AtomicU64, hits: &AtomicU64) {
+    let counter = if added { misses } else { hits };
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
 /// A memo table of ephemeris samples, shareable across threads.
 #[derive(Debug, Default)]
 pub struct EphemerisCache {
@@ -97,11 +105,13 @@ impl EphemerisCache {
             eci,
             ecef: eci_to_ecef(eci, t_s),
         };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map
+        let added = self
+            .map
             .lock()
             .expect("ephemeris cache lock")
-            .insert(key, sample);
+            .insert(key, sample)
+            .is_none();
+        count_lookup(added, &self.misses, &self.hits);
         sample
     }
 
@@ -188,11 +198,13 @@ impl VisibilityCache {
             return (v, sample);
         }
         let v = is_visible(ground_ecef, sample.ecef, min_elevation_rad);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map
+        let added = self
+            .map
             .lock()
             .expect("visibility cache lock")
-            .insert(key, v);
+            .insert(key, v)
+            .is_none();
+        count_lookup(added, &self.misses, &self.hits);
         (v, sample)
     }
 
@@ -201,7 +213,8 @@ impl VisibilityCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Cache misses so far (visibility layer only).
+    /// Cache misses (= distinct visibility tests computed) so far
+    /// (visibility layer only).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -240,6 +253,37 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn racing_threads_count_one_miss_per_key() {
+        // Every thread queries the same keys at once; whichever
+        // computations race, each key is one miss and every other
+        // lookup a hit.
+        let cache = VisibilityCache::new();
+        let ground = geodetic_to_ecef(Geodetic::from_degrees(0.0, 0.0, 0.0));
+        let (threads, keys, rounds) = (4u64, 8u64, 50u64);
+        let barrier = std::sync::Barrier::new(threads as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    barrier.wait();
+                    for _ in 0..rounds {
+                        for k in 0..keys {
+                            cache.visible(&prop(k as f64), 60.0, ground, 0.0);
+                        }
+                    }
+                });
+            }
+        });
+        let lookups = threads * keys * rounds;
+        for (hits, misses) in [
+            (cache.hits(), cache.misses()),
+            (cache.ephemeris().hits(), cache.ephemeris().misses()),
+        ] {
+            assert_eq!(misses, keys);
+            assert_eq!(hits, lookups - keys);
+        }
     }
 
     #[test]

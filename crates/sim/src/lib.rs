@@ -8,10 +8,13 @@
 //!   [`engine::EventQueue`].
 //! * [`rng`] — seeded RNG with substreams and the distributions traffic
 //!   models need.
-//! * [`queue`] — drop-tail and two-class priority packet queues (the
+//! * [`queue`] — the byte-bounded drop-tail queue every simulated link
+//!   uses, and the two-class priority queue built on it (the
 //!   ground-station "prioritize native traffic" policy of §2.2).
-//! * [`traffic`] — CBR / Poisson / on-off sources (§5's call for user
-//!   traffic modelling).
+//! * [`traffic`] — the one traffic model: [`traffic::TrafficKind`]
+//!   (CBR / Poisson / on-off) and the per-flow [`traffic::Arrivals`]
+//!   process the packet simulator and the demand layer share (§5's call
+//!   for user traffic modelling).
 //! * [`stats`] — summary statistics and time-weighted integrals for the
 //!   experiment reports.
 //! * [`exec`] — deterministic parallel map over independent tasks with
@@ -61,10 +64,8 @@ pub mod prelude {
         TopologyEvent, TopologyEventKind,
     };
     pub use crate::ids::{GsId, NodeId, OperatorId, SatId};
-    pub use crate::queue::{DropTailQueue, Packet, PriorityQueue, QueueStats};
+    pub use crate::queue::{DropTailQueue, PriorityQueue};
     pub use crate::rng::SimRng;
     pub use crate::stats::{Summary, TimeWeighted};
-    pub use crate::traffic::{
-        arrivals_until, Arrival, CbrSource, OnOffSource, PoissonSource, TrafficSource,
-    };
+    pub use crate::traffic::{Arrivals, TrafficKind};
 }

@@ -1,92 +1,74 @@
-//! Packet queues with drop-tail and two-class priority behaviour.
+//! Byte-bounded packet queues: drop-tail and two-class priority.
 //!
 //! §2.2's reactive-routing discussion is all about queueing: "the cost of
 //! a path cannot be fully predicted since ISL congestion cannot be
 //! anticipated", and ground stations "may prioritize traffic coming from
-//! \[their\] users". These queues are the mechanism behind both effects in
-//! the end-to-end simulation.
+//! \[their\] users". Every directed link of the packet simulator
+//! (`core::netsim`) queues its packets on a [`DropTailQueue`], and
+//! [`PriorityQueue`] is the ground-station policy built from two of them.
+//!
+//! The queues are generic over what they hold — a packet, or a handle to
+//! one — and account for each entry's size in bytes alongside it.
 
-/// A packet in flight.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Packet {
-    /// Flow identifier.
-    pub flow_id: u64,
-    /// Size (bytes).
-    pub size_bytes: u32,
-    /// Creation time (s) — for end-to-end latency accounting.
-    pub created_at_s: f64,
-    /// Priority class: `true` = the queue owner's own traffic.
-    pub is_native: bool,
-}
+use std::collections::VecDeque;
 
-/// Cumulative queue statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct QueueStats {
-    /// Packets accepted.
-    pub enqueued: u64,
-    /// Packets dropped at the tail.
-    pub dropped: u64,
-    /// Packets dequeued for transmission.
-    pub dequeued: u64,
-    /// Bytes accepted.
-    pub bytes_enqueued: u64,
-    /// Bytes dropped.
-    pub bytes_dropped: u64,
-}
-
-/// A byte-bounded drop-tail FIFO.
+/// A byte-bounded drop-tail FIFO of `(item, bytes)` entries.
 #[derive(Debug, Clone)]
-pub struct DropTailQueue {
-    packets: std::collections::VecDeque<Packet>,
+pub struct DropTailQueue<T> {
+    entries: VecDeque<(T, u32)>,
     capacity_bytes: u64,
     occupancy_bytes: u64,
-    stats: QueueStats,
 }
 
-impl DropTailQueue {
-    /// A queue holding at most `capacity_bytes` of packets.
+impl<T> DropTailQueue<T> {
+    /// A queue holding at most `capacity_bytes` of entries.
     ///
     /// # Panics
     /// Panics if `capacity_bytes == 0`.
     pub fn new(capacity_bytes: u64) -> Self {
         assert!(capacity_bytes > 0, "queue capacity must be positive");
         Self {
-            packets: Default::default(),
+            entries: VecDeque::new(),
             capacity_bytes,
             occupancy_bytes: 0,
-            stats: Default::default(),
         }
     }
 
-    /// Offer a packet; `true` if accepted, `false` if dropped.
-    pub fn enqueue(&mut self, packet: Packet) -> bool {
-        if self.occupancy_bytes + packet.size_bytes as u64 > self.capacity_bytes {
-            self.stats.dropped += 1;
-            self.stats.bytes_dropped += packet.size_bytes as u64;
-            return false;
+    /// Offer `item` of `bytes` bytes. It is queued unless it would take
+    /// the occupancy past the capacity, in which case it is handed back.
+    pub fn enqueue(&mut self, item: T, bytes: u32) -> Result<(), T> {
+        if self.occupancy_bytes + bytes as u64 > self.capacity_bytes {
+            return Err(item);
         }
-        self.occupancy_bytes += packet.size_bytes as u64;
-        self.stats.enqueued += 1;
-        self.stats.bytes_enqueued += packet.size_bytes as u64;
-        self.packets.push_back(packet);
-        true
+        self.occupancy_bytes += bytes as u64;
+        self.entries.push_back((item, bytes));
+        Ok(())
     }
 
-    /// Take the head-of-line packet.
-    pub fn dequeue(&mut self) -> Option<Packet> {
-        let p = self.packets.pop_front()?;
-        // Exact subtraction: occupancy is the sum of queued packet sizes
-        // by construction, so a shortfall here is an accounting bug that
+    /// Take the head-of-line entry.
+    pub fn dequeue(&mut self) -> Option<(T, u32)> {
+        let (item, bytes) = self.entries.pop_front()?;
+        // Exact subtraction: occupancy is the sum of queued sizes by
+        // construction, so a shortfall here is an accounting bug that
         // must surface, not saturate away.
         debug_assert!(
-            self.occupancy_bytes >= p.size_bytes as u64,
-            "occupancy {} under head packet size {}",
+            self.occupancy_bytes >= bytes as u64,
+            "occupancy {} under head entry size {bytes}",
             self.occupancy_bytes,
-            p.size_bytes
         );
-        self.occupancy_bytes -= p.size_bytes as u64;
-        self.stats.dequeued += 1;
-        Some(p)
+        self.occupancy_bytes -= bytes as u64;
+        Some((item, bytes))
+    }
+
+    /// The head-of-line entry, left in place.
+    pub fn front(&self) -> Option<&(T, u32)> {
+        self.entries.front()
+    }
+
+    /// Empty the queue, yielding its entries in order.
+    pub fn drain(&mut self) -> impl Iterator<Item = (T, u32)> + '_ {
+        self.occupancy_bytes = 0;
+        self.entries.drain(..)
     }
 
     /// Bytes currently queued.
@@ -94,43 +76,26 @@ impl DropTailQueue {
         self.occupancy_bytes
     }
 
-    /// Packets currently queued.
+    /// Entries currently queued.
     pub fn len(&self) -> usize {
-        self.packets.len()
+        self.entries.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
-    }
-
-    /// Fill fraction in `[0, 1]`.
-    pub fn fill_fraction(&self) -> f64 {
-        self.occupancy_bytes as f64 / self.capacity_bytes as f64
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> QueueStats {
-        self.stats
-    }
-
-    /// Queueing delay (s) a new arrival would see at drain rate
-    /// `rate_bps` (bits/s).
-    pub fn drain_time_s(&self, rate_bps: f64) -> f64 {
-        assert!(rate_bps > 0.0, "rate must be positive");
-        self.occupancy_bytes as f64 * 8.0 / rate_bps
+        self.entries.is_empty()
     }
 }
 
 /// A two-class priority queue: native traffic is always served before
 /// visitor traffic — the ground-station policy from §2.2.
 #[derive(Debug, Clone)]
-pub struct PriorityQueue {
-    native: DropTailQueue,
-    visitor: DropTailQueue,
+pub struct PriorityQueue<T> {
+    native: DropTailQueue<T>,
+    visitor: DropTailQueue<T>,
 }
 
-impl PriorityQueue {
+impl<T> PriorityQueue<T> {
     /// Split `capacity_bytes` between classes: natives get
     /// `native_share` of the buffer, visitors the rest. Each class gets
     /// at least one byte, and the two sub-buffers sum to exactly
@@ -159,31 +124,22 @@ impl PriorityQueue {
         }
     }
 
-    /// Offer a packet; it is classified by `Packet::is_native`.
-    pub fn enqueue(&mut self, packet: Packet) -> bool {
-        if packet.is_native {
-            self.native.enqueue(packet)
+    /// Offer `item` to its class's buffer (`native` = the queue owner's
+    /// own traffic); handed back if that buffer is full.
+    pub fn enqueue(&mut self, item: T, bytes: u32, native: bool) -> Result<(), T> {
+        if native {
+            self.native.enqueue(item, bytes)
         } else {
-            self.visitor.enqueue(packet)
+            self.visitor.enqueue(item, bytes)
         }
     }
 
     /// Strict-priority dequeue: native first.
-    pub fn dequeue(&mut self) -> Option<Packet> {
+    pub fn dequeue(&mut self) -> Option<(T, u32)> {
         self.native.dequeue().or_else(|| self.visitor.dequeue())
     }
 
-    /// Native-class stats.
-    pub fn native_stats(&self) -> QueueStats {
-        self.native.stats()
-    }
-
-    /// Visitor-class stats.
-    pub fn visitor_stats(&self) -> QueueStats {
-        self.visitor.stats()
-    }
-
-    /// Total packets queued across both classes.
+    /// Total entries queued across both classes.
     pub fn len(&self) -> usize {
         self.native.len() + self.visitor.len()
     }
@@ -198,26 +154,14 @@ impl PriorityQueue {
 mod tests {
     use super::*;
 
-    fn pkt(size: u32, native: bool) -> Packet {
-        Packet {
-            flow_id: 1,
-            size_bytes: size,
-            created_at_s: 0.0,
-            is_native: native,
-        }
-    }
-
     #[test]
     fn fifo_order_preserved() {
         let mut q = DropTailQueue::new(10_000);
         for i in 0..5 {
-            q.enqueue(Packet {
-                flow_id: i,
-                ..pkt(100, true)
-            });
+            q.enqueue(i, 100).unwrap();
         }
         for i in 0..5 {
-            assert_eq!(q.dequeue().unwrap().flow_id, i);
+            assert_eq!(q.dequeue(), Some((i, 100)));
         }
         assert!(q.dequeue().is_none());
     }
@@ -225,46 +169,37 @@ mod tests {
     #[test]
     fn overflows_drop_at_tail() {
         let mut q = DropTailQueue::new(250);
-        assert!(q.enqueue(pkt(100, true)));
-        assert!(q.enqueue(pkt(100, true)));
-        assert!(!q.enqueue(pkt(100, true))); // would exceed 250
-        let s = q.stats();
-        assert_eq!(s.enqueued, 2);
-        assert_eq!(s.dropped, 1);
-        assert_eq!(s.bytes_dropped, 100);
+        assert_eq!(q.enqueue(1, 100), Ok(()));
+        assert_eq!(q.enqueue(2, 100), Ok(()));
+        // Would exceed 250: handed back, nothing queued.
+        assert_eq!(q.enqueue(3, 100), Err(3));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.occupancy_bytes(), 200);
+        // A smaller entry still fits.
+        assert_eq!(q.enqueue(4, 50), Ok(()));
     }
 
     #[test]
     fn occupancy_tracks_bytes() {
         let mut q = DropTailQueue::new(1_000);
-        q.enqueue(pkt(300, true));
-        q.enqueue(pkt(200, true));
+        q.enqueue('a', 300).unwrap();
+        q.enqueue('b', 200).unwrap();
         assert_eq!(q.occupancy_bytes(), 500);
-        assert_eq!(q.fill_fraction(), 0.5);
+        assert_eq!(q.front(), Some(&('a', 300)));
         q.dequeue();
         assert_eq!(q.occupancy_bytes(), 200);
-    }
-
-    #[test]
-    fn drain_time_matches_rate() {
-        let mut q = DropTailQueue::new(100_000);
-        q.enqueue(pkt(1_250, true)); // 10_000 bits
-        assert!((q.drain_time_s(10_000.0) - 1.0).abs() < 1e-12);
+        assert_eq!(q.drain().collect::<Vec<_>>(), [('b', 200)]);
+        assert_eq!(q.occupancy_bytes(), 0);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn priority_serves_native_first() {
         let mut q = PriorityQueue::new(100_000, 0.5);
-        q.enqueue(Packet {
-            flow_id: 1,
-            ..pkt(100, false)
-        });
-        q.enqueue(Packet {
-            flow_id: 2,
-            ..pkt(100, true)
-        });
-        assert_eq!(q.dequeue().unwrap().flow_id, 2, "native first");
-        assert_eq!(q.dequeue().unwrap().flow_id, 1);
+        q.enqueue(1, 100, false).unwrap();
+        q.enqueue(2, 100, true).unwrap();
+        assert_eq!(q.dequeue(), Some((2, 100)), "native first");
+        assert_eq!(q.dequeue(), Some((1, 100)));
     }
 
     #[test]
@@ -272,16 +207,15 @@ mod tests {
         let mut q = PriorityQueue::new(1_000, 0.8);
         // Visitor capacity is 200 bytes; a 300-byte visitor packet drops
         // even though the native side is empty.
-        assert!(!q.enqueue(pkt(300, false)));
-        assert_eq!(q.visitor_stats().dropped, 1);
-        assert!(q.enqueue(pkt(300, true)));
+        assert_eq!(q.enqueue(1, 300, false), Err(1));
+        assert!(q.enqueue(2, 300, true).is_ok());
     }
 
     #[test]
     fn empty_checks() {
         let mut q = PriorityQueue::new(1_000, 0.5);
         assert!(q.is_empty());
-        q.enqueue(pkt(10, false));
+        q.enqueue((), 10, false).unwrap();
         assert!(!q.is_empty());
         assert_eq!(q.len(), 1);
     }
@@ -289,13 +223,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        DropTailQueue::new(0);
+        DropTailQueue::<()>::new(0);
     }
 
     #[test]
     #[should_panic(expected = "at least 2 bytes")]
     fn priority_split_of_one_byte_panics() {
-        PriorityQueue::new(1, 0.5);
+        PriorityQueue::<()>::new(1, 0.5);
     }
 
     #[test]
@@ -315,11 +249,10 @@ mod tests {
             let mut admitted = 0u64;
             loop {
                 let before = admitted;
-                if q.enqueue(pkt(1, true)) {
-                    admitted += 1;
-                }
-                if q.enqueue(pkt(1, false)) {
-                    admitted += 1;
+                for native in [true, false] {
+                    if q.enqueue((), 1, native).is_ok() {
+                        admitted += 1;
+                    }
                 }
                 if admitted == before {
                     break;
@@ -337,9 +270,9 @@ mod tests {
         // The documented example split (1000 bytes, 0.8 share -> 800/200)
         // must be unchanged by the exact-sum fix.
         let mut q = PriorityQueue::new(1_000, 0.8);
-        assert!(q.enqueue(pkt(800, true)));
-        assert!(!q.enqueue(pkt(1, true)));
-        assert!(q.enqueue(pkt(200, false)));
-        assert!(!q.enqueue(pkt(1, false)));
+        assert!(q.enqueue((), 800, true).is_ok());
+        assert!(q.enqueue((), 1, true).is_err());
+        assert!(q.enqueue((), 200, false).is_ok());
+        assert!(q.enqueue((), 1, false).is_err());
     }
 }

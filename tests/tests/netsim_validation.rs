@@ -1,11 +1,15 @@
 //! Validation of the packet-level simulator against queueing theory and
 //! cross-crate scenarios on real constellation snapshots.
 
-use openspace_core::netsim::{FlowSpec, NetSim, NetSimConfig, RoutingMode, TrafficKind};
+use openspace_core::netsim::{
+    DemandWorkload, FlowSpec, NetSim, NetSimConfig, RoutingMode, TrafficKind,
+};
 use openspace_core::prelude::*;
+use openspace_net::timeline::TopologyProvider;
 use openspace_net::topology::{Graph, LinkTech};
 use openspace_orbit::frames::{geodetic_to_ecef, Geodetic};
 use openspace_phy::hardware::SatelliteClass;
+use openspace_sim::config::ConfigError;
 
 /// One directed link of capacity `bps` between two nodes.
 fn single_link(bps: f64) -> Graph {
@@ -33,13 +37,13 @@ fn mm1_mean_delay_matches_theory() {
             seed: 3,
         })
         .with_snapshot(&g)
-        .run(&[FlowSpec {
-            src: 0.into(),
-            dst: 1.into(),
-            rate_bps: rho * capacity,
+        .run(&[FlowSpec::new(
+            0,
+            1,
+            rho * capacity,
             packet_bytes,
-            kind: TrafficKind::Poisson,
-        }])
+            TrafficKind::Poisson,
+        )])
         .expect("valid netsim config");
         assert!(r.dropped == 0, "rho={rho}: drops {}", r.dropped);
         let wait_theory = rho * service_s / (2.0 * (1.0 - rho));
@@ -63,13 +67,7 @@ fn utilization_measurement_matches_offered_load() {
         ..Default::default()
     })
     .with_snapshot(&g)
-    .run(&[FlowSpec {
-        src: 0.into(),
-        dst: 1.into(),
-        rate_bps: 1.0e6,
-        packet_bytes: 1_500,
-        kind: TrafficKind::Cbr,
-    }])
+    .run(&[FlowSpec::new(0, 1, 1.0e6, 1_500, TrafficKind::Cbr)])
     .expect("valid netsim config");
     assert!(
         (r.max_link_utilization - 0.5).abs() < 0.05,
@@ -102,13 +100,7 @@ fn final_utilization_sample_divides_by_actual_window_after_restore() {
     })
     .with_snapshot(&g)
     .with_faults(&events)
-    .run(&[FlowSpec {
-        src: 0.into(),
-        dst: 1.into(),
-        rate_bps: 1.0e6,
-        packet_bytes: 1_500,
-        kind: TrafficKind::Cbr,
-    }])
+    .run(&[FlowSpec::new(0, 1, 1.0e6, 1_500, TrafficKind::Cbr)])
     .expect("valid netsim config");
     assert!(
         (r.max_link_utilization - 0.5).abs() < 0.1,
@@ -133,13 +125,7 @@ fn max_link_utilization_reports_saturation_unclamped() {
         ..Default::default()
     })
     .with_snapshot(&g)
-    .run(&[FlowSpec {
-        src: 0.into(),
-        dst: 1.into(),
-        rate_bps: 3.0e6,
-        packet_bytes: 1_500,
-        kind: TrafficKind::Cbr,
-    }])
+    .run(&[FlowSpec::new(0, 1, 3.0e6, 1_500, TrafficKind::Cbr)])
     .expect("valid netsim config");
     assert!(
         r.max_link_utilization > 0.98,
@@ -166,13 +152,13 @@ fn netsim_on_real_iridium_snapshot_delivers() {
         ..Default::default()
     })
     .with_snapshot(&graph)
-    .run(&[FlowSpec {
-        src: graph.sat_node(sat),
-        dst: graph.station_node(0),
-        rate_bps: 2.0e6,
-        packet_bytes: 1_500,
-        kind: TrafficKind::Poisson,
-    }])
+    .run(&[FlowSpec::new(
+        graph.sat_node(sat),
+        graph.station_node(0),
+        2.0e6,
+        1_500,
+        TrafficKind::Poisson,
+    )])
     .expect("valid netsim config");
     assert!(r.delivery_ratio > 0.99, "ratio {}", r.delivery_ratio);
     // Latency is propagation-dominated on an optical Iridium mesh.
@@ -198,12 +184,14 @@ fn adaptive_routing_beats_proactive_under_hotspot_on_iridium() {
     )
     .unwrap();
     let flows: Vec<FlowSpec> = (0..4)
-        .map(|_| FlowSpec {
-            src: graph.sat_node(sat),
-            dst: graph.station_node(0),
-            rate_bps: 12.0e6,
-            packet_bytes: 1_500,
-            kind: TrafficKind::Poisson,
+        .map(|_| {
+            FlowSpec::new(
+                graph.sat_node(sat),
+                graph.station_node(0),
+                12.0e6,
+                1_500,
+                TrafficKind::Poisson,
+            )
         })
         .collect();
     let base = NetSimConfig {
@@ -237,4 +225,59 @@ fn adaptive_routing_beats_proactive_under_hotspot_on_iridium() {
         pro.delivery_ratio
     );
     assert!(ada.p95_latency_s < pro.p95_latency_s);
+}
+
+/// A one-link run to `f64::MAX` whose only flow a demand tick retires
+/// at t = 1: it ends once the periodic events stop re-arming.
+fn run_to_f64_max(routing: RoutingMode, provider: Option<&dyn TopologyProvider>) {
+    let g = single_link(1e6);
+    let flow = FlowSpec::new(0, 1, 1e5, 1_500, TrafficKind::Cbr);
+    let demand = DemandWorkload::new(vec![(0.0, vec![flow]), (1.0, vec![])]).unwrap();
+    let cfg = NetSimConfig {
+        duration_s: f64::MAX,
+        routing,
+        ..Default::default()
+    };
+    let sim = match provider {
+        Some(p) => NetSim::new(cfg).with_provider(p, 1e308),
+        None => NetSim::new(cfg).with_snapshot(&g),
+    };
+    let r = sim.with_demand(&demand).run(&[]).expect("valid config");
+    assert!(r.generated > 0);
+    assert_eq!(r.generated, r.delivered);
+}
+
+#[test]
+fn replan_rearm_past_f64_max_is_never_scheduled() {
+    // The second replan would fall at 2e308 = ∞, after the run anyway.
+    let replan_interval_s = 1e308;
+    run_to_f64_max(RoutingMode::Adaptive { replan_interval_s }, None);
+}
+
+#[test]
+fn resnapshot_rearm_past_f64_max_is_never_scheduled() {
+    let g = single_link(1e6);
+    run_to_f64_max(RoutingMode::Proactive, Some(&|_: f64| g.clone()));
+}
+
+#[test]
+fn zero_queue_capacity_is_a_config_error() {
+    // A struct-literal config skips the builder; the run applies the
+    // same check instead of dropping every packet.
+    let expected = ConfigError::NonPositive {
+        field: "queue_capacity_bytes",
+        value: 0.0,
+    };
+    let cfg = NetSimConfig {
+        queue_capacity_bytes: 0,
+        ..Default::default()
+    };
+    let flow = FlowSpec::new(0, 1, 1e5, 1_500, TrafficKind::Cbr);
+    let err = NetSim::new(cfg)
+        .with_snapshot(&single_link(1e6))
+        .run(&[flow]);
+    assert_eq!(err.unwrap_err(), expected);
+    assert_eq!(cfg.validate(), Err(expected.clone()));
+    let built = NetSimConfig::builder().queue_capacity_bytes(0).build();
+    assert_eq!(built.unwrap_err(), expected);
 }

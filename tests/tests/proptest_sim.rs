@@ -59,23 +59,25 @@ fn queue_conserves_packets() {
         let capacity = 5_000 + rng.below(45_000);
         let drains = rng.index(50);
         let mut q = DropTailQueue::new(capacity);
+        // Packets and bytes the queue should hold.
+        let (mut held, mut held_bytes) = (0u64, 0u64);
         for (i, &s) in sizes.iter().enumerate() {
-            q.enqueue(Packet {
-                flow_id: i as u64,
-                size_bytes: s,
-                created_at_s: 0.0,
-                is_native: true,
-            });
+            match q.enqueue(i, s) {
+                Ok(()) => (held, held_bytes) = (held + 1, held_bytes + s as u64),
+                Err(back) => assert_eq!(back, i, "the refused packet is handed back"),
+            }
         }
         for _ in 0..drains {
-            q.dequeue();
+            if let Some((i, bytes)) = q.dequeue() {
+                assert_eq!(bytes, sizes[i]);
+                (held, held_bytes) = (held - 1, held_bytes - bytes as u64);
+            }
         }
-        let st = q.stats();
-        // Conservation: everything offered is accounted for.
-        assert_eq!(st.enqueued + st.dropped, sizes.len() as u64);
-        assert_eq!(st.enqueued - st.dequeued, q.len() as u64);
-        // Occupancy never exceeds capacity.
-        assert!(q.occupancy_bytes() <= capacity);
+        // Conservation: the queue holds exactly the accepted, undrained
+        // packets and their bytes, never more than its capacity.
+        assert_eq!(q.len() as u64, held);
+        assert_eq!(q.occupancy_bytes(), held_bytes);
+        assert!(held_bytes <= capacity);
     });
 }
 
@@ -90,24 +92,14 @@ fn priority_queue_never_serves_visitor_before_native() {
             .collect();
         let mut q = PriorityQueue::new(1_000_000, 0.5);
         for &s in &visitor {
-            q.enqueue(Packet {
-                flow_id: 0,
-                size_bytes: s,
-                created_at_s: 0.0,
-                is_native: false,
-            });
+            q.enqueue(false, s, false).unwrap();
         }
         for &s in &native {
-            q.enqueue(Packet {
-                flow_id: 1,
-                size_bytes: s,
-                created_at_s: 0.0,
-                is_native: true,
-            });
+            q.enqueue(true, s, true).unwrap();
         }
         let mut seen_visitor = false;
-        while let Some(p) = q.dequeue() {
-            if p.is_native {
+        while let Some((is_native, _)) = q.dequeue() {
+            if is_native {
                 assert!(!seen_visitor, "native packet after a visitor one");
             } else {
                 seen_visitor = true;
@@ -130,21 +122,10 @@ fn priority_queue_split_never_exceeds_physical_capacity() {
         let mut admitted = 0u64;
         loop {
             let before = admitted;
-            if q.enqueue(Packet {
-                flow_id: 0,
-                size_bytes: 1,
-                created_at_s: 0.0,
-                is_native: true,
-            }) {
-                admitted += 1;
-            }
-            if q.enqueue(Packet {
-                flow_id: 1,
-                size_bytes: 1,
-                created_at_s: 0.0,
-                is_native: false,
-            }) {
-                admitted += 1;
+            for native in [true, false] {
+                if q.enqueue((), 1, native).is_ok() {
+                    admitted += 1;
+                }
             }
             if admitted == before {
                 break;
@@ -197,15 +178,14 @@ fn cbr_arrivals_are_exactly_periodic() {
     for_cases(0xB7, |rng| {
         let rate = rng.uniform_range(1_000.0, 1e7);
         let bytes = 64 + rng.below(8_936) as u32;
-        let mut src = CbrSource::new(rate, bytes, 0.0);
+        let mut flow = Arrivals::new(TrafficKind::Cbr, rate, bytes, SimRng::new(rng.next_u64()));
         let period = bytes as f64 * 8.0 / rate;
-        let mut last: Option<f64> = None;
+        let mut t = flow.start(0.0);
+        assert!((0.0..period).contains(&t), "phase {t} outside one period");
         for _ in 0..50 {
-            let a = src.next_arrival().unwrap();
-            if let Some(prev) = last {
-                assert!((a.at_s - prev - period).abs() < 1e-9);
-            }
-            last = Some(a.at_s);
+            let next = flow.next(t);
+            assert!((next - t - period).abs() < 1e-9);
+            t = next;
         }
     });
 }
@@ -215,12 +195,12 @@ fn poisson_arrivals_are_strictly_increasing() {
     for_cases(0xB8, |rng| {
         let seed = rng.next_u64();
         let rate = rng.uniform_range(1_000.0, 1e6);
-        let mut src = PoissonSource::new(rate, 1_000, 0.0, seed);
-        let mut last = 0.0;
+        let mut flow = Arrivals::new(TrafficKind::Poisson, rate, 1_000, SimRng::new(seed));
+        let mut last = flow.start(0.0);
         for _ in 0..100 {
-            let a = src.next_arrival().unwrap();
-            assert!(a.at_s >= last);
-            last = a.at_s;
+            let t = flow.next(last);
+            assert!(t >= last);
+            last = t;
         }
     });
 }

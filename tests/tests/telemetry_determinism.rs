@@ -23,20 +23,8 @@ fn mesh() -> Graph {
 
 fn scenario(seed: u64) -> (Graph, Vec<FlowSpec>, NetSimConfig) {
     let flows = vec![
-        FlowSpec {
-            src: 0.into(),
-            dst: 3.into(),
-            rate_bps: 1.2e6,
-            packet_bytes: 1_500,
-            kind: TrafficKind::Poisson,
-        },
-        FlowSpec {
-            src: 0.into(),
-            dst: 3.into(),
-            rate_bps: 8.0e5,
-            packet_bytes: 1_500,
-            kind: TrafficKind::Cbr,
-        },
+        FlowSpec::new(0, 3, 1.2e6, 1_500, TrafficKind::Poisson),
+        FlowSpec::new(0, 3, 8.0e5, 1_500, TrafficKind::Cbr),
     ];
     let cfg = NetSimConfig {
         duration_s: 10.0,
