@@ -32,21 +32,25 @@
 //! `fault`) and a `finish` that builds the report; the event loop only
 //! dispatches.
 //!
-//! The timeline path replays compact [`GraphDelta`]s at every
-//! resnapshot instead of rebuilding the snapshot from orbital state:
-//! the patched graph is bitwise-identical to a fresh provider call (the
-//! timeline extracts its deltas *from* fresh builds), link state is
-//! reused for untouched links, and the route planner is invalidated
-//! selectively where a conservative soundness argument allows (see
-//! [`RoutePlanner::retain_for_changed_rows`]) — so the resulting
-//! [`NetSimReport`] is bit-for-bit the one the full-rebuild path
-//! produces, pinned by `tests/tests/netsim_delta_equivalence.rs`.
+//! The topology source only decides where the next graph comes from.
+//! A timeline run patches a pristine mirror of the provider's snapshots
+//! with the tick's [`GraphDelta`](openspace_net::topology::GraphDelta)
+//! and clones it, bitwise what a fresh provider call returns (the
+//! timeline extracts its deltas *from* fresh builds). Every resnapshot
+//! then syncs the link table to the new graph, invalidates the route
+//! planner and replans, so a timeline run's [`NetSimReport`] is
+//! bit-for-bit the provider run's, pinned by
+//! `tests/tests/netsim_delta_equivalence.rs`. There is no incremental
+//! link patch or planner-tree retention: a moving shell changes every
+//! adjacency row at every tick, and on perfbench's `shell_motion` both
+//! together measured slower than this full sync (0.410 s against
+//! 0.359 s median `run_s`, 2-core host).
 //! Absolute reports are pinned by `tests/tests/netsim_golden.rs`.
 
 use openspace_net::outage::OutageTracker;
 use openspace_net::routing::{latency_weight, QosRequirement, RoutePlanner};
 use openspace_net::timeline::{TopologyProvider, TopologyTimeline};
-use openspace_net::topology::{Graph, GraphDelta, NodeId};
+use openspace_net::topology::{Graph, NodeId};
 use openspace_sim::config::{require_index, require_non_negative, require_positive, ConfigError};
 use openspace_sim::engine::EventQueue;
 use openspace_sim::fault::{TopologyEvent, TopologyEventKind};
@@ -455,8 +459,6 @@ struct LinkTable {
     pairs: Vec<(NodeId, NodeId)>,
     /// Append-only pair index; values are stable for the whole run.
     index: HashMap<(NodeId, NodeId), LinkId>,
-    /// Number of alive slots.
-    alive_count: usize,
     /// Byte capacity of every link queue.
     queue_capacity_bytes: u64,
 }
@@ -467,7 +469,6 @@ impl LinkTable {
             slots: Vec::new(),
             pairs: Vec::new(),
             index: HashMap::new(),
-            alive_count: 0,
             queue_capacity_bytes,
         }
     }
@@ -518,9 +519,6 @@ impl LinkTable {
         slab: &mut PktSlab,
     ) {
         let id = self.id_for(pair);
-        if !self.slots[id.0 as usize].alive {
-            self.alive_count += 1;
-        }
         let link = &mut self.slots[id.0 as usize];
         slab.free_queue(&mut link.queue);
         link.capacity_bps = capacity_bps;
@@ -543,7 +541,6 @@ impl LinkTable {
         let queued = link.queue.len() as u64;
         slab.free_queue(&mut link.queue);
         link.alive = false;
-        self.alive_count -= 1;
         Some(queued)
     }
 
@@ -596,33 +593,6 @@ impl LinkTable {
             }
         }
         (kept, churned, lost)
-    }
-
-    /// [`rebuild_sync`](Self::rebuild_sync) by one timeline delta, in
-    /// place: exact while the alive pairs mirror the previous snapshot's
-    /// edges (no fault surgery), since the delta then names all the
-    /// churn. Returns the same `(kept, churned, dropped)` triple.
-    fn apply_delta(&mut self, delta: &GraphDelta, now: f64, slab: &mut PktSlab) -> (u64, u64, u64) {
-        let removed = delta.edges_removed();
-        let added = delta.edges_added();
-        let kept = (self.alive_count - removed.len()) as u64;
-        let mut lost = 0u64;
-        for &pair in &removed {
-            lost += self.kill(pair, slab).unwrap_or(0);
-        }
-        for (u, e) in &added {
-            self.revive((*u, e.to), e.capacity_bps, e.latency_s, now, slab);
-        }
-        for (u, e) in delta.edges_changed() {
-            if let Some(&id) = self.index.get(&(u, e.to)) {
-                let link = self.link_mut(id);
-                if link.alive {
-                    link.capacity_bps = e.capacity_bps;
-                    link.latency_s = e.latency_s;
-                }
-            }
-        }
-        (kept, (removed.len() + added.len()) as u64, lost)
     }
 
     /// Compile a planner path into per-hop [`LinkId`]s.
@@ -1253,14 +1223,10 @@ impl<'a, 'r> SimState<'a, 'r> {
         let Some(interval) = self.resnapshot_interval else {
             return; // resnapshot only ticks in dynamic mode
         };
-        let adaptive = self.replan_interval.is_some();
-        // The timeline delta to patch the link table with in place, or
-        // `None` to fall back to the full pair-carrying rebuild.
-        let patch = match self.source {
+        match self.source {
             TopologySource::Static(_) => return, // unscheduled; unreachable
             TopologySource::Provider { provider, .. } => {
                 self.work_graph = provider.topology_at(now);
-                None
             }
             TopologySource::Timeline(tl) => {
                 let delta = tl
@@ -1276,37 +1242,18 @@ impl<'a, 'r> SimState<'a, 'r> {
                     .expect("consecutive timeline deltas always chain");
                 self.work_graph = mirror.clone();
                 self.rec.add("netsim.timeline.deltas_applied", 1);
-                // Without fault surgery the table mirrors the previous
-                // snapshot, so the delta describes all the churn; fault
-                // surgery may have removed links the new snapshot
-                // resurrects, which only the rebuild sees.
-                self.events.is_empty().then_some(delta)
             }
-        };
-        let (kept, churned, lost) = match patch {
-            Some(delta) => self.table.apply_delta(delta, now, &mut self.slab),
-            None => self
-                .table
-                .rebuild_sync(&self.work_graph, now, &mut self.slab),
-        };
+        }
+        let (kept, churned, lost) = self
+            .table
+            .rebuild_sync(&self.work_graph, now, &mut self.slab);
         self.report.dropped += lost;
         self.rec.add("netsim.resnapshot.links_kept", kept);
         self.rec.add("netsim.resnapshot.links_churned", churned);
         self.rec.add("netsim.resnapshot.packets_dropped", lost);
-        match patch {
-            // Proactive latency routes on a patched graph: trees the
-            // delta cannot have changed stay valid (all of them for an
-            // empty delta).
-            Some(delta) if !adaptive => {
-                if !delta.is_empty() {
-                    self.planner
-                        .retain_for_changed_rows(&delta.changed_nodes(), self.rec);
-                }
-            }
-            // A fresh graph resets the loads, and fault surgery or a
-            // rebuild reshapes it: no cached tree can be kept.
-            _ => self.planner.invalidate(),
-        }
+        // A fresh graph resets the loads and may reshape any tree.
+        self.planner.invalidate();
+        let adaptive = self.replan_interval.is_some();
         self.routes = self.plan_routes(None, adaptive);
         self.rec.add("netsim.resnapshots", 1);
         let next = now + interval;

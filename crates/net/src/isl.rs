@@ -205,7 +205,8 @@ pub fn isl_capacity_bps(
 /// chosen greedily: each satellite ranks in-range, in-sight peers by
 /// distance and keeps at most `max_isl_per_sat`; a link exists when
 /// *both* ends keep each other (mutual selection, matching how terminal
-/// budgets bind on both spacecraft).
+/// budgets bind on both spacecraft) and are apart: satellites at the
+/// same position get no ISL.
 pub fn build_snapshot(
     t_s: f64,
     sats: &[SatNode],
@@ -499,7 +500,9 @@ fn add_mutual_isls(
 ) {
     for (i, list) in candidates.iter().enumerate() {
         for &(j, d) in list {
-            if j > i && candidates[j].iter().any(|&(k, _)| k == i) {
+            // Coincident satellites have no link budget (path loss
+            // needs a positive distance), so they get no ISL.
+            if j > i && d > 0.0 && candidates[j].iter().any(|&(k, _)| k == i) {
                 let (cap, tech) =
                     isl_capacity_bps(sats[i].has_optical, sats[j].has_optical, d, params);
                 if cap > 0.0 {

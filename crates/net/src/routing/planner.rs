@@ -72,12 +72,8 @@
 //!
 //! Rows carry a generation stamp like the tree buffers, and a new row
 //! generation starts whenever the cached trees stop being trustworthy:
-//! on [`invalidate`](RoutePlanner::invalidate), on
-//! [`retain_for_changed_rows`](RoutePlanner::retain_for_changed_rows),
-//! and on a node-count change. A tree kept by `retain_for_changed_rows`
-//! stays valid on the freshly compiled rows because it is exhausted: it
-//! will never settle another node, so it never reads a row again, and
-//! every row a new tree compiles comes from the patched graph.
+//! on [`invalidate`](RoutePlanner::invalidate) and on a node-count
+//! change. Trees and rows always start over together.
 //!
 //! # Telemetry
 //!
@@ -371,57 +367,6 @@ impl RoutePlanner {
     /// Number of trees cached for the current generation.
     pub fn cached_trees(&self) -> usize {
         self.trees.len()
-    }
-
-    /// Selective invalidation for a topology delta that replaced exactly
-    /// the adjacency rows of `changed_rows`: drop every cached tree the
-    /// delta *could* affect, keep the rest, and return how many
-    /// survived (also reported as `routing.planner.trees_reused`).
-    ///
-    /// # Soundness
-    ///
-    /// A cached tree survives only when
-    ///
-    /// 1. its search is **exhausted** (the frontier ran dry — no future
-    ///    [`plan`](Self::plan) call can pop further nodes), and
-    /// 2. every changed node is **unreachable** in it
-    ///    (`dist == ∞` at exhaustion).
-    ///
-    /// Dijkstra's pop/relax sequence reads a node's out-edge row only
-    /// when that node settles. Under (1)+(2) no changed row was ever
-    /// read; and since reachability from the source is generated by the
-    /// out-edges of reachable nodes — all of which are bit-unchanged —
-    /// the search on the patched graph pops the same `(cost, node)`
-    /// sequence and never reads a changed row either. Every answer the
-    /// kept tree serves is therefore bit-identical to a fresh tree on
-    /// the patched graph. Anything else (non-exhausted frontier, or a
-    /// changed node that was reached) is conservatively dropped.
-    ///
-    /// Weight functions only see edge bits, so (2) also covers weight
-    /// changes confined to the changed rows. Mutations *outside* the
-    /// delta (load updates, fault surgery) still require a full
-    /// [`invalidate`](Self::invalidate).
-    pub fn retain_for_changed_rows(
-        &mut self,
-        changed_rows: &[NodeId],
-        rec: &mut dyn Recorder,
-    ) -> usize {
-        let keepable =
-            |t: &Tree| t.exhausted && changed_rows.iter().all(|&u| t.dist_of(u).is_infinite());
-        let mut kept = 0usize;
-        for t in std::mem::take(&mut self.trees) {
-            if keepable(&t) {
-                kept += 1;
-                self.trees.push(t);
-            } else {
-                self.pool.push(t);
-            }
-        }
-        // Kept trees are exhausted and never read a row again; trees
-        // grown from here on compile theirs from the patched graph.
-        self.rows.reset(self.n);
-        rec.add("routing.planner.trees_reused", kept as u64);
-        kept
     }
 
     /// Plan a batch of `(src, dst)` route requests under `weight`,
@@ -734,61 +679,6 @@ mod tests {
         big.add_bidirectional(0, 5, 0.001, 1e6, 0u32, 0u32, LinkTech::Rf);
         let out = planner.plan(&big, &[(NodeId(0), NodeId(5))], latency_weight);
         assert_eq!(out[0].as_ref().unwrap().nodes, vec![NodeId(0), NodeId(5)]);
-    }
-
-    #[test]
-    fn retain_keeps_only_provably_unaffected_trees() {
-        let g = diamond(); // node 3 isolated
-        let mut planner = RoutePlanner::new();
-        // Exhaust the tree rooted at 0 by asking for the isolated node.
-        planner.plan(&g, &[(NodeId(0), NodeId(3))], latency_weight);
-        assert_eq!(planner.cached_trees(), 1);
-
-        // A change confined to the unreachable node's row keeps the tree.
-        let mut rec = MemoryRecorder::new();
-        let kept = planner.retain_for_changed_rows(&[NodeId(3)], &mut rec);
-        assert_eq!(kept, 1);
-        assert_eq!(rec.counter("routing.planner.trees_reused"), 1);
-        assert_eq!(planner.cached_trees(), 1);
-
-        // A change touching a reachable node drops it.
-        let kept = planner.retain_for_changed_rows(&[NodeId(3), NodeId(1)], &mut rec);
-        assert_eq!(kept, 0);
-        assert_eq!(planner.cached_trees(), 0);
-
-        // A non-exhausted tree is dropped even for unreachable rows:
-        // a later plan() call could resume its frontier.
-        planner.plan(&g, &[(NodeId(0), NodeId(1))], latency_weight);
-        let kept = planner.retain_for_changed_rows(&[NodeId(3)], &mut rec);
-        assert_eq!(kept, 0, "frontier not exhausted");
-    }
-
-    #[test]
-    fn retained_tree_answers_match_fresh_planner_bitwise() {
-        let g = diamond();
-        let mut planner = RoutePlanner::new();
-        planner.plan(&g, &[(NodeId(0), NodeId(3))], latency_weight); // exhausted
-        let mut patched = g.clone();
-        // Give the isolated node an out-edge (a one-directional row
-        // change: only node 3's row differs).
-        patched.add_edge(
-            3,
-            Edge {
-                to: NodeId(0),
-                latency_s: 0.002,
-                capacity_bps: 1e6,
-                operator: crate::topology::OperatorId(0),
-                technology: LinkTech::Rf,
-                load_fraction: 0.0,
-            },
-        );
-        let kept = planner.retain_for_changed_rows(&[NodeId(3)], &mut NullRecorder);
-        assert_eq!(kept, 1);
-        let cached = planner.plan(&patched, &[(NodeId(0), NodeId(2))], latency_weight);
-        let fresh = RoutePlanner::new().plan(&patched, &[(NodeId(0), NodeId(2))], latency_weight);
-        let (c, f) = (cached[0].as_ref().unwrap(), fresh[0].as_ref().unwrap());
-        assert_eq!(c.nodes, f.nodes);
-        assert_eq!(c.total_cost.to_bits(), f.total_cost.to_bits());
     }
 
     /// The panic message of `f`, or `None` when it returns normally.

@@ -266,25 +266,6 @@ impl TopologyTimeline {
         }
         g
     }
-
-    /// The combined delta from the snapshot governing `t0_s` to the one
-    /// governing `t1_s` (inverted when `t1_s` precedes `t0_s`; empty
-    /// when both fall in the same tick).
-    pub fn delta_between(&self, t0_s: f64, t1_s: f64) -> GraphDelta {
-        let (i, j) = (self.tick_index_at(t0_s), self.tick_index_at(t1_s));
-        let (lo, hi) = (i.min(j), i.max(j));
-        let mut acc = GraphDelta::empty(self.base.satellite_count(), self.base.station_count());
-        for d in &self.deltas[lo..hi] {
-            acc = acc
-                .then(d)
-                .expect("consecutive timeline deltas always chain");
-        }
-        if i <= j {
-            acc
-        } else {
-            acc.inverted()
-        }
-    }
 }
 
 impl TopologyProvider for TopologyTimeline {
@@ -363,18 +344,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn delta_between_composes_and_inverts() {
-        let tl = TopologyTimeline::build(&provider, 0.0, 10.0, 40.0, 1).unwrap();
-        let fwd = tl.delta_between(0.0, 30.0);
-        let mut g = tl.base().clone();
-        g.apply_delta(&fwd).unwrap();
-        assert_eq!(g, provider(30.0));
-        g.apply_delta(&tl.delta_between(30.0, 0.0)).unwrap();
-        assert_eq!(g, provider(0.0));
-        assert!(tl.delta_between(12.0, 17.0).is_empty(), "same tick");
     }
 
     #[test]

@@ -235,12 +235,8 @@ struct RowChange {
 /// §2.2's predictability argument — satellite topology is known and
 /// public — means consecutive snapshots of a moving constellation
 /// differ by a handful of contacts. A delta stores exactly the
-/// adjacency rows that changed (with their before *and* after states,
-/// so application is checked, composition is associative, and inversion
-/// is free) and derives the edge-level story
-/// ([`edges_added`](Self::edges_added) /
-/// [`edges_removed`](Self::edges_removed) /
-/// [`edges_changed`](Self::edges_changed)) on demand.
+/// adjacency rows that changed, with their before *and* after states,
+/// so application is checked.
 ///
 /// **Bitwise contract:** for snapshots `a`, `b` with equal rosters,
 /// `a.apply_delta(&GraphDelta::between(&a, &b)?)` leaves `a`
@@ -280,15 +276,6 @@ impl GraphDelta {
         })
     }
 
-    /// An empty delta for the given roster (the identity patch).
-    pub fn empty(n_sats: usize, n_stations: usize) -> GraphDelta {
-        GraphDelta {
-            n_sats,
-            n_stations,
-            rows: Vec::new(),
-        }
-    }
-
     /// `true` when applying this delta changes nothing.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
@@ -297,117 +284,6 @@ impl GraphDelta {
     /// Number of adjacency rows this delta replaces.
     pub fn row_count(&self) -> usize {
         self.rows.len()
-    }
-
-    /// The nodes whose adjacency rows change, ascending. This is the
-    /// set a cached shortest-path tree must be screened against (only
-    /// these nodes' out-edges differ between the two snapshots).
-    pub fn changed_nodes(&self) -> Vec<NodeId> {
-        self.rows.iter().map(|r| r.node).collect()
-    }
-
-    /// Directed edges present after but not before, with their edge
-    /// data, as `(from, edge)` pairs in ascending `(from, to)` order.
-    pub fn edges_added(&self) -> Vec<(NodeId, Edge)> {
-        let mut out = Vec::new();
-        for r in &self.rows {
-            for e in &r.after {
-                if !r.before.iter().any(|b| b.to == e.to) {
-                    out.push((r.node, *e));
-                }
-            }
-        }
-        out.sort_by_key(|(u, e)| (*u, e.to));
-        out
-    }
-
-    /// Directed edges present before but not after, as `(from, to)`
-    /// pairs in ascending order.
-    pub fn edges_removed(&self) -> Vec<(NodeId, NodeId)> {
-        let mut out = Vec::new();
-        for r in &self.rows {
-            for e in &r.before {
-                if !r.after.iter().any(|a| a.to == e.to) {
-                    out.push((r.node, e.to));
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// Directed edges present on both sides whose data (latency,
-    /// capacity, operator, …) changed bits, with their *new* edge data,
-    /// in ascending `(from, to)` order.
-    pub fn edges_changed(&self) -> Vec<(NodeId, Edge)> {
-        let mut out = Vec::new();
-        for r in &self.rows {
-            for e in &r.after {
-                if let Some(b) = r.before.iter().find(|b| b.to == e.to) {
-                    if !edge_bits_eq(b, e) {
-                        out.push((r.node, *e));
-                    }
-                }
-            }
-        }
-        out.sort_by_key(|(u, e)| (*u, e.to));
-        out
-    }
-
-    /// The inverse delta: applying `self` then `self.inverted()`
-    /// restores the original graph bit-for-bit.
-    pub fn inverted(&self) -> GraphDelta {
-        GraphDelta {
-            n_sats: self.n_sats,
-            n_stations: self.n_stations,
-            rows: self
-                .rows
-                .iter()
-                .map(|r| RowChange {
-                    node: r.node,
-                    before: r.after.clone(),
-                    after: r.before.clone(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Compose with a delta that applies *after* this one, producing a
-    /// single delta with the combined effect. Fails with
-    /// [`TopologyError::ShapeMismatch`] on roster disagreement and
-    /// [`TopologyError::DeltaMismatch`] when `later`'s before-state
-    /// contradicts this delta's after-state (the deltas are not
-    /// consecutive).
-    pub fn then(&self, later: &GraphDelta) -> Result<GraphDelta, TopologyError> {
-        if (self.n_sats, self.n_stations) != (later.n_sats, later.n_stations) {
-            return Err(TopologyError::ShapeMismatch {
-                expected: (self.n_sats, self.n_stations),
-                found: (later.n_sats, later.n_stations),
-            });
-        }
-        let mut merged: std::collections::BTreeMap<NodeId, RowChange> =
-            self.rows.iter().map(|r| (r.node, r.clone())).collect();
-        for r in &later.rows {
-            match merged.get_mut(&r.node) {
-                Some(m) => {
-                    if !row_bits_eq(&m.after, &r.before) {
-                        return Err(TopologyError::DeltaMismatch { node: r.node });
-                    }
-                    m.after = r.after.clone();
-                }
-                None => {
-                    merged.insert(r.node, r.clone());
-                }
-            }
-        }
-        Ok(GraphDelta {
-            n_sats: self.n_sats,
-            n_stations: self.n_stations,
-            rows: merged
-                .into_values()
-                .filter(|r| !row_bits_eq(&r.before, &r.after))
-                .collect(),
-        })
     }
 }
 
@@ -906,27 +782,10 @@ mod tests {
         let mut patched = a.clone();
         patched.apply_delta(&d).unwrap();
         assert_eq!(patched, b);
-        patched.apply_delta(&d.inverted()).unwrap();
+        patched
+            .apply_delta(&GraphDelta::between(&b, &a).unwrap())
+            .unwrap();
         assert_eq!(patched, a);
-    }
-
-    #[test]
-    fn delta_edge_views() {
-        let a = line_graph();
-        let b = shifted_graph();
-        let d = GraphDelta::between(&a, &b).unwrap();
-        assert_eq!(
-            d.edges_removed(),
-            vec![(NodeId(0), NodeId(1)), (NodeId(1), NodeId(0))]
-        );
-        let added: Vec<_> = d.edges_added().iter().map(|(u, e)| (*u, e.to)).collect();
-        assert_eq!(added, vec![(NodeId(0), NodeId(2)), (NodeId(2), NodeId(0))]);
-        let changed: Vec<_> = d.edges_changed().iter().map(|(u, e)| (*u, e.to)).collect();
-        assert_eq!(
-            changed,
-            vec![(NodeId(1), NodeId(2)), (NodeId(2), NodeId(1))]
-        );
-        assert_eq!(d.changed_nodes(), vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
 
     #[test]
@@ -974,31 +833,10 @@ mod tests {
                 found: (1, 1)
             }
         );
-        let d = GraphDelta::empty(1, 1);
+        let d = GraphDelta::between(&small, &small).unwrap();
         assert!(matches!(
             a.clone().apply_delta(&d),
             Err(TopologyError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn delta_composition_matches_sequential_application() {
-        let a = line_graph();
-        let b = shifted_graph();
-        let mut c = b.clone();
-        c.set_load(1usize, 2usize, 0.25).unwrap();
-        let ab = GraphDelta::between(&a, &b).unwrap();
-        let bc = GraphDelta::between(&b, &c).unwrap();
-        let ac = ab.then(&bc).unwrap();
-        let mut g = a.clone();
-        g.apply_delta(&ac).unwrap();
-        assert_eq!(g, c);
-        // Composing with a non-consecutive delta is rejected.
-        assert!(matches!(
-            bc.then(&bc),
-            Err(TopologyError::DeltaMismatch { .. })
-        ));
-        // Composition that cancels out collapses to the empty delta.
-        assert!(ab.then(&ab.inverted()).unwrap().is_empty());
     }
 }

@@ -1,14 +1,16 @@
-//! Property suite pinning the delta-resnapshot contract of the
-//! [`NetSim`] driver: a run that refreshes topology by replaying a
-//! precomputed [`TopologyTimeline`] delta is **bitwise-identical** to
-//! the run that rebuilds every snapshot from the provider — same report
-//! floats to the last ulp, same counters — across routing modes and
-//! under fault injection.
+//! Property suite pinning the resnapshot contract of the [`NetSim`]
+//! driver: a run that refreshes topology by replaying a precomputed
+//! [`TopologyTimeline`] delta is **bitwise-identical** to the run that
+//! rebuilds every snapshot from the provider — same report floats to
+//! the last ulp, same counters — across routing modes and under fault
+//! injection.
 //!
-//! This is the acceptance property for the timeline subsystem: the
-//! incremental link patch, the selective planner invalidation and the
-//! pristine-mirror bookkeeping may only ever be an *optimization*,
-//! never a behavioral change (see DESIGN.md).
+//! Both sources feed the same resnapshot path (full link-table sync,
+//! planner invalidation, replan); only the next graph comes from a
+//! different place. The timeline patches a pristine mirror of the
+//! provider's snapshots, so this suite pins that mirror, and pins the
+//! `netsim.resnapshot.*` and `routing.*` telemetry as independent of
+//! the topology source: only `netsim.timeline.deltas_applied` differs.
 
 use openspace_core::netsim::{
     FlowSpec, NetSim, NetSimConfig, NetSimReport, RoutingMode, TrafficKind,
@@ -18,6 +20,7 @@ use openspace_net::topology::LinkTech;
 use openspace_sim::fault::{FaultPlan, FaultTopology};
 use openspace_sim::ids::OperatorId;
 use openspace_sim::prelude::SimRng;
+use openspace_telemetry::{JsonValue, MemoryRecorder};
 
 const CASES: u64 = 64;
 
@@ -123,6 +126,34 @@ fn assert_reports_bitwise(a: &NetSimReport, b: &NetSimReport, ctx: &str) {
     );
 }
 
+/// Every counter `rec` holds, in key order.
+fn counters(rec: &mut MemoryRecorder) -> Vec<(String, JsonValue)> {
+    match rec.deterministic_json().get("counters") {
+        Some(JsonValue::Object(fields)) => fields.clone(),
+        other => panic!("dump without a counters object: {other:?}"),
+    }
+}
+
+/// The timeline run counts one applied delta per resnapshot and the
+/// provider run none; every other counter is equal.
+fn assert_counters_match(rebuilt: &mut MemoryRecorder, replayed: &mut MemoryRecorder, ctx: &str) {
+    const APPLIED: &str = "netsim.timeline.deltas_applied";
+    assert_eq!(
+        rebuilt.counter(APPLIED),
+        0,
+        "{ctx}: provider applied deltas"
+    );
+    assert_eq!(
+        replayed.counter(APPLIED),
+        replayed.counter("netsim.resnapshots"),
+        "{ctx}: one delta per resnapshot"
+    );
+    assert!(replayed.counter(APPLIED) > 0, "{ctx}: no resnapshot fired");
+    let mut timeline = counters(replayed);
+    timeline.retain(|(k, _)| k != APPLIED);
+    assert_eq!(counters(rebuilt), timeline, "{ctx}: counters differ");
+}
+
 #[test]
 fn delta_resnapshot_run_is_bitwise_identical_to_full_rebuild() {
     for case in 0..CASES {
@@ -145,17 +176,21 @@ fn delta_resnapshot_run_is_bitwise_identical_to_full_rebuild() {
             seed: case,
         };
         let provider = |t: f64| mesh.at(t);
+        let mut rebuilt_rec = MemoryRecorder::new();
         let rebuilt = NetSim::new(cfg)
             .with_provider(&provider, step)
-            .run(&flows)
+            .run_recorded(&flows, &mut rebuilt_rec)
             .expect("valid provider run");
         let tl = TopologyTimeline::build(&provider, 0.0, step, duration, 4)
             .expect("valid timeline build");
+        let mut replayed_rec = MemoryRecorder::new();
         let replayed = NetSim::new(cfg)
             .with_timeline(&tl)
-            .run(&flows)
+            .run_recorded(&flows, &mut replayed_rec)
             .expect("valid timeline run");
-        assert_reports_bitwise(&rebuilt, &replayed, &format!("case {case} ({routing:?})"));
+        let ctx = format!("case {case} ({routing:?})");
+        assert_reports_bitwise(&rebuilt, &replayed, &ctx);
+        assert_counters_match(&mut rebuilt_rec, &mut replayed_rec, &ctx);
     }
 }
 
@@ -185,18 +220,22 @@ fn delta_resnapshot_run_with_faults_is_bitwise_identical_to_full_rebuild() {
             seed: case,
         };
         let provider = |t: f64| mesh.at(t);
+        let mut rebuilt_rec = MemoryRecorder::new();
         let rebuilt = NetSim::new(cfg)
             .with_provider(&provider, 1.0)
             .with_faults(&events)
-            .run(&flows)
+            .run_recorded(&flows, &mut rebuilt_rec)
             .expect("valid provider run");
         let tl = TopologyTimeline::build(&provider, 0.0, 1.0, duration, 2).expect("valid timeline");
+        let mut replayed_rec = MemoryRecorder::new();
         let replayed = NetSim::new(cfg)
             .with_timeline(&tl)
             .with_faults(&events)
-            .run(&flows)
+            .run_recorded(&flows, &mut replayed_rec)
             .expect("valid timeline run");
-        assert_reports_bitwise(&rebuilt, &replayed, &format!("faulted case {case}"));
+        let ctx = format!("faulted case {case}");
+        assert_reports_bitwise(&rebuilt, &replayed, &ctx);
+        assert_counters_match(&mut rebuilt_rec, &mut replayed_rec, &ctx);
     }
 }
 

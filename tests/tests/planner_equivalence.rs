@@ -17,15 +17,14 @@
 //! latency and the congestion/QoS costs, Walker-Delta shells under
 //! `hop_weight` (where costs tie everywhere, so the node tie-break
 //! decides every path), zero and `-0.0` weights, `INFINITY`-filtered
-//! edges and isolated nodes, trees resumed across batches, and trees
-//! kept by `retain_for_changed_rows` on a patched graph.
+//! edges and isolated nodes, and trees resumed across batches.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use openspace_net::prelude::*;
 use openspace_net::routing::{congestion_weight, residual_bps, RoutePlanner};
-use openspace_net::topology::{LinkTech, OperatorId};
+use openspace_net::topology::LinkTech;
 use openspace_orbit::propagator::{PerturbationModel, Propagator};
 use openspace_orbit::walker::{walker_delta, WalkerParams};
 use openspace_sim::prelude::SimRng;
@@ -484,92 +483,4 @@ fn infinite_weights_and_isolated_nodes_match_the_reference() {
         check_fresh(&g, &requests, Cost::Plain(&filtered), &what);
         check_fresh(&g, &requests, Cost::Plain(&|_: &Edge| f64::INFINITY), &what);
     }
-}
-
-#[test]
-fn trees_kept_by_retain_for_changed_rows_match_the_reference_on_the_patched_graph() {
-    let mut total_kept = 0;
-    for case in 0..48 {
-        let mut rng = SimRng::substream(0x9E3D, case);
-        // Two disjoint random components: A on nodes 0..na, B above.
-        let (a, b) = (random_graph(&mut rng), random_graph(&mut rng));
-        let na = a.node_count();
-        let n = na + b.node_count();
-        let mut g = Graph::new(n, 0);
-        for (part, offset) in [(&a, 0), (&b, na)] {
-            for u in 0..part.node_count() {
-                for e in part.edges(u) {
-                    let mut e = *e;
-                    e.to = NodeId(e.to.0 + offset);
-                    g.add_edge(u + offset, e);
-                }
-            }
-        }
-        // Grow trees in both components; a request into the other
-        // component exhausts its tree.
-        let mut requests = random_requests(&mut rng, n, 12);
-        requests.push((NodeId(rng.index(na)), NodeId(na + rng.index(n - na))));
-        let mut planner = RoutePlanner::new();
-        let mut model = Model::default();
-        let what = format!("case {case}");
-        check_batch(
-            &mut planner,
-            &mut model,
-            &g,
-            &requests,
-            Cost::Plain(&latency_weight),
-            &what,
-        );
-
-        // Patch some of B's rows: new latencies, and an edge into A.
-        let mut patched = g.clone();
-        let changed: Vec<NodeId> = (0..1 + rng.index(3))
-            .map(|_| NodeId(na + rng.index(n - na)))
-            .collect();
-        for &u in &changed {
-            for e in patched.edges_mut(u) {
-                e.latency_s *= 1.5;
-            }
-        }
-        let (from, to) = (changed[0], NodeId(rng.index(na)));
-        patched.add_edge(
-            from,
-            Edge {
-                to,
-                latency_s: 1e-3,
-                capacity_bps: 1e8,
-                operator: OperatorId(0),
-                technology: LinkTech::Rf,
-                load_fraction: 0.0,
-            },
-        );
-
-        // The model keeps exactly the exhausted trees that never reached
-        // a changed row.
-        let mut keep = Model::default();
-        for (&s, &popped) in &model.popped {
-            let full = Reference::search(&g, s, None, &latency_weight);
-            let exhausted = popped == full.pops
-                && requests
-                    .iter()
-                    .any(|&(rs, rd)| rs == s && full.dist[rd.0].is_infinite());
-            if exhausted && changed.iter().all(|u| full.dist[u.0].is_infinite()) {
-                keep.popped.insert(s, popped);
-            }
-        }
-        let kept = planner.retain_for_changed_rows(&changed, &mut MemoryRecorder::new());
-        assert_eq!(kept, keep.popped.len(), "{what}: trees kept");
-        total_kept += kept;
-        let mut requests = random_requests(&mut rng, n, 12);
-        requests.extend(keep.popped.keys().map(|&s| (s, NodeId(rng.index(n)))));
-        check_batch(
-            &mut planner,
-            &mut keep,
-            &patched,
-            &requests,
-            Cost::Plain(&latency_weight),
-            &what,
-        );
-    }
-    assert!(total_kept > 0, "no case kept a tree");
 }

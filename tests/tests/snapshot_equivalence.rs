@@ -408,6 +408,36 @@ fn tiny_flat_and_non_finite_fleets_match_dense() {
 }
 
 #[test]
+fn coincident_satellites_get_no_isl() {
+    // Satellites 0 and 1 share a position: each is the other's nearest
+    // peer at distance zero, where no link budget exists. The second
+    // case pairs satellites 0 and 2 instead, both optical in
+    // `fleet_at`, so the optical model sees the zero distance too.
+    let r = 6_921_000.0;
+    let ring: Vec<Vec3> = (0..12)
+        .map(|i| {
+            let th = i as f64 * 0.1;
+            Vec3::new(r * th.cos(), r * th.sin(), 0.0)
+        })
+        .collect();
+    for (case, twin) in [1usize, 2].into_iter().enumerate() {
+        let mut positions = ring.clone();
+        positions[twin] = positions[0];
+        let (sats, samples) = fleet_at(&positions);
+        let (g, _) = assert_matches_dense(
+            &sats,
+            &samples,
+            &[],
+            &SnapshotParams::default(),
+            case as u64,
+        );
+        assert!(g.find_edge(0usize, twin).is_none(), "no 0-{twin} edge");
+        assert!(g.find_edge(twin, 0usize).is_none(), "no {twin}-0 edge");
+        assert!(g.edge_count() > 0, "the rest of the ring still links");
+    }
+}
+
+#[test]
 fn clustered_fleets_match_dense() {
     // Dense clusters next to sparse stragglers: a cluster member's
     // search stops after a ring or two, while a straggler a few cells
