@@ -24,7 +24,8 @@
 //! and one topology source — a static snapshot
 //! ([`NetSim::with_snapshot`]), an on-demand
 //! [`TopologyProvider`] ([`NetSim::with_provider`]), or a precomputed
-//! [`TopologyTimeline`] ([`NetSim::with_timeline`]).
+//! [`TopologyTimeline`] ([`NetSim::with_timeline`]). Faults compose with
+//! every source.
 //!
 //! The engine is one `SimState` — flows, link table, packet slab,
 //! planner and accounting — with one handler per event kind (`inject`,
@@ -45,9 +46,20 @@
 //! adjacency row at every tick, and on perfbench's `shell_motion` both
 //! together measured slower than this full sync (0.410 s against
 //! 0.359 s median `run_s`, 2-core host).
+//!
+//! A fault is a mask, not a graph edit. The run keeps the current
+//! snapshot whole (with the loads replans write into it), the set of
+//! down nodes and the set of down links; after every fault event and
+//! every resnapshot the graph routes are planned on is rebuilt as that
+//! snapshot minus every edge touching a down node or link, and the link
+//! table is synced to it. So a failed satellite stays failed when the
+//! next snapshot arrives, and a restored link returns with the load it
+//! had when it failed (a dead link takes no load samples). Whether a
+//! packet dropped at a dead link was lost to a fault is read from the
+//! mask at that moment.
+//!
 //! Absolute reports are pinned by `tests/tests/netsim_golden.rs`.
 
-use openspace_net::outage::OutageTracker;
 use openspace_net::routing::{latency_weight, QosRequirement, RoutePlanner};
 use openspace_net::timeline::{TopologyProvider, TopologyTimeline};
 use openspace_net::topology::{Graph, NodeId};
@@ -59,7 +71,7 @@ use openspace_sim::rng::SimRng;
 use openspace_sim::stats::Summary;
 use openspace_sim::traffic::Arrivals;
 use openspace_telemetry::{NullRecorder, Recorder};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -380,13 +392,9 @@ struct Link {
     /// last replan reset — the divisor for utilization samples.
     measured_since_s: f64,
     util_ewma: f64,
-    /// Whether the link currently exists in the topology: forwards onto
-    /// a dead slot drop, pending `Depart`s fizzle.
+    /// Whether the link is in the work graph: forwards onto a dead slot
+    /// drop, pending `Depart`s fizzle.
     alive: bool,
-    /// Set when fault surgery removes the pair, cleared only by a fault
-    /// *restore* (a resnapshot revival leaves it), so a forward onto the
-    /// dead slot counts as a fault loss.
-    fault_removed: bool,
 }
 
 /// Slab of in-flight packets with a freelist. A packet is referenced by
@@ -498,29 +506,22 @@ impl LinkTable {
             measured_since_s: 0.0,
             util_ewma: 0.0,
             alive: false,
-            fault_removed: false,
         });
         self.pairs.push(pair);
         self.index.insert(pair, id);
         id
     }
 
-    /// Bring `pair` alive with fresh-link state: empty queue, EWMA
-    /// reset, measurement window starting now. This also overwrites a
-    /// still-alive link (a fault restore can race a resnapshot revival),
-    /// whose queued packets are discarded uncounted. Leaves
-    /// `fault_removed` as it is.
-    fn revive(
-        &mut self,
-        pair: (NodeId, NodeId),
-        capacity_bps: f64,
-        latency_s: f64,
-        now_s: f64,
-        slab: &mut PktSlab,
-    ) {
-        let id = self.id_for(pair);
+    /// Bring the dead slot `id` alive with fresh-link state: EWMA reset,
+    /// measurement window starting now. Its queue is already empty: a
+    /// slot is born dead with an empty queue, and [`kill`](Self::kill)
+    /// drains it.
+    fn revive(&mut self, id: LinkId, capacity_bps: f64, latency_s: f64, now_s: f64) {
         let link = &mut self.slots[id.0 as usize];
-        slab.free_queue(&mut link.queue);
+        debug_assert!(
+            !link.alive && link.queue.is_empty(),
+            "revive of a live slot"
+        );
         link.capacity_bps = capacity_bps;
         link.latency_s = latency_s;
         link.bits_sent = 0.0;
@@ -529,19 +530,15 @@ impl LinkTable {
         link.alive = true;
     }
 
-    /// Kill `pair`'s slot if alive, freeing its queued packets into
-    /// `slab`. Returns how many packets died
-    /// with the queue, or `None` if the pair was not alive.
-    fn kill(&mut self, pair: (NodeId, NodeId), slab: &mut PktSlab) -> Option<u64> {
-        let &id = self.index.get(&pair)?;
+    /// Kill the live slot `id`, freeing its queued packets into `slab`.
+    /// Returns how many packets died with the queue.
+    fn kill(&mut self, id: LinkId, slab: &mut PktSlab) -> u64 {
         let link = &mut self.slots[id.0 as usize];
-        if !link.alive {
-            return None;
-        }
+        debug_assert!(link.alive, "kill of a dead slot");
         let queued = link.queue.len() as u64;
         slab.free_queue(&mut link.queue);
         link.alive = false;
-        Some(queued)
+        queued
     }
 
     /// Alive `(pair, id)` entries in sorted pair order — the
@@ -557,10 +554,10 @@ impl LinkTable {
         out
     }
 
-    /// Sync the table to a fresh snapshot: links present in both keep queue/EWMA (capacity and latency
-    /// refreshed), links only in the graph come up fresh, links only in
-    /// the table die and lose their queues. Returns
-    /// `(links_kept, links_churned, packets_dropped)`.
+    /// Sync the table to the work graph: links present in both keep
+    /// queue/EWMA (capacity and latency refreshed), links only in the
+    /// graph come up fresh, links only in the table die and lose their
+    /// queues. Returns `(links_kept, links_churned, packets_dropped)`.
     fn rebuild_sync(&mut self, graph: &Graph, now: f64, slab: &mut PktSlab) -> (u64, u64, u64) {
         let preexisting = self.slots.len();
         let mut seen = vec![false; preexisting];
@@ -579,7 +576,7 @@ impl LinkTable {
                     link.latency_s = e.latency_s;
                 } else {
                     churned += 1;
-                    self.revive((NodeId(u), e.to), e.capacity_bps, e.latency_s, now, slab);
+                    self.revive(id, e.capacity_bps, e.latency_s, now);
                 }
             }
         }
@@ -587,9 +584,7 @@ impl LinkTable {
         for (idx, &was_seen) in seen.iter().enumerate() {
             if self.slots[idx].alive && !was_seen {
                 churned += 1;
-                lost += self
-                    .kill(self.pairs[idx], slab)
-                    .expect("alive slot kills cleanly");
+                lost += self.kill(LinkId(idx as u32), slab);
             }
         }
         (kept, churned, lost)
@@ -710,7 +705,9 @@ impl<'a> NetSim<'a> {
     /// a dead node are lost on arrival; flows whose path broke are
     /// re-routed on the degraded topology (in both routing modes —
     /// failure detection is not congestion adaptation). Recoveries
-    /// restore links with empty queues. An empty stream changes
+    /// restore links with empty queues. Faults compose with every
+    /// topology source: a down node or link stays masked out of every
+    /// later snapshot until its recovery event. An empty stream changes
     /// nothing, bit for bit.
     pub fn with_faults(mut self, events: &'a [TopologyEvent]) -> Self {
         self.events = events;
@@ -917,12 +914,15 @@ struct SimState<'a, 'r> {
     flow_latency_keys: Vec<Option<String>>,
 
     // Network.
-    /// The graph routes are planned on: loads, fault surgery and
-    /// resnapshots all land here.
+    /// The current snapshot, unfaulted, with the loads replans write.
+    full: Graph,
+    /// The graph routes are planned on and the link table mirrors:
+    /// `full` minus every edge touching a down node or link, rebuilt by
+    /// [`remask`](Self::remask).
     work_graph: Graph,
     /// Timeline runs patch a *pristine* mirror of the provider's
-    /// snapshots — never touched by loads or faults — so cloning it
-    /// reproduces `provider.topology_at(now)` bit for bit.
+    /// snapshots — never touched by loads — so cloning it reproduces
+    /// `provider.topology_at(now)` bit for bit.
     pristine: Option<Graph>,
     /// The k-th resnapshot applies timeline delta k.
     tick: usize,
@@ -931,7 +931,8 @@ struct SimState<'a, 'r> {
     /// One batched planner for every recompute: flows sharing a source
     /// share a tree, and scratch buffers persist across events.
     planner: RoutePlanner,
-    tracker: OutageTracker,
+    /// Links down now, each as its `(min, max)` endpoint pair.
+    down_links: BTreeSet<(NodeId, NodeId)>,
     replan_interval: Option<f64>,
     resnapshot_interval: Option<f64>,
     /// Node count of the initial snapshot, the availability divisor.
@@ -1009,7 +1010,8 @@ impl<'a, 'r> SimState<'a, 'r> {
             routes: Vec::new(),
             route_lost_at: vec![None; n_flows],
             node_count: graph.node_count(),
-            work_graph: graph,
+            work_graph: graph.clone(),
+            full: graph,
             pristine: match source {
                 TopologySource::Timeline(tl) => Some(tl.base().clone()),
                 _ => None,
@@ -1018,7 +1020,7 @@ impl<'a, 'r> SimState<'a, 'r> {
             slab,
             table,
             planner: RoutePlanner::new(),
-            tracker: OutageTracker::new(),
+            down_links: BTreeSet::new(),
             replan_interval: match cfg.routing {
                 RoutingMode::Adaptive { replan_interval_s } => Some(replan_interval_s),
                 RoutingMode::Proactive => None,
@@ -1195,10 +1197,11 @@ impl<'a, 'r> SimState<'a, 'r> {
             link.util_ewma = 0.5 * link.util_ewma + 0.5 * util.min(0.98);
             link.bits_sent = 0.0;
             link.measured_since_s = now;
-            // A link can leave the topology between replans (contact
-            // expiry on dynamic graphs): the stale entry is skipped
-            // instead of dying inside the event loop.
-            let _ = self.work_graph.set_load(u, v, link.util_ewma.min(0.98));
+            // A live link is in both graphs; `full` keeps the load for
+            // the next remask.
+            let load = link.util_ewma.min(0.98);
+            let _ = self.work_graph.set_load(u, v, load);
+            let _ = self.full.set_load(u, v, load);
         }
         // Loads changed under the QoS weight: cached trees are stale.
         self.planner.invalidate();
@@ -1217,8 +1220,8 @@ impl<'a, 'r> SimState<'a, 'r> {
         }
     }
 
-    /// Topology refresh: satellites have moved. Bring the work graph
-    /// and link table to the new snapshot and re-route every flow.
+    /// Topology refresh: satellites have moved. Take the new snapshot,
+    /// mask the faults out of it, and re-route every flow.
     fn resnapshot(&mut self, q: &mut EventQueue<Ev>, now: f64) {
         let Some(interval) = self.resnapshot_interval else {
             return; // resnapshot only ticks in dynamic mode
@@ -1226,7 +1229,7 @@ impl<'a, 'r> SimState<'a, 'r> {
         match self.source {
             TopologySource::Static(_) => return, // unscheduled; unreachable
             TopologySource::Provider { provider, .. } => {
-                self.work_graph = provider.topology_at(now);
+                self.full = provider.topology_at(now);
             }
             TopologySource::Timeline(tl) => {
                 let delta = tl
@@ -1240,13 +1243,11 @@ impl<'a, 'r> SimState<'a, 'r> {
                 mirror
                     .apply_delta(delta)
                     .expect("consecutive timeline deltas always chain");
-                self.work_graph = mirror.clone();
+                self.full = mirror.clone();
                 self.rec.add("netsim.timeline.deltas_applied", 1);
             }
         }
-        let (kept, churned, lost) = self
-            .table
-            .rebuild_sync(&self.work_graph, now, &mut self.slab);
+        let (kept, churned, lost) = self.remask(now);
         self.report.dropped += lost;
         self.rec.add("netsim.resnapshot.links_kept", kept);
         self.rec.add("netsim.resnapshot.links_churned", churned);
@@ -1262,53 +1263,47 @@ impl<'a, 'r> SimState<'a, 'r> {
         }
     }
 
-    /// Fault-plan event `idx` takes effect: apply it to the work graph
-    /// and link table, keep the availability books, and re-route the
-    /// flows whose path broke.
+    /// Fault-plan event `idx` takes effect: update the mask, keep the
+    /// availability books, and re-route the flows whose path broke.
+    ///
+    /// A duplicate down is idempotent, an unmatched up is ignored, and a
+    /// `LinkDown` on a down endpoint or on a link absent from the
+    /// current snapshot is ignored (so its `LinkUp` is unmatched).
     fn fault(&mut self, now: f64, idx: usize) {
-        let events = self.events;
-        let event = &events[idx];
-        // Mutate the topology *before* any bookkeeping: events were
-        // range-checked up front so application cannot fail here, but
-        // if it ever did, returning first keeps `down_since` consistent
-        // with the graph instead of corrupting availability/MTTR
-        // accounting with a half-applied event.
-        let Ok(delta) = self.tracker.apply(&mut self.work_graph, event) else {
-            return;
-        };
-        // Availability / MTTR bookkeeping from the (normalized) event
-        // stream: Down/Up alternate per node.
-        match event.kind {
+        let changed = match self.events[idx].kind {
             TopologyEventKind::NodeDown(n) => {
-                self.down_since.entry(n).or_insert(now);
+                let fresh = !self.down_since.contains_key(&n);
+                if fresh {
+                    self.down_since.insert(n, now);
+                }
+                fresh
             }
-            TopologyEventKind::NodeUp(n) => {
-                if let Some(t0) = self.down_since.remove(&n) {
+            TopologyEventKind::NodeUp(n) => match self.down_since.remove(&n) {
+                Some(t0) => {
                     self.downtime_total += now - t0;
                     self.repairs += 1;
+                    true
                 }
+                None => false,
+            },
+            TopologyEventKind::LinkDown(a, b) => {
+                let present =
+                    self.full.find_edge(a, b).is_some() || self.full.find_edge(b, a).is_some();
+                present && !self.masked(a, b) && self.down_links.insert((a.min(b), a.max(b)))
             }
-            _ => {}
-        }
+            TopologyEventKind::LinkUp(a, b) => self.down_links.remove(&(a.min(b), a.max(b))),
+            // Membership bookkeeping, not a topology change: the compiler
+            // emits explicit NodeDown events for the operator's assets.
+            TopologyEventKind::OperatorWithdrawn(_) => false,
+        };
         self.report.fault.events_applied += 1;
-        for &pair in &delta.removed_links {
-            // Mark first, then kill: the mark outlives the slot's death,
-            // so a later forward onto the dead slot counts as a fault
-            // loss.
-            let id = self.table.id_for(pair);
-            self.table.link_mut(id).fault_removed = true;
-            if let Some(queued) = self.table.kill(pair, &mut self.slab) {
-                self.report.dropped += queued;
-                self.report.fault.packets_lost += queued;
-            }
+        if !changed {
+            return;
         }
-        for (u, e) in &delta.restored_links {
-            let id = self.table.id_for((*u, e.to));
-            self.table.link_mut(id).fault_removed = false;
-            self.table
-                .revive((*u, e.to), e.capacity_bps, e.latency_s, now, &mut self.slab);
-        }
-        if delta.is_empty() {
+        let (_, churned, lost) = self.remask(now);
+        self.report.dropped += lost;
+        self.report.fault.packets_lost += lost;
+        if churned == 0 {
             return;
         }
         // Graceful degradation: flows whose path broke re-route on the
@@ -1345,6 +1340,27 @@ impl<'a, 'r> SimState<'a, 'r> {
                 _ => {}
             }
         }
+    }
+
+    /// Whether a fault masks the link between `u` and `v` (either
+    /// direction): an endpoint or the link itself is down.
+    fn masked(&self, u: NodeId, v: NodeId) -> bool {
+        self.down_since.contains_key(&u)
+            || self.down_since.contains_key(&v)
+            || self.down_links.contains(&(u.min(v), u.max(v)))
+    }
+
+    /// Rebuild the work graph as `full` minus every masked edge and sync
+    /// the link table to it. Returns `rebuild_sync`'s
+    /// `(links_kept, links_churned, packets_dropped)`.
+    fn remask(&mut self, now: f64) -> (u64, u64, u64) {
+        let mut graph = self.full.clone();
+        if !self.down_since.is_empty() || !self.down_links.is_empty() {
+            graph.retain_edges(|u, e| !self.masked(u, e.to));
+        }
+        self.work_graph = graph;
+        self.table
+            .rebuild_sync(&self.work_graph, now, &mut self.slab)
     }
 
     /// Route the flows named by `idxs` (every flow for `None`) in one
@@ -1393,17 +1409,19 @@ impl<'a, 'r> SimState<'a, 'r> {
             let p = self.slab.get(pid);
             (p.bytes, p.route.links[p.hop as usize])
         };
-        let link = self.table.link_mut(lid);
-        if !link.alive {
+        if !self.table.link(lid).alive {
             // Route references a vanished link (possible after replans on
-            // a changed snapshot, or right after a fault); count as a drop.
+            // a changed snapshot, or right after a fault); count as a drop,
+            // and as a fault loss if a fault masks the link now.
             self.report.dropped += 1;
-            if link.fault_removed {
+            let (u, v) = self.table.pairs[lid.0 as usize];
+            if self.masked(u, v) {
                 self.report.fault.packets_lost += 1;
             }
             self.slab.free(pid);
             return;
         }
+        let link = self.table.link_mut(lid);
         let idle = link.queue.is_empty();
         if link.queue.enqueue(pid, bytes).is_err() {
             self.report.dropped += 1;
@@ -1885,6 +1903,41 @@ mod tests {
     }
 
     #[test]
+    fn faults_persist_across_resnapshots() {
+        // Node 1 (on the fast path) fails for good at 2 s. A refresh to
+        // the same graph must not bring it back: provider and timeline
+        // runs equal the static run. Seed 2 puts no packet in flight
+        // toward node 1 at 2 s, so the static run loses none to the
+        // fault, and a dynamic run that loses any has routed over the
+        // failed node again.
+        let g = diamond(5e6);
+        let plan = FaultPlan::builder()
+            .sat_failure(1usize, 2.0)
+            .build()
+            .unwrap();
+        let events = compile_plan(&plan, 4);
+        let flows = [flow(0, 3, 1.5e5)];
+        let sim = NetSim::new(NetSimConfig {
+            seed: 2,
+            ..secs(10.0)
+        })
+        .with_faults(&events);
+        let stat = sim.with_snapshot(&g).run(&flows).unwrap();
+        let provider = |_t: f64| g.clone();
+        let tl = TopologyTimeline::build(&provider, 0.0, 1.0, 10.0, 1).unwrap();
+        for (name, dynamic) in [
+            ("provider", sim.with_provider(&provider, 1.0)),
+            ("timeline", sim.with_timeline(&tl)),
+        ] {
+            let r = dynamic.run(&flows).unwrap();
+            assert_eq!(r.fault.packets_lost, 0, "{name}");
+            assert_eq!(r, stat, "{name}");
+        }
+        assert_eq!((stat.fault.packets_lost, stat.generated), (0, 125));
+        assert_eq!(stat.fault.reassociations, 1, "failover onto the bypass");
+    }
+
+    #[test]
     fn timeline_run_reports_delta_counters() {
         let flows = [flow(0, 3, 1e6)];
         let tl = TopologyTimeline::build(&churning_provider, 0.0, 1.0, 10.0, 1).unwrap();
@@ -2166,6 +2219,117 @@ mod tests {
             rec.counter("netsim.fault.reassociations"),
             plain.fault.reassociations
         );
+    }
+
+    fn ring(n: usize) -> Graph {
+        let mut g = Graph::new(n, 0);
+        for i in 0..n {
+            g.add_bidirectional(i, (i + 1) % n, 0.004, 1e9, 0, 0, LinkTech::Rf);
+        }
+        g
+    }
+
+    /// The work graph after the fault handler applied `kinds`, in order,
+    /// to a static run on `g`.
+    fn masked_after(g: &Graph, kinds: &[TopologyEventKind]) -> Graph {
+        let events: Vec<TopologyEvent> = kinds
+            .iter()
+            .map(|&kind| TopologyEvent {
+                at_s: 1.0,
+                seq: 0,
+                kind,
+            })
+            .collect();
+        let cfg = NetSimConfig::default();
+        let mut rec = NullRecorder;
+        let source = TopologySource::Static(g);
+        let mut state = SimState::new(source, g.clone(), &[], &[], &cfg, &events, &mut rec);
+        for idx in 0..events.len() {
+            state.fault(1.0, idx);
+        }
+        state.work_graph
+    }
+
+    #[test]
+    fn fault_mask_removes_and_restores_a_node() {
+        use TopologyEventKind::{NodeDown, NodeUp};
+        let g = ring(5);
+        let down = masked_after(&g, &[NodeDown(NodeId(2))]);
+        assert_eq!(down.degree(2usize), 0);
+        assert_eq!(down.edge_count(), g.edge_count() - 4);
+        assert_eq!(
+            masked_after(&g, &[NodeDown(NodeId(2)), NodeUp(NodeId(2))]),
+            g
+        );
+    }
+
+    #[test]
+    fn fault_mask_duplicate_down_is_idempotent() {
+        use TopologyEventKind::{NodeDown, NodeUp};
+        let g = ring(4);
+        // One up restores a node that went down twice.
+        let twice = [NodeDown(NodeId(1)), NodeDown(NodeId(1)), NodeUp(NodeId(1))];
+        assert_eq!(masked_after(&g, &twice), g);
+    }
+
+    #[test]
+    fn fault_mask_up_without_down_is_a_no_op() {
+        use TopologyEventKind::{LinkDown, LinkUp, NodeUp};
+        let g = ring(4);
+        let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
+        // Ups with no matching down, and a down of a link the snapshot
+        // does not have.
+        assert_eq!(masked_after(&g, &[NodeUp(n0), LinkUp(n0, n1)]), g);
+        assert_eq!(masked_after(&g, &[LinkDown(n0, n2)]), g);
+    }
+
+    #[test]
+    fn fault_mask_link_fault_on_dead_node_is_a_no_op() {
+        use TopologyEventKind::{LinkDown, LinkUp, NodeDown, NodeUp};
+        let g = ring(4);
+        let (n0, n1) = (NodeId(0), NodeId(1));
+        // A link fault on a down endpoint is ignored: its up does not
+        // bring back edges the node outage holds, and the node's own up
+        // restores the link.
+        let shadowed = masked_after(&g, &[NodeDown(n0), LinkDown(n0, n1), LinkUp(n0, n1)]);
+        assert_eq!(shadowed.degree(0usize), 0);
+        assert!(shadowed.find_edge(1usize, 0usize).is_none());
+        let restored = [NodeDown(n0), LinkDown(n0, n1), NodeUp(n0)];
+        assert_eq!(masked_after(&g, &restored), g);
+    }
+
+    #[test]
+    fn fault_mask_link_keys_are_direction_insensitive() {
+        use TopologyEventKind::{LinkDown, LinkUp};
+        let g = ring(4);
+        let down = masked_after(&g, &[LinkDown(NodeId(2), NodeId(1))]);
+        assert!(down.find_edge(1usize, 2usize).is_none());
+        assert!(down.find_edge(2usize, 1usize).is_none());
+        assert_eq!(down.edge_count(), g.edge_count() - 2);
+        let flap = [LinkDown(NodeId(2), NodeId(1)), LinkUp(NodeId(1), NodeId(2))];
+        assert_eq!(masked_after(&g, &flap), g);
+    }
+
+    #[test]
+    fn forward_onto_a_failed_link_is_a_fault_loss() {
+        // Chain 0 - 1 - 2 with a 10 ms first hop. When link 1-2 fails,
+        // the packets still propagating on 0 -> 1 arrive at a dead next
+        // hop, and each is a fault loss, not only a drop.
+        let mut g = Graph::new(3, 0);
+        g.add_bidirectional(0, 1, 0.010, 1e9, 0, 0, LinkTech::Rf);
+        g.add_bidirectional(1, 2, 0.002, 1e9, 0, 0, LinkTech::Rf);
+        let events = [TopologyEvent {
+            at_s: 5.0,
+            seq: 0,
+            kind: TopologyEventKind::LinkDown(NodeId(1), NodeId(2)),
+        }];
+        let r = NetSim::new(secs(10.0))
+            .with_snapshot(&g)
+            .with_faults(&events)
+            .run(&[flow(0, 2, 5e6)])
+            .unwrap();
+        assert!(r.fault.packets_lost >= 3, "lost {}", r.fault.packets_lost);
+        assert_eq!(r.dropped, r.fault.packets_lost);
     }
 
     #[test]

@@ -21,9 +21,6 @@
 //!   operators whose satellites are scheduled to be disconnected (§2).
 //! * [`policy`] — regulation-aware routing: jurisdictions, downlink
 //!   licenses, and per-user privacy policies (§5's open problem (3)).
-//! * [`outage`] — applies compiled fault-plan events
-//!   ([`openspace_sim::fault`]) to a live [`topology::Graph`] and
-//!   reverts them exactly, with idempotent bookkeeping.
 //! * [`timeline`] — precomputed snapshot sequences: a base graph plus
 //!   per-tick [`topology::GraphDelta`]s, replayable bit-identically to
 //!   on-demand snapshot builds (§2.2's known-and-public topology as a
@@ -60,7 +57,6 @@ pub mod contact;
 pub mod dtn;
 pub mod handover;
 pub mod isl;
-pub mod outage;
 pub mod policy;
 pub mod routing;
 pub mod timeline;
@@ -86,7 +82,6 @@ pub mod prelude {
         build_snapshot_recorded, isl_capacity_bps, snapshot_delta, snapshot_delta_recorded,
         GroundNode, SatNode, SnapshotParams,
     };
-    pub use crate::outage::{OutageTracker, TopologyDelta};
     pub use crate::policy::{
         audit_path, policy_route, DownlinkLicense, Jurisdiction, PolicyRoute, RoutePolicy,
         StationAttrs,
@@ -97,7 +92,7 @@ pub mod prelude {
     };
     pub use crate::timeline::{TimelineError, TopologyProvider, TopologyTimeline};
     pub use crate::topology::{
-        Edge, Graph, GraphDelta, GsId, LinkOutage, LinkTech, NoSuchEdge, NodeId, NodeKind,
-        NodeOutage, OperatorId, SatId, TopologyError,
+        Edge, Graph, GraphDelta, GsId, LinkTech, NoSuchEdge, NodeId, NodeKind, OperatorId, SatId,
+        TopologyError,
     };
 }

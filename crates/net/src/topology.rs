@@ -12,11 +12,9 @@
 //! [`openspace_sim::ids`] ([`NodeId`], [`SatId`], [`GsId`]), so a
 //! satellite-array index can't silently be used as a graph-node index.
 //!
-//! Fault injection enters here: [`Graph::fail_node`] and
-//! [`Graph::fail_link`] remove an entity's edges while recording exactly
-//! what was removed, and the matching `restore_*` methods put them back
-//! — applied and reverted in LIFO order, the graph is restored
-//! bit-for-bit (a property the fault tests pin down).
+//! Faults never edit a graph: the packet simulator keeps the current
+//! snapshot whole and plans on a copy filtered by
+//! [`Graph::retain_edges`] to the elements that are up.
 
 pub use openspace_sim::ids::{GsId, NodeId, OperatorId, SatId};
 
@@ -39,18 +37,9 @@ impl std::fmt::Display for NoSuchEdge {
 
 impl std::error::Error for NoSuchEdge {}
 
-/// Error from the topology-mutation API.
+/// Error from diffing or patching snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyError {
-    /// A node index referred past the end of the graph.
-    NodeOutOfRange {
-        /// The offending node.
-        node: NodeId,
-        /// Graph node count.
-        len: usize,
-    },
-    /// The addressed link does not exist (in either direction).
-    NoSuchEdge(NoSuchEdge),
     /// Two graphs with different node rosters cannot be diffed or
     /// patched against each other.
     ShapeMismatch {
@@ -71,10 +60,6 @@ pub enum TopologyError {
 impl std::fmt::Display for TopologyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TopologyError::NodeOutOfRange { node, len } => {
-                write!(f, "node {node} out of range (graph has {len} nodes)")
-            }
-            TopologyError::NoSuchEdge(e) => write!(f, "{e}"),
             TopologyError::ShapeMismatch { expected, found } => write!(
                 f,
                 "graph shape mismatch: delta built for {}+{} nodes, found {}+{}",
@@ -88,12 +73,6 @@ impl std::fmt::Display for TopologyError {
 }
 
 impl std::error::Error for TopologyError {}
-
-impl From<NoSuchEdge> for TopologyError {
-    fn from(e: NoSuchEdge) -> Self {
-        TopologyError::NoSuchEdge(e)
-    }
-}
 
 /// Link technology of an edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,75 +109,6 @@ pub struct Edge {
     /// Current utilization in `[0, 1)`; 0 in a fresh snapshot, set by the
     /// traffic simulation for QoS-aware routing.
     pub load_fraction: f64,
-}
-
-/// Record of a node outage: everything [`Graph::fail_node`] removed,
-/// in a form [`Graph::restore_node`] can replay exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeOutage {
-    node: NodeId,
-    /// The failed node's own out-edges, in their original order.
-    out_edges: Vec<Edge>,
-    /// In-edges from other nodes: `(owner, original position, edge)`,
-    /// recorded in ascending owner/position order.
-    in_edges: Vec<(NodeId, usize, Edge)>,
-}
-
-impl NodeOutage {
-    /// The failed node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Directed links removed by the failure, as `(from, to)` pairs.
-    pub fn removed_links(&self) -> Vec<(NodeId, NodeId)> {
-        let out = self.out_edges.iter().map(|e| (self.node, e.to));
-        let inn = self
-            .in_edges
-            .iter()
-            .map(|(owner, _, _)| (*owner, self.node));
-        out.chain(inn).collect()
-    }
-
-    /// Directed links this outage will restore, with their edge data.
-    pub fn restored_links(&self) -> Vec<(NodeId, Edge)> {
-        let out = self.out_edges.iter().map(|e| (self.node, *e));
-        let inn = self.in_edges.iter().map(|(owner, _, e)| (*owner, *e));
-        out.chain(inn).collect()
-    }
-}
-
-/// Record of a link outage (both directions of one link), replayable by
-/// [`Graph::restore_link`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkOutage {
-    a: NodeId,
-    b: NodeId,
-    /// Removed directions: `(owner, original position, edge)`.
-    removed: Vec<(NodeId, usize, Edge)>,
-}
-
-impl LinkOutage {
-    /// The link's endpoints as given to [`Graph::fail_link`].
-    pub fn endpoints(&self) -> (NodeId, NodeId) {
-        (self.a, self.b)
-    }
-
-    /// Directed links removed, as `(from, to)` pairs.
-    pub fn removed_links(&self) -> Vec<(NodeId, NodeId)> {
-        self.removed
-            .iter()
-            .map(|(owner, _, e)| (*owner, e.to))
-            .collect()
-    }
-
-    /// Directed links this outage will restore, with their edge data.
-    pub fn restored_links(&self) -> Vec<(NodeId, Edge)> {
-        self.removed
-            .iter()
-            .map(|(owner, _, e)| (*owner, *e))
-            .collect()
-    }
 }
 
 /// Bit-exact equality of two edges (`f64` fields compared by bit
@@ -507,91 +417,13 @@ impl Graph {
         seen
     }
 
-    /// Fail `node`: remove its out-edges and every in-edge pointing at
-    /// it, returning a [`NodeOutage`] that [`Graph::restore_node`] can
-    /// replay. A node with no incident edges fails successfully with an
-    /// empty outage (it is simply unreachable either way).
-    pub fn fail_node(&mut self, node: impl Into<NodeId>) -> Result<NodeOutage, TopologyError> {
-        let node = node.into();
-        if node.0 >= self.node_count() {
-            return Err(TopologyError::NodeOutOfRange {
-                node,
-                len: self.node_count(),
-            });
-        }
-        let out_edges = std::mem::take(&mut self.adj[node.0]);
-        let mut in_edges = Vec::new();
-        for owner in 0..self.adj.len() {
-            // Collect positions first, then remove descending so earlier
-            // positions stay valid — and restore (reverse order, insert
-            // at recorded position) reconstructs the exact layout.
-            let positions: Vec<usize> = self.adj[owner]
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.to == node)
-                .map(|(i, _)| i)
-                .collect();
-            for &pos in positions.iter().rev() {
-                let edge = self.adj[owner].remove(pos);
-                in_edges.push((NodeId(owner), pos, edge));
-            }
-        }
-        Ok(NodeOutage {
-            node,
-            out_edges,
-            in_edges,
-        })
-    }
-
-    /// Undo a [`Graph::fail_node`]. Outages must be reverted in reverse
-    /// order of application (LIFO) for exact restoration.
-    pub fn restore_node(&mut self, outage: NodeOutage) {
-        for (owner, pos, edge) in outage.in_edges.into_iter().rev() {
-            let list = &mut self.adj[owner.0];
-            let at = pos.min(list.len());
-            list.insert(at, edge);
-        }
-        self.adj[outage.node.0] = outage.out_edges;
-    }
-
-    /// Fail the link between `a` and `b`: remove both directions (where
-    /// present), returning a [`LinkOutage`] for [`Graph::restore_link`].
-    /// Errs with [`TopologyError::NoSuchEdge`] when neither direction
-    /// exists — e.g. the link's endpoint already failed.
-    pub fn fail_link(
-        &mut self,
-        a: impl Into<NodeId>,
-        b: impl Into<NodeId>,
-    ) -> Result<LinkOutage, TopologyError> {
-        let (a, b) = (a.into(), b.into());
-        for node in [a, b] {
-            if node.0 >= self.node_count() {
-                return Err(TopologyError::NodeOutOfRange {
-                    node,
-                    len: self.node_count(),
-                });
-            }
-        }
-        let mut removed = Vec::new();
-        for (from, to) in [(a, b), (b, a)] {
-            if let Some(pos) = self.adj[from.0].iter().position(|e| e.to == to) {
-                let edge = self.adj[from.0].remove(pos);
-                removed.push((from, pos, edge));
-            }
-        }
-        if removed.is_empty() {
-            return Err(NoSuchEdge { from: a, to: b }.into());
-        }
-        Ok(LinkOutage { a, b, removed })
-    }
-
-    /// Undo a [`Graph::fail_link`]. Same LIFO discipline as
-    /// [`Graph::restore_node`].
-    pub fn restore_link(&mut self, outage: LinkOutage) {
-        for (owner, pos, edge) in outage.removed.into_iter().rev() {
-            let list = &mut self.adj[owner.0];
-            let at = pos.min(list.len());
-            list.insert(at, edge);
+    /// Keep only the edges `(from, edge)` for which `keep` holds. Every
+    /// row keeps its surviving edges in their original order, so a
+    /// filtered copy of a snapshot is bit-identical to the snapshot with
+    /// those edges never added.
+    pub fn retain_edges(&mut self, mut keep: impl FnMut(NodeId, &Edge) -> bool) {
+        for (u, row) in self.adj.iter_mut().enumerate() {
+            row.retain(|e| keep(NodeId(u), e));
         }
     }
 }
@@ -690,77 +522,15 @@ mod tests {
     }
 
     #[test]
-    fn fail_node_removes_all_incident_edges() {
+    fn retain_edges_keeps_row_order() {
         let mut g = line_graph();
-        let outage = g.fail_node(1usize).unwrap();
-        assert_eq!(g.edge_count(), 0, "sat1 touched every link");
-        assert_eq!(g.degree(1usize), 0);
-        assert_eq!(outage.node(), NodeId(1));
-        assert_eq!(outage.removed_links().len(), 4);
-    }
-
-    #[test]
-    fn restore_node_recovers_exact_graph() {
-        let original = line_graph();
-        let mut g = original.clone();
-        let outage = g.fail_node(1usize).unwrap();
-        assert_ne!(g, original);
-        g.restore_node(outage);
-        assert_eq!(g, original);
-    }
-
-    #[test]
-    fn fail_link_removes_both_directions() {
-        let mut g = line_graph();
-        let outage = g.fail_link(0usize, 1usize).unwrap();
-        assert!(g.find_edge(0usize, 1usize).is_none());
-        assert!(g.find_edge(1usize, 0usize).is_none());
-        assert!(
-            g.find_edge(1usize, 2usize).is_some(),
-            "other link untouched"
-        );
-        g.restore_link(outage);
-        assert_eq!(g, line_graph());
-    }
-
-    #[test]
-    fn fail_missing_link_is_an_error() {
-        let mut g = line_graph();
-        assert_eq!(
-            g.fail_link(0usize, 2usize),
-            Err(TopologyError::NoSuchEdge(NoSuchEdge {
-                from: NodeId(0),
-                to: NodeId(2)
-            }))
-        );
-        assert!(matches!(
-            g.fail_node(99usize),
-            Err(TopologyError::NodeOutOfRange { len: 3, .. })
-        ));
-        assert!(matches!(
-            g.fail_link(0usize, 99usize),
-            Err(TopologyError::NodeOutOfRange { .. })
-        ));
-    }
-
-    #[test]
-    fn nested_outages_restore_in_lifo_order() {
-        let original = line_graph();
-        let mut g = original.clone();
-        let link = g.fail_link(0usize, 1usize).unwrap();
-        let node = g.fail_node(2usize).unwrap();
-        g.restore_node(node);
-        g.restore_link(link);
-        assert_eq!(g, original);
-    }
-
-    #[test]
-    fn isolated_node_fails_with_empty_outage() {
-        let mut g = Graph::new(2, 0);
-        let outage = g.fail_node(1usize).unwrap();
-        assert!(outage.removed_links().is_empty());
-        g.restore_node(outage);
-        assert_eq!(g, Graph::new(2, 0));
+        g.add_bidirectional(0usize, 2usize, 0.004, 1e6, 1u32, 9u32, LinkTech::Optical);
+        // Drop everything touching sat1: what is left is the 0-2 link
+        // alone, as if it had been the only one added.
+        g.retain_edges(|u, e| u != NodeId(1) && e.to != NodeId(1));
+        let mut only = Graph::new(2, 1);
+        only.add_bidirectional(0usize, 2usize, 0.004, 1e6, 1u32, 9u32, LinkTech::Optical);
+        assert_eq!(g, only);
     }
 
     /// `line_graph` with the 0-1 link dropped, a new 0-2 link added, and

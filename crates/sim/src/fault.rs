@@ -29,7 +29,8 @@ use crate::rng::SimRng;
 pub enum TopologyEventKind {
     /// A node (satellite or ground station) fails: all incident links drop.
     NodeDown(NodeId),
-    /// A previously failed node recovers with its original links.
+    /// A previously failed node recovers: its links in the current
+    /// topology come back.
     NodeUp(NodeId),
     /// The bidirectional link between two nodes drops.
     LinkDown(NodeId, NodeId),
@@ -533,52 +534,6 @@ impl FaultPlanBuilder {
     }
 }
 
-/// Mean time to repair (s) over the repairs completed in `events`:
-/// the average down-to-up span per entity, counting only outages whose
-/// recovery occurs in the sequence. Returns `None` when nothing was
-/// repaired (e.g. only permanent failures).
-pub fn mean_time_to_repair_s(events: &[TopologyEvent]) -> Option<f64> {
-    use std::collections::HashMap;
-    // An entity is down from its first Down until the matching Up;
-    // nested Downs on the same entity (possible when plans overlap) are
-    // idempotent, so only the earliest open Down counts.
-    let mut down_since: HashMap<TopologyEventKind, f64> = HashMap::new();
-    let mut total = 0.0;
-    let mut n = 0u64;
-    for ev in events {
-        match ev.kind {
-            TopologyEventKind::NodeDown(node) => {
-                down_since
-                    .entry(TopologyEventKind::NodeDown(node))
-                    .or_insert(ev.at_s);
-            }
-            TopologyEventKind::NodeUp(node) => {
-                if let Some(t0) = down_since.remove(&TopologyEventKind::NodeDown(node)) {
-                    total += ev.at_s - t0;
-                    n += 1;
-                }
-            }
-            TopologyEventKind::LinkDown(a, b) => {
-                down_since
-                    .entry(TopologyEventKind::LinkDown(a, b))
-                    .or_insert(ev.at_s);
-            }
-            TopologyEventKind::LinkUp(a, b) => {
-                if let Some(t0) = down_since.remove(&TopologyEventKind::LinkDown(a, b)) {
-                    total += ev.at_s - t0;
-                    n += 1;
-                }
-            }
-            TopologyEventKind::OperatorWithdrawn(_) => {}
-        }
-    }
-    if n == 0 {
-        None
-    } else {
-        Some(total / n as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,20 +732,6 @@ mod tests {
             plan.compile(&topo()),
             Err(ConfigError::IndexOutOfRange { len: 2, .. })
         ));
-    }
-
-    #[test]
-    fn mttr_averages_completed_repairs_only() {
-        let plan = FaultPlan::builder()
-            .sat_outage(0usize, 10.0, 4.0)
-            .sat_outage(1usize, 20.0, 6.0)
-            .sat_failure(2usize, 30.0)
-            .build()
-            .unwrap();
-        let events = plan.compile(&topo()).unwrap();
-        let mttr = mean_time_to_repair_s(&events).unwrap();
-        assert!((mttr - 5.0).abs() < 1e-12, "mttr {mttr}");
-        assert_eq!(mean_time_to_repair_s(&[]), None);
     }
 
     #[test]

@@ -60,8 +60,7 @@ pub mod prelude {
     pub use crate::engine::{EventQueue, SimTime};
     pub use crate::exec::{default_threads, parallel_map_seeded};
     pub use crate::fault::{
-        mean_time_to_repair_s, FaultPlan, FaultPlanBuilder, FaultSpec, FaultTopology,
-        TopologyEvent, TopologyEventKind,
+        FaultPlan, FaultPlanBuilder, FaultSpec, FaultTopology, TopologyEvent, TopologyEventKind,
     };
     pub use crate::ids::{GsId, NodeId, OperatorId, SatId};
     pub use crate::queue::{DropTailQueue, PriorityQueue};

@@ -390,20 +390,20 @@ fn golden_timeline_adaptive_with_faults() {
         &mixed_flows(),
         Golden {
             generated: 2837,
-            delivered: 2049,
-            dropped: 527,
-            unroutable: 261,
-            delivery_ratio: 0.7222418047232992,
-            mean_latency_s: 0.015172266418893347,
-            p95_latency_s: 0.020001399999999947,
+            delivered: 2278,
+            dropped: 3,
+            unroutable: 554,
+            delivery_ratio: 0.8029608741628481,
+            mean_latency_s: 0.016227083882584915,
+            p95_latency_s: 0.020001815000003018,
             max_link_utilization: 0.4544,
             events_applied: 7,
-            packets_lost: 525,
+            packets_lost: 2,
             node_availability: 0.875,
             mttr_s: Some(4.0),
-            reassociations: 3,
-            mean_reassociation_latency_s: Some(1.3333333333333333),
-            events_processed: 12135,
+            reassociations: 2,
+            mean_reassociation_latency_s: Some(0.0),
+            events_processed: 12006,
             queue_depth_high_water: 18.0,
             slab_high_water: 8.0,
         },
