@@ -109,7 +109,13 @@ fn bench_snapshot() {
         .collect();
     let params = SnapshotParams::default();
     bench("build_snapshot_iridium", window(), || {
-        black_box(build_snapshot(black_box(0.0), &nodes, &stations, &params));
+        black_box(build_snapshot(
+            black_box(0.0),
+            &nodes,
+            &stations,
+            &params,
+            &mut NullRecorder,
+        ));
     });
 
     // Dense vs nearest-first neighbour search at a Starlink-shell scale,
@@ -227,6 +233,7 @@ fn bench_contact_scan() {
             7_200.0,
             5.0,
             mask,
+            &mut NullRecorder,
         ));
     });
 }
@@ -234,13 +241,14 @@ fn bench_contact_scan() {
 fn bench_routing() {
     let nodes = iridium_nodes();
     let params = SnapshotParams::default();
-    let graph = build_snapshot(0.0, &nodes, &[], &params);
+    let graph = build_snapshot(0.0, &nodes, &[], &params, &mut NullRecorder);
     bench("dijkstra_iridium_crossing", window(), || {
         black_box(shortest_path(
             &graph,
             black_box(0),
             black_box(35),
             latency_weight,
+            &mut NullRecorder,
         ));
     });
     bench("yen_k4_iridium", window(), || {
@@ -251,7 +259,7 @@ fn bench_routing() {
         max_latency_s: f64::INFINITY,
     };
     bench("qos_route_iridium", window(), || {
-        black_box(qos_route(&graph, 0, 35, &req, 12_000.0));
+        black_box(qos_route(&graph, 0, 35, &req, 12_000.0, &mut NullRecorder));
     });
 
     // The replan-heavy shape: 64 flows leaving 4 gateway sources. The
@@ -263,7 +271,8 @@ fn bench_routing() {
         .collect();
     bench("route_64flows_4src_per_flow", window(), || {
         for &(s, d) in &requests {
-            black_box(shortest_path(&graph, s, d, latency_weight));
+            let rec = &mut NullRecorder;
+            black_box(shortest_path(&graph, s, d, latency_weight, rec));
         }
     });
     bench("route_64flows_4src_planner", window(), || {
@@ -272,17 +281,17 @@ fn bench_routing() {
     });
     bench("qos_64flows_4src_per_flow", window(), || {
         for &(s, d) in &requests {
-            black_box(qos_route(&graph, s, d, &req, 12_000.0));
+            black_box(qos_route(&graph, s, d, &req, 12_000.0, &mut NullRecorder));
         }
     });
     bench("qos_64flows_4src_planner", window(), || {
         let mut planner = RoutePlanner::new();
-        black_box(planner.plan_qos_recorded(
+        black_box(planner.plan_mapped(
             &graph,
             &requests,
-            &req,
-            12_000.0,
-            &mut openspace_telemetry::NullRecorder,
+            req.weight(12_000.0),
+            |p| req.admit(p),
+            &mut NullRecorder,
         ));
     });
 
@@ -306,18 +315,18 @@ fn bench_routing() {
     let req = QosRequirement::best_effort();
     bench("qos_256flows_walker_1584_per_flow", window(), || {
         for &(s, d) in &requests {
-            black_box(qos_route(&graph, s, d, &req, 12_000.0));
+            black_box(qos_route(&graph, s, d, &req, 12_000.0, &mut NullRecorder));
         }
     });
     let mut planner = RoutePlanner::new();
     bench("qos_256flows_walker_1584_planner", window(), || {
         planner.invalidate();
-        black_box(planner.plan_qos_recorded(
+        black_box(planner.plan_mapped(
             &graph,
             &requests,
-            &req,
-            12_000.0,
-            &mut openspace_telemetry::NullRecorder,
+            req.weight(12_000.0),
+            |p| req.admit(p),
+            &mut NullRecorder,
         ));
     });
 }
@@ -429,10 +438,9 @@ fn bench_extensions() {
         &SnapshotParams::default(),
     );
     bench("dtn_earliest_arrival_day_plan", window(), || {
-        black_box(openspace_net::dtn::earliest_arrival(
-            &contacts, 2, 0, 1, 0.0, 1e6,
-        ))
-        .ok();
+        let (retry, rec) = (RetryPolicy::default(), &mut NullRecorder);
+        let arrival = earliest_arrival(&contacts, 2, 0, 1, 0.0, 1e6, &[], retry, rec);
+        black_box(arrival).ok();
     });
 
     // Shapley over an 8-member game.
@@ -466,7 +474,7 @@ fn bench_extensions() {
     let sats = iridium_nodes();
     let stations: Vec<GroundNode> = Vec::new();
     let params = SnapshotParams::default();
-    let dyn_provider = |t: f64| build_snapshot(t, &sats, &stations, &params);
+    let dyn_provider = |t: f64| build_snapshot(t, &sats, &stations, &params, &mut NullRecorder);
     let g0 = dyn_provider(0.0);
     let dyn_flows = [FlowSpec {
         src: 0.into(),
@@ -585,7 +593,7 @@ fn bench_demand() {
     bench("demand_flows_1m_users", window(), || {
         let t = (hour % 24) as f64 * 3_600.0;
         hour += 1;
-        black_box(model.flows_at(t));
+        black_box(model.flows_at(t, &mut NullRecorder));
     });
 }
 

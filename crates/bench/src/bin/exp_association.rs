@@ -14,6 +14,7 @@ use openspace_bench::{ground_user, print_header, standard_federation};
 use openspace_core::prelude::*;
 use openspace_net::handover::service_schedule;
 use openspace_phy::hardware::SatelliteClass;
+use openspace_telemetry::NullRecorder;
 
 fn main() {
     let mut fed = standard_federation(4, &[SatelliteClass::SmallSat]);
@@ -66,8 +67,9 @@ fn main() {
         let t1 = (k + 1) as f64 * day / 3.0;
         // Day-scale plans are where the horizon-skip scanner pays off:
         // identical windows, most below-mask samples never propagated.
-        let windows = fed.contact_plan(pos, t0, t1, 10.0);
-        let sched = service_schedule(&windows, t0, t1).expect("valid service window");
+        let windows = fed.contact_plan(pos, t0, t1, 10.0, &mut NullRecorder);
+        let sched = service_schedule(&windows, &[], t0, t1, &mut NullRecorder)
+            .expect("valid service window");
         handovers += sched.handovers;
         reassociations += 1; // one re-auth per relocation
     }

@@ -55,7 +55,7 @@ fn main() {
             // the nearest-first snapshot builder's counters in the
             // manifest; outputs are bitwise-identical to the plain
             // calls.
-            let windows = fed.contact_plan_recorded(pos, 0.0, 3_600.0, 10.0, run.rec());
+            let windows = fed.contact_plan(pos, 0.0, 3_600.0, 10.0, run.rec());
             let cov = coverage_time_fraction(&windows, 0.0, 3_600.0);
 
             let assoc = associate(&mut fed, &user, pos, 0.0, 1).expect("association");

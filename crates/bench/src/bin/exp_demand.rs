@@ -28,7 +28,7 @@ use openspace_demand::model::{DemandConfig, DemandModel, DemandTick};
 use openspace_economics::settlement::{PriceBook, SettlementMatrix};
 use openspace_phy::hardware::SatelliteClass;
 use openspace_sim::exec::default_threads;
-use openspace_telemetry::{JsonValue, Recorder};
+use openspace_telemetry::{JsonValue, NullRecorder, Recorder};
 
 fn main() {
     let mut run = ExpRun::from_args("exp_demand", 13);
@@ -209,7 +209,7 @@ fn main() {
         let mut mapped = 0u64;
         let mut unserved_bps = 0.0;
         for h in 0..24u64 {
-            let tick = sim_model.flows_at(h as f64 * 3_600.0);
+            let tick = sim_model.flows_at(h as f64 * 3_600.0, &mut NullRecorder);
             let (flows, stats) = demand_flows_for(cov, &tick, graph);
             mapped += stats.flows_mapped;
             unserved_bps += stats.unserved_bps;

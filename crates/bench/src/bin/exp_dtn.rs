@@ -13,8 +13,8 @@
 //! (add `--json` for a machine-readable run manifest on stdout).
 
 use openspace_bench::{fmt_opt, print_header, standard_federation, ExpRun};
-use openspace_net::dtn::{earliest_arrival_with_retry_recorded, sample_contacts, RetryPolicy};
-use openspace_net::routing::{latency_weight, shortest_path_recorded};
+use openspace_net::dtn::{earliest_arrival, sample_contacts, RetryPolicy};
+use openspace_net::routing::{latency_weight, shortest_path};
 use openspace_phy::hardware::SatelliteClass;
 use openspace_telemetry::JsonValue;
 
@@ -58,7 +58,7 @@ fn main() {
         for &t0 in &starts {
             let best = (0..solo_stations.len())
                 .filter_map(|gi| {
-                    earliest_arrival_with_retry_recorded(
+                    earliest_arrival(
                         &contacts,
                         n_nodes,
                         0, // the operator's first satellite
@@ -89,7 +89,7 @@ fn main() {
             .expect("operator has satellites");
         let fed_latency = (0..fed.stations().len())
             .filter_map(|gi| {
-                shortest_path_recorded(
+                shortest_path(
                     &graph,
                     graph.sat_node(global_index),
                     graph.station_node(gi),

@@ -16,6 +16,7 @@ use openspace_bench::{nairobi_user, print_header, standard_federation};
 use openspace_economics::capex::{entry_barrier, LaunchPricing};
 use openspace_net::contact::{coverage_time_fraction, longest_outage_s};
 use openspace_phy::hardware::SatelliteClass;
+use openspace_telemetry::NullRecorder;
 
 fn main() {
     let ground = nairobi_user();
@@ -44,7 +45,7 @@ fn main() {
             solo_out = solo_out.max(longest_outage_s(&w, 0.0, horizon_s));
         }
         solo_cov /= k as f64;
-        let w = fed.contact_plan(ground, 0.0, horizon_s, step_s);
+        let w = fed.contact_plan(ground, 0.0, horizon_s, step_s, &mut NullRecorder);
         let fed_cov = coverage_time_fraction(&w, 0.0, horizon_s);
         let barrier = entry_barrier(SatelliteClass::SmallSat, 66, k, &LaunchPricing::rideshare());
         println!(

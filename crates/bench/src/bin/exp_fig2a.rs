@@ -12,6 +12,7 @@
 use openspace_bench::{print_header, walker_propagators};
 use openspace_net::isl::{build_snapshot, SatNode, SnapshotParams};
 use openspace_orbit::prelude::*;
+use openspace_telemetry::NullRecorder;
 
 fn main() {
     let params = iridium_params();
@@ -58,7 +59,7 @@ fn main() {
     );
     for k in 0..=6 {
         let t = period * k as f64 / 6.0;
-        let g = build_snapshot(t, &nodes, &[], &snap_params);
+        let g = build_snapshot(t, &nodes, &[], &snap_params, &mut NullRecorder);
         let mut dists = Vec::new();
         for i in 0..g.satellite_count() {
             for e in g.edges(i) {
@@ -95,7 +96,7 @@ fn main() {
     }
 
     // Connectivity check: the mesh is one component.
-    let g = build_snapshot(0.0, &nodes, &[], &snap_params);
+    let g = build_snapshot(0.0, &nodes, &[], &snap_params, &mut NullRecorder);
     let reached = g.reachable_from(0).iter().filter(|&&r| r).count();
     println!(
         "\nISL mesh connectivity: {reached}/{} satellites in one component",

@@ -13,8 +13,8 @@
 //! (add `--json` for a machine-readable run manifest on stdout).
 
 use openspace_bench::{fmt_opt, print_header, random_sat_nodes, ExpRun};
-use openspace_net::contact::contact_plan_recorded;
-use openspace_net::handover::{service_schedule_with_outages_recorded, HandoverCost};
+use openspace_net::contact::contact_plan;
+use openspace_net::handover::{service_schedule, HandoverCost};
 use openspace_net::isl::SatNode;
 use openspace_orbit::prelude::*;
 use openspace_telemetry::{JsonValue, MemoryRecorder};
@@ -52,11 +52,9 @@ fn main() {
                 77 + seed,
                 PerturbationModel::TwoBody,
             );
-            let windows =
-                contact_plan_recorded(&sats, ground, 0.0, horizon_s, 2.0, mask, run.rec());
-            let s =
-                service_schedule_with_outages_recorded(&windows, &[], 0.0, horizon_s, run.rec())
-                    .expect("valid service window");
+            let windows = contact_plan(&sats, ground, 0.0, horizon_s, 2.0, mask, run.rec());
+            let s = service_schedule(&windows, &[], 0.0, horizon_s, run.rec())
+                .expect("valid service window");
             handovers += s.handovers;
             if let Some(t) = s.mean_time_between_handovers_s() {
                 tbh_sum += t;
@@ -160,7 +158,7 @@ fn main() {
         .collect();
     let day_s = 86_400.0;
     let mut scan_rec = MemoryRecorder::new();
-    let day_windows = contact_plan_recorded(&iridium, ground, 0.0, day_s, 5.0, mask, &mut scan_rec);
+    let day_windows = contact_plan(&iridium, ground, 0.0, day_s, 5.0, mask, &mut scan_rec);
     let evaluated = scan_rec.counter("contact.samples_evaluated");
     let skipped = scan_rec.counter("contact.samples_skipped");
     run.push_extra(

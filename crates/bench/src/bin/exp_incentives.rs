@@ -14,6 +14,7 @@ use openspace_core::prelude::*;
 use openspace_economics::incentives::{collaboration_surplus, shapley_shares};
 use openspace_net::contact::coverage_time_fraction;
 use openspace_phy::hardware::SatelliteClass;
+use openspace_telemetry::NullRecorder;
 
 fn main() {
     // An asymmetric federation: operator 1 is the incumbent with most of
@@ -64,6 +65,7 @@ fn main() {
                 horizon,
                 30.0,
                 fed.snapshot_params.min_elevation_rad,
+                &mut NullRecorder,
             );
             sum += coverage_time_fraction(&windows, 0.0, horizon);
         }

@@ -21,6 +21,7 @@ use openspace_core::prelude::*;
 use openspace_economics::capex::{fleet_cost_usd, LaunchPricing};
 use openspace_net::contact::coverage_time_fraction;
 use openspace_phy::hardware::SatelliteClass;
+use openspace_telemetry::NullRecorder;
 
 fn main() {
     let all_elements = iridium_elements();
@@ -61,7 +62,7 @@ fn main() {
         for (_, ground) in &users {
             // Gated kernels under the hood: horizon-skip contact scan
             // here, nearest-first snapshot in fed.snapshot() below.
-            let w = fed.contact_plan(*ground, 0.0, horizon, 20.0);
+            let w = fed.contact_plan(*ground, 0.0, horizon, 20.0, &mut NullRecorder);
             cov.push(coverage_time_fraction(&w, 0.0, horizon));
         }
 

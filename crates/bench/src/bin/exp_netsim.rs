@@ -161,7 +161,7 @@ fn main() {
     // stays in the quarantined "wall" block).
     run.phase("planner batching");
     {
-        use openspace_net::routing::{latency_weight, shortest_path_recorded, RoutePlanner};
+        use openspace_net::routing::{latency_weight, shortest_path, RoutePlanner};
         use openspace_net::topology::NodeId;
 
         let n = graph.node_count();
@@ -177,7 +177,7 @@ fn main() {
 
         let mut per_flow = MemoryRecorder::new();
         for &(s, d) in &requests {
-            shortest_path_recorded(&graph, s, d, latency_weight, &mut per_flow);
+            shortest_path(&graph, s, d, latency_weight, &mut per_flow);
         }
         let mut batched = MemoryRecorder::new();
         RoutePlanner::new().plan_recorded(&graph, &requests, latency_weight, &mut batched);

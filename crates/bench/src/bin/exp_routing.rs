@@ -15,7 +15,7 @@
 
 use openspace_bench::{access_satellite, nairobi_user, print_header, standard_federation, ExpRun};
 use openspace_net::routing::{
-    congestion_weight, latency_weight, qos_route_recorded, shortest_path_recorded, QosRequirement,
+    congestion_weight, latency_weight, qos_route, shortest_path, QosRequirement,
 };
 use openspace_net::topology::NodeId;
 use openspace_phy::hardware::SatelliteClass;
@@ -80,8 +80,7 @@ fn main() {
             let mut best_qos: Option<f64> = None;
             for gi in 0..fed.stations().len() {
                 let dst = graph.station_node(gi);
-                if let Some(p) = shortest_path_recorded(&graph, src, dst, latency_weight, run.rec())
-                {
+                if let Some(p) = shortest_path(&graph, src, dst, latency_weight, run.rec()) {
                     let eff = p
                         .sum_metric(&graph, |e| congestion_weight(e, PKT_BITS))
                         .unwrap_or(f64::INFINITY);
@@ -93,7 +92,7 @@ fn main() {
                     min_bandwidth_bps: 256_000.0,
                     max_latency_s: f64::INFINITY,
                 };
-                if let Some(p) = qos_route_recorded(&graph, src, dst, &req, PKT_BITS, run.rec()) {
+                if let Some(p) = qos_route(&graph, src, dst, &req, PKT_BITS, run.rec()) {
                     if best_qos.is_none_or(|b| p.total_cost < b) {
                         best_qos = Some(p.total_cost);
                     }

@@ -26,7 +26,7 @@ use openspace_net::routing::{latency_weight, shortest_path};
 use openspace_net::timeline::TopologyProvider;
 use openspace_phy::hardware::SatelliteClass;
 use openspace_sim::exec::default_threads;
-use openspace_telemetry::{JsonValue, Recorder};
+use openspace_telemetry::{JsonValue, NullRecorder, Recorder};
 use std::collections::BTreeSet;
 
 fn main() {
@@ -98,8 +98,9 @@ fn main() {
     let pos = nairobi_user();
     let (sat0, _) = access_satellite(&fed, pos, 0.0).expect("coverage");
     let g0 = fed.snapshot(0.0);
-    let route0 = shortest_path(&g0, g0.sat_node(sat0), g0.station_node(0), latency_weight)
-        .expect("route exists");
+    let (from, to) = (g0.sat_node(sat0), g0.station_node(0));
+    let route0 =
+        shortest_path(&g0, from, to, latency_weight, &mut NullRecorder).expect("route exists");
     let mut survival = 0.0;
     for k in 1..=60 {
         let t = k as f64 * 30.0;

@@ -61,8 +61,8 @@ impl ExpRun {
         self.manifest.digest_config(description);
     }
 
-    /// The run's metric recorder — pass `run.rec()` to any
-    /// `*_recorded` API or record directly.
+    /// The run's metric recorder — pass `run.rec()` to any API that
+    /// takes a `&mut dyn Recorder`, or record directly.
     pub fn rec(&mut self) -> &mut MemoryRecorder {
         &mut self.manifest.metrics
     }

@@ -15,6 +15,7 @@ use openspace_orbit::kepler::OrbitalElements;
 use openspace_orbit::propagator::{PerturbationModel, Propagator};
 use openspace_orbit::walker::{iridium_params, random_constellation, walker_star, WalkerParams};
 use openspace_phy::hardware::SatelliteClass;
+use openspace_telemetry::NullRecorder;
 use std::time::{Duration, Instant};
 
 /// Constellation sizes swept by Figure 2(b).
@@ -73,6 +74,7 @@ pub fn best_station_route(
                 graph.sat_node(sat_idx),
                 graph.station_node(gi),
                 latency_weight,
+                &mut NullRecorder,
             )
             .map(|p| (gi, p))
         })
@@ -151,6 +153,7 @@ mod tests {
                 graph.sat_node(sat),
                 graph.station_node(other),
                 latency_weight,
+                &mut NullRecorder,
             ) {
                 assert!(path.total_cost <= p.total_cost);
             }

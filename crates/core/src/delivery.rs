@@ -16,6 +16,7 @@ use openspace_orbit::frames::Vec3;
 use openspace_protocol::accounting::AccountingRecord;
 use openspace_protocol::crypto::SharedSecret;
 use openspace_protocol::types::{OperatorId, SatelliteId};
+use openspace_telemetry::NullRecorder;
 use std::collections::BTreeMap;
 
 /// Why a delivery failed.
@@ -87,12 +88,13 @@ pub fn deliver(
     // Best compliant route to any station (QoS-aware; falls back over all
     // stations by total cost).
     let mut best: Option<Path> = None;
+    let (from, rec) = (graph.sat_node(sat_idx), &mut NullRecorder);
     for gi in 0..fed.stations().len() {
         let dst = graph.station_node(gi);
         let candidate = if qos.min_bandwidth_bps > 0.0 || qos.max_latency_s.is_finite() {
-            qos_route(graph, graph.sat_node(sat_idx), dst, qos, 12_000.0)
+            qos_route(graph, from, dst, qos, 12_000.0, rec)
         } else {
-            shortest_path(graph, graph.sat_node(sat_idx), dst, latency_weight)
+            shortest_path(graph, from, dst, latency_weight, rec)
         };
         if let Some(p) = candidate {
             if best.as_ref().is_none_or(|b| p.total_cost < b.total_cost) {

@@ -328,6 +328,7 @@ mod tests {
     use openspace_demand::mix::AppMix;
     use openspace_demand::model::{DemandConfig, DemandModel};
     use openspace_phy::hardware::SatelliteClass;
+    use openspace_telemetry::NullRecorder;
 
     fn small_grid() -> PopulationGrid {
         PopulationGrid::build(&PopulationConfig {
@@ -394,7 +395,7 @@ mod tests {
         let grid = small_grid();
         let cov = fed.attach_demand_cells(&grid, 0.0);
         let model = DemandModel::new(grid, AppMix::broadband(), DemandConfig::default()).unwrap();
-        let tick = model.flows_at(12.0 * 3600.0);
+        let tick = model.flows_at(12.0 * 3600.0, &mut NullRecorder);
         let graph = fed.snapshot(0.0);
         let (flows, stats) = demand_flows_for(&cov, &tick, &graph);
         assert!(!flows.is_empty());
@@ -466,7 +467,7 @@ mod tests {
         let op = fed.operator_ids()[0];
         let solo = fed.attach_demand_cells_solo(op, &grid, 0.0);
         let model = DemandModel::new(grid, AppMix::broadband(), DemandConfig::default()).unwrap();
-        let tick = model.flows_at(12.0 * 3600.0);
+        let tick = model.flows_at(12.0 * 3600.0, &mut NullRecorder);
         let graph = fed.solo_snapshot(op, 0.0);
         let (_, stats) = demand_flows_for(&solo, &tick, &graph);
         assert_eq!(

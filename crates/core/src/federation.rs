@@ -9,10 +9,8 @@
 //! solo operators get patchwork coverage).
 
 use crate::operator::{make_satellite, GroundStation, Operator, Satellite};
-use openspace_net::contact::{contact_plan, contact_plan_recorded, ContactWindow};
-use openspace_net::isl::{
-    build_snapshot, build_snapshot_recorded, GroundNode, SatNode, SnapshotParams,
-};
+use openspace_net::contact::{contact_plan, ContactWindow};
+use openspace_net::isl::{build_snapshot, GroundNode, SatNode, SnapshotParams};
 use openspace_net::timeline::{TimelineError, TopologyProvider, TopologyTimeline};
 use openspace_net::topology::Graph;
 use openspace_orbit::frames::{Geodetic, Vec3};
@@ -21,6 +19,7 @@ use openspace_phy::hardware::SatelliteClass;
 use openspace_protocol::crypto::SharedSecret;
 use openspace_protocol::types::{GroundStationId, OperatorId, SatelliteId, UserId};
 use openspace_sim::fault::FaultTopology;
+use openspace_telemetry::{NullRecorder, Recorder};
 use std::collections::BTreeMap;
 
 /// Why a federation operation failed.
@@ -307,12 +306,7 @@ impl Federation {
 
     /// The federated topology snapshot at `t_s`.
     pub fn snapshot(&self, t_s: f64) -> Graph {
-        build_snapshot(
-            t_s,
-            &self.sat_nodes(),
-            &self.ground_nodes(),
-            &self.snapshot_params,
-        )
+        self.snapshot_recorded(t_s, &mut NullRecorder)
     }
 
     /// [`Self::snapshot`] with telemetry: surfaces the snapshot
@@ -320,12 +314,8 @@ impl Federation {
     /// counters on `rec` — the satellite pairs whose distance its
     /// nearest-first neighbour search computed (each at most once) /
     /// never computed — and the ground-prune counters.
-    pub fn snapshot_recorded(
-        &self,
-        t_s: f64,
-        rec: &mut dyn openspace_telemetry::Recorder,
-    ) -> Graph {
-        build_snapshot_recorded(
+    pub fn snapshot_recorded(&self, t_s: f64, rec: &mut dyn Recorder) -> Graph {
+        build_snapshot(
             t_s,
             &self.sat_nodes(),
             &self.ground_nodes(),
@@ -361,39 +351,22 @@ impl Federation {
             &self.sat_nodes_of(op),
             &self.ground_nodes_of(op),
             &self.snapshot_params,
+            &mut NullRecorder,
         )
     }
 
-    /// Contact plan of the whole federation over a ground point.
+    /// Contact plan of the whole federation over a ground point; the
+    /// horizon-skip scanner's `contact.samples_evaluated` /
+    /// `contact.samples_skipped` counters go to `rec`.
     pub fn contact_plan(
         &self,
         ground_ecef: Vec3,
         t_start_s: f64,
         t_end_s: f64,
         step_s: f64,
+        rec: &mut dyn Recorder,
     ) -> Vec<ContactWindow> {
         contact_plan(
-            &self.sat_nodes(),
-            ground_ecef,
-            t_start_s,
-            t_end_s,
-            step_s,
-            self.snapshot_params.min_elevation_rad,
-        )
-    }
-
-    /// [`Self::contact_plan`] with telemetry: surfaces the horizon-skip
-    /// scanner's `contact.samples_evaluated` / `contact.samples_skipped`
-    /// counters on `rec`.
-    pub fn contact_plan_recorded(
-        &self,
-        ground_ecef: Vec3,
-        t_start_s: f64,
-        t_end_s: f64,
-        step_s: f64,
-        rec: &mut dyn openspace_telemetry::Recorder,
-    ) -> Vec<ContactWindow> {
-        contact_plan_recorded(
             &self.sat_nodes(),
             ground_ecef,
             t_start_s,
@@ -420,6 +393,7 @@ impl Federation {
             t_end_s,
             step_s,
             self.snapshot_params.min_elevation_rad,
+            &mut NullRecorder,
         )
     }
 

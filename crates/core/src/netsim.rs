@@ -60,7 +60,7 @@
 //!
 //! Absolute reports are pinned by `tests/tests/netsim_golden.rs`.
 
-use openspace_net::routing::{latency_weight, QosRequirement, RoutePlanner};
+use openspace_net::routing::{latency_weight, Path, QosRequirement, RoutePlanner};
 use openspace_net::timeline::{TopologyProvider, TopologyTimeline};
 use openspace_net::topology::{Graph, NodeId};
 use openspace_sim::config::{require_index, require_non_negative, require_positive, ConfigError};
@@ -70,7 +70,7 @@ use openspace_sim::queue::DropTailQueue;
 use openspace_sim::rng::SimRng;
 use openspace_sim::stats::Summary;
 use openspace_sim::traffic::Arrivals;
-use openspace_telemetry::{NullRecorder, Recorder};
+use openspace_telemetry::{NullRecorder, Recorder, SpanTimer};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::rc::Rc;
@@ -306,7 +306,10 @@ pub struct NetSimReport {
     pub generated: u64,
     /// Packets that reached their destination.
     pub delivered: u64,
-    /// Packets dropped at full queues (includes fault losses).
+    /// Packets lost inside the network: dropped at full queues, lost to
+    /// faults (also counted in `fault.packets_lost`), flushed from the
+    /// queues of links a resnapshot removed, or forwarded onto a link
+    /// that has vanished since the route was planned.
     pub dropped: u64,
     /// Packets unroutable at injection time.
     pub unroutable: u64,
@@ -1367,7 +1370,8 @@ impl<'a, 'r> SimState<'a, 'r> {
     /// planner batch — on propagation latency (proactive) or the
     /// congestion weight with a best-effort QoS floor (adaptive) — and
     /// compile each path into [`LinkId`] form as it is extracted. Route
-    /// work counts toward the recorder's `routing.*` counters.
+    /// work counts toward the recorder's `routing.*` counters, and each
+    /// batch is one `netsim.plan_routes` span (wall time, 0 sim-seconds).
     fn plan_routes(
         &mut self,
         idxs: Option<&[usize]>,
@@ -1381,25 +1385,24 @@ impl<'a, 'r> SimState<'a, 'r> {
             }
             None => &self.endpoints,
         };
+        let timer = SpanTimer::start(0.0);
         let table = &mut self.table;
-        if adaptive {
-            self.planner.plan_qos_mapped_recorded(
-                &self.work_graph,
-                requests,
-                &QosRequirement::best_effort(),
-                12_000.0,
-                |p| Some(table.compile(p.nodes)),
-                self.rec,
-            )
+        let compile = |p: Path| Some(table.compile(p.nodes));
+        let routes = if adaptive {
+            let weight = QosRequirement::best_effort().weight(12_000.0);
+            self.planner
+                .plan_mapped(&self.work_graph, requests, weight, compile, self.rec)
         } else {
-            self.planner.plan_mapped_recorded(
+            self.planner.plan_mapped(
                 &self.work_graph,
                 requests,
                 latency_weight,
-                |p| Some(table.compile(p.nodes)),
+                compile,
                 self.rec,
             )
-        }
+        };
+        timer.finish(self.rec, "netsim.plan_routes", 0.0);
+        routes
     }
 
     /// Enqueue the packet on its next-hop link, starting transmission if
@@ -1827,6 +1830,10 @@ mod tests {
         assert!(rec.counter("netsim.replans") >= 9, "one per interval");
         // Every replan re-routes both flows, plus the initial pass.
         assert!(rec.counter("routing.recomputes") >= 2 + 9 * 2);
+        // The initial plan and every replan are one planner span each.
+        let plans = rec.span_agg("netsim.plan_routes").unwrap();
+        assert_eq!(plans.count, 1 + rec.counter("netsim.replans"));
+        assert_eq!(plans.sim_s, 0.0);
     }
 
     // ---- timeline-driven runs ----

@@ -18,6 +18,7 @@ use openspace_protocol::auth::make_access_request;
 use openspace_protocol::certificate::Certificate;
 use openspace_protocol::handover::{derive_session_token, validate_commit, HandoverCommit};
 use openspace_protocol::types::{OperatorId, SatelliteId};
+use openspace_telemetry::NullRecorder;
 
 /// Why association failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +134,8 @@ fn route_to_operator_station(
             continue;
         }
         let dst = graph.station_node(gi);
-        if let Some(p) = shortest_path(graph, graph.sat_node(sat_idx), dst, latency_weight) {
+        let from = graph.sat_node(sat_idx);
+        if let Some(p) = shortest_path(graph, from, dst, latency_weight, &mut NullRecorder) {
             if best.is_none_or(|(c, _)| p.total_cost < c) {
                 best = Some((p.total_cost, p.hops()));
             }

@@ -62,6 +62,7 @@ use openspace_orbit::walker::random_constellation;
 use openspace_sim::config::{require_non_negative, require_positive, ConfigError};
 use openspace_sim::exec::{default_threads, parallel_map_seeded};
 use openspace_sim::rng::SimRng;
+use openspace_telemetry::NullRecorder;
 
 /// Fidelity level of the latency sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -413,7 +414,7 @@ impl ScenarioRunner {
         let (user_sat, user_slant) = pick(user_ecef)?;
         let (gs_sat, gs_slant) = pick(station_ecef)?;
         let graph = build_snapshot_from_samples(sats, eph, &[], params);
-        let path = shortest_path(&graph, user_sat, gs_sat, latency_weight)?;
+        let path = shortest_path(&graph, user_sat, gs_sat, latency_weight, &mut NullRecorder)?;
         let latency = (user_slant + gs_slant) / SPEED_OF_LIGHT_M_PER_S + path.total_cost;
         Some((latency, path.hops()))
     }

@@ -30,7 +30,7 @@ use openspace_sim::config::{require_non_negative, require_positive, ConfigError}
 use openspace_sim::exec::parallel_map_seeded;
 use openspace_sim::rng::SimRng;
 use openspace_sim::traffic::TrafficKind;
-use openspace_telemetry::recorder::Recorder;
+use openspace_telemetry::recorder::{NullRecorder, Recorder};
 
 /// Salt separating the per-cell jitter stream family from other users
 /// of the master seed.
@@ -203,8 +203,10 @@ impl DemandModel {
 
     /// The demand snapshot at `t_s`: per-cell, per-class flows plus
     /// offered-load accounting. Pure in `t_s` — calling twice yields
-    /// bitwise-identical ticks.
-    pub fn flows_at(&self, t_s: f64) -> DemandTick {
+    /// bitwise-identical ticks. Records the tick's `demand.*` telemetry
+    /// (flows emitted and folded, offered-load and active-cell peaks) on
+    /// `rec`.
+    pub fn flows_at(&self, t_s: f64, rec: &mut dyn Recorder) -> DemandTick {
         let mut flows = Vec::new();
         let mut offered_bps = 0.0;
         let mut active_users = 0.0;
@@ -258,6 +260,12 @@ impl DemandModel {
             }
         }
 
+        if rec.enabled() {
+            rec.add("demand.flows_emitted", flows.len() as u64);
+            rec.add("demand.flows_folded", flows_folded);
+            rec.gauge_max("demand.offered_bps_peak", offered_bps);
+            rec.gauge_max("demand.active_cells_peak", active_cells as f64);
+        }
         DemandTick {
             t_s,
             flows,
@@ -267,18 +275,6 @@ impl DemandModel {
             flows_folded,
             folded_bps,
         }
-    }
-
-    /// [`Self::flows_at`] plus `demand.*` telemetry for the tick.
-    pub fn flows_at_recorded(&self, t_s: f64, rec: &mut dyn Recorder) -> DemandTick {
-        let tick = self.flows_at(t_s);
-        if rec.enabled() {
-            rec.add("demand.flows_emitted", tick.flows.len() as u64);
-            rec.add("demand.flows_folded", tick.flows_folded);
-            rec.gauge_max("demand.offered_bps_peak", tick.offered_bps);
-            rec.gauge_max("demand.active_cells_peak", tick.active_cells as f64);
-        }
-        tick
     }
 
     /// Demand snapshots at `0, step, 2·step, …` up to and including
@@ -305,7 +301,7 @@ impl DemandModel {
             &times,
             threads,
             self.seed,
-            |&t, _rng| self.flows_at(t),
+            |&t, _rng| self.flows_at(t, &mut NullRecorder),
         ))
     }
 
@@ -353,10 +349,10 @@ mod tests {
     #[test]
     fn flows_at_is_pure_in_time() {
         let m = small_model(DemandConfig::default());
-        let a = m.flows_at(7.5 * 3600.0);
-        let b = m.flows_at(7.5 * 3600.0);
+        let a = m.flows_at(7.5 * 3600.0, &mut NullRecorder);
+        let b = m.flows_at(7.5 * 3600.0, &mut NullRecorder);
         assert_eq!(a, b);
-        assert_ne!(a, m.flows_at(8.0 * 3600.0));
+        assert_ne!(a, m.flows_at(8.0 * 3600.0, &mut NullRecorder));
     }
 
     #[test]
@@ -366,7 +362,7 @@ mod tests {
             transport_scale: 1.0,
             ..Default::default()
         });
-        let tick = m.flows_at(13.0 * 3600.0);
+        let tick = m.flows_at(13.0 * 3600.0, &mut NullRecorder);
         let emitted: f64 = tick.flows.iter().map(|f| f.offered_bps).sum();
         // Emitted + folded must cover all offered load; exactness of
         // the per-cell decomposition is asserted in the cross-crate
@@ -418,12 +414,13 @@ mod tests {
 
     #[test]
     fn per_tick_cap_keeps_the_largest_flows() {
-        let uncapped = small_model(DemandConfig::default()).flows_at(20.0 * 3600.0);
+        let uncapped =
+            small_model(DemandConfig::default()).flows_at(20.0 * 3600.0, &mut NullRecorder);
         let m = small_model(DemandConfig {
             max_flows_per_tick: 10,
             ..Default::default()
         });
-        let capped = m.flows_at(20.0 * 3600.0);
+        let capped = m.flows_at(20.0 * 3600.0, &mut NullRecorder);
         assert_eq!(capped.flows.len(), 10);
         let mut best: Vec<f64> = uncapped.flows.iter().map(|f| f.offered_bps).collect();
         best.sort_by(|a, b| b.total_cmp(a));
@@ -451,8 +448,8 @@ mod tests {
             transport_scale: 1e-3,
             ..Default::default()
         });
-        let a = base.flows_at(12.0 * 3600.0);
-        let b = scaled.flows_at(12.0 * 3600.0);
+        let a = base.flows_at(12.0 * 3600.0, &mut NullRecorder);
+        let b = scaled.flows_at(12.0 * 3600.0, &mut NullRecorder);
         assert_eq!(a.offered_bps.to_bits(), b.offered_bps.to_bits());
         assert!((b.flows[0].rate_bps - a.flows[0].rate_bps * 1e-3).abs() < 1e-9);
     }
@@ -463,7 +460,7 @@ mod tests {
             jitter: 0.0,
             ..Default::default()
         });
-        let tick = m.flows_at(21.0 * 3600.0);
+        let tick = m.flows_at(21.0 * 3600.0, &mut NullRecorder);
         let streaming = tick
             .flows
             .iter()

@@ -9,7 +9,7 @@
 //! A LEO satellite is below a ground site's elevation mask for most of
 //! each orbit, so a dense scan wastes the bulk of its propagations on
 //! samples that cannot open or close a window. [`contact_plan`] (and the
-//! instrumented [`contact_plan_recorded`]) therefore skip ahead when a
+//! instrumented [`contact_plan`]) therefore skip ahead when a
 //! sample is far below the mask, by an amount derived from a **sound
 //! bound on the elevation-angle rate** — and produce output **bitwise
 //! identical** to the dense reference scan [`contact_plan_dense`]. The
@@ -59,7 +59,7 @@ use openspace_orbit::frames::{eci_to_ecef, Vec3};
 use openspace_orbit::propagator::Propagator;
 use openspace_orbit::visibility::{elevation_angle_rad, is_visible, slant_range_at_elevation_m};
 use openspace_sim::ids::SatId;
-use openspace_telemetry::{NullRecorder, Recorder};
+use openspace_telemetry::Recorder;
 
 /// One visibility window of one satellite over a ground point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,32 +125,13 @@ fn elevation_rate_bound(prop: &Propagator, site_radius_m: f64, mask_rad: f64) ->
 /// Uses the horizon-skip fast path (see the module docs); the result is
 /// bitwise identical to [`contact_plan_dense`].
 ///
+/// Counts `contact.samples_evaluated` (grid samples actually
+/// propagated) and `contact.samples_skipped` (grid samples proven
+/// below-mask without propagation) on `rec`.
+///
 /// # Panics
 /// Panics if `step_s <= 0` or the interval is inverted.
 pub fn contact_plan(
-    sats: &[SatNode],
-    ground_ecef: Vec3,
-    t_start_s: f64,
-    t_end_s: f64,
-    step_s: f64,
-    min_elevation_rad: f64,
-) -> Vec<ContactWindow> {
-    contact_plan_recorded(
-        sats,
-        ground_ecef,
-        t_start_s,
-        t_end_s,
-        step_s,
-        min_elevation_rad,
-        &mut NullRecorder,
-    )
-}
-
-/// [`contact_plan`] with telemetry: counts `contact.samples_evaluated`
-/// (grid samples actually propagated) and `contact.samples_skipped`
-/// (grid samples proven below-mask without propagation).
-#[allow(clippy::too_many_arguments)]
-pub fn contact_plan_recorded(
     sats: &[SatNode],
     ground_ecef: Vec3,
     t_start_s: f64,
@@ -342,6 +323,7 @@ mod tests {
     use openspace_orbit::kepler::OrbitalElements;
     use openspace_orbit::propagator::{PerturbationModel, Propagator};
     use openspace_orbit::walker::{iridium_params, walker_star};
+    use openspace_telemetry::NullRecorder;
 
     fn one_sat() -> Vec<SatNode> {
         vec![SatNode {
@@ -370,11 +352,24 @@ mod tests {
         geodetic_to_ecef(Geodetic::from_degrees(0.0, 0.0, 0.0))
     }
 
+    /// The contact plan over `equator_ground()` for `[0, t_end_s)`.
+    fn equator_plan(sats: &[SatNode], t_end_s: f64, step_s: f64, mask: f64) -> Vec<ContactWindow> {
+        contact_plan(
+            sats,
+            equator_ground(),
+            0.0,
+            t_end_s,
+            step_s,
+            mask,
+            &mut NullRecorder,
+        )
+    }
+
     #[test]
     fn single_sat_has_periodic_windows() {
         let sats = one_sat();
         let day = 86_400.0;
-        let windows = contact_plan(&sats, equator_ground(), 0.0, day, 5.0, 10f64.to_radians());
+        let windows = equator_plan(&sats, day, 5.0, 10f64.to_radians());
         assert!(
             (2..=10).contains(&windows.len()),
             "one LEO sat over a day: got {} windows",
@@ -393,7 +388,7 @@ mod tests {
     #[test]
     fn windows_are_sorted_and_disjoint_per_sat() {
         let sats = one_sat();
-        let windows = contact_plan(&sats, equator_ground(), 0.0, 86_400.0, 5.0, 0.1);
+        let windows = equator_plan(&sats, 86_400.0, 5.0, 0.1);
         for w in windows.windows(2) {
             assert!(w[0].start_s <= w[1].start_s);
             assert!(w[0].end_s <= w[1].start_s, "overlap for one satellite");
@@ -403,14 +398,7 @@ mod tests {
     #[test]
     fn iridium_has_continuous_coverage() {
         let sats = iridium();
-        let windows = contact_plan(
-            &sats,
-            equator_ground(),
-            0.0,
-            7_200.0,
-            10.0,
-            10f64.to_radians(),
-        );
+        let windows = equator_plan(&sats, 7_200.0, 10.0, 10f64.to_radians());
         let frac = coverage_time_fraction(&windows, 0.0, 7_200.0);
         assert!(frac > 0.99, "Iridium equatorial coverage fraction {frac}");
         assert!(longest_outage_s(&windows, 0.0, 7_200.0) < 60.0);
@@ -419,7 +407,7 @@ mod tests {
     #[test]
     fn single_sat_coverage_is_sparse() {
         let sats = one_sat();
-        let windows = contact_plan(&sats, equator_ground(), 0.0, 86_400.0, 10.0, 0.1);
+        let windows = equator_plan(&sats, 86_400.0, 10.0, 0.1);
         let frac = coverage_time_fraction(&windows, 0.0, 86_400.0);
         assert!(frac < 0.2, "one sat cannot cover much of a day: {frac}");
         assert!(longest_outage_s(&windows, 0.0, 86_400.0) > 3_600.0);
@@ -448,7 +436,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "step must be positive")]
     fn zero_step_panics() {
-        contact_plan(&one_sat(), equator_ground(), 0.0, 10.0, 0.0, 0.0);
+        equator_plan(&one_sat(), 10.0, 0.0, 0.0);
     }
 
     #[test]
@@ -458,7 +446,7 @@ mod tests {
         let ground = equator_ground();
         let mask = 25f64.to_radians();
         let mut rec = MemoryRecorder::new();
-        let gated = contact_plan_recorded(&sats, ground, 0.0, 7_200.0, 5.0, mask, &mut rec);
+        let gated = contact_plan(&sats, ground, 0.0, 7_200.0, 5.0, mask, &mut rec);
         let dense = contact_plan_dense(&sats, ground, 0.0, 7_200.0, 5.0, mask);
         assert_eq!(gated.len(), dense.len());
         for (a, b) in gated.iter().zip(&dense) {
@@ -485,7 +473,7 @@ mod tests {
         // rather than skip on an unsound rate.
         let sats = one_sat();
         let high_site = Vec3::new(8.0e6, 0.0, 0.0);
-        let gated = contact_plan(&sats, high_site, 0.0, 3_600.0, 5.0, 0.1);
+        let gated = contact_plan(&sats, high_site, 0.0, 3_600.0, 5.0, 0.1, &mut NullRecorder);
         let dense = contact_plan_dense(&sats, high_site, 0.0, 3_600.0, 5.0, 0.1);
         assert_eq!(gated, dense);
     }

@@ -12,13 +12,14 @@
 //! (milliseconds).
 //!
 //! Faults compose naturally with custody transfer:
-//! [`earliest_arrival_with_retry`] routes around *unscheduled* node
+//! [`earliest_arrival`] routes around *unscheduled* node
 //! outages by having the custodian re-attempt a failed transfer under a
 //! capped exponential backoff ([`RetryPolicy`]) before the bundle is
 //! considered stuck on that contact.
 
 use crate::isl::{build_snapshot, GroundNode, SatNode, SnapshotParams};
 use openspace_sim::ids::NodeId;
+use openspace_telemetry::{NullRecorder, Recorder};
 
 /// Error from the DTN routing API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +107,7 @@ pub fn sample_contacts(
         let t = (t_start_s + k as f64 * step_s).min(t_end_s);
         let mut present = vec![false; n_nodes * n_nodes];
         if t < t_end_s {
-            let g = build_snapshot(t, sats, stations, params);
+            let g = build_snapshot(t, sats, stations, params, &mut NullRecorder);
             for from in 0..n_nodes {
                 for e in g.edges(from) {
                     present[from * n_nodes + e.to.0] = true;
@@ -225,6 +226,18 @@ impl NodeOutageWindow {
 /// `contact.end`, and transmission (`bundle_bits / rate`) completes
 /// within the window. Errs with [`DtnError::NoRoute`] when no contact
 /// sequence delivers the bundle.
+///
+/// Under unscheduled node `outages` (pass `&[]` for none), custody
+/// retry applies: when a transfer would overlap an outage of either
+/// endpoint, the custodian holds the bundle and re-attempts after a
+/// capped exponential backoff, up to `retry.max_attempts` tries per
+/// contact. The returned route reports the total retries spent.
+///
+/// Telemetry on `rec`: routed bundles (`dtn.bundles_routed`), custody
+/// retries spent by delivered bundles (`dtn.custody_retries`), routing
+/// failures (`dtn.no_route`), and a `dtn.delivery_delay_s` histogram
+/// sample (arrival minus injection time) per delivered bundle.
+#[allow(clippy::too_many_arguments)] // routing problem + fault model + telemetry sink
 pub fn earliest_arrival(
     contacts: &[Contact],
     n_nodes: usize,
@@ -232,97 +245,9 @@ pub fn earliest_arrival(
     dst: impl Into<NodeId>,
     t_start_s: f64,
     bundle_bits: f64,
-) -> Result<DtnRoute, DtnError> {
-    earliest_arrival_with_retry(
-        contacts,
-        n_nodes,
-        src,
-        dst,
-        t_start_s,
-        bundle_bits,
-        &[],
-        RetryPolicy::default(),
-    )
-}
-
-/// [`earliest_arrival`] under unscheduled node outages, with custody
-/// retry: when a transfer would overlap an outage of either endpoint,
-/// the custodian holds the bundle and re-attempts after a capped
-/// exponential backoff, up to `retry.max_attempts` tries per contact.
-/// The returned route reports the total retries spent.
-#[allow(clippy::too_many_arguments)] // routing problem + fault model, all load-bearing
-pub fn earliest_arrival_with_retry(
-    contacts: &[Contact],
-    n_nodes: usize,
-    src: impl Into<NodeId>,
-    dst: impl Into<NodeId>,
-    t_start_s: f64,
-    bundle_bits: f64,
     outages: &[NodeOutageWindow],
     retry: RetryPolicy,
-) -> Result<DtnRoute, DtnError> {
-    earliest_arrival_with_retry_recorded(
-        contacts,
-        n_nodes,
-        src,
-        dst,
-        t_start_s,
-        bundle_bits,
-        outages,
-        retry,
-        &mut openspace_telemetry::NullRecorder,
-    )
-}
-
-/// [`earliest_arrival_with_retry`] with telemetry: counts routed bundles
-/// (`dtn.bundles_routed`), custody retries spent by delivered bundles
-/// (`dtn.custody_retries`), and routing failures (`dtn.no_route`).
-/// Delivered bundles also contribute a `dtn.delivery_delay_s` histogram
-/// sample (arrival minus injection time).
-#[allow(clippy::too_many_arguments)] // routing problem + fault model + telemetry sink
-pub fn earliest_arrival_with_retry_recorded(
-    contacts: &[Contact],
-    n_nodes: usize,
-    src: impl Into<NodeId>,
-    dst: impl Into<NodeId>,
-    t_start_s: f64,
-    bundle_bits: f64,
-    outages: &[NodeOutageWindow],
-    retry: RetryPolicy,
-    rec: &mut dyn openspace_telemetry::Recorder,
-) -> Result<DtnRoute, DtnError> {
-    let result = earliest_arrival_inner(
-        contacts,
-        n_nodes,
-        src,
-        dst,
-        t_start_s,
-        bundle_bits,
-        outages,
-        retry,
-    );
-    match &result {
-        Ok(route) => {
-            rec.add("dtn.bundles_routed", 1);
-            rec.add("dtn.custody_retries", u64::from(route.retries));
-            rec.observe("dtn.delivery_delay_s", route.arrival_s - t_start_s);
-        }
-        Err(DtnError::NoRoute) => rec.add("dtn.no_route", 1),
-        Err(DtnError::NodeOutOfRange { .. }) => {}
-    }
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn earliest_arrival_inner(
-    contacts: &[Contact],
-    n_nodes: usize,
-    src: impl Into<NodeId>,
-    dst: impl Into<NodeId>,
-    t_start_s: f64,
-    bundle_bits: f64,
-    outages: &[NodeOutageWindow],
-    retry: RetryPolicy,
+    rec: &mut dyn Recorder,
 ) -> Result<DtnRoute, DtnError> {
     let (src, dst) = (src.into(), dst.into());
     for node in [src, dst] {
@@ -383,6 +308,7 @@ fn earliest_arrival_inner(
         }
     }
     if best[dst.0].is_infinite() {
+        rec.add("dtn.no_route", 1);
         return Err(DtnError::NoRoute);
     }
     let mut nodes = vec![dst];
@@ -398,11 +324,15 @@ fn earliest_arrival_inner(
         nodes.push(src);
     }
     nodes.reverse();
-    Ok(DtnRoute {
+    let route = DtnRoute {
         arrival_s: best[dst.0],
         nodes,
         retries: retries_at[dst.0],
-    })
+    };
+    rec.add("dtn.bundles_routed", 1);
+    rec.add("dtn.custody_retries", u64::from(route.retries));
+    rec.observe("dtn.delivery_delay_s", route.arrival_s - t_start_s);
+    Ok(route)
 }
 
 #[cfg(test)]
@@ -412,6 +342,30 @@ mod tests {
     use openspace_orbit::frames::{geodetic_to_ecef, Geodetic};
     use openspace_orbit::kepler::OrbitalElements;
     use openspace_orbit::propagator::{PerturbationModel, Propagator};
+
+    /// [`earliest_arrival`] with no outages, the default retry policy
+    /// and no telemetry.
+    fn arrive(
+        contacts: &[Contact],
+        n_nodes: usize,
+        src: usize,
+        dst: usize,
+        t_start_s: f64,
+        bundle_bits: f64,
+    ) -> Result<DtnRoute, DtnError> {
+        let retry = RetryPolicy::default();
+        earliest_arrival(
+            contacts,
+            n_nodes,
+            src,
+            dst,
+            t_start_s,
+            bundle_bits,
+            &[],
+            retry,
+            &mut NullRecorder,
+        )
+    }
 
     fn contact(from: usize, to: usize, start: f64, end: f64) -> Contact {
         Contact {
@@ -427,7 +381,7 @@ mod tests {
     #[test]
     fn direct_contact_routes_immediately() {
         let plan = [contact(0, 1, 0.0, 100.0)];
-        let r = earliest_arrival(&plan, 2, 0, 1, 5.0, 1e6).unwrap();
+        let r = arrive(&plan, 2, 0, 1, 5.0, 1e6).unwrap();
         // Departure at 5, 1 s transmission, 10 ms propagation.
         assert!((r.arrival_s - 6.01).abs() < 1e-9);
         assert_eq!(r.nodes, vec![0usize, 1]);
@@ -437,7 +391,7 @@ mod tests {
     #[test]
     fn waits_for_future_contact() {
         let plan = [contact(0, 1, 50.0, 100.0)];
-        let r = earliest_arrival(&plan, 2, 0, 1, 0.0, 1e6).unwrap();
+        let r = arrive(&plan, 2, 0, 1, 0.0, 1e6).unwrap();
         assert!((r.arrival_s - 51.01).abs() < 1e-9, "{}", r.arrival_s);
     }
 
@@ -445,7 +399,7 @@ mod tests {
     fn store_and_forward_across_disjoint_windows() {
         // 0→1 early, 1→2 much later: the bundle waits at node 1.
         let plan = [contact(0, 1, 0.0, 10.0), contact(1, 2, 500.0, 600.0)];
-        let r = earliest_arrival(&plan, 3, 0, 2, 0.0, 1e6).unwrap();
+        let r = arrive(&plan, 3, 0, 2, 0.0, 1e6).unwrap();
         assert_eq!(r.nodes, vec![0usize, 1, 2]);
         assert!((r.arrival_s - 501.01).abs() < 1e-9);
     }
@@ -454,7 +408,7 @@ mod tests {
     fn contacts_out_of_order_still_route() {
         // The later contact listed first: the fixed-point loop handles it.
         let plan = [contact(1, 2, 500.0, 600.0), contact(0, 1, 0.0, 10.0)];
-        let r = earliest_arrival(&plan, 3, 0, 2, 0.0, 1e6).unwrap();
+        let r = arrive(&plan, 3, 0, 2, 0.0, 1e6).unwrap();
         assert_eq!(r.hops(), 2);
     }
 
@@ -462,29 +416,23 @@ mod tests {
     fn oversized_bundle_misses_window() {
         // 1 Mbit/s for 10 s = 10 Mbit capacity; a 20 Mbit bundle fails.
         let plan = [contact(0, 1, 0.0, 10.0)];
-        assert_eq!(
-            earliest_arrival(&plan, 2, 0, 1, 0.0, 2e7),
-            Err(DtnError::NoRoute)
-        );
+        assert_eq!(arrive(&plan, 2, 0, 1, 0.0, 2e7), Err(DtnError::NoRoute));
         // But fits through a longer window.
         let plan2 = [contact(0, 1, 0.0, 30.0)];
-        assert!(earliest_arrival(&plan2, 2, 0, 1, 0.0, 2e7).is_ok());
+        assert!(arrive(&plan2, 2, 0, 1, 0.0, 2e7).is_ok());
     }
 
     #[test]
     fn expired_contact_is_useless() {
         let plan = [contact(0, 1, 0.0, 10.0)];
-        assert_eq!(
-            earliest_arrival(&plan, 2, 0, 1, 50.0, 1e3),
-            Err(DtnError::NoRoute)
-        );
+        assert_eq!(arrive(&plan, 2, 0, 1, 50.0, 1e3), Err(DtnError::NoRoute));
     }
 
     #[test]
     fn out_of_range_node_is_an_error_not_a_panic() {
         let plan = [contact(0, 1, 0.0, 10.0)];
         assert_eq!(
-            earliest_arrival(&plan, 2, 0, 7, 0.0, 1.0),
+            arrive(&plan, 2, 0, 7, 0.0, 1.0),
             Err(DtnError::NodeOutOfRange {
                 node: NodeId(7),
                 len: 2
@@ -500,7 +448,7 @@ mod tests {
             contact(0, 2, 0.0, 10.0),
             contact(2, 3, 100.0, 110.0),
         ];
-        let r = earliest_arrival(&plan, 4, 0, 3, 0.0, 1e6).unwrap();
+        let r = arrive(&plan, 4, 0, 3, 0.0, 1e6).unwrap();
         assert_eq!(r.nodes, vec![0usize, 1, 3]);
         assert!(r.arrival_s < 25.0);
     }
@@ -508,10 +456,7 @@ mod tests {
     #[test]
     fn unreachable_returns_no_route() {
         let plan = [contact(0, 1, 0.0, 10.0)];
-        assert_eq!(
-            earliest_arrival(&plan, 3, 0, 2, 0.0, 1.0),
-            Err(DtnError::NoRoute)
-        );
+        assert_eq!(arrive(&plan, 3, 0, 2, 0.0, 1.0), Err(DtnError::NoRoute));
     }
 
     #[test]
@@ -538,9 +483,18 @@ mod tests {
             start_s: 0.0,
             end_s: 4.0,
         }];
-        let r =
-            earliest_arrival_with_retry(&plan, 2, 0, 1, 0.0, 1e6, &outage, RetryPolicy::default())
-                .unwrap();
+        let r = earliest_arrival(
+            &plan,
+            2,
+            0,
+            1,
+            0.0,
+            1e6,
+            &outage,
+            RetryPolicy::default(),
+            &mut NullRecorder,
+        )
+        .unwrap();
         assert_eq!(r.retries, 3);
         assert!((r.arrival_s - 8.01).abs() < 1e-9, "{}", r.arrival_s);
     }
@@ -554,7 +508,7 @@ mod tests {
             start_s: 0.0,
             end_s: 99.0,
         }];
-        let r = earliest_arrival_with_retry(
+        let r = earliest_arrival(
             &plan,
             2,
             0,
@@ -567,6 +521,7 @@ mod tests {
                 base_backoff_s: 1.0,
                 max_backoff_s: 60.0,
             },
+            &mut NullRecorder,
         );
         assert_eq!(r, Err(DtnError::NoRoute));
     }
@@ -574,12 +529,7 @@ mod tests {
     #[test]
     fn no_outages_means_no_retries() {
         let plan = [contact(0, 1, 0.0, 100.0), contact(1, 2, 0.0, 200.0)];
-        let plain = earliest_arrival(&plan, 3, 0, 2, 0.0, 1e6).unwrap();
-        let with =
-            earliest_arrival_with_retry(&plan, 3, 0, 2, 0.0, 1e6, &[], RetryPolicy::default())
-                .unwrap();
-        assert_eq!(plain, with);
-        assert_eq!(with.retries, 0);
+        assert_eq!(arrive(&plan, 3, 0, 2, 0.0, 1e6).unwrap().retries, 0);
     }
 
     #[test]
@@ -592,7 +542,7 @@ mod tests {
             end_s: 4.0,
         }];
         let mut rec = MemoryRecorder::new();
-        let r = earliest_arrival_with_retry_recorded(
+        let r = earliest_arrival(
             &plan,
             2,
             0,
@@ -616,17 +566,7 @@ mod tests {
         use openspace_telemetry::MemoryRecorder;
         let plan = [contact(0, 1, 0.0, 10.0)];
         let mut rec = MemoryRecorder::new();
-        let r = earliest_arrival_with_retry_recorded(
-            &plan,
-            3,
-            0,
-            2,
-            0.0,
-            1.0,
-            &[],
-            RetryPolicy::default(),
-            &mut rec,
-        );
+        let r = earliest_arrival(&plan, 3, 0, 2, 0.0, 1.0, &[], Default::default(), &mut rec);
         assert_eq!(r, Err(DtnError::NoRoute));
         assert_eq!(rec.counter("dtn.no_route"), 1);
         assert_eq!(rec.counter("dtn.bundles_routed"), 0);
@@ -691,7 +631,7 @@ mod tests {
             30.0,
             &SnapshotParams::default(),
         );
-        let r = earliest_arrival(&contacts, 2, 0, 1, 0.0, 8.0 * 1e6).unwrap();
+        let r = arrive(&contacts, 2, 0, 1, 0.0, 8.0 * 1e6).unwrap();
         assert!(r.arrival_s > 0.0 && r.arrival_s < 86_400.0);
         assert_eq!(r.nodes, vec![0usize, 1]);
     }

@@ -8,14 +8,15 @@
 //! [`service_schedule`] turns a contact plan into the sequence of serving
 //! satellites a user experiences; experiment E4 measures its handover
 //! cadence against constellation density (the Starlink-every-15-s claim).
-//! [`service_schedule_with_outages`] additionally consumes satellite
-//! outage windows from a fault plan: a user whose access satellite dies
-//! mid-pass is *forcibly* re-associated to the best surviving satellite,
-//! and the schedule counts those unplanned handovers separately.
+//! It also consumes satellite outage windows from a fault plan: a user
+//! whose access satellite dies mid-pass is *forcibly* re-associated to
+//! the best surviving satellite, and the schedule counts those unplanned
+//! handovers separately.
 
 use crate::contact::ContactWindow;
 use openspace_sim::config::ConfigError;
 use openspace_sim::ids::SatId;
+use openspace_telemetry::Recorder;
 
 /// One serving interval in a user's schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,64 +80,25 @@ impl SatOutageWindow {
 /// whose window extends furthest (maximizing time to the next handover,
 /// which the serving satellite can compute from public orbits).
 ///
-/// Errs on an inverted interval.
-pub fn service_schedule(
-    windows: &[ContactWindow],
-    t_start_s: f64,
-    t_end_s: f64,
-) -> Result<ServiceSchedule, ConfigError> {
-    service_schedule_with_outages(windows, &[], t_start_s, t_end_s)
-}
-
-/// [`service_schedule`] under satellite outages: a satellite is only
+/// Under satellite `outages` (pass `&[]` for none) a satellite is only
 /// eligible to serve while alive, and the serving interval of a user
 /// whose satellite fails mid-pass is cut short — the user re-associates
 /// immediately to the best surviving visible satellite (a *forced*
 /// re-association), or falls into outage when none exists.
-pub fn service_schedule_with_outages(
+///
+/// On success, records the schedule (`handover.schedules`), its
+/// successor switches (`handover.switches`), the subset forced by
+/// mid-pass failures (`handover.forced_reassociations`), and the
+/// accumulated dead air (a `handover.outage_s` histogram sample, so
+/// multi-user experiments get a distribution) on `rec`.
+///
+/// Errs on an inverted interval.
+pub fn service_schedule(
     windows: &[ContactWindow],
     outages: &[SatOutageWindow],
     t_start_s: f64,
     t_end_s: f64,
-) -> Result<ServiceSchedule, ConfigError> {
-    service_schedule_with_outages_recorded(
-        windows,
-        outages,
-        t_start_s,
-        t_end_s,
-        &mut openspace_telemetry::NullRecorder,
-    )
-}
-
-/// [`service_schedule_with_outages`] with telemetry: on success, records
-/// the schedule's successor switches (`handover.switches`), the subset
-/// forced by mid-pass failures (`handover.forced_reassociations`), and
-/// the accumulated dead air (`handover.outage_s` gauge, plus the
-/// `handover.outage_s` histogram sample so multi-user experiments get a
-/// distribution).
-pub fn service_schedule_with_outages_recorded(
-    windows: &[ContactWindow],
-    outages: &[SatOutageWindow],
-    t_start_s: f64,
-    t_end_s: f64,
-    rec: &mut dyn openspace_telemetry::Recorder,
-) -> Result<ServiceSchedule, ConfigError> {
-    let schedule = service_schedule_with_outages_inner(windows, outages, t_start_s, t_end_s)?;
-    rec.add("handover.schedules", 1);
-    rec.add("handover.switches", schedule.handovers as u64);
-    rec.add(
-        "handover.forced_reassociations",
-        schedule.forced_reassociations as u64,
-    );
-    rec.observe("handover.outage_s", schedule.outage_s);
-    Ok(schedule)
-}
-
-fn service_schedule_with_outages_inner(
-    windows: &[ContactWindow],
-    outages: &[SatOutageWindow],
-    t_start_s: f64,
-    t_end_s: f64,
+    rec: &mut dyn Recorder,
 ) -> Result<ServiceSchedule, ConfigError> {
     if t_end_s < t_start_s {
         return Err(ConfigError::InvertedInterval {
@@ -225,6 +187,10 @@ fn service_schedule_with_outages_inner(
         }
     }
 
+    rec.add("handover.schedules", 1);
+    rec.add("handover.switches", handovers as u64);
+    rec.add("handover.forced_reassociations", forced as u64);
+    rec.observe("handover.outage_s", outage);
     Ok(ServiceSchedule {
         intervals,
         handovers,
@@ -267,6 +233,7 @@ impl HandoverCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openspace_telemetry::NullRecorder;
 
     fn w(sat: usize, start: f64, end: f64) -> ContactWindow {
         ContactWindow {
@@ -288,7 +255,7 @@ mod tests {
     fn seamless_two_sat_schedule() {
         // Sat 0 visible [0,100), sat 1 visible [80,200): one handover at 100.
         let windows = [w(0, 0.0, 100.0), w(1, 80.0, 200.0)];
-        let s = service_schedule(&windows, 0.0, 200.0).unwrap();
+        let s = service_schedule(&windows, &[], 0.0, 200.0, &mut NullRecorder).unwrap();
         assert_eq!(s.intervals.len(), 2);
         assert_eq!(s.intervals[0].sat_index, SatId(0));
         assert_eq!(s.intervals[1].sat_index, SatId(1));
@@ -301,7 +268,7 @@ mod tests {
     #[test]
     fn gap_counts_as_outage_not_handover() {
         let windows = [w(0, 0.0, 50.0), w(1, 80.0, 150.0)];
-        let s = service_schedule(&windows, 0.0, 150.0).unwrap();
+        let s = service_schedule(&windows, &[], 0.0, 150.0, &mut NullRecorder).unwrap();
         assert_eq!(s.handovers, 0, "outage breaks the handover chain");
         assert_eq!(s.outage_s, 30.0);
         assert_eq!(s.intervals.len(), 2);
@@ -311,7 +278,7 @@ mod tests {
     fn picks_longest_lasting_visible_sat() {
         // At t=0 both are visible; sat 1 lasts longer and must be chosen.
         let windows = [w(0, 0.0, 50.0), w(1, 0.0, 300.0)];
-        let s = service_schedule(&windows, 0.0, 300.0).unwrap();
+        let s = service_schedule(&windows, &[], 0.0, 300.0, &mut NullRecorder).unwrap();
         assert_eq!(s.intervals.len(), 1);
         assert_eq!(s.intervals[0].sat_index, SatId(1));
         assert_eq!(s.handovers, 0);
@@ -328,7 +295,7 @@ mod tests {
             let start = 15.0 * k as f64;
             windows.push(w(k, start, start + 30.0));
         }
-        let s = service_schedule(&windows, 0.0, 250.0).unwrap();
+        let s = service_schedule(&windows, &[], 0.0, 250.0, &mut NullRecorder).unwrap();
         assert!(s.handovers >= 7, "handovers {}", s.handovers);
         assert_eq!(s.outage_s, 0.0);
         let mtbh = s.mean_time_between_handovers_s().unwrap();
@@ -340,7 +307,7 @@ mod tests {
 
     #[test]
     fn no_windows_is_all_outage() {
-        let s = service_schedule(&[], 0.0, 100.0).unwrap();
+        let s = service_schedule(&[], &[], 0.0, 100.0, &mut NullRecorder).unwrap();
         assert!(s.intervals.is_empty());
         assert_eq!(s.outage_s, 100.0);
         assert_eq!(s.mean_time_between_handovers_s(), None);
@@ -349,14 +316,14 @@ mod tests {
     #[test]
     fn horizon_clamps_final_interval() {
         let windows = [w(0, 0.0, 1_000.0)];
-        let s = service_schedule(&windows, 0.0, 100.0).unwrap();
+        let s = service_schedule(&windows, &[], 0.0, 100.0, &mut NullRecorder).unwrap();
         assert_eq!(s.intervals[0].end_s, 100.0);
     }
 
     #[test]
     fn inverted_interval_is_an_error_not_a_panic() {
         assert!(matches!(
-            service_schedule(&[], 100.0, 0.0),
+            service_schedule(&[], &[], 100.0, 0.0, &mut NullRecorder),
             Err(ConfigError::InvertedInterval { .. })
         ));
     }
@@ -373,8 +340,8 @@ mod tests {
     #[test]
     fn schedule_is_deterministic() {
         let windows = [w(0, 0.0, 60.0), w(1, 30.0, 90.0), w(2, 60.0, 120.0)];
-        let a = service_schedule(&windows, 0.0, 120.0).unwrap();
-        let b = service_schedule(&windows, 0.0, 120.0).unwrap();
+        let a = service_schedule(&windows, &[], 0.0, 120.0, &mut NullRecorder).unwrap();
+        let b = service_schedule(&windows, &[], 0.0, 120.0, &mut NullRecorder).unwrap();
         assert_eq!(a, b);
     }
 
@@ -384,7 +351,7 @@ mod tests {
         // first, dies at t=50, and the user must jump to sat 0.
         let windows = [w(0, 0.0, 200.0), w(1, 0.0, 300.0)];
         let outages = [dead(1, 50.0, f64::INFINITY)];
-        let s = service_schedule_with_outages(&windows, &outages, 0.0, 200.0).unwrap();
+        let s = service_schedule(&windows, &outages, 0.0, 200.0, &mut NullRecorder).unwrap();
         assert_eq!(s.intervals.len(), 2);
         assert_eq!(s.intervals[0].sat_index, SatId(1));
         assert_eq!(s.intervals[0].end_s, 50.0);
@@ -398,7 +365,7 @@ mod tests {
     fn failure_with_no_survivor_is_an_outage() {
         let windows = [w(0, 0.0, 100.0)];
         let outages = [dead(0, 40.0, 60.0)];
-        let s = service_schedule_with_outages(&windows, &outages, 0.0, 100.0).unwrap();
+        let s = service_schedule(&windows, &outages, 0.0, 100.0, &mut NullRecorder).unwrap();
         // Serve [0,40), outage [40,60) while the sat is down, resume at 60.
         assert_eq!(s.intervals.len(), 2);
         assert_eq!(s.outage_s, 20.0);
@@ -411,7 +378,7 @@ mod tests {
         // Sat 1's window is longer but it is dead the whole time.
         let windows = [w(0, 0.0, 100.0), w(1, 0.0, 300.0)];
         let outages = [dead(1, 0.0, f64::INFINITY)];
-        let s = service_schedule_with_outages(&windows, &outages, 0.0, 100.0).unwrap();
+        let s = service_schedule(&windows, &outages, 0.0, 100.0, &mut NullRecorder).unwrap();
         assert_eq!(s.intervals.len(), 1);
         assert_eq!(s.intervals[0].sat_index, SatId(0));
     }
@@ -422,10 +389,8 @@ mod tests {
         let windows = [w(0, 0.0, 200.0), w(1, 0.0, 300.0)];
         let outages = [dead(1, 50.0, f64::INFINITY)];
         let mut rec = MemoryRecorder::new();
-        let recorded =
-            service_schedule_with_outages_recorded(&windows, &outages, 0.0, 200.0, &mut rec)
-                .unwrap();
-        let plain = service_schedule_with_outages(&windows, &outages, 0.0, 200.0).unwrap();
+        let recorded = service_schedule(&windows, &outages, 0.0, 200.0, &mut rec).unwrap();
+        let plain = service_schedule(&windows, &outages, 0.0, 200.0, &mut NullRecorder).unwrap();
         assert_eq!(recorded, plain, "telemetry must not perturb the schedule");
         assert_eq!(rec.counter("handover.schedules"), 1);
         assert_eq!(rec.counter("handover.switches"), 1);
@@ -436,8 +401,8 @@ mod tests {
     #[test]
     fn empty_outage_list_matches_plain_schedule() {
         let windows = [w(0, 0.0, 60.0), w(1, 30.0, 90.0), w(2, 60.0, 120.0)];
-        let plain = service_schedule(&windows, 0.0, 120.0).unwrap();
-        let faulted = service_schedule_with_outages(&windows, &[], 0.0, 120.0).unwrap();
+        let plain = service_schedule(&windows, &[], 0.0, 120.0, &mut NullRecorder).unwrap();
+        let faulted = service_schedule(&windows, &[], 0.0, 120.0, &mut NullRecorder).unwrap();
         assert_eq!(plain, faulted);
     }
 }

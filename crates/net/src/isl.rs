@@ -207,18 +207,11 @@ pub fn isl_capacity_bps(
 /// *both* ends keep each other (mutual selection, matching how terminal
 /// budgets bind on both spacecraft) and are apart: satellites at the
 /// same position get no ISL.
+///
+/// Reports the builder's counters through `rec` (see
+/// [`build_snapshot_from_samples_recorded`]); pass `&mut NullRecorder`
+/// for none.
 pub fn build_snapshot(
-    t_s: f64,
-    sats: &[SatNode],
-    stations: &[GroundNode],
-    params: &SnapshotParams,
-) -> Graph {
-    build_snapshot_recorded(t_s, sats, stations, params, &mut NullRecorder)
-}
-
-/// [`build_snapshot`] with telemetry — see
-/// [`build_snapshot_from_samples_recorded`] for the counters.
-pub fn build_snapshot_recorded(
     t_s: f64,
     sats: &[SatNode],
     stations: &[GroundNode],
@@ -649,20 +642,9 @@ pub fn build_snapshot_from_samples_dense(
 /// code path that could drift from the reference builder.
 ///
 /// Fails with [`TopologyError::ShapeMismatch`] when `prev` has a
-/// different node roster than `sats`/`stations` describe.
+/// different node roster than `sats`/`stations` describe. The snapshot
+/// build reports its `snapshot.*` gating counters through `rec`.
 pub fn snapshot_delta(
-    t_s: f64,
-    prev: &Graph,
-    sats: &[SatNode],
-    stations: &[GroundNode],
-    params: &SnapshotParams,
-) -> Result<GraphDelta, TopologyError> {
-    snapshot_delta_recorded(t_s, prev, sats, stations, params, &mut NullRecorder)
-}
-
-/// [`snapshot_delta`] with telemetry — the underlying snapshot build
-/// reports its `snapshot.*` gating counters through `rec`.
-pub fn snapshot_delta_recorded(
     t_s: f64,
     prev: &Graph,
     sats: &[SatNode],
@@ -670,7 +652,7 @@ pub fn snapshot_delta_recorded(
     params: &SnapshotParams,
     rec: &mut dyn Recorder,
 ) -> Result<GraphDelta, TopologyError> {
-    let next = build_snapshot_recorded(t_s, sats, stations, params, rec);
+    let next = build_snapshot(t_s, sats, stations, params, rec);
     GraphDelta::between(prev, &next)
 }
 
@@ -747,10 +729,21 @@ mod tests {
         }
     }
 
+    /// The snapshot at `t = 0` under default parameters.
+    fn snapshot_now(sats: &[SatNode], stations: &[GroundNode]) -> Graph {
+        build_snapshot(
+            0.0,
+            sats,
+            stations,
+            &SnapshotParams::default(),
+            &mut NullRecorder,
+        )
+    }
+
     #[test]
     fn iridium_snapshot_is_connected() {
         let sats = iridium_nodes(false);
-        let g = build_snapshot(0.0, &sats, &[], &SnapshotParams::default());
+        let g = snapshot_now(&sats, &[]);
         let reach = g.reachable_from(0);
         let count = reach.iter().filter(|&&r| r).count();
         assert_eq!(count, 66, "Iridium ISL mesh must be connected");
@@ -760,7 +753,7 @@ mod tests {
     fn degree_bounded_by_terminal_count() {
         let sats = iridium_nodes(false);
         let p = SnapshotParams::default();
-        let g = build_snapshot(0.0, &sats, &[], &p);
+        let g = build_snapshot(0.0, &sats, &[], &p, &mut NullRecorder);
         for i in 0..66 {
             assert!(
                 g.degree(i) <= p.max_isl_per_sat,
@@ -773,7 +766,7 @@ mod tests {
     #[test]
     fn isl_links_are_mutual() {
         let sats = iridium_nodes(false);
-        let g = build_snapshot(0.0, &sats, &[], &SnapshotParams::default());
+        let g = snapshot_now(&sats, &[]);
         for i in 0..66 {
             for e in g.edges(i) {
                 assert!(
@@ -788,7 +781,7 @@ mod tests {
     #[test]
     fn optical_fleet_gets_optical_links() {
         let sats = iridium_nodes(true);
-        let g = build_snapshot(0.0, &sats, &[], &SnapshotParams::default());
+        let g = snapshot_now(&sats, &[]);
         let mut saw_optical = false;
         for i in 0..g.satellite_count() {
             for e in g.edges(i) {
@@ -823,7 +816,7 @@ mod tests {
     fn stations_link_to_overhead_satellites() {
         let sats = iridium_nodes(false);
         let st = [station(0.0, 0.0), station(45.0, 90.0)];
-        let g = build_snapshot(0.0, &sats, &st, &SnapshotParams::default());
+        let g = snapshot_now(&sats, &st);
         for gi in 0..2 {
             let node = g.station_node(gi);
             assert!(
@@ -841,8 +834,8 @@ mod tests {
             min_elevation_rad: 85f64.to_radians(),
             ..SnapshotParams::default()
         };
-        let g_strict = build_snapshot(0.0, &sats, &st, &strict);
-        let g_loose = build_snapshot(0.0, &sats, &st, &SnapshotParams::default());
+        let g_strict = build_snapshot(0.0, &sats, &st, &strict, &mut NullRecorder);
+        let g_loose = snapshot_now(&sats, &st);
         assert!(
             g_strict.degree(g_strict.station_node(0)) <= g_loose.degree(g_loose.station_node(0))
         );
@@ -910,7 +903,7 @@ mod tests {
             ..SnapshotParams::default()
         };
         let mut rec = MemoryRecorder::new();
-        let gated = build_snapshot_recorded(0.0, &sats, &[], &params, &mut rec);
+        let gated = build_snapshot(0.0, &sats, &[], &params, &mut rec);
         let samples: Vec<EphemerisSample> = sats
             .iter()
             .map(|s| {
@@ -932,22 +925,25 @@ mod tests {
         let sats = iridium_nodes(false);
         let st = [station(0.0, 0.0)];
         let params = SnapshotParams::default();
-        let g0 = build_snapshot(0.0, &sats, &st, &params);
-        let d = snapshot_delta(120.0, &g0, &sats, &st, &params).unwrap();
+        let g0 = build_snapshot(0.0, &sats, &st, &params, &mut NullRecorder);
+        let d = snapshot_delta(120.0, &g0, &sats, &st, &params, &mut NullRecorder).unwrap();
         assert!(!d.is_empty(), "Iridium contacts churn over two minutes");
         let mut patched = g0.clone();
         patched.apply_delta(&d).unwrap();
-        assert_eq!(patched, build_snapshot(120.0, &sats, &st, &params));
+        assert_eq!(
+            patched,
+            build_snapshot(120.0, &sats, &st, &params, &mut NullRecorder)
+        );
         // Roster disagreement is an error, not a bad patch.
         assert!(matches!(
-            snapshot_delta(120.0, &g0, &sats, &[], &params),
+            snapshot_delta(120.0, &g0, &sats, &[], &params, &mut NullRecorder),
             Err(TopologyError::ShapeMismatch { .. })
         ));
     }
 
     #[test]
     fn empty_constellation_gives_empty_graph() {
-        let g = build_snapshot(0.0, &[], &[station(0.0, 0.0)], &SnapshotParams::default());
+        let g = snapshot_now(&[], &[station(0.0, 0.0)]);
         assert_eq!(g.edge_count(), 0);
         assert!(best_access_satellite(station(0.0, 0.0).position_ecef, &[], 0.0, 0.0).is_none());
     }

@@ -48,8 +48,8 @@
 //!         has_optical: false,
 //!     })
 //!     .collect();
-//! let graph = build_snapshot(0.0, &sats, &[], &SnapshotParams::default());
-//! let path = shortest_path(&graph, 0, 35, latency_weight).unwrap();
+//! let graph = build_snapshot(0.0, &sats, &[], &SnapshotParams::default(), &mut NullRecorder);
+//! let path = shortest_path(&graph, 0, 35, latency_weight, &mut NullRecorder).unwrap();
 //! assert!(path.hops() >= 1);
 //! ```
 
@@ -65,22 +65,19 @@ pub mod topology;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::contact::{
-        contact_plan, contact_plan_dense, contact_plan_recorded, coverage_time_fraction,
-        longest_outage_s, ContactWindow,
+        contact_plan, contact_plan_dense, coverage_time_fraction, longest_outage_s, ContactWindow,
     };
     pub use crate::dtn::{
-        earliest_arrival, earliest_arrival_with_retry, sample_contacts, Contact, DtnError,
-        DtnRoute, NodeOutageWindow, RetryPolicy,
+        earliest_arrival, sample_contacts, Contact, DtnError, DtnRoute, NodeOutageWindow,
+        RetryPolicy,
     };
     pub use crate::handover::{
-        service_schedule, service_schedule_with_outages, HandoverCost, SatOutageWindow,
-        ServiceInterval, ServiceSchedule,
+        service_schedule, HandoverCost, SatOutageWindow, ServiceInterval, ServiceSchedule,
     };
     pub use crate::isl::{
         best_access_from_ecef, best_access_satellite, build_snapshot, build_snapshot_from_samples,
-        build_snapshot_from_samples_dense, build_snapshot_from_samples_recorded,
-        build_snapshot_recorded, isl_capacity_bps, snapshot_delta, snapshot_delta_recorded,
-        GroundNode, SatNode, SnapshotParams,
+        build_snapshot_from_samples_dense, build_snapshot_from_samples_recorded, isl_capacity_bps,
+        snapshot_delta, GroundNode, SatNode, SnapshotParams,
     };
     pub use crate::policy::{
         audit_path, policy_route, DownlinkLicense, Jurisdiction, PolicyRoute, RoutePolicy,
@@ -95,4 +92,5 @@ pub mod prelude {
         Edge, Graph, GraphDelta, GsId, LinkTech, NoSuchEdge, NodeId, NodeKind, OperatorId, SatId,
         TopologyError,
     };
+    pub use openspace_telemetry::{NullRecorder, Recorder};
 }

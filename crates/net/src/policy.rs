@@ -15,7 +15,8 @@
 //! proves none exists, which is itself the §5(3) finding.
 
 use crate::routing::dijkstra::{shortest_path, Path};
-use crate::topology::{Graph, NodeKind};
+use crate::topology::{Edge, Graph, NodeKind};
+use openspace_telemetry::NullRecorder;
 
 /// A legal jurisdiction (country/region code, opaque).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -93,7 +94,7 @@ pub fn policy_route(
     licenses: &[DownlinkLicense],
     src: impl Into<crate::topology::NodeId>,
     policy: &RoutePolicy,
-    weight: impl Fn(&crate::topology::Edge) -> f64 + Copy,
+    weight: impl Fn(&Edge) -> f64 + Copy,
 ) -> PolicyRoute {
     let src = src.into();
     assert_eq!(
@@ -113,13 +114,13 @@ pub fn policy_route(
     for (gi, attrs) in station_attrs.iter().enumerate() {
         let dst = graph.station_node(gi);
         // Track raw reachability for the OnlyNonCompliant distinction.
-        if shortest_path(graph, src, dst, weight).is_some() {
+        if shortest_path(graph, src, dst, weight, &mut NullRecorder).is_some() {
             any_route = true;
         }
         if !policy.exit_allowed(attrs.jurisdiction) {
             continue;
         }
-        let constrained = shortest_path(graph, src, dst, |e| {
+        let compliant = |e: &Edge| {
             if !policy.carrier_allowed(e.operator.0) {
                 return f64::INFINITY;
             }
@@ -132,7 +133,8 @@ pub fn policy_route(
                 }
             }
             weight(e)
-        });
+        };
+        let constrained = shortest_path(graph, src, dst, compliant, &mut NullRecorder);
         if let Some(p) = constrained {
             if best
                 .as_ref()
@@ -354,7 +356,7 @@ mod tests {
             panic!("route expected");
         }
         // A policy-unaware path through op1 fails the audit.
-        let naive = shortest_path(&g, 0, 3, latency_weight).unwrap();
+        let naive = shortest_path(&g, 0, 3, latency_weight, &mut NullRecorder).unwrap();
         assert!(!audit_path(&g, &attrs, &naive, &policy));
     }
 }

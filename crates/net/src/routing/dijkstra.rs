@@ -5,8 +5,9 @@
 //! parameter so the same machinery serves latency-optimal, hop-count, and
 //! the QoS-aware costs in [`crate::routing::qos`].
 
+use crate::routing::RoutePlanner;
 use crate::topology::{Edge, Graph, NodeId};
-use openspace_telemetry::{NullRecorder, Recorder};
+use openspace_telemetry::Recorder;
 
 /// A computed path.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +51,13 @@ impl Path {
 /// how QoS filters express "this link does not qualify"). Returns `None`
 /// when `dst` is unreachable.
 ///
+/// Bumps the `routing.recomputes` counter once per call and
+/// `routing.nodes_visited` by the number of heap pops the search
+/// performed (the work metric that distinguishes a cheap local route
+/// from a constellation-crossing one); pass `&mut NullRecorder` for no
+/// telemetry. A single-request batch on a fresh
+/// [`RoutePlanner`], which stops as soon as the destination settles.
+///
 /// # Panics
 /// Panics if `weight` returns a negative or NaN value for a usable edge,
 /// or on out-of-range endpoints.
@@ -58,27 +66,12 @@ pub fn shortest_path(
     src: impl Into<NodeId>,
     dst: impl Into<NodeId>,
     weight: impl Fn(&Edge) -> f64,
-) -> Option<Path> {
-    shortest_path_recorded(graph, src, dst, weight, &mut NullRecorder)
-}
-
-/// [`shortest_path`] with telemetry: bumps the `routing.recomputes`
-/// counter once per call and `routing.nodes_visited` by the number of
-/// heap pops the search performed (the work metric that distinguishes a
-/// cheap local route from a constellation-crossing one).
-///
-/// A thin single-request wrapper over the batched
-/// [`RoutePlanner`](crate::routing::RoutePlanner), which stops as soon as
-/// the destination settles — per-request cost and output are unchanged
-/// from the dedicated early-exit search this used to be.
-pub fn shortest_path_recorded(
-    graph: &Graph,
-    src: impl Into<NodeId>,
-    dst: impl Into<NodeId>,
-    weight: impl Fn(&Edge) -> f64,
     rec: &mut dyn Recorder,
 ) -> Option<Path> {
-    crate::routing::planner::RoutePlanner::new().route_recorded(graph, src, dst, weight, rec)
+    RoutePlanner::new()
+        .plan_recorded(graph, &[(src.into(), dst.into())], weight, rec)
+        .pop()
+        .flatten()
 }
 
 /// Latency edge weight: pure propagation delay.
@@ -95,6 +88,7 @@ pub fn hop_weight(_e: &Edge) -> f64 {
 mod tests {
     use super::*;
     use crate::topology::LinkTech;
+    use openspace_telemetry::{MemoryRecorder, NullRecorder};
 
     /// Build:  0 --1ms-- 1 --1ms-- 2
     ///          \________5ms_______/
@@ -109,7 +103,7 @@ mod tests {
     #[test]
     fn picks_lower_latency_two_hop() {
         let g = diamond();
-        let p = shortest_path(&g, 0, 2, latency_weight).unwrap();
+        let p = shortest_path(&g, 0, 2, latency_weight, &mut NullRecorder).unwrap();
         assert_eq!(p.nodes, vec![0usize, 1, 2]);
         assert!((p.total_cost - 0.002).abs() < 1e-12);
     }
@@ -117,7 +111,7 @@ mod tests {
     #[test]
     fn hop_weight_prefers_direct() {
         let g = diamond();
-        let p = shortest_path(&g, 0, 2, hop_weight).unwrap();
+        let p = shortest_path(&g, 0, 2, hop_weight, &mut NullRecorder).unwrap();
         assert_eq!(p.nodes, vec![0usize, 2]);
         assert_eq!(p.hops(), 1);
     }
@@ -125,7 +119,7 @@ mod tests {
     #[test]
     fn source_equals_destination() {
         let g = diamond();
-        let p = shortest_path(&g, 1, 1, latency_weight).unwrap();
+        let p = shortest_path(&g, 1, 1, latency_weight, &mut NullRecorder).unwrap();
         assert_eq!(p.nodes, vec![1usize]);
         assert_eq!(p.total_cost, 0.0);
         assert_eq!(p.hops(), 0);
@@ -135,20 +129,21 @@ mod tests {
     fn unreachable_returns_none() {
         let mut g = Graph::new(3, 0);
         g.add_bidirectional(0, 1, 0.001, 1e6, 0u32, 0u32, LinkTech::Rf);
-        assert!(shortest_path(&g, 0, 2, latency_weight).is_none());
+        assert!(shortest_path(&g, 0, 2, latency_weight, &mut NullRecorder).is_none());
     }
 
     #[test]
     fn infinite_weight_excludes_edge() {
         let g = diamond();
         // Exclude the 0-1 edge: forced onto the direct path.
-        let p = shortest_path(&g, 0, 2, |e| {
+        let weight = |e: &Edge| {
             if e.latency_s < 0.002 && e.to != 2usize {
                 f64::INFINITY
             } else {
                 e.latency_s
             }
-        });
+        };
+        let p = shortest_path(&g, 0, 2, weight, &mut NullRecorder);
         // With 0->1 excluded, path is the direct 0->2.
         assert_eq!(p.unwrap().nodes, vec![0usize, 2]);
     }
@@ -156,7 +151,7 @@ mod tests {
     #[test]
     fn bottleneck_and_metric_sum() {
         let g = diamond();
-        let p = shortest_path(&g, 0, 2, latency_weight).unwrap();
+        let p = shortest_path(&g, 0, 2, latency_weight, &mut NullRecorder).unwrap();
         assert_eq!(p.bottleneck_bps(&g), Some(1e6));
         let lat = p.sum_metric(&g, |e| e.latency_s).unwrap();
         assert!((lat - 0.002).abs() < 1e-12);
@@ -165,7 +160,7 @@ mod tests {
     #[test]
     fn stale_path_metrics_are_none_not_a_panic() {
         let mut g = diamond();
-        let p = shortest_path(&g, 0, 2, latency_weight).unwrap();
+        let p = shortest_path(&g, 0, 2, latency_weight, &mut NullRecorder).unwrap();
         g.retain_edges(|u, e| u != NodeId(1) && e.to != NodeId(1));
         assert_eq!(p.sum_metric(&g, |e| e.latency_s), None);
         assert_eq!(p.bottleneck_bps(&g), None);
@@ -173,11 +168,10 @@ mod tests {
 
     #[test]
     fn recorded_variant_counts_work_without_changing_the_path() {
-        use openspace_telemetry::MemoryRecorder;
         let g = diamond();
         let mut rec = MemoryRecorder::new();
-        let recorded = shortest_path_recorded(&g, 0, 2, latency_weight, &mut rec).unwrap();
-        let plain = shortest_path(&g, 0, 2, latency_weight).unwrap();
+        let recorded = shortest_path(&g, 0, 2, latency_weight, &mut rec).unwrap();
+        let plain = shortest_path(&g, 0, 2, latency_weight, &mut NullRecorder).unwrap();
         assert_eq!(recorded, plain);
         assert_eq!(rec.counter("routing.recomputes"), 1);
         // src, the intermediate node, and dst all pop from the heap.
@@ -186,11 +180,10 @@ mod tests {
 
     #[test]
     fn unreachable_search_still_counts_a_recompute() {
-        use openspace_telemetry::MemoryRecorder;
         let mut g = Graph::new(3, 0);
         g.add_bidirectional(0, 1, 0.001, 1e6, 0u32, 0u32, LinkTech::Rf);
         let mut rec = MemoryRecorder::new();
-        assert!(shortest_path_recorded(&g, 0, 2, latency_weight, &mut rec).is_none());
+        assert!(shortest_path(&g, 0, 2, latency_weight, &mut rec).is_none());
         assert_eq!(rec.counter("routing.recomputes"), 1);
     }
 
@@ -203,8 +196,8 @@ mod tests {
         g.add_bidirectional(0, 2, 0.001, 1e6, 0u32, 0u32, LinkTech::Rf);
         g.add_bidirectional(1, 3, 0.001, 1e6, 0u32, 0u32, LinkTech::Rf);
         g.add_bidirectional(2, 3, 0.001, 1e6, 0u32, 0u32, LinkTech::Rf);
-        let a = shortest_path(&g, 0, 3, latency_weight).unwrap();
-        let b = shortest_path(&g, 0, 3, latency_weight).unwrap();
+        let a = shortest_path(&g, 0, 3, latency_weight, &mut NullRecorder).unwrap();
+        let b = shortest_path(&g, 0, 3, latency_weight, &mut NullRecorder).unwrap();
         assert_eq!(a, b);
     }
 
@@ -215,7 +208,7 @@ mod tests {
         for i in 0..n - 1 {
             g.add_bidirectional(i, i + 1, 0.001, 1e6, 0u32, 0u32, LinkTech::Rf);
         }
-        let p = shortest_path(&g, 0, n - 1, latency_weight).unwrap();
+        let p = shortest_path(&g, 0, n - 1, latency_weight, &mut NullRecorder).unwrap();
         assert_eq!(p.hops(), n - 1);
         assert!((p.total_cost - 0.001 * (n - 1) as f64).abs() < 1e-9);
     }

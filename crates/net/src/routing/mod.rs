@@ -1,27 +1,32 @@
 //! Routing over topology snapshots.
 //!
-//! Three layers, matching §2.2's progression:
+//! Four layers, matching §2.2's progression, over one search kernel:
 //!
-//! * [`dijkstra`] — shortest paths with pluggable weights: the proactive
-//!   precomputed routing a "beginner system" uses.
-//! * [`yen`] — k-shortest alternatives for fallback.
+//! * [`dijkstra`] — [`shortest_path`] with pluggable weights: the
+//!   proactive precomputed routing a "beginner system" uses.
+//! * [`yen`] — k-shortest alternatives for fallback; each spur search is
+//!   a [`shortest_path`] on a filtered copy of the graph.
 //! * [`qos`] — congestion-aware weights, bandwidth floors, and widest
 //!   paths: the end-to-end reactive routing the paper says a scaled
-//!   system needs.
-//! * [`planner`] — the batched per-source [`RoutePlanner`] behind both
-//!   search entry points: one settled-predecessor tree per distinct
-//!   source, scratch-buffer reuse, and within-tick tree caching for
-//!   replan-heavy workloads ([`shortest_path`] and [`qos_route`] are
-//!   thin single-request wrappers over it).
+//!   system needs. A QoS route is a [`shortest_path`] under
+//!   [`QosRequirement::weight`], filtered by its latency bound.
+//! * [`planner`] — the batched per-source [`RoutePlanner`]: one
+//!   settled-predecessor tree per distinct source, scratch-buffer reuse,
+//!   and within-tick tree caching for replan-heavy workloads. Its tree
+//!   search is the only shortest-path search in the crate:
+//!   [`shortest_path`] is a single-request batch on a fresh planner.
+//!   ([`widest_path`] is a max-bottleneck search, not a shortest path.)
+//!
+//! [`shortest_path`], [`qos_route`] and the planner report their
+//! `routing.*` work counters through a `&mut dyn Recorder`; pass
+//! `&mut NullRecorder` for none.
 
 pub mod dijkstra;
 pub mod planner;
 pub mod qos;
 pub mod yen;
 
-pub use dijkstra::{hop_weight, latency_weight, shortest_path, shortest_path_recorded, Path};
+pub use dijkstra::{hop_weight, latency_weight, shortest_path, Path};
 pub use planner::RoutePlanner;
-pub use qos::{
-    congestion_weight, qos_route, qos_route_recorded, residual_bps, widest_path, QosRequirement,
-};
+pub use qos::{congestion_weight, qos_route, residual_bps, widest_path, QosRequirement};
 pub use yen::k_shortest_paths;

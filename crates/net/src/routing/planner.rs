@@ -18,10 +18,11 @@
 //! * **caches trees between calls** until [`RoutePlanner::invalidate`]
 //!   declares the topology or the edge weights changed.
 //!
-//! The one-shot [`shortest_path`](crate::routing::shortest_path) and
-//! [`qos_route`](crate::routing::qos_route) are single-request batches on
-//! a fresh planner, so one-shot queries and batched plans run this one
-//! kernel.
+//! The one-shot [`shortest_path`](crate::routing::shortest_path) — and
+//! so [`qos_route`](crate::routing::qos_route) and each spur search of
+//! [`k_shortest_paths`](crate::routing::k_shortest_paths) — is a
+//! single-request batch on a fresh planner, so every shortest-path
+//! search in the crate runs this one kernel.
 //!
 //! # Bitwise equivalence to per-flow search
 //!
@@ -88,7 +89,6 @@
 //!   buffer set instead of allocating.
 
 use crate::routing::dijkstra::Path;
-use crate::routing::qos::{congestion_weight, residual_bps, QosRequirement};
 use crate::topology::{Edge, Graph, NodeId};
 use openspace_telemetry::{NullRecorder, Recorder};
 use std::cmp::Reverse;
@@ -397,7 +397,7 @@ impl RoutePlanner {
         weight: impl Fn(&Edge) -> f64,
         rec: &mut dyn Recorder,
     ) -> Vec<Option<Path>> {
-        self.plan_mapped_recorded(graph, requests, weight, Some, rec)
+        self.plan_mapped(graph, requests, weight, Some, rec)
     }
 
     /// [`plan_recorded`](Self::plan_recorded) with a caller-supplied
@@ -407,11 +407,12 @@ impl RoutePlanner {
     /// This lets a caller compile paths straight into its own route
     /// representation (e.g. the packet simulator's link-index form)
     /// without materializing an intermediate `Vec<Path>`. `map`
-    /// returning `None` demotes the request to unroutable (used by the
-    /// QoS latency bound); the `routing.planner.path_extractions`
+    /// returning `None` demotes the request to unroutable (e.g.
+    /// [`QosRequirement::admit`](crate::routing::QosRequirement::admit)
+    /// for a QoS latency bound); the `routing.planner.path_extractions`
     /// counter still counts the raw extraction, so telemetry is
     /// identical whether or not a map filters.
-    pub fn plan_mapped_recorded<T>(
+    pub fn plan_mapped<T>(
         &mut self,
         graph: &Graph,
         requests: &[(NodeId, NodeId)],
@@ -468,81 +469,12 @@ impl RoutePlanner {
         rec.add("routing.planner.scratch_reuses", scratch_reuses);
         paths
     }
-
-    /// Single-request convenience over [`plan_recorded`](Self::plan_recorded):
-    /// the form [`shortest_path`](crate::routing::shortest_path) and
-    /// [`qos_route`](crate::routing::qos_route) wrap.
-    pub fn route_recorded(
-        &mut self,
-        graph: &Graph,
-        src: impl Into<NodeId>,
-        dst: impl Into<NodeId>,
-        weight: impl Fn(&Edge) -> f64,
-        rec: &mut dyn Recorder,
-    ) -> Option<Path> {
-        self.plan_recorded(graph, &[(src.into(), dst.into())], weight, rec)
-            .pop()
-            .flatten()
-    }
-
-    /// Batched QoS routing: the planner analogue of
-    /// [`qos_route`](crate::routing::qos_route). Links whose residual
-    /// bandwidth misses the requirement's floor are filtered, paths are
-    /// costed by [`congestion_weight`], and answers that violate the
-    /// latency bound come back as `None`.
-    pub fn plan_qos_recorded(
-        &mut self,
-        graph: &Graph,
-        requests: &[(NodeId, NodeId)],
-        requirement: &QosRequirement,
-        packet_bits: f64,
-        rec: &mut dyn Recorder,
-    ) -> Vec<Option<Path>> {
-        self.plan_qos_mapped_recorded(graph, requests, requirement, packet_bits, Some, rec)
-    }
-
-    /// [`plan_qos_recorded`](Self::plan_qos_recorded) with a
-    /// caller-supplied extraction map (see
-    /// [`plan_mapped_recorded`](Self::plan_mapped_recorded)). The QoS
-    /// latency bound is applied *before* `map`, so `map` only ever sees
-    /// admissible paths.
-    pub fn plan_qos_mapped_recorded<T>(
-        &mut self,
-        graph: &Graph,
-        requests: &[(NodeId, NodeId)],
-        requirement: &QosRequirement,
-        packet_bits: f64,
-        mut map: impl FnMut(Path) -> Option<T>,
-        rec: &mut dyn Recorder,
-    ) -> Vec<Option<T>> {
-        let min_bw = requirement.min_bandwidth_bps;
-        let max_latency = requirement.max_latency_s;
-        self.plan_mapped_recorded(
-            graph,
-            requests,
-            |e| {
-                if residual_bps(e) < min_bw {
-                    f64::INFINITY
-                } else {
-                    congestion_weight(e, packet_bits)
-                }
-            },
-            |p| {
-                if p.total_cost <= max_latency {
-                    map(p)
-                } else {
-                    None
-                }
-            },
-            rec,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::{latency_weight, qos_route, shortest_path};
+    use crate::routing::{latency_weight, qos_route, shortest_path, QosRequirement};
     use crate::topology::LinkTech;
     use openspace_telemetry::MemoryRecorder;
 
@@ -567,7 +499,7 @@ mod tests {
         let mut planner = RoutePlanner::new();
         let batched = planner.plan(&g, &reqs, latency_weight);
         for (req, got) in reqs.iter().zip(&batched) {
-            let solo = shortest_path(&g, req.0, req.1, latency_weight);
+            let solo = shortest_path(&g, req.0, req.1, latency_weight, &mut NullRecorder);
             let (got, solo) = (got.as_ref().unwrap(), solo.unwrap());
             assert_eq!(got.nodes, solo.nodes);
             assert_eq!(got.total_cost.to_bits(), solo.total_cost.to_bits());
@@ -605,7 +537,9 @@ mod tests {
         let g = diamond();
         let mut planner = RoutePlanner::new();
         let p = planner
-            .route_recorded(&g, 1, 1, latency_weight, &mut NullRecorder)
+            .plan(&g, &[(NodeId(1), NodeId(1))], latency_weight)
+            .pop()
+            .flatten()
             .unwrap();
         assert_eq!(p.nodes, vec![NodeId(1)]);
         assert_eq!(p.total_cost, 0.0);
@@ -639,14 +573,14 @@ mod tests {
             max_latency_s: f64::INFINITY,
         };
         let mut planner = RoutePlanner::new();
-        let batched = planner.plan_qos_recorded(
+        let batched = planner.plan_mapped(
             &g,
             &[(NodeId(0), NodeId(2))],
-            &req,
-            12_000.0,
+            req.weight(12_000.0),
+            |p| req.admit(p),
             &mut NullRecorder,
         );
-        let solo = qos_route(&g, 0, 2, &req, 12_000.0).unwrap();
+        let solo = qos_route(&g, 0, 2, &req, 12_000.0, &mut NullRecorder).unwrap();
         let got = batched[0].as_ref().unwrap();
         assert_eq!(got.nodes, solo.nodes);
         assert_eq!(got.total_cost.to_bits(), solo.total_cost.to_bits());
@@ -660,11 +594,11 @@ mod tests {
             max_latency_s: 1e-9, // unmeetable
         };
         let mut planner = RoutePlanner::new();
-        let out = planner.plan_qos_recorded(
+        let out = planner.plan_mapped(
             &g,
             &[(NodeId(0), NodeId(2))],
-            &req,
-            12_000.0,
+            req.weight(12_000.0),
+            |p| req.admit(p),
             &mut NullRecorder,
         );
         assert!(out[0].is_none());
@@ -741,7 +675,7 @@ mod tests {
         let mut solo_visited = 0;
         for &(s, d) in &reqs {
             let mut rec = MemoryRecorder::new();
-            crate::routing::shortest_path_recorded(&g, s, d, latency_weight, &mut rec);
+            shortest_path(&g, s, d, latency_weight, &mut rec);
             solo_visited += rec.counter("routing.nodes_visited");
         }
         let mut rec = MemoryRecorder::new();

@@ -6,8 +6,9 @@
 //! queueing term and filters links that cannot meet a flow's bandwidth
 //! floor — the two effects the paper names.
 
-use crate::routing::dijkstra::Path;
+use crate::routing::dijkstra::{shortest_path, Path};
 use crate::topology::{Edge, Graph, NodeId};
+use openspace_telemetry::Recorder;
 
 /// A flow's QoS requirements.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,6 +27,26 @@ impl QosRequirement {
             min_bandwidth_bps: 0.0,
             max_latency_s: f64::INFINITY,
         }
+    }
+
+    /// The edge weight QoS routing searches under: [`congestion_weight`]
+    /// for `packet_bits`-bit packets, and `f64::INFINITY` (filtered) on
+    /// links whose residual bandwidth misses the floor.
+    pub fn weight(&self, packet_bits: f64) -> impl Fn(&Edge) -> f64 + Copy {
+        let min_bw = self.min_bandwidth_bps;
+        move |e| {
+            if residual_bps(e) < min_bw {
+                f64::INFINITY
+            } else {
+                congestion_weight(e, packet_bits)
+            }
+        }
+    }
+
+    /// `path` when its cost under [`weight`](Self::weight) meets the
+    /// latency bound, else `None`.
+    pub fn admit(&self, path: Path) -> Option<Path> {
+        (path.total_cost <= self.max_latency_s).then_some(path)
     }
 }
 
@@ -47,47 +68,20 @@ pub fn residual_bps(e: &Edge) -> f64 {
 /// QoS-aware route: congestion-weighted shortest path over links whose
 /// residual capacity meets the flow's floor; `None` when no compliant
 /// path exists or the best one violates the latency bound.
+///
+/// [`shortest_path`] under [`QosRequirement::weight`], filtered by
+/// [`QosRequirement::admit`]; the search reports `routing.recomputes` /
+/// `routing.nodes_visited` through `rec`.
 pub fn qos_route(
     graph: &Graph,
     src: impl Into<NodeId>,
     dst: impl Into<NodeId>,
     requirement: &QosRequirement,
     packet_bits: f64,
+    rec: &mut dyn Recorder,
 ) -> Option<Path> {
-    qos_route_recorded(
-        graph,
-        src,
-        dst,
-        requirement,
-        packet_bits,
-        &mut openspace_telemetry::NullRecorder,
-    )
-}
-
-/// [`qos_route`] with telemetry: the underlying search reports
-/// `routing.recomputes` / `routing.nodes_visited` through `rec` (see
-/// [`shortest_path_recorded`](crate::routing::dijkstra::shortest_path_recorded)).
-///
-/// A thin single-request wrapper over
-/// [`RoutePlanner::plan_qos_recorded`](crate::routing::RoutePlanner::plan_qos_recorded).
-pub fn qos_route_recorded(
-    graph: &Graph,
-    src: impl Into<NodeId>,
-    dst: impl Into<NodeId>,
-    requirement: &QosRequirement,
-    packet_bits: f64,
-    rec: &mut dyn openspace_telemetry::Recorder,
-) -> Option<Path> {
-    crate::routing::planner::RoutePlanner::new()
-        .plan_qos_recorded(
-            graph,
-            &[(src.into(), dst.into())],
-            requirement,
-            packet_bits,
-            rec,
-        )
-        .pop()
-        .flatten()
+    shortest_path(graph, src, dst, requirement.weight(packet_bits), rec)
+        .and_then(|p| requirement.admit(p))
 }
 
 /// Widest path (maximum bottleneck residual bandwidth) via a modified
@@ -176,6 +170,7 @@ pub fn widest_path(
 mod tests {
     use super::*;
     use crate::topology::{LinkTech, OperatorId};
+    use openspace_telemetry::NullRecorder;
 
     /// 0 —fast/loaded→ 1 → 3 and 0 —slow/idle→ 2 → 3.
     fn loaded_diamond(load: f64) -> Graph {
@@ -191,10 +186,15 @@ mod tests {
 
     const PKT: f64 = 12_000.0;
 
+    /// The QoS route across the diamond, `0 → 3`.
+    fn route(g: &Graph, req: &QosRequirement) -> Option<Path> {
+        qos_route(g, 0, 3, req, PKT, &mut NullRecorder)
+    }
+
     #[test]
     fn idle_network_prefers_low_latency() {
         let g = loaded_diamond(0.0);
-        let p = qos_route(&g, 0, 3, &QosRequirement::best_effort(), PKT).unwrap();
+        let p = route(&g, &QosRequirement::best_effort()).unwrap();
         assert_eq!(p.nodes, vec![0usize, 1, 3]);
     }
 
@@ -202,7 +202,7 @@ mod tests {
     fn congestion_diverts_to_idle_path() {
         // At 99.9% load the fast path's queueing term dominates.
         let g = loaded_diamond(0.999);
-        let p = qos_route(&g, 0, 3, &QosRequirement::best_effort(), PKT).unwrap();
+        let p = route(&g, &QosRequirement::best_effort()).unwrap();
         assert_eq!(
             p.nodes,
             vec![0usize, 2, 3],
@@ -217,7 +217,7 @@ mod tests {
             min_bandwidth_bps: 1e6,
             max_latency_s: f64::INFINITY,
         };
-        let p = qos_route(&g, 0, 3, &req, PKT).unwrap();
+        let p = route(&g, &req).unwrap();
         assert_eq!(p.nodes, vec![0usize, 2, 3]);
     }
 
@@ -228,7 +228,7 @@ mod tests {
             min_bandwidth_bps: 1e12,
             max_latency_s: f64::INFINITY,
         };
-        assert!(qos_route(&g, 0, 3, &req, PKT).is_none());
+        assert!(route(&g, &req).is_none());
     }
 
     #[test]
@@ -240,7 +240,7 @@ mod tests {
             min_bandwidth_bps: 0.0,
             max_latency_s: 0.005,
         };
-        assert!(qos_route(&g, 0, 3, &req, PKT).is_none());
+        assert!(route(&g, &req).is_none());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use crate::routing::dijkstra::{shortest_path, Path};
 use crate::topology::{Edge, Graph, NodeId};
+use openspace_telemetry::NullRecorder;
 
 /// Up to `k` loopless shortest paths from `src` to `dst` under `weight`,
 /// ascending by cost. Returns fewer when the graph has fewer distinct
@@ -21,7 +22,7 @@ pub fn k_shortest_paths(
     if k == 0 {
         return Vec::new();
     }
-    let Some(first) = shortest_path(graph, src, dst, weight) else {
+    let Some(first) = shortest_path(graph, src, dst, weight, &mut NullRecorder) else {
         return Vec::new();
     };
     let mut found = vec![first];
@@ -35,28 +36,21 @@ pub fn k_shortest_paths(
             let spur_node = last.nodes[spur_idx];
             let root: Vec<NodeId> = last.nodes[..=spur_idx].to_vec();
 
-            // Edges to suppress: next-hop edges of any found path sharing
-            // this root, plus edges back into root nodes (looplessness).
-            let mut banned_edges: Vec<(NodeId, NodeId)> = Vec::new();
-            for p in &found {
-                if p.nodes.len() > spur_idx + 1 && p.nodes[..=spur_idx] == root[..] {
-                    banned_edges.push((p.nodes[spur_idx], p.nodes[spur_idx + 1]));
-                }
-            }
-            let banned_nodes: Vec<NodeId> = root[..root.len() - 1].to_vec();
-
-            // All banned edges originate at spur_node (they are the next
-            // hops of found paths sharing this root), so banning them by
-            // first-hop destination out of the source is exact.
-            let banned_first_hops: Vec<NodeId> = banned_edges.iter().map(|&(_, to)| to).collect();
-            let spur_path = shortest_path_with_bans(
-                graph,
-                spur_node,
-                dst,
-                &banned_nodes,
-                &banned_first_hops,
-                weight,
-            );
+            // Suppress the next hops of found paths sharing this root
+            // (all leave the spur node) and every edge back into a root
+            // node (looplessness), on a filtered copy of the graph.
+            let banned_nodes = &root[..root.len() - 1];
+            let banned_first_hops: Vec<NodeId> = found
+                .iter()
+                .filter(|p| p.nodes.len() > spur_idx + 1 && p.nodes[..=spur_idx] == root[..])
+                .map(|p| p.nodes[spur_idx + 1])
+                .collect();
+            let mut spur_graph = graph.clone();
+            spur_graph.retain_edges(|u, e| {
+                let banned_hop = u == spur_node && banned_first_hops.contains(&e.to);
+                !(banned_nodes.contains(&e.to) || banned_hop)
+            });
+            let spur_path = shortest_path(&spur_graph, spur_node, dst, weight, &mut NullRecorder);
 
             if let Some(sp) = spur_path {
                 let mut nodes = root.clone();
@@ -96,94 +90,6 @@ pub fn k_shortest_paths(
         found.push(candidates.remove(0));
     }
     found
-}
-
-/// Dijkstra variant used by Yen: bans a node set entirely and bans a set
-/// of first-hop destinations out of the source.
-fn shortest_path_with_bans(
-    graph: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    banned_nodes: &[NodeId],
-    banned_first_hops: &[NodeId],
-    weight: impl Fn(&Edge) -> f64,
-) -> Option<Path> {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct Entry {
-        cost: f64,
-        node: NodeId,
-    }
-    impl Eq for Entry {}
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other
-                .cost
-                .total_cmp(&self.cost)
-                .then(other.node.cmp(&self.node))
-        }
-    }
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[src.0] = 0.0;
-    heap.push(Entry {
-        cost: 0.0,
-        node: src,
-    });
-
-    while let Some(Entry { cost, node }) = heap.pop() {
-        if cost > dist[node.0] {
-            continue;
-        }
-        if node == dst {
-            break;
-        }
-        for e in graph.edges(node) {
-            if banned_nodes.contains(&e.to) {
-                continue;
-            }
-            if node == src && banned_first_hops.contains(&e.to) {
-                continue;
-            }
-            let w = weight(e);
-            if w == f64::INFINITY {
-                continue;
-            }
-            let next = cost + w;
-            if next < dist[e.to.0] {
-                dist[e.to.0] = next;
-                prev[e.to.0] = Some(node);
-                heap.push(Entry {
-                    cost: next,
-                    node: e.to,
-                });
-            }
-        }
-    }
-    if dist[dst.0].is_infinite() {
-        return None;
-    }
-    let mut nodes = vec![dst];
-    let mut cur = dst;
-    while let Some(p) = prev[cur.0] {
-        nodes.push(p);
-        cur = p;
-    }
-    nodes.reverse();
-    Some(Path {
-        nodes,
-        total_cost: dist[dst.0],
-    })
 }
 
 #[cfg(test)]
@@ -254,7 +160,7 @@ mod tests {
     fn k_one_matches_dijkstra() {
         let g = triple();
         let y = k_shortest_paths(&g, 0, 3, 1, latency_weight);
-        let d = shortest_path(&g, 0, 3, latency_weight).unwrap();
+        let d = shortest_path(&g, 0, 3, latency_weight, &mut NullRecorder).unwrap();
         assert_eq!(y.len(), 1);
         assert_eq!(y[0], d);
     }

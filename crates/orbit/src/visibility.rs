@@ -66,12 +66,15 @@ pub fn line_of_sight_with_clearance(a: Vec3, b: Vec3, clearance_m: f64) -> bool 
 ///
 /// `ground` and `sat` must be in the same frame (use ECEF). Positive when
 /// the satellite is above the local horizon. Returns values in
-/// `[-π/2, π/2]`.
+/// `[-π/2, π/2]`, or NaN for a non-finite position.
+///
+/// # Panics
+/// Panics if the two positions coincide.
 pub fn elevation_angle_rad(ground: Vec3, sat: Vec3) -> f64 {
     let up = ground.normalized();
     let to_sat = sat - ground;
     let n = to_sat.norm();
-    assert!(n > 0.0, "satellite coincides with ground point");
+    assert!(n != 0.0, "satellite coincides with ground point");
     (up.dot(to_sat) / n).clamp(-1.0, 1.0).asin()
 }
 
@@ -151,7 +154,7 @@ pub fn slant_range_at_elevation_m(
 
 /// Combined visibility test and slant range: `Some(range_m)` when `sat`
 /// is at elevation of at least `min_elevation_rad` above `ground`'s
-/// horizon, `None` otherwise.
+/// horizon, `None` otherwise (including for a non-finite position).
 ///
 /// Costs a single vector norm per call, where calling [`is_visible`]
 /// followed by [`slant_range_m`] costs two. The visibility decision and
@@ -167,7 +170,7 @@ pub fn visible_slant_range_m(ground: Vec3, sat: Vec3, min_elevation_rad: f64) ->
     let up = ground.normalized();
     let to_sat = sat - ground;
     let n = to_sat.norm();
-    assert!(n > 0.0, "satellite coincides with ground point");
+    assert!(n != 0.0, "satellite coincides with ground point");
     let elevation = (up.dot(to_sat) / n).clamp(-1.0, 1.0).asin();
     (elevation >= min_elevation_rad).then_some(n)
 }

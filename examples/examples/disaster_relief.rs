@@ -17,6 +17,7 @@ use openspace_net::routing::{latency_weight, qos_route, shortest_path, QosRequir
 use openspace_orbit::frames::{geodetic_to_ecef, Geodetic};
 use openspace_phy::hardware::SatelliteClass;
 use openspace_sim::rng::SimRng;
+use openspace_telemetry::NullRecorder;
 
 fn main() {
     // An RF-only cubesat federation: the accessible low-entry-barrier fleet
@@ -43,11 +44,12 @@ fn main() {
     let mut rng = SimRng::new(7);
     let sat_idx = fed.satellite_index(assoc.serving).expect("serving exists");
     let src = graph.sat_node(sat_idx);
+    let rec = &mut NullRecorder;
 
     // Baseline: proactive routing on the idle network.
     let mut best_idle: Option<(usize, f64)> = None;
     for gi in 0..fed.stations().len() {
-        if let Some(p) = shortest_path(&graph, src, graph.station_node(gi), latency_weight) {
+        if let Some(p) = shortest_path(&graph, src, graph.station_node(gi), latency_weight, rec) {
             if best_idle.is_none_or(|(_, c)| p.total_cost < c) {
                 best_idle = Some((gi, p.total_cost));
             }
@@ -85,8 +87,9 @@ fn main() {
     }
 
     // Proactive routing ignores load: same path, now with queueing pain.
-    let proactive = shortest_path(&graph, src, graph.station_node(idle_gi), latency_weight)
-        .expect("path still exists");
+    let idle_gs = graph.station_node(idle_gi);
+    let proactive =
+        shortest_path(&graph, src, idle_gs, latency_weight, rec).expect("path still exists");
     let proactive_latency = proactive
         .sum_metric(&graph, |e| {
             e.latency_s + 12_000.0 / e.capacity_bps / (1.0 - e.load_fraction)
@@ -100,7 +103,7 @@ fn main() {
     };
     let mut best_qos: Option<(usize, openspace_net::routing::Path)> = None;
     for gi in 0..fed.stations().len() {
-        if let Some(p) = qos_route(&graph, src, graph.station_node(gi), &req, 12_000.0) {
+        if let Some(p) = qos_route(&graph, src, graph.station_node(gi), &req, 12_000.0, rec) {
             if best_qos
                 .as_ref()
                 .is_none_or(|(_, b)| p.total_cost < b.total_cost)

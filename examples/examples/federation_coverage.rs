@@ -18,6 +18,7 @@ use openspace_core::prelude::*;
 use openspace_net::contact::{coverage_time_fraction, longest_outage_s};
 use openspace_orbit::frames::{geodetic_to_ecef, Geodetic};
 use openspace_phy::hardware::SatelliteClass;
+use openspace_telemetry::NullRecorder;
 
 fn main() {
     let fed = iridium_federation(4, &[SatelliteClass::SmallSat], &default_station_sites());
@@ -56,7 +57,7 @@ fn main() {
                 outage
             );
         }
-        let windows = fed.contact_plan(ground, 0.0, horizon_s, step_s);
+        let windows = fed.contact_plan(ground, 0.0, horizon_s, step_s, &mut NullRecorder);
         let cov = coverage_time_fraction(&windows, 0.0, horizon_s);
         let outage = longest_outage_s(&windows, 0.0, horizon_s);
         println!(

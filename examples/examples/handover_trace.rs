@@ -14,6 +14,7 @@ use openspace_core::prelude::*;
 use openspace_net::handover::{service_schedule, HandoverCost};
 use openspace_orbit::frames::{geodetic_to_ecef, Geodetic};
 use openspace_phy::hardware::SatelliteClass;
+use openspace_telemetry::NullRecorder;
 
 fn main() {
     let mut fed = iridium_federation(4, &[SatelliteClass::SmallSat], &default_station_sites());
@@ -33,8 +34,9 @@ fn main() {
     );
 
     // The precomputable serving schedule.
-    let windows = fed.contact_plan(pos, 0.0, horizon_s, 5.0);
-    let schedule = service_schedule(&windows, 0.0, horizon_s).expect("valid horizon");
+    let windows = fed.contact_plan(pos, 0.0, horizon_s, 5.0, &mut NullRecorder);
+    let schedule =
+        service_schedule(&windows, &[], 0.0, horizon_s, &mut NullRecorder).expect("valid horizon");
     println!(
         "schedule: {} serving intervals, {} handovers, {:.0} s outage",
         schedule.intervals.len(),

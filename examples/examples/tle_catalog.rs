@@ -16,6 +16,7 @@
 
 use openspace_net::isl::{build_snapshot, SatNode, SnapshotParams};
 use openspace_orbit::prelude::*;
+use openspace_telemetry::NullRecorder;
 
 fn main() {
     // The publishing operator's fleet: one Iridium plane.
@@ -64,7 +65,8 @@ fn main() {
     println!("worst position error over 12 h of prediction: {worst:.0} m");
 
     // …and the same topology.
-    let g = build_snapshot(0.0, &reconstructed, &[], &SnapshotParams::default());
+    let params = SnapshotParams::default();
+    let g = build_snapshot(0.0, &reconstructed, &[], &params, &mut NullRecorder);
     println!(
         "reconstructed ISL topology: {} satellites, {} directed links",
         g.satellite_count(),

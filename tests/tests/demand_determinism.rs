@@ -9,6 +9,7 @@
 use openspace_core::prelude::*;
 use openspace_demand::prelude::*;
 use openspace_phy::hardware::SatelliteClass;
+use openspace_telemetry::NullRecorder;
 
 fn grid(seed: u64) -> PopulationGrid {
     PopulationGrid::build(&PopulationConfig {
@@ -119,7 +120,7 @@ fn attachment_and_flows_are_stable_end_to_end() {
     let graph = fed.snapshot(300.0);
     let run = || {
         let cov = fed.attach_demand_cells(&g, 300.0);
-        let tick = m.flows_at(20.0 * 3_600.0);
+        let tick = m.flows_at(20.0 * 3_600.0, &mut NullRecorder);
         demand_flows_for(&cov, &tick, &graph)
     };
     let (fa, sa) = run();

@@ -5,7 +5,7 @@
 use openspace_core::prelude::*;
 use openspace_core::security::{ReputationPolicy, ReputationTracker, TrustState};
 use openspace_economics::ledger::{reconcile, BillingKey, TrafficLedger};
-use openspace_net::dtn::{earliest_arrival, sample_contacts};
+use openspace_net::dtn::{earliest_arrival, sample_contacts, RetryPolicy};
 use openspace_net::policy::{
     policy_route, DownlinkLicense, Jurisdiction, PolicyRoute, RoutePolicy, StationAttrs,
 };
@@ -13,6 +13,7 @@ use openspace_net::routing::latency_weight;
 use openspace_orbit::frames::{geodetic_to_ecef, Geodetic};
 use openspace_phy::hardware::SatelliteClass;
 use openspace_protocol::types::OperatorId;
+use openspace_telemetry::NullRecorder;
 
 /// Build ledgers where `cheater` systematically over-reports.
 fn ledgers_with_cheater(honest: OperatorId, cheater: OperatorId) -> (TrafficLedger, TrafficLedger) {
@@ -126,7 +127,21 @@ fn solo_operator_falls_back_to_dtn_when_cut_off() {
     );
     let n = sats.len() + stations.len();
     let route = (0..stations.len())
-        .filter_map(|gi| earliest_arrival(&contacts, n, 0, sats.len() + gi, 0.0, 1e6).ok())
+        .filter_map(|gi| {
+            let (dst, retry) = (sats.len() + gi, RetryPolicy::default());
+            earliest_arrival(
+                &contacts,
+                n,
+                0,
+                dst,
+                0.0,
+                1e6,
+                &[],
+                retry,
+                &mut NullRecorder,
+            )
+            .ok()
+        })
         .min_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).unwrap());
     let route = route.expect("a pass happens within six hours");
     assert!(

@@ -11,6 +11,7 @@ use openspace_net::routing::QosRequirement;
 use openspace_orbit::frames::{geodetic_to_ecef, Geodetic};
 use openspace_phy::hardware::SatelliteClass;
 use openspace_protocol::types::OperatorId;
+use openspace_telemetry::NullRecorder;
 use std::collections::BTreeMap;
 
 #[test]
@@ -79,8 +80,9 @@ fn a_day_in_the_federation() {
     // 3. Handovers all day: the schedule hands over every few minutes
     // and every token commit validates without touching the home AAA.
     let (user, pos) = &users[0];
-    let windows = fed.contact_plan(*pos, 0.0, 4.0 * 3_600.0, 10.0);
-    let schedule = service_schedule(&windows, 0.0, 4.0 * 3_600.0).expect("valid horizon");
+    let windows = fed.contact_plan(*pos, 0.0, 4.0 * 3_600.0, 10.0, &mut NullRecorder);
+    let schedule = service_schedule(&windows, &[], 0.0, 4.0 * 3_600.0, &mut NullRecorder)
+        .expect("valid horizon");
     assert!(schedule.handovers >= 10, "handovers {}", schedule.handovers);
     let mut prev = fed.satellites()[schedule.intervals[0].sat_index.index()].id;
     for iv in schedule.intervals.iter().skip(1).take(10) {

@@ -174,7 +174,13 @@ fn check_batch(
         Cost::Qos(req) => {
             qos = qos_weight(req);
             (
-                planner.plan_qos_recorded(graph, requests, req, PKT_BITS, &mut rec),
+                planner.plan_mapped(
+                    graph,
+                    requests,
+                    req.weight(PKT_BITS),
+                    |p| req.admit(p),
+                    &mut rec,
+                ),
                 &qos,
                 req.max_latency_s,
             )
@@ -280,7 +286,8 @@ fn walker_graph(planes: usize, per_plane: usize, t_s: f64) -> Graph {
         has_optical: i % 3 != 0,
     })
     .collect();
-    build_snapshot(t_s, &sats, &[], &SnapshotParams::default())
+    let params = SnapshotParams::default();
+    build_snapshot(t_s, &sats, &[], &params, &mut NullRecorder)
 }
 
 #[test]
@@ -295,7 +302,7 @@ fn planner_batch_is_bitwise_equal_to_per_flow_shortest_path() {
         for &(s, d) in &requests {
             check_fresh(&g, &[(s, d)], Cost::Plain(&latency_weight), &what);
             let want = Reference::search(&g, s, Some(d), &latency_weight).path(s, d);
-            let solo = shortest_path(&g, s, d, latency_weight);
+            let solo = shortest_path(&g, s, d, latency_weight, &mut NullRecorder);
             assert_eq!(
                 solo.map(|p| (p.nodes, p.total_cost.to_bits())),
                 want,
@@ -330,7 +337,7 @@ fn planner_qos_batch_is_bitwise_equal_to_qos_route() {
             let want = Reference::search(&g, s, Some(d), &qos_weight(&req))
                 .path(s, d)
                 .filter(|&(_, bits)| f64::from_bits(bits) <= req.max_latency_s);
-            let solo = qos_route(&g, s, d, &req, PKT_BITS);
+            let solo = qos_route(&g, s, d, &req, PKT_BITS, &mut NullRecorder);
             assert_eq!(
                 solo.map(|p| (p.nodes, p.total_cost.to_bits())),
                 want,

@@ -9,9 +9,10 @@
 
 use openspace_economics::incentives::shapley_shares;
 use openspace_mac::prelude::*;
-use openspace_net::dtn::{earliest_arrival, Contact};
+use openspace_net::dtn::{earliest_arrival, Contact, RetryPolicy};
 use openspace_protocol::prelude::*;
 use openspace_sim::rng::SimRng;
+use openspace_telemetry::NullRecorder;
 
 const CASES: u64 = 256;
 
@@ -143,14 +144,18 @@ fn dtn_routing_respects_causality() {
         if contacts.is_empty() {
             return;
         }
-        if let Ok(r) = earliest_arrival(&contacts, 6, 0, 5, t_start, bundle) {
+        let arrive = |t| {
+            let retry = RetryPolicy::default();
+            earliest_arrival(&contacts, 6, 0, 5, t, bundle, &[], retry, &mut NullRecorder)
+        };
+        if let Ok(r) = arrive(t_start) {
             // Arrival can never precede departure readiness.
             assert!(r.arrival_s >= t_start);
             // The route starts at the source and ends at the target.
             assert_eq!(r.nodes[0], 0);
             assert_eq!(*r.nodes.last().unwrap(), 5);
             // Starting later can never yield an earlier arrival.
-            if let Ok(later) = earliest_arrival(&contacts, 6, 0, 5, t_start + 50.0, bundle) {
+            if let Ok(later) = arrive(t_start + 50.0) {
                 assert!(later.arrival_s + 1e-9 >= r.arrival_s);
             }
         }

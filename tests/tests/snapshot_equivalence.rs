@@ -223,7 +223,7 @@ fn plain_build_is_the_gated_builder() {
     }];
     let params = SnapshotParams::default();
     let samples = samples_at(&sats, 900.0);
-    let via_plain = build_snapshot(900.0, &sats, &stations, &params);
+    let via_plain = build_snapshot(900.0, &sats, &stations, &params, &mut NullRecorder);
     let dense = build_snapshot_from_samples_dense(&sats, &samples, &stations, &params);
     assert_graphs_bitwise_equal(&via_plain, &dense, 0);
 }
@@ -402,7 +402,6 @@ fn tiny_flat_and_non_finite_fleets_match_dense() {
     let mut broken = ring.clone();
     broken[7] = Vec3::new(f64::NAN, 0.0, 0.0);
     let (sats, samples) = fleet_at(&broken);
-    // (No stations: the elevation test cannot place a NaN satellite.)
     let (_, pruned) = assert_matches_dense(&sats, &samples, &[], &params, 20);
     assert_eq!(pruned, 0, "non-finite input takes the exhaustive sweep");
 }
@@ -435,6 +434,38 @@ fn coincident_satellites_get_no_isl() {
         assert!(g.find_edge(twin, 0usize).is_none(), "no {twin}-0 edge");
         assert!(g.edge_count() > 0, "the rest of the ring still links");
     }
+}
+
+#[test]
+fn non_finite_satellite_is_invisible_and_gets_no_isl() {
+    // A NaN sample next to a ground station: the elevation test must
+    // reject the satellite rather than panic, in the gated and the dense
+    // build alike, and no ISL or ground link may touch it.
+    let r = 6_921_000.0;
+    let mut positions: Vec<Vec3> = (0..12)
+        .map(|i| {
+            let th = i as f64 * 0.1;
+            Vec3::new(r * th.cos(), r * th.sin(), 0.0)
+        })
+        .collect();
+    positions[3] = Vec3::new(f64::NAN, 0.0, 0.0);
+    let (sats, samples) = fleet_at(&positions);
+    let stations = stations_at(&[(0.0, 20.0)]);
+    let (g, _) = assert_matches_dense(&sats, &samples, &stations, &SnapshotParams::default(), 0);
+    for u in 0..g.node_count() {
+        for e in g.edges(u) {
+            assert!(
+                u != 3 && e.to != 3usize,
+                "edge {u}->{:?} touches the NaN satellite",
+                e.to
+            );
+        }
+    }
+    let station = g.station_node(0usize);
+    assert!(
+        !g.edges(station).is_empty(),
+        "the station still sees the ring"
+    );
 }
 
 #[test]

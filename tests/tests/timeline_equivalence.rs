@@ -171,13 +171,14 @@ fn isl_snapshot_delta_replays_real_constellation_motion() {
         .collect();
     let stations: Vec<GroundNode> = Vec::new();
     let params = SnapshotParams::default();
-    let mut g = build_snapshot(0.0, &sats, &stations, &params);
+    let rec = &mut NullRecorder;
+    let mut g = build_snapshot(0.0, &sats, &stations, &params, rec);
     for k in 1..=10 {
         let t = k as f64 * 60.0;
-        let delta = snapshot_delta(t, &g, &sats, &stations, &params).expect("roster matches");
+        let delta = snapshot_delta(t, &g, &sats, &stations, &params, rec).expect("roster matches");
         g.apply_delta(&delta).expect("delta applies");
         assert!(
-            graphs_bitwise_equal(&build_snapshot(t, &sats, &stations, &params), &g),
+            graphs_bitwise_equal(&build_snapshot(t, &sats, &stations, &params, rec), &g),
             "patched snapshot diverged from fresh build at t={t}"
         );
     }
