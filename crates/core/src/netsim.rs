@@ -470,6 +470,9 @@ struct LinkTable {
     pairs: Vec<(NodeId, NodeId)>,
     /// Append-only pair index; values are stable for the whole run.
     index: HashMap<(NodeId, NodeId), LinkId>,
+    /// Every slot in pair order, re-sorted only after
+    /// [`id_for`](Self::id_for) has appended slots.
+    by_pair: Vec<LinkId>,
     /// Byte capacity of every link queue.
     queue_capacity_bytes: u64,
 }
@@ -480,6 +483,7 @@ impl LinkTable {
             slots: Vec::new(),
             pairs: Vec::new(),
             index: HashMap::new(),
+            by_pair: Vec::new(),
             queue_capacity_bytes,
         }
     }
@@ -544,17 +548,22 @@ impl LinkTable {
         queued
     }
 
-    /// Alive `(pair, id)` entries in sorted pair order — the
+    /// Visit every alive link with its pair, in sorted pair order — the
     /// deterministic iteration the replan path needs.
-    fn sorted_alive(&self) -> Vec<((NodeId, NodeId), LinkId)> {
-        let mut out: Vec<((NodeId, NodeId), LinkId)> = self
-            .index
-            .iter()
-            .filter(|(_, &id)| self.slots[id.0 as usize].alive)
-            .map(|(&pair, &id)| (pair, id))
-            .collect();
-        out.sort_unstable();
-        out
+    fn for_each_alive_sorted(&mut self, mut f: impl FnMut((NodeId, NodeId), &mut Link)) {
+        if self.by_pair.len() < self.slots.len() {
+            // Slots are append-only, so only new ones need placing.
+            let pairs = &self.pairs;
+            self.by_pair
+                .extend((self.by_pair.len()..self.slots.len()).map(|i| LinkId(i as u32)));
+            self.by_pair.sort_by_key(|id| pairs[id.0 as usize]);
+        }
+        for &id in &self.by_pair {
+            let link = &mut self.slots[id.0 as usize];
+            if link.alive {
+                f(self.pairs[id.0 as usize], link);
+            }
+        }
     }
 
     /// Sync the table to the work graph: links present in both keep
@@ -1190,8 +1199,7 @@ impl<'a, 'r> SimState<'a, 'r> {
         };
         // Sorted pair order, not the per-process hash order: a future
         // order-sensitive edit here cannot break reproducibility.
-        for ((u, v), lid) in self.table.sorted_alive() {
-            let link = self.table.link_mut(lid);
+        self.table.for_each_alive_sorted(|(u, v), link| {
             let util = link.bits_sent / interval / link.capacity_bps;
             // The report's max takes the raw sample (matching the
             // end-of-run sample); only the EWMA feeding `Graph::set_load`
@@ -1205,7 +1213,7 @@ impl<'a, 'r> SimState<'a, 'r> {
             let load = link.util_ewma.min(0.98);
             let _ = self.work_graph.set_load(u, v, load);
             let _ = self.full.set_load(u, v, load);
-        }
+        });
         // Loads changed under the QoS weight: cached trees are stale.
         self.planner.invalidate();
         let fresh = self.plan_routes(None, true);
@@ -1530,6 +1538,44 @@ mod tests {
             duration_s,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn replan_order_is_pair_order_as_slots_are_appended() {
+        // What the replan loop must see: the alive entries of the pair
+        // index, sorted by pair.
+        fn reference(t: &LinkTable) -> Vec<(NodeId, NodeId)> {
+            let mut pairs: Vec<_> = t
+                .index
+                .iter()
+                .filter(|(_, &id)| t.link(id).alive)
+                .map(|(&pair, _)| pair)
+                .collect();
+            pairs.sort_unstable();
+            pairs
+        }
+        fn visited(t: &mut LinkTable) -> Vec<(NodeId, NodeId)> {
+            let mut pairs = Vec::new();
+            t.for_each_alive_sorted(|pair, _| pairs.push(pair));
+            pairs
+        }
+        let mut slab = PktSlab::default();
+        let mut table = LinkTable::new(1 << 20);
+        let mut g = Graph::new(5, 0);
+        g.add_bidirectional(3, 4, 0.001, 1e6, 0, 0, LinkTech::Rf);
+        g.add_bidirectional(0, 1, 0.001, 1e6, 0, 0, LinkTech::Rf);
+        table.rebuild_sync(&g, 0.0, &mut slab);
+        assert_eq!(visited(&mut table), reference(&table));
+        // The next snapshot drops 3 — 4 and adds pairs that sort before
+        // and between the old ones, so slots are appended out of order.
+        let mut g = Graph::new(5, 0);
+        g.add_bidirectional(1, 4, 0.001, 1e6, 0, 0, LinkTech::Rf);
+        g.add_bidirectional(0, 2, 0.001, 1e6, 0, 0, LinkTech::Rf);
+        g.add_bidirectional(0, 1, 0.001, 1e6, 0, 0, LinkTech::Rf);
+        table.rebuild_sync(&g, 1.0, &mut slab);
+        let got = visited(&mut table);
+        assert_eq!(got.len(), 6);
+        assert_eq!(got, reference(&table));
     }
 
     #[test]

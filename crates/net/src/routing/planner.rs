@@ -58,23 +58,67 @@
 //!
 //! # Weight rows and their generations
 //!
-//! The first time any tree of the current *row generation* settles a
-//! node, the planner calls the weight closure on that node's out-edges
-//! in order, relaxing each arc as before and also appending it to a
-//! packed `(weight, to)` row (arcs weighted `INFINITY` — filtered — are
-//! dropped). Every later tree of the generation that settles the node
-//! reads the packed row instead of the 48-byte `Edge`s and the closure
-//! (for the congestion weight, two divisions per edge). Rows are compiled
-//! lazily, node by node, never for the whole graph up front, so a
-//! one-shot search pays only for the rows it reads. The weights are
-//! stored as returned and checked on every relaxation, so a NaN or
-//! negative weight panics in exactly the searches that reach it, as
-//! before.
+//! A row is a node's out-edges packed as `(weight, to)` arcs under the
+//! current *row generation*'s weight closure, with the arcs weighted
+//! `INFINITY` (filtered) dropped. Every tree that settles a node after
+//! its row exists reads the packed row instead of the 48-byte `Edge`s
+//! and the closure (for the congestion weight, two divisions per edge).
+//! A row is compiled one of two ways:
+//!
+//! * **lazily**, in a serial batch: the first time any tree of the
+//!   generation settles a node, the planner calls the weight closure on
+//!   that node's out-edges in order, relaxing each arc as it packs it.
+//!   A one-shot search pays only for the rows it reads;
+//! * **eagerly**, in a batch that grows its trees in parallel (see
+//!   below): every row the generation lacks is compiled on the calling
+//!   thread, in node order, before any worker starts.
+//!
+//! Either way the weights are stored as returned and checked on every
+//! relaxation, so a NaN or negative weight panics in exactly the
+//! searches that reach it.
 //!
 //! Rows carry a generation stamp like the tree buffers, and a new row
 //! generation starts whenever the cached trees stop being trustworthy:
 //! on [`invalidate`](RoutePlanner::invalidate) and on a node-count
 //! change. Trees and rows always start over together.
+//!
+//! # Parallel growth
+//!
+//! A batch runs in three phases. **Assign** walks the requests in order
+//! and starts a tree, on pooled buffers, for each source that has none
+//! yet. **Grow** runs only when the new trees' work crosses a
+//! grain, `new trees × graph.node_count() >= `[`PARALLEL_GRAIN`]
+//! (2¹⁶): the rows are compiled eagerly, then each new tree is grown
+//! until every destination asked of it settles, on
+//! `min(`[`default_threads`]`(), new trees)` workers. **Extract** walks
+//! the requests in order, resuming cached trees from earlier batches
+//! as needed, and reads and maps each path; a tree grown in parallel
+//! answers without a pop.
+//!
+//! The output cannot depend on the worker count. A tree's pop sequence
+//! is a pure function of `(graph, rows, source)` (see above), the rows
+//! are complete and read-only before any worker starts, and trees share
+//! nothing else. Growing a tree for its destination set stops where the
+//! serial run's last request to it stops, whatever the order. Paths are
+//! extracted, and `map` called, in request order on the calling thread,
+//! so a caller that allocates ids as it maps (the packet simulator's
+//! link table) allocates them in the same order. The `routing.*`
+//! counters are integer sums. So paths, cost bits and every counter are
+//! identical at any worker count, 1 included.
+//!
+//! Each worker grows one *contiguous* chunk of the new trees; the calling
+//! thread grows the first chunk itself, so two workers cost one spawn.
+//! Contiguous chunks keep the workers' trees apart in memory: neighbouring
+//! tree headers share a cache line and a heap's length is written on
+//! every push and pop, so claiming trees one at a time from a shared
+//! counter would invite false sharing. A worker's panic (a bad weight) is re-raised on the calling
+//! thread with its own payload.
+//!
+//! The grain keeps small batches serial, with lazy rows: compiling every
+//! row up front made a one-shot search on Iridium about 1.4× slower, and
+//! a spawn costs more than a few small trees. Below the grain the worker
+//! count is not even asked for: [`default_threads`] reads cgroup files,
+//! and asking on every batch made that search about 10× slower.
 //!
 //! # Telemetry
 //!
@@ -90,9 +134,16 @@
 
 use crate::routing::dijkstra::Path;
 use crate::topology::{Edge, Graph, NodeId};
+use openspace_sim::exec::default_threads;
 use openspace_telemetry::{NullRecorder, Recorder};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Parallel-growth grain: a batch grows its new trees on worker threads
+/// only when `new trees × graph.node_count()` reaches this. Below it a
+/// worker spawn and eager row compilation cost more than they save
+/// (see the [module docs](self)).
+pub const PARALLEL_GRAIN: usize = 1 << 16;
 
 /// Frontier key of a `(cost, node)` pair: the cost's bits above the
 /// node index, so unsigned order is `(cost, node)` order for every cost
@@ -164,6 +215,47 @@ impl Rows {
         let end = u32::try_from(self.arcs.len()).expect("row arena holds at most u32::MAX arcs");
         // `start <= end`, so it fits too.
         self.slots[node.0] = (self.gen, start as u32, end);
+    }
+
+    /// Compile `node`'s row: the weight closure runs on its out-edges in
+    /// edge order, and every arc it does not filter is kept and passed to
+    /// `each` (a serial search relaxes the arcs as they are packed).
+    #[inline(always)]
+    fn compile(
+        &mut self,
+        graph: &Graph,
+        weight: &impl Fn(&Edge) -> f64,
+        node: NodeId,
+        mut each: impl FnMut(f64, NodeId),
+    ) {
+        let start = self.open(graph);
+        for e in graph.edges(node) {
+            let w = weight(e);
+            if w != f64::INFINITY {
+                self.arcs.push((w, e.to));
+                each(w, e.to);
+            }
+        }
+        self.seal(node, start);
+    }
+
+    /// Compile every row this generation has not compiled yet, in node
+    /// order, so the rows can be read from several threads at once.
+    fn compile_all(&mut self, graph: &Graph, weight: &impl Fn(&Edge) -> f64) {
+        for node in (0..graph.node_count()).map(NodeId) {
+            if self.get(node).is_none() {
+                self.compile(graph, weight, node, |_, _| {});
+            }
+        }
+    }
+
+    /// Relax `node`'s compiled row into `tree`.
+    #[inline(always)]
+    fn relax(&self, tree: &mut Tree, cost: f64, node: NodeId) {
+        let row = self.get(node).expect("row compiled before it is read");
+        for &(w, to) in row {
+            tree.relax(cost, w, node, to);
+        }
     }
 }
 
@@ -248,15 +340,11 @@ impl Tree {
     }
 
     /// Run (or resume) the search until `dst` settles or the frontier is
-    /// exhausted. Returns the number of heap pops performed now — the
-    /// same work metric the per-flow search reports.
-    fn settle(
-        &mut self,
-        graph: &Graph,
-        rows: &mut Rows,
-        dst: NodeId,
-        weight: &impl Fn(&Edge) -> f64,
-    ) -> u64 {
+    /// exhausted, relaxing each settled node's out-arcs through
+    /// `relax_out` (which compiles the node's row if it must). Returns
+    /// the number of heap pops performed now — the same work metric the
+    /// per-flow search reports.
+    fn settle(&mut self, dst: NodeId, mut relax_out: impl FnMut(&mut Tree, f64, NodeId)) -> u64 {
         if self.is_settled(dst) || self.exhausted {
             return 0;
         }
@@ -272,23 +360,7 @@ impl Tree {
             }
             visited += 1;
             self.mark[node.0] = self.gen + 1;
-            if let Some(row) = rows.get(node) {
-                for &(w, to) in row {
-                    self.relax(cost, w, node, to);
-                }
-            } else {
-                // First settle of `node` this row generation: compile its
-                // row while relaxing it, in edge order as always.
-                let start = rows.open(graph);
-                for e in graph.edges(node) {
-                    let w = weight(e);
-                    if w != f64::INFINITY {
-                        rows.arcs.push((w, e.to));
-                        self.relax(cost, w, node, e.to);
-                    }
-                }
-                rows.seal(node, start);
-            }
+            relax_out(self, cost, node);
             if node == dst {
                 break;
             }
@@ -417,8 +489,24 @@ impl RoutePlanner {
         graph: &Graph,
         requests: &[(NodeId, NodeId)],
         weight: impl Fn(&Edge) -> f64,
+        map: impl FnMut(Path) -> Option<T>,
+        rec: &mut dyn Recorder,
+    ) -> Vec<Option<T>> {
+        self.plan_on(graph, requests, weight, map, rec, default_threads)
+    }
+
+    /// [`plan_mapped`](Self::plan_mapped) growing a batch's new trees on
+    /// `threads()` workers. `threads` is called only when the batch
+    /// crosses [`PARALLEL_GRAIN`]: the default worker count reads cgroup
+    /// files, too slow to ask on every one-shot search.
+    fn plan_on<T>(
+        &mut self,
+        graph: &Graph,
+        requests: &[(NodeId, NodeId)],
+        weight: impl Fn(&Edge) -> f64,
         mut map: impl FnMut(Path) -> Option<T>,
         rec: &mut dyn Recorder,
+        threads: impl FnOnce() -> usize,
     ) -> Vec<Option<T>> {
         let n = graph.node_count();
         if n != self.n {
@@ -426,32 +514,52 @@ impl RoutePlanner {
             self.n = n;
             self.invalidate();
         }
-        let mut visited = 0u64;
-        let mut trees_built = 0u64;
+        // Assign: a tree, on pooled buffers, for each new source in
+        // request order.
+        let first_new = self.trees.len();
         let mut scratch_reuses = 0u64;
+        for &(src, dst) in requests {
+            assert!(src.0 < n, "src out of range");
+            assert!(dst.0 < n, "dst out of range");
+            if self.trees.iter().any(|t| t.src == src) {
+                continue;
+            }
+            let buffers = match self.pool.pop() {
+                Some(b) => {
+                    scratch_reuses += 1;
+                    b
+                }
+                None => Tree::empty(),
+            };
+            self.trees.push(Tree::start(buffers, n, src));
+        }
+        let trees_built = self.trees.len() - first_new;
+        let mut visited = 0u64;
+        // Grow: a large batch's new trees, in parallel on compiled rows.
+        if trees_built * n >= PARALLEL_GRAIN {
+            self.rows.compile_all(graph, &weight);
+            let workers = threads().clamp(1, trees_built);
+            visited += grow(&mut self.trees[first_new..], &self.rows, requests, workers);
+        }
+        // Extract, in request order; a tree grown above has already
+        // settled every destination asked of it.
         let mut extractions = 0u64;
+        let rows = &mut self.rows;
         let paths: Vec<Option<T>> = requests
             .iter()
             .map(|&(src, dst)| {
-                assert!(src.0 < n, "src out of range");
-                assert!(dst.0 < n, "dst out of range");
-                let idx = match self.trees.iter().position(|t| t.src == src) {
-                    Some(idx) => idx,
-                    None => {
-                        let buffers = match self.pool.pop() {
-                            Some(b) => {
-                                scratch_reuses += 1;
-                                b
-                            }
-                            None => Tree::empty(),
-                        };
-                        trees_built += 1;
-                        self.trees.push(Tree::start(buffers, n, src));
-                        self.trees.len() - 1
+                let tree = self
+                    .trees
+                    .iter_mut()
+                    .find(|t| t.src == src)
+                    .expect("every source was assigned a tree");
+                visited += tree.settle(dst, |tree, cost, node| {
+                    if rows.get(node).is_some() {
+                        rows.relax(tree, cost, node);
+                    } else {
+                        rows.compile(graph, &weight, node, |w, to| tree.relax(cost, w, node, to));
                     }
-                };
-                let tree = &mut self.trees[idx];
-                visited += tree.settle(graph, &mut self.rows, dst, &weight);
+                });
                 let path = tree.extract(dst);
                 if path.is_some() {
                     extractions += 1;
@@ -464,11 +572,43 @@ impl RoutePlanner {
         // planner's win shows up in `routing.nodes_visited` shrinking.
         rec.add("routing.recomputes", requests.len() as u64);
         rec.add("routing.nodes_visited", visited);
-        rec.add("routing.planner.trees", trees_built);
+        rec.add("routing.planner.trees", trees_built as u64);
         rec.add("routing.planner.path_extractions", extractions);
         rec.add("routing.planner.scratch_reuses", scratch_reuses);
         paths
     }
+}
+
+/// Grow each of `trees` until every destination `requests` asks of its
+/// source has settled, reading only compiled `rows`. `trees` is split
+/// into one contiguous chunk per worker; the calling thread grows the
+/// first chunk itself. A worker's panic is re-raised here with its own
+/// payload. Returns the heap pops.
+fn grow(trees: &mut [Tree], rows: &Rows, requests: &[(NodeId, NodeId)], workers: usize) -> u64 {
+    let grow_chunk = |chunk: &mut [Tree]| {
+        let mut visited = 0u64;
+        for &(src, dst) in requests {
+            if let Some(tree) = chunk.iter_mut().find(|t| t.src == src) {
+                visited += tree.settle(dst, |tree, cost, node| rows.relax(tree, cost, node));
+            }
+        }
+        visited
+    };
+    let mut chunks = trees.chunks_mut(trees.len().div_ceil(workers));
+    let own = chunks.next().expect("a grown batch has new trees");
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .map(|chunk| scope.spawn(move || grow_chunk(chunk)))
+            .collect();
+        let mut visited = grow_chunk(own);
+        for handle in handles {
+            match handle.join() {
+                Ok(v) => visited += v,
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        visited
+    })
 }
 
 #[cfg(test)]
@@ -660,6 +800,157 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A 36×18 Walker-Delta shell's ISL snapshot plus one isolated node
+    /// (the last), so some destinations are unreachable.
+    fn walker_shell_with_island() -> Graph {
+        use crate::isl::{build_snapshot, SatNode, SnapshotParams};
+        use openspace_orbit::propagator::{PerturbationModel, Propagator};
+        use openspace_orbit::walker::{walker_delta, WalkerParams};
+        let sats: Vec<SatNode> = walker_delta(&WalkerParams {
+            total_satellites: 36 * 18,
+            planes: 36,
+            phasing: 1,
+            altitude_m: 550e3,
+            inclination_deg: 53.0,
+        })
+        .unwrap()
+        .into_iter()
+        .map(|el| SatNode {
+            propagator: Propagator::new(el, PerturbationModel::TwoBody),
+            operator: 0,
+            has_optical: true,
+        })
+        .collect();
+        let shell = build_snapshot(
+            0.0,
+            &sats,
+            &[],
+            &SnapshotParams::default(),
+            &mut NullRecorder,
+        );
+        let mut g = Graph::new(shell.node_count() + 1, 0);
+        for u in 0..shell.node_count() {
+            for e in shell.edges(u) {
+                g.add_edge(u, *e);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn parallel_growth_is_identical_at_any_worker_count() {
+        let g = walker_shell_with_island();
+        let n = g.node_count();
+        let island = NodeId(n - 1);
+        // A small first batch leaves cached trees the big batch resumes
+        // serially; the big batch's new trees cross the grain.
+        let warm: Vec<(NodeId, NodeId)> = (0..4).map(|k| (NodeId(k * 5), NodeId(k * 7))).collect();
+        let sources = 128;
+        let big: Vec<(NodeId, NodeId)> = (0..3 * sources)
+            .map(|k| {
+                let src = NodeId((k % sources) * 5);
+                let dst = match k / sources {
+                    0 => NodeId((k * 37) % (n - 1)),
+                    1 => NodeId((k * 101 + 13) % (n - 1)),
+                    _ if k % 4 == 0 => island,
+                    _ => NodeId((k * 11 + 3) % (n - 1)),
+                };
+                (src, dst)
+            })
+            .collect();
+        assert!((sources - warm.len()) * n >= PARALLEL_GRAIN);
+        let run = |workers: usize| {
+            let mut planner = RoutePlanner::new();
+            let mut rec = MemoryRecorder::new();
+            let mut paths = Vec::new();
+            for batch in [&warm, &big] {
+                paths.extend(
+                    planner
+                        .plan_on(&g, batch, latency_weight, Some, &mut rec, || workers)
+                        .into_iter()
+                        .map(|p| p.map(|p| (p.nodes, p.total_cost.to_bits()))),
+                );
+            }
+            let counters: Vec<u64> = [
+                "routing.recomputes",
+                "routing.nodes_visited",
+                "routing.planner.trees",
+                "routing.planner.path_extractions",
+                "routing.planner.scratch_reuses",
+            ]
+            .map(|key| rec.counter(key))
+            .to_vec();
+            (paths, counters)
+        };
+        let (paths, counters) = run(1);
+        assert!(
+            paths.iter().any(Option::is_none),
+            "the island is unreachable"
+        );
+        assert!(paths.iter().filter(|p| p.is_some()).count() > 2 * sources);
+        for workers in [2, 3, 8] {
+            let (p, c) = run(workers);
+            assert_eq!(p, paths, "paths and cost bits at {workers} workers");
+            assert_eq!(c, counters, "routing counters at {workers} workers");
+        }
+        // And every answer is the one-shot search's.
+        for (&(s, d), got) in warm.iter().chain(&big).zip(&paths) {
+            let solo = shortest_path(&g, s, d, latency_weight, &mut NullRecorder);
+            assert_eq!(
+                solo.map(|p| (p.nodes, p.total_cost.to_bits())).as_ref(),
+                got.as_ref()
+            );
+        }
+    }
+
+    #[test]
+    fn bad_weight_in_a_worker_panics_with_its_own_message() {
+        // Two disjoint 300-node rings; only ring B has a bad edge. The
+        // batch asks for ring A's trees first, so with 2 workers the
+        // calling thread grows ring A's chunk and the spawned worker ring
+        // B's, which alone reaches the bad edge.
+        let ring = 300;
+        let mut g = Graph::new(2 * ring, 0);
+        for base in [0, ring] {
+            for i in 0..ring {
+                let lat = if base == ring && i == ring / 2 {
+                    0.002
+                } else {
+                    0.001
+                };
+                let (u, v) = (base + i, base + (i + 1) % ring);
+                g.add_bidirectional(u, v, lat, 1e6, 0u32, 0u32, LinkTech::Rf);
+            }
+        }
+        let weight = |e: &Edge| {
+            if e.latency_s == 0.002 {
+                -1.0
+            } else {
+                e.latency_s
+            }
+        };
+        // 128 sources per ring, each asking for the node opposite it.
+        let ring_reqs = |base: usize| -> Vec<(NodeId, NodeId)> {
+            (0..128)
+                .map(|k| {
+                    (
+                        NodeId(base + 2 * k),
+                        NodeId(base + (2 * k + ring / 2) % ring),
+                    )
+                })
+                .collect()
+        };
+        let ring_a = ring_reqs(0);
+        assert!(ring_a.len() * g.node_count() >= PARALLEL_GRAIN);
+        let out = RoutePlanner::new().plan_on(&g, &ring_a, weight, Some, &mut NullRecorder, || 2);
+        assert!(out.iter().all(Option::is_some), "ring A never reaches it");
+        let both = [ring_a, ring_reqs(ring)].concat();
+        let msg = panic_message(|| {
+            RoutePlanner::new().plan_on(&g, &both, weight, Some, &mut NullRecorder, || 2);
+        });
+        assert_eq!(msg.as_deref(), Some("edge weight must be non-negative"));
     }
 
     #[test]

@@ -17,12 +17,14 @@
 //! latency and the congestion/QoS costs, Walker-Delta shells under
 //! `hop_weight` (where costs tie everywhere, so the node tie-break
 //! decides every path), zero and `-0.0` weights, `INFINITY`-filtered
-//! edges and isolated nodes, and trees resumed across batches.
+//! edges and isolated nodes, trees resumed across batches, and a batch
+//! large enough to grow its trees in parallel.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use openspace_net::prelude::*;
+use openspace_net::routing::planner::PARALLEL_GRAIN;
 use openspace_net::routing::{congestion_weight, residual_bps, RoutePlanner};
 use openspace_net::topology::LinkTech;
 use openspace_orbit::propagator::{PerturbationModel, Propagator};
@@ -428,6 +430,22 @@ fn walker_shells_under_hop_weight_tie_break_by_node_index() {
             &what,
         );
     }
+}
+
+#[test]
+fn batch_above_the_parallel_grain_matches_the_reference() {
+    // 128 sources on a 648-node shell cross the planner's grain, so the
+    // batch compiles its rows up front and grows its trees on worker
+    // threads; answers and pop counts must still be the reference's.
+    let g = walker_graph(36, 18, 600.0);
+    let n = g.node_count();
+    let sources = 128;
+    assert!(sources * n >= PARALLEL_GRAIN);
+    let mut rng = SimRng::substream(0x9E3D, 0);
+    let requests: Vec<(NodeId, NodeId)> = (0..2 * sources)
+        .map(|k| (NodeId((k % sources) * n / sources), NodeId(rng.index(n))))
+        .collect();
+    check_fresh(&g, &requests, Cost::Plain(&hop_weight), "above the grain");
 }
 
 #[test]
