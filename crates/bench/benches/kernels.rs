@@ -468,9 +468,9 @@ fn bench_extensions() {
     // The resnapshot-heavy dynamic pair: 30 s over the moving Iridium
     // constellation, topology refreshed every second. The rebuild
     // kernel re-propagates orbits and re-tests every pair at each
-    // refresh; the delta kernel replays the timeline precomputed once
-    // outside the loop. Same packets bit for bit — the delta path is
-    // the optimization the timeline subsystem exists for.
+    // refresh; the delta kernel looks each refresh up in the timeline
+    // precomputed once outside the loop. Same packets bit for bit —
+    // the lookup is the saving the timeline subsystem exists for.
     let sats = iridium_nodes();
     let stations: Vec<GroundNode> = Vec::new();
     let params = SnapshotParams::default();

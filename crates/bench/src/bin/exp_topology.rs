@@ -6,15 +6,15 @@
 //! 1. **ISL churn**: how many links appear/disappear per minute as the
 //!    Walker constellation rotates (cross-plane links churn; same-plane
 //!    links persist), and how long a precomputed route survives.
-//! 2. **Delta timeline**: the same churn, precomputed once as a
+//! 2. **Timeline**: the same churn, precomputed once as a
 //!    [`TopologyTimeline`](openspace_net::timeline::TopologyTimeline)
-//!    — a base snapshot plus compact per-tick
-//!    deltas — with the compression ratio in the manifest.
+//!    — one snapshot per tick — with the share of adjacency rows that
+//!    change between ticks in the manifest.
 //! 3. **Packets over a moving constellation**: the dynamic packet
 //!    simulator re-snapshots the topology as satellites move; delivery
 //!    continues across route handovers. The run is driven twice — once
-//!    rebuilding every snapshot from orbit propagation, once replaying
-//!    the precomputed deltas — and the reports are asserted
+//!    rebuilding every snapshot from orbit propagation, once looking
+//!    up the precomputed snapshots — and the reports are asserted
 //!    bitwise-identical.
 //!
 //! Run: `cargo run -p openspace-bench --release --bin exp_topology`
@@ -124,9 +124,9 @@ fn main() {
         );
     }
 
-    // 2. The same churn, precomputed as a delta timeline: one base
-    // snapshot plus a compact per-tick delta, built in parallel (the
-    // build is bitwise thread-count-invariant).
+    // 2. The same churn, precomputed as a timeline: one snapshot per
+    // tick, built in parallel (the build is bitwise
+    // thread-count-invariant).
     run.phase("timeline build");
     let horizon = 240.0;
     let interval = 30.0;
@@ -159,7 +159,7 @@ fn main() {
 
     // 3. Packets over the moving constellation: the provider path
     // rebuilds every snapshot from orbit propagation; the timeline path
-    // replays the precomputed deltas. Same packets, bit for bit.
+    // looks up the precomputed snapshots. Same packets, bit for bit.
     if run.human() {
         print_header(
             "Dynamic packet simulation (240 s, re-snapshot every 30 s)",
@@ -203,7 +203,7 @@ fn main() {
             .expect("valid netsim config");
         assert_eq!(
             rebuilt, replayed,
-            "delta replay must be bitwise-identical to full rebuild ({label})"
+            "timeline run must be bitwise-identical to full rebuild ({label})"
         );
         modes.push(JsonValue::object([
             ("mode", JsonValue::Str(label.into())),

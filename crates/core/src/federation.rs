@@ -324,16 +324,15 @@ impl Federation {
         )
     }
 
-    /// Precompute the federation's topology as a delta-driven
-    /// [`TopologyTimeline`]: snapshots every `step_s` seconds over
-    /// `[0, horizon_s]`, built on `threads` workers (serial and parallel
-    /// builds are bitwise-identical), stored as a base graph plus compact
-    /// per-tick deltas.
+    /// Precompute the federation's topology as a [`TopologyTimeline`]:
+    /// one snapshot every `step_s` seconds over `[0, horizon_s]`, built
+    /// on `threads` workers (serial and parallel builds are
+    /// bitwise-identical).
     ///
     /// The result plugs straight into the network driver via
     /// [`NetSim::with_timeline`](crate::netsim::NetSim::with_timeline),
-    /// which then refreshes topology by applying the precomputed deltas
-    /// instead of rebuilding every snapshot from orbit propagation.
+    /// which then refreshes topology by looking up the stored snapshots
+    /// instead of rebuilding each one from orbit propagation.
     pub fn timeline(
         &self,
         step_s: f64,

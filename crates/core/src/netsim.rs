@@ -34,13 +34,11 @@
 //! dispatches.
 //!
 //! The topology source only decides where the next graph comes from.
-//! A timeline run patches a pristine mirror of the provider's snapshots
-//! with the tick's [`GraphDelta`](openspace_net::topology::GraphDelta)
-//! and clones it, bitwise what a fresh provider call returns (the
-//! timeline extracts its deltas *from* fresh builds). Every resnapshot
-//! then syncs the link table to the new graph, invalidates the route
-//! planner and replans, so a timeline run's [`NetSimReport`] is
-//! bit-for-bit the provider run's, pinned by
+//! A timeline run clones the snapshot the timeline stored for the tick,
+//! bitwise what a fresh provider call returns (the timeline stores
+//! fresh builds). Every resnapshot then syncs the link table to the new
+//! graph, invalidates the route planner and replans, so a timeline
+//! run's [`NetSimReport`] is bit-for-bit the provider run's, pinned by
 //! `tests/tests/netsim_delta_equivalence.rs`. There is no incremental
 //! link patch or planner-tree retention: a moving shell changes every
 //! adjacency row at every tick, and on perfbench's `shell_motion` both
@@ -625,7 +623,7 @@ enum TopologySource<'a> {
         provider: &'a dyn TopologyProvider,
         interval_s: f64,
     },
-    /// A precomputed timeline replayed by delta application.
+    /// A precomputed timeline, one stored snapshot per refresh.
     Timeline(&'a TopologyTimeline),
 }
 
@@ -701,9 +699,9 @@ impl<'a> NetSim<'a> {
 
     /// Simulate over a precomputed [`TopologyTimeline`]: behaves
     /// exactly like [`with_provider`](Self::with_provider) at the
-    /// timeline's step, but each refresh *applies the precomputed
-    /// delta* instead of rebuilding the snapshot — bit-identical
-    /// reports, a fraction of the work. The timeline must start at
+    /// timeline's step, but each refresh *clones the stored snapshot*
+    /// instead of rebuilding it — bit-identical reports, without the
+    /// orbit propagation and link tests. The timeline must start at
     /// `t = 0` and cover the configured duration.
     pub fn with_timeline(mut self, timeline: &'a TopologyTimeline) -> Self {
         self.topology = Some(TopologySource::Timeline(timeline));
@@ -783,23 +781,18 @@ impl<'a> NetSim<'a> {
                         max: 0.0,
                     });
                 }
-                // Replay the event-schedule accumulation to count the
-                // resnapshots this run will fire; the timeline must
-                // hold a delta for each.
-                let mut needed = 0usize;
-                let mut t = tl.step_s();
-                while t <= self.cfg.duration_s {
-                    needed += 1;
-                    let next = t + tl.step_s();
-                    if next == t {
-                        break; // fp-stalled accumulation cannot fire more events
-                    }
-                    t = next;
-                }
-                if tl.delta_count() < needed {
+                // The coverage test reads `duration_s`, so it must be
+                // finite first.
+                self.cfg.validate()?;
+                // Resnapshot k fires at `times[k]` (both accumulate
+                // `t += step` from 0). The one after the last tick
+                // would fire at `last + step`, so the timeline is short
+                // if that instant lies inside the run.
+                let last = tl.tick_times()[tl.delta_count()];
+                if last + tl.step_s() <= self.cfg.duration_s {
                     return Err(ConfigError::IndexOutOfRange {
                         field: "timeline.delta_count",
-                        index: needed,
+                        index: tl.delta_count(),
                         len: tl.delta_count(),
                     });
                 }
@@ -932,12 +925,6 @@ struct SimState<'a, 'r> {
     /// `full` minus every edge touching a down node or link, rebuilt by
     /// [`remask`](Self::remask).
     work_graph: Graph,
-    /// Timeline runs patch a *pristine* mirror of the provider's
-    /// snapshots — never touched by loads — so cloning it reproduces
-    /// `provider.topology_at(now)` bit for bit.
-    pristine: Option<Graph>,
-    /// The k-th resnapshot applies timeline delta k.
-    tick: usize,
     slab: PktSlab,
     table: LinkTable,
     /// One batched planner for every recompute: flows sharing a source
@@ -1024,11 +1011,6 @@ impl<'a, 'r> SimState<'a, 'r> {
             node_count: graph.node_count(),
             work_graph: graph.clone(),
             full: graph,
-            pristine: match source {
-                TopologySource::Timeline(tl) => Some(tl.base().clone()),
-                _ => None,
-            },
-            tick: 0,
             slab,
             table,
             planner: RoutePlanner::new(),
@@ -1243,18 +1225,9 @@ impl<'a, 'r> SimState<'a, 'r> {
                 self.full = provider.topology_at(now);
             }
             TopologySource::Timeline(tl) => {
-                let delta = tl
-                    .delta(self.tick)
-                    .expect("delta coverage validated before the run");
-                self.tick += 1;
-                let mirror = self
-                    .pristine
-                    .as_mut()
-                    .expect("timeline runs keep a pristine mirror");
-                mirror
-                    .apply_delta(delta)
-                    .expect("consecutive timeline deltas always chain");
-                self.full = mirror.clone();
+                // `now` is the tick's instant bit for bit, so this is
+                // the tick's stored snapshot.
+                self.full = tl.topology_at(now);
                 self.rec.add("netsim.timeline.deltas_applied", 1);
             }
         }
@@ -1885,7 +1858,7 @@ mod tests {
     // ---- timeline-driven runs ----
 
     /// A provider whose fast path flips between snapshots, plus a
-    /// latency drift, so consecutive snapshots have non-empty deltas.
+    /// latency drift, so consecutive snapshots differ.
     fn churning_provider(t: f64) -> Graph {
         let mut g = Graph::new(4, 0);
         g.add_bidirectional(0, 2, 0.006, 5e6, 0, 0, LinkTech::Rf);
@@ -2058,8 +2031,42 @@ mod tests {
             err,
             ConfigError::IndexOutOfRange {
                 field: "timeline.delta_count",
-                index: 20,
+                index: 5,
                 len: 5
+            }
+        );
+    }
+
+    #[test]
+    fn long_run_on_a_short_timeline_fails_fast() {
+        let flows = [flow(0, 3, 1e6)];
+        let tl = TopologyTimeline::build(&churning_provider, 0.0, 1.0, 4.0, 1).unwrap();
+        let err = NetSim::new(secs(1e11))
+            .with_timeline(&tl)
+            .run(&flows)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::IndexOutOfRange {
+                field: "timeline.delta_count",
+                index: 4,
+                len: 4
+            }
+        );
+    }
+
+    #[test]
+    fn infinite_duration_with_a_timeline_is_a_config_error() {
+        let flows = [flow(0, 3, 1e6)];
+        let tl = TopologyTimeline::build(&churning_provider, 0.0, 1.0, 4.0, 1).unwrap();
+        let err = NetSim::new(secs(f64::INFINITY))
+            .with_timeline(&tl)
+            .run(&flows)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::NotFinite {
+                field: "duration_s"
             }
         );
     }

@@ -95,7 +95,7 @@
 //! shells up to 1,584 satellites, every terminal count from 0 to
 //! `usize::MAX`, and exact distance ties.
 
-use crate::topology::{Graph, GraphDelta, LinkTech, TopologyError};
+use crate::topology::{Graph, LinkTech};
 use openspace_orbit::constants::SPEED_OF_LIGHT_M_PER_S;
 use openspace_orbit::ephemeris::EphemerisSample;
 use openspace_orbit::frames::{ecef_to_eci, eci_to_ecef, Vec3};
@@ -634,28 +634,6 @@ pub fn build_snapshot_from_samples_dense(
     g
 }
 
-/// Build the snapshot at `t_s` and express it as a [`GraphDelta`]
-/// against `prev` (the snapshot at some earlier instant of the same
-/// constellation). Applying the result to `prev` yields a graph
-/// bit-identical to [`build_snapshot`]`(t_s, ..)` — the delta is
-/// extracted *from* a fresh build, so there is no separate incremental
-/// code path that could drift from the reference builder.
-///
-/// Fails with [`TopologyError::ShapeMismatch`] when `prev` has a
-/// different node roster than `sats`/`stations` describe. The snapshot
-/// build reports its `snapshot.*` gating counters through `rec`.
-pub fn snapshot_delta(
-    t_s: f64,
-    prev: &Graph,
-    sats: &[SatNode],
-    stations: &[GroundNode],
-    params: &SnapshotParams,
-    rec: &mut dyn Recorder,
-) -> Result<GraphDelta, TopologyError> {
-    let next = build_snapshot(t_s, sats, stations, params, rec);
-    GraphDelta::between(prev, &next)
-}
-
 /// The satellite (index into `sats`) nearest to a ground ECEF point that
 /// is visible above `min_elevation_rad` at `t_s`, with its slant range.
 pub fn best_access_satellite(
@@ -918,27 +896,6 @@ mod tests {
         assert_eq!(gated, dense);
         assert_eq!(rec.counter("snapshot.pairs_tested"), 66 * 65 / 2);
         assert_eq!(rec.counter("snapshot.pairs_pruned"), 0);
-    }
-
-    #[test]
-    fn snapshot_delta_replays_to_fresh_build() {
-        let sats = iridium_nodes(false);
-        let st = [station(0.0, 0.0)];
-        let params = SnapshotParams::default();
-        let g0 = build_snapshot(0.0, &sats, &st, &params, &mut NullRecorder);
-        let d = snapshot_delta(120.0, &g0, &sats, &st, &params, &mut NullRecorder).unwrap();
-        assert!(!d.is_empty(), "Iridium contacts churn over two minutes");
-        let mut patched = g0.clone();
-        patched.apply_delta(&d).unwrap();
-        assert_eq!(
-            patched,
-            build_snapshot(120.0, &sats, &st, &params, &mut NullRecorder)
-        );
-        // Roster disagreement is an error, not a bad patch.
-        assert!(matches!(
-            snapshot_delta(120.0, &g0, &sats, &[], &params, &mut NullRecorder),
-            Err(TopologyError::ShapeMismatch { .. })
-        ));
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //!   operators whose satellites are scheduled to be disconnected (§2).
 //! * [`policy`] — regulation-aware routing: jurisdictions, downlink
 //!   licenses, and per-user privacy policies (§5's open problem (3)).
-//! * [`timeline`] — precomputed snapshot sequences: a base graph plus
-//!   per-tick [`topology::GraphDelta`]s, replayable bit-identically to
-//!   on-demand snapshot builds (§2.2's known-and-public topology as a
-//!   first-class [`timeline::TopologyProvider`] capability).
+//! * [`timeline`] — precomputed snapshot sequences: one graph per tick,
+//!   bit-identical to on-demand snapshot builds (§2.2's known-and-public
+//!   topology as a first-class [`timeline::TopologyProvider`]
+//!   capability).
 //!
 //! Public node/operator identities are typed ([`topology::NodeId`],
 //! [`topology::SatId`], [`topology::GsId`], [`topology::OperatorId`] —
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::isl::{
         best_access_from_ecef, best_access_satellite, build_snapshot, build_snapshot_from_samples,
         build_snapshot_from_samples_dense, build_snapshot_from_samples_recorded, isl_capacity_bps,
-        snapshot_delta, GroundNode, SatNode, SnapshotParams,
+        GroundNode, SatNode, SnapshotParams,
     };
     pub use crate::policy::{
         audit_path, policy_route, DownlinkLicense, Jurisdiction, PolicyRoute, RoutePolicy,

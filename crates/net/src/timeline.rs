@@ -4,10 +4,17 @@
 //! known and public, allowing for pre-computation of static routes".
 //! This module exploits that predictability one level below routes: a
 //! [`TopologyTimeline`] precomputes the *snapshot sequence* for a whole
-//! simulation horizon — one base [`Graph`] plus a compact
-//! [`GraphDelta`] per tick — so a dynamic simulation replays cheap
-//! row-level patches instead of rebuilding the constellation graph from
-//! orbital state at every resnapshot.
+//! simulation horizon — one [`Graph`] per tick — so a dynamic
+//! simulation looks each resnapshot up instead of rebuilding the
+//! constellation graph from orbital state.
+//!
+//! The timeline stores whole snapshots, not row deltas: satellite
+//! motion moves every link's latency bits, so on a moving shell every
+//! adjacency row changes at every tick (1,590 of 1,590 per tick on
+//! perfbench's `shell_motion`), and a delta holding each changed row
+//! would be as large as the snapshot it patches. The changed-row count
+//! is still measured once at build time
+//! ([`total_changed_rows`](TopologyTimeline::total_changed_rows)).
 //!
 //! # Determinism contract
 //!
@@ -21,17 +28,16 @@
 //! never by `start + k * step` multiplication: the event-driven
 //! simulation in `openspace-core` schedules each resnapshot at
 //! `now + interval`, and only the accumulated form reproduces those
-//! times bit-for-bit, which in turn makes every timeline snapshot
-//! bit-identical to the graph a fresh provider call would have returned
-//! at that event.
+//! times bit-for-bit, so every resnapshot looks up exactly the tick the
+//! provider would have been called at.
 //!
 //! # Providers
 //!
 //! [`TopologyProvider`] is the typed capability "can produce the
 //! topology at time t". Any `Fn(f64) -> Graph` closure gets it for free
 //! (the blanket impl), and [`TopologyTimeline`] implements it by
-//! replaying deltas, so precomputed and on-demand dynamics are
-//! interchangeable everywhere a provider is accepted.
+//! looking up the stored snapshot, so precomputed and on-demand
+//! dynamics are interchangeable everywhere a provider is accepted.
 
 use crate::topology::{Graph, GraphDelta, TopologyError};
 use openspace_sim::config::ConfigError;
@@ -89,14 +95,13 @@ impl From<TopologyError> for TimelineError {
     }
 }
 
-/// The precomputed snapshot sequence for a simulation horizon: the base
-/// graph at the start time plus one [`GraphDelta`] per tick.
+/// The precomputed snapshot sequence for a simulation horizon: one
+/// [`Graph`] per tick.
 ///
-/// Memory is the base graph plus only the rows that actually change —
-/// for a constellation, a handful of contacts per tick out of thousands
-/// of links. [`graph_at`](Self::graph_at) reconstructs any instant's
-/// snapshot bit-identically to what the provider returned at the
-/// nearest preceding tick.
+/// Memory is [`tick_count`](Self::tick_count) snapshots (the module
+/// docs say why not row deltas). [`graph_at`](Self::graph_at) returns any instant's snapshot
+/// bit-identically to what the provider returned at the nearest
+/// preceding tick.
 #[derive(Debug, Clone)]
 pub struct TopologyTimeline {
     start_s: f64,
@@ -104,11 +109,11 @@ pub struct TopologyTimeline {
     /// `times[k]` is tick `k`'s instant, accumulated `start + k·step`
     /// additions (see the module docs for why accumulation matters).
     times: Vec<f64>,
-    /// Snapshot at `times[0]`.
-    base: Graph,
-    /// `deltas[k]` patches the snapshot at `times[k]` into the snapshot
-    /// at `times[k + 1]`; `deltas.len() == times.len() - 1`.
-    deltas: Vec<GraphDelta>,
+    /// `graphs[k]` is the provider's snapshot at `times[k]`.
+    graphs: Vec<Graph>,
+    /// Adjacency rows that differ between consecutive snapshots, summed
+    /// over the horizon.
+    changed_rows: usize,
 }
 
 impl TopologyTimeline {
@@ -187,20 +192,18 @@ impl TopologyTimeline {
         let graphs: Vec<Graph> =
             parallel_map_seeded(&times, threads, 0, |&t, _rng| provider.topology_at(t));
         let pairs: Vec<usize> = (1..graphs.len()).collect();
-        let deltas = parallel_map_seeded(&pairs, threads, 0, |&k, _rng| {
-            GraphDelta::between(&graphs[k - 1], &graphs[k])
+        let changed_rows = parallel_map_seeded(&pairs, threads, 0, |&k, _rng| {
+            GraphDelta::between(&graphs[k - 1], &graphs[k]).map(|d| d.row_count())
         })
         .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+        .sum::<Result<usize, _>>()?;
 
-        let mut graphs = graphs;
-        let base = graphs.swap_remove(0);
         Ok(TopologyTimeline {
             start_s,
             step_s,
             times,
-            base,
-            deltas,
+            graphs,
+            changed_rows,
         })
     }
 
@@ -219,9 +222,9 @@ impl TopologyTimeline {
         self.times.len()
     }
 
-    /// Number of stored deltas (`tick_count() - 1`).
+    /// Number of tick-to-tick transitions (`tick_count() - 1`).
     pub fn delta_count(&self) -> usize {
-        self.deltas.len()
+        self.graphs.len() - 1
     }
 
     /// The precomputed tick instants, ascending.
@@ -231,19 +234,13 @@ impl TopologyTimeline {
 
     /// The snapshot at the first tick.
     pub fn base(&self) -> &Graph {
-        &self.base
+        &self.graphs[0]
     }
 
-    /// The delta patching tick `k`'s snapshot into tick `k + 1`'s, or
-    /// `None` past the horizon.
-    pub fn delta(&self, k: usize) -> Option<&GraphDelta> {
-        self.deltas.get(k)
-    }
-
-    /// Total changed adjacency rows across all deltas — the size of the
-    /// timeline beyond its base graph.
+    /// Adjacency rows that differ between consecutive snapshots, summed
+    /// over every transition of the horizon.
     pub fn total_changed_rows(&self) -> usize {
-        self.deltas.iter().map(GraphDelta::row_count).sum()
+        self.changed_rows
     }
 
     /// Index of the last tick at or before `t_s` (clamped to the first
@@ -255,16 +252,9 @@ impl TopologyTimeline {
     }
 
     /// The snapshot governing instant `t_s`: the provider's graph at
-    /// the last tick at or before `t_s`, reconstructed bit-identically
-    /// by replaying deltas onto a clone of the base.
+    /// the last tick at or before `t_s`.
     pub fn graph_at(&self, t_s: f64) -> Graph {
-        let k = self.tick_index_at(t_s);
-        let mut g = self.base.clone();
-        for d in &self.deltas[..k] {
-            g.apply_delta(d)
-                .expect("consecutive timeline deltas always chain");
-        }
-        g
+        self.graphs[self.tick_index_at(t_s)].clone()
     }
 }
 
@@ -336,11 +326,11 @@ mod tests {
             let par = TopologyTimeline::build(&provider, 0.0, 5.0, 60.0, threads).unwrap();
             assert_eq!(par.base(), serial.base(), "threads={threads}");
             assert_eq!(par.tick_times(), serial.tick_times());
-            for k in 0..serial.delta_count() {
+            for &t in serial.tick_times() {
                 assert_eq!(
-                    par.delta(k),
-                    serial.delta(k),
-                    "delta {k}, threads={threads}"
+                    par.graph_at(t),
+                    serial.graph_at(t),
+                    "t={t}, threads={threads}"
                 );
             }
         }
@@ -422,6 +412,5 @@ mod tests {
         let frozen = |_t: f64| provider(0.0);
         let tl = TopologyTimeline::build(&frozen, 0.0, 10.0, 40.0, 1).unwrap();
         assert_eq!(tl.total_changed_rows(), 0);
-        assert!(tl.delta(0).unwrap().is_empty());
     }
 }

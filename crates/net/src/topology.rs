@@ -37,23 +37,16 @@ impl std::fmt::Display for NoSuchEdge {
 
 impl std::error::Error for NoSuchEdge {}
 
-/// Error from diffing or patching snapshots.
+/// Error from diffing snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyError {
-    /// Two graphs with different node rosters cannot be diffed or
-    /// patched against each other.
+    /// Two graphs with different node rosters cannot be diffed against
+    /// each other.
     ShapeMismatch {
-        /// `(satellites, stations)` of the graph the delta was built for.
+        /// `(satellites, stations)` of the first graph.
         expected: (usize, usize),
-        /// `(satellites, stations)` actually found.
+        /// `(satellites, stations)` of the second graph.
         found: (usize, usize),
-    },
-    /// [`Graph::apply_delta`] found an adjacency row that is not
-    /// bit-identical to the state the delta was extracted from — the
-    /// delta belongs to a different point of the topology's evolution.
-    DeltaMismatch {
-        /// First node whose current row disagrees with the delta.
-        node: NodeId,
     },
 }
 
@@ -65,9 +58,6 @@ impl std::fmt::Display for TopologyError {
                 "graph shape mismatch: delta built for {}+{} nodes, found {}+{}",
                 expected.0, expected.1, found.0, found.1
             ),
-            TopologyError::DeltaMismatch { node } => {
-                write!(f, "delta does not match the graph at node {node}")
-            }
         }
     }
 }
@@ -127,37 +117,16 @@ fn row_bits_eq(a: &[Edge], b: &[Edge]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| edge_bits_eq(x, y))
 }
 
-/// One node's adjacency row before and after a delta. Rows are replaced
-/// wholesale — adjacency order is part of the graph's bit pattern (the
-/// snapshot builder's push order is not reconstructible from an edge
-/// set), so row replacement is the only patch primitive that can honor
-/// a bitwise-equality contract.
-#[derive(Debug, Clone, PartialEq)]
-struct RowChange {
-    node: NodeId,
-    before: Vec<Edge>,
-    after: Vec<Edge>,
-}
-
-/// The difference between two topology snapshots of the *same* node
-/// roster, replayable by [`Graph::apply_delta`].
+/// The adjacency rows that differ between two topology snapshots of
+/// the *same* node roster.
 ///
-/// §2.2's predictability argument — satellite topology is known and
-/// public — means consecutive snapshots of a moving constellation
-/// differ by a handful of contacts. A delta stores exactly the
-/// adjacency rows that changed, with their before *and* after states,
-/// so application is checked.
-///
-/// **Bitwise contract:** for snapshots `a`, `b` with equal rosters,
-/// `a.apply_delta(&GraphDelta::between(&a, &b)?)` leaves `a`
-/// bit-identical to `b` — every `f64` field compared by bit pattern,
-/// pinned by the `timeline_equivalence` property suite.
+/// Rows are compared bit for bit, in adjacency order — every `f64`
+/// field by bit pattern, so `-0.0 != 0.0` — which makes an empty delta
+/// the bitwise graph-equality check the equivalence suites use.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphDelta {
-    n_sats: usize,
-    n_stations: usize,
-    /// Changed rows in ascending node order.
-    rows: Vec<RowChange>,
+    /// Changed nodes in ascending order.
+    rows: Vec<NodeId>,
 }
 
 impl GraphDelta {
@@ -173,25 +142,17 @@ impl GraphDelta {
         }
         let rows = (0..before.node_count())
             .filter(|&u| !row_bits_eq(&before.adj[u], &after.adj[u]))
-            .map(|u| RowChange {
-                node: NodeId(u),
-                before: before.adj[u].clone(),
-                after: after.adj[u].clone(),
-            })
+            .map(NodeId)
             .collect();
-        Ok(GraphDelta {
-            n_sats: before.n_sats,
-            n_stations: before.n_stations,
-            rows,
-        })
+        Ok(GraphDelta { rows })
     }
 
-    /// `true` when applying this delta changes nothing.
+    /// `true` when the two graphs are bit-identical.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
-    /// Number of adjacency rows this delta replaces.
+    /// Number of adjacency rows that differ.
     pub fn row_count(&self) -> usize {
         self.rows.len()
     }
@@ -334,33 +295,6 @@ impl Graph {
     /// Total directed edge count.
     pub fn edge_count(&self) -> usize {
         self.adj.iter().map(Vec::len).sum()
-    }
-
-    /// Patch this graph in place with a delta extracted by
-    /// [`GraphDelta::between`]. Application is *checked*: every row the
-    /// delta replaces must currently be bit-identical to the delta's
-    /// recorded before-state, otherwise the graph is left untouched and
-    /// [`TopologyError::DeltaMismatch`] names the first disagreeing
-    /// node. On success the graph is bit-identical to the snapshot the
-    /// delta was extracted *to*.
-    pub fn apply_delta(&mut self, delta: &GraphDelta) -> Result<(), TopologyError> {
-        if (self.n_sats, self.n_stations) != (delta.n_sats, delta.n_stations) {
-            return Err(TopologyError::ShapeMismatch {
-                expected: (delta.n_sats, delta.n_stations),
-                found: (self.n_sats, self.n_stations),
-            });
-        }
-        // Validate everything before mutating anything, so a failed
-        // application never leaves a half-patched graph.
-        for r in &delta.rows {
-            if !row_bits_eq(&self.adj[r.node.0], &r.before) {
-                return Err(TopologyError::DeltaMismatch { node: r.node });
-            }
-        }
-        for r in &delta.rows {
-            self.adj[r.node.0].clone_from(&r.after);
-        }
-        Ok(())
     }
 
     /// Out-degree of `node`.
@@ -549,13 +483,7 @@ mod tests {
         let d = GraphDelta::between(&a, &b).unwrap();
         assert!(!d.is_empty());
         assert_eq!(d.row_count(), 3, "all three nodes' rows changed");
-        let mut patched = a.clone();
-        patched.apply_delta(&d).unwrap();
-        assert_eq!(patched, b);
-        patched
-            .apply_delta(&GraphDelta::between(&b, &a).unwrap())
-            .unwrap();
-        assert_eq!(patched, a);
+        assert_eq!(GraphDelta::between(&b, &a).unwrap(), d);
     }
 
     #[test]
@@ -563,9 +491,7 @@ mod tests {
         let a = line_graph();
         let d = GraphDelta::between(&a, &a.clone()).unwrap();
         assert!(d.is_empty());
-        let mut g = a.clone();
-        g.apply_delta(&d).unwrap();
-        assert_eq!(g, a);
+        assert_eq!(d.row_count(), 0);
     }
 
     #[test]
@@ -575,20 +501,6 @@ mod tests {
         b.edges_mut(0usize)[0].load_fraction = -0.0;
         let d = GraphDelta::between(&a, &b).unwrap();
         assert_eq!(d.row_count(), 1, "-0.0 differs from 0.0 bitwise");
-    }
-
-    #[test]
-    fn apply_delta_rejects_wrong_base() {
-        let a = line_graph();
-        let b = shifted_graph();
-        let d = GraphDelta::between(&a, &b).unwrap();
-        let mut wrong = a.clone();
-        wrong.set_load(0usize, 1usize, 0.5).unwrap();
-        let before = wrong.clone();
-        let err = wrong.apply_delta(&d).unwrap_err();
-        assert_eq!(err, TopologyError::DeltaMismatch { node: NodeId(0) });
-        assert_eq!(wrong, before, "failed application leaves graph untouched");
-        assert_eq!(err.to_string(), "delta does not match the graph at node 0");
     }
 
     #[test]
@@ -603,10 +515,5 @@ mod tests {
                 found: (1, 1)
             }
         );
-        let d = GraphDelta::between(&small, &small).unwrap();
-        assert!(matches!(
-            a.clone().apply_delta(&d),
-            Err(TopologyError::ShapeMismatch { .. })
-        ));
     }
 }

@@ -1,16 +1,16 @@
 //! Property suite pinning the resnapshot contract of the [`NetSim`]
-//! driver: a run that refreshes topology by replaying a precomputed
-//! [`TopologyTimeline`] delta is **bitwise-identical** to the run that
-//! rebuilds every snapshot from the provider — same report floats to
-//! the last ulp, same counters — across routing modes and under fault
-//! injection.
+//! driver: a run that refreshes topology from a precomputed
+//! [`TopologyTimeline`]'s stored snapshots is **bitwise-identical** to
+//! the run that rebuilds every snapshot from the provider — same report
+//! floats to the last ulp, same counters — across routing modes and
+//! under fault injection.
 //!
 //! Both sources feed the same resnapshot path (full link-table sync,
 //! planner invalidation, replan); only the next graph comes from a
-//! different place. The timeline patches a pristine mirror of the
-//! provider's snapshots, so this suite pins that mirror, and pins the
-//! `netsim.resnapshot.*` and `routing.*` telemetry as independent of
-//! the topology source: only `netsim.timeline.deltas_applied` differs.
+//! different place. So this suite pins the timeline's tick lookup at
+//! each resnapshot instant, and pins the `netsim.resnapshot.*` and
+//! `routing.*` telemetry as independent of the topology source: only
+//! `netsim.timeline.deltas_applied` differs.
 
 use openspace_core::netsim::{
     FlowSpec, NetSim, NetSimConfig, NetSimReport, RoutingMode, TrafficKind,
