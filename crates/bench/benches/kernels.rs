@@ -509,24 +509,27 @@ fn bench_extensions() {
 fn bench_engine() {
     use openspace_sim::prelude::{EventQueue, SimRng};
 
-    // Event-queue churn in isolation: hold ~1k pending events and run a
-    // steady-state pop-one/schedule-one loop — the access pattern the
-    // packet engine produces (Depart/HopArrive chains at short
-    // offsets).
-    bench("equeue_churn", window(), || {
-        let mut q = EventQueue::new();
-        let mut rng = SimRng::new(42);
-        for i in 0..1024u64 {
-            q.schedule(rng.uniform_range(0.0, 1.0), i);
-        }
-        for _ in 0..8192u64 {
-            let (t, e) = q.pop().expect("queue stays loaded");
-            q.schedule(t + rng.uniform_range(1e-5, 2e-3), e);
-        }
-        while let Some(x) = q.pop() {
-            black_box(x);
-        }
-    });
+    // Event-queue churn in isolation: hold `depth` pending events and
+    // run a steady-state pop-one/schedule-one loop — the access pattern
+    // the packet engine produces (Depart/HopArrive chains at short
+    // offsets). 1,024 is a mid-size queue; 4,675 is the peak depth of
+    // the benchmark's `demand_day` packet day.
+    for (name, depth) in [("equeue_churn", 1024u64), ("equeue_churn_4675", 4675)] {
+        bench(name, window(), || {
+            let mut q = EventQueue::new();
+            let mut rng = SimRng::new(42);
+            for i in 0..depth {
+                q.schedule(rng.uniform_range(0.0, 1.0), i);
+            }
+            for _ in 0..8192u64 {
+                let (t, e) = q.pop().expect("queue stays loaded");
+                q.schedule(t + rng.uniform_range(1e-5, 2e-3), e);
+            }
+            while let Some(x) = q.pop() {
+                black_box(x);
+            }
+        });
+    }
 }
 
 fn bench_telemetry() {

@@ -365,8 +365,10 @@ struct CompiledRoute {
 }
 
 /// Simulation events. Every variant is ≤ 8 bytes of payload — packet
-/// state lives in the [`PktSlab`] — so the schedulers move 24-byte
-/// `(time, seq, event)` entries through the hot loop.
+/// state lives in the [`PktSlab`] — so the event queue moves 32-byte
+/// entries (a 16-byte `(time, seq)` key, the 8-byte event, padding to
+/// the key's alignment) through the hot loop.
+#[derive(Clone, Copy)]
 enum Ev {
     Inject(u32),
     /// Demand-tick boundary `k`: retire batch `k-1`, activate batch `k`.
@@ -381,6 +383,8 @@ enum Ev {
     /// A fault-plan event (index into the event list) takes effect.
     Fault(u32),
 }
+
+const _: () = assert!(std::mem::size_of::<Ev>() <= 8, "Ev must stay small");
 
 struct Link {
     capacity_bps: f64,

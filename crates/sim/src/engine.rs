@@ -8,73 +8,70 @@
 //! inputs and seed. `tests/tests/event_queue_order.rs` checks the pop
 //! sequence against an independent sort of every scheduled event.
 //!
-//! [`EventQueue`] is a binary heap, `O(log n)` per operation, and the
-//! only engine. A bucketed calendar queue (`O(1)` amortized) once sat
-//! beside it. On the repo benchmark's workloads, whose queues peak at
-//! 4,675 pending events, it tied the heap on two and lost on the
-//! deepest, so it was removed (DESIGN.md §4 has the numbers).
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! [`EventQueue`] is an implicit 4-ary min-heap, `O(log n)` per
+//! operation, and the only engine. Each entry carries one `u128` key,
+//! `time.to_bits() << 64 | seq`: event times are never below `+0.0`
+//! (`-0.0` is stored as `+0.0`), and for non-negative floats the bit
+//! pattern orders as the value, so unsigned key order *is* `(time, seq)`
+//! order. A pop picks the least of four children with comparisons whose
+//! results feed index arithmetic, not branches, and moves entries
+//! through a hole rather than swapping (DESIGN.md §4 measures this shape
+//! against arity 2 and other layouts). A bucketed calendar queue (`O(1)`
+//! amortized) once sat beside a binary heap. On the repo benchmark's
+//! workloads, whose queues peak at 4,675 pending events, it tied the
+//! heap on two and lost on the deepest, so it was removed (DESIGN.md §4
+//! has the numbers).
 
 /// Simulation timestamp (seconds since simulation epoch).
 pub type SimTime = f64;
 
-struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
+/// Children per heap node (the child tournament in
+/// `sift_down_from_root` is written for four).
+const ARITY: usize = 4;
+
+#[derive(Clone, Copy)]
+struct Entry<E> {
+    /// `time.to_bits() << 64 | seq`; see [`key`].
+    key: u128,
     event: E,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
+/// The heap key of an event at `time` (finite, `>= -0.0`) scheduled as
+/// the `seq`-th call. Adding `+0.0` turns `-0.0` into `+0.0`, so the two
+/// zeros share a key prefix and tie-break by `seq`, as `-0.0 == 0.0`.
+fn key(time: SimTime, seq: u64) -> u128 {
+    (u128::from((time + 0.0).to_bits()) << 64) | u128::from(seq)
 }
-impl<E> Eq for Scheduled<E> {}
 
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the earliest time (then the
-        // lowest sequence number) pops first. Times are finite by
-        // construction (schedule() rejects NaN/inf).
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("simulation times are finite")
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The time a key was built from (`+0.0` for a `-0.0` schedule).
+fn time_of(key: u128) -> SimTime {
+    f64::from_bits((key >> 64) as u64)
 }
 
 /// A deterministic discrete-event scheduler.
 ///
-/// `E` is the caller's event payload. The engine owns time; handlers run
-/// strictly in timestamp order and may schedule further events (at or
-/// after the current time).
+/// `E` is the caller's event payload, moved by copy through the heap.
+/// The engine owns time; handlers run strictly in timestamp order and
+/// may schedule further events (at or after the current time).
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    heap: Vec<Entry<E>>,
     now: SimTime,
     seq: u64,
     processed: u64,
     depth_high_water: usize,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// An empty queue at time 0.
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
             now: 0.0,
             seq: 0,
             processed: 0,
@@ -105,7 +102,8 @@ impl<E> EventQueue<E> {
         self.depth_high_water
     }
 
-    /// Schedule `event` at absolute time `at`.
+    /// Schedule `event` at absolute time `at`. An event scheduled at
+    /// `-0.0` pops at `+0.0`.
     ///
     /// # Panics
     /// Panics if `at` is NaN/infinite or earlier than the current time
@@ -117,27 +115,69 @@ impl<E> EventQueue<E> {
             "cannot schedule into the past: {at} < now {}",
             self.now
         );
-        self.heap.push(Scheduled {
-            time: at,
-            seq: self.seq,
+        let new = Entry {
+            key: key(at, self.seq),
             event,
-        });
+        };
         self.seq += 1;
+        // Sift the hole at the new leaf up until its parent is smaller.
+        let mut hole = self.heap.len();
+        self.heap.push(new);
+        while hole > 0 {
+            let parent = (hole - 1) / ARITY;
+            if self.heap[parent].key < new.key {
+                break;
+            }
+            self.heap[hole] = self.heap[parent];
+            hole = parent;
+        }
+        self.heap[hole] = new;
         self.depth_high_water = self.depth_high_water.max(self.heap.len());
-    }
-
-    /// Schedule `event` `delay` seconds from now.
-    pub fn schedule_in(&mut self, delay: f64, event: E) {
-        assert!(delay >= 0.0, "delay must be non-negative, got {delay}");
-        self.schedule(self.now + delay, event);
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
-        self.now = s.time;
+        let last = self.heap.pop()?;
+        let top = match self.heap.first() {
+            Some(&top) => {
+                self.sift_down_from_root(last);
+                top
+            }
+            None => last,
+        };
+        self.now = time_of(top.key);
         self.processed += 1;
-        Some((s.time, s.event))
+        Some((self.now, top.event))
+    }
+
+    /// Refill the root's hole with `last`: move the least child up into
+    /// the hole until no child is smaller than `last`.
+    fn sift_down_from_root(&mut self, last: Entry<E>) {
+        let heap = &mut self.heap[..];
+        let len = heap.len();
+        let mut hole = 0;
+        loop {
+            let first = ARITY * hole + 1;
+            let child = if first + ARITY <= len {
+                // A full group: a tournament of two pairs. Each `<` only
+                // offsets an index, so the compiler emits no branch.
+                let c = &heap[first..first + ARITY];
+                let a = usize::from(c[1].key < c[0].key);
+                let b = 2 + usize::from(c[3].key < c[2].key);
+                first + if c[b].key < c[a].key { b } else { a }
+            } else if first < len {
+                // The last, partly filled group.
+                (first + 1..len).fold(first, |m, i| if heap[i].key < heap[m].key { i } else { m })
+            } else {
+                break;
+            };
+            if last.key < heap[child].key {
+                break;
+            }
+            heap[hole] = heap[child];
+            hole = child;
+        }
+        heap[hole] = last;
     }
 
     /// Run until the queue drains or the clock passes `until`, feeding
@@ -148,8 +188,8 @@ impl<E> EventQueue<E> {
     where
         F: FnMut(&mut Self, SimTime, E),
     {
-        while let Some(s) = self.heap.peek() {
-            if s.time > until {
+        while let Some(next) = self.heap.first() {
+            if time_of(next.key) > until {
                 break;
             }
             let (t, e) = self.pop().expect("peeked event exists");
@@ -226,16 +266,6 @@ mod tests {
         assert_eq!(q.now(), 0.0);
         q.pop();
         assert_eq!(q.now(), 4.5);
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(2.0, "first");
-        q.pop();
-        q.schedule_in(3.0, "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, 5.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! stack.
 //!
 //! * [`engine`] — the time-ordered event queue with stable tie-breaking
-//!   (same inputs + same seed ⇒ bit-identical runs): one binary heap,
+//!   (same inputs + same seed ⇒ bit-identical runs): one 4-ary heap,
 //!   [`engine::EventQueue`].
 //! * [`rng`] — seeded RNG with substreams and the distributions traffic
 //!   models need.

@@ -181,3 +181,80 @@ fn a_batch_drains_as_its_sorted_schedule() {
     assert_eq!(q.processed(), 2_000);
     assert_eq!(q.depth_high_water(), 2_000);
 }
+
+#[test]
+fn every_size_to_seventy_drains_in_time_seq_order() {
+    // Sizes 0..=70 leave the heap's last group of four children holding
+    // one to four entries at every depth up to four levels, so both the
+    // full-group and the partly filled group child selection run.
+    for size in 0..=70u32 {
+        let mut rng = SimRng::substream(0xE9EB, u64::from(size));
+        let mut q = EventQueue::new();
+        let mut oracle = Oracle::default();
+        for i in 0..size {
+            let at = rng.index(9) as f64 * 0.5;
+            q.schedule(at, i);
+            oracle.schedule(at, i);
+        }
+        while let Some((t, e)) = q.pop() {
+            assert_eq!(Some((t.to_bits(), e)), oracle.pop(), "size {size}");
+        }
+        assert_eq!(oracle.pop(), None, "size {size}: queue drained early");
+        assert_same_state(&q, &oracle, &format!("size {size}"));
+    }
+}
+
+#[test]
+fn deep_churn_with_exact_ties_pops_in_time_seq_order() {
+    // A steady pop-one/schedule-one churn 5,000 deep, the depth of the
+    // benchmark's deepest queue. About 30% of the new events land on the
+    // exact timestamp of the event just popped.
+    let mut rng = SimRng::substream(0xE9EC, 0);
+    let mut q = EventQueue::new();
+    let mut oracle = Oracle::default();
+    for i in 0..5_000u32 {
+        let at = rng.uniform() * 1e-2;
+        q.schedule(at, i);
+        oracle.schedule(at, i);
+    }
+    let mut ties = 0;
+    for i in 5_000..25_000u32 {
+        let (t, e) = q.pop().expect("queue stays loaded");
+        assert_eq!(Some((t.to_bits(), e)), oracle.pop(), "churn pop {i}");
+        let at = if rng.uniform() < 0.3 {
+            ties += 1;
+            t
+        } else {
+            t + rng.uniform_range(1e-5, 2e-3)
+        };
+        q.schedule(at, i);
+        oracle.schedule(at, i);
+        assert_eq!(q.pending(), 5_000);
+    }
+    assert!((5_000..7_000).contains(&ties), "{ties} ties");
+    while let Some((t, e)) = q.pop() {
+        assert_eq!(Some((t.to_bits(), e)), oracle.pop(), "churn drain");
+    }
+    assert_eq!(oracle.pop(), None, "churn: queue drained early");
+    assert_same_state(&q, &oracle, "churn");
+}
+
+#[test]
+fn negative_zero_pops_as_positive_zero_in_seq_order() {
+    // `-0.0 >= now = +0.0`, so scheduling at -0.0 is legal. The two zeros
+    // are one time: they pop in seq order, and the pop returns +0.0.
+    let mut q = EventQueue::new();
+    q.schedule(0.0, 0u32);
+    q.schedule(-0.0, 1);
+    q.schedule(0.0, 2);
+    q.schedule(-0.0, 3);
+    q.schedule(1e-300, 4);
+    let pops: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop())
+        .map(|(t, e)| (t.to_bits(), e))
+        .collect();
+    let zero = 0.0f64.to_bits();
+    let want = [(zero, 0), (zero, 1), (zero, 2), (zero, 3)];
+    assert_eq!(pops[..4], want);
+    assert_eq!(pops[4], (1e-300f64.to_bits(), 4));
+    assert_eq!(q.now().to_bits(), 1e-300f64.to_bits());
+}
