@@ -231,10 +231,6 @@ fn main() {
                     "netsim_nodes_visited",
                     JsonValue::Uint(netsim_rec.counter("routing.nodes_visited")),
                 ),
-                (
-                    "netsim_scratch_reuses",
-                    JsonValue::Uint(netsim_rec.counter("routing.planner.scratch_reuses")),
-                ),
             ]),
         );
         assert!(

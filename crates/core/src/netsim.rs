@@ -477,6 +477,9 @@ struct LinkTable {
     by_pair: Vec<LinkId>,
     /// Byte capacity of every link queue.
     queue_capacity_bytes: u64,
+    /// [`rebuild_sync`](Self::rebuild_sync)'s per-slot "in the graph"
+    /// flags, kept between calls for their allocation.
+    seen: Vec<bool>,
 }
 
 impl LinkTable {
@@ -487,6 +490,7 @@ impl LinkTable {
             index: HashMap::new(),
             by_pair: Vec::new(),
             queue_capacity_bytes,
+            seen: Vec::new(),
         }
     }
 
@@ -574,7 +578,9 @@ impl LinkTable {
     /// queues. Returns `(links_kept, links_churned, packets_dropped)`.
     fn rebuild_sync(&mut self, graph: &Graph, now: f64, slab: &mut PktSlab) -> (u64, u64, u64) {
         let preexisting = self.slots.len();
-        let mut seen = vec![false; preexisting];
+        let mut seen = std::mem::take(&mut self.seen);
+        seen.clear();
+        seen.resize(preexisting, false);
         let mut kept = 0u64;
         let mut churned = 0u64;
         for u in 0..graph.node_count() {
@@ -601,6 +607,7 @@ impl LinkTable {
                 lost += self.kill(LinkId(idx as u32), slab);
             }
         }
+        self.seen = seen;
         (kept, churned, lost)
     }
 
@@ -1200,7 +1207,7 @@ impl<'a, 'r> SimState<'a, 'r> {
             let _ = self.work_graph.set_load(u, v, load);
             let _ = self.full.set_load(u, v, load);
         });
-        // Loads changed under the QoS weight: cached trees are stale.
+        // Loads changed under the QoS weight: compiled rows are stale.
         self.planner.invalidate();
         let fresh = self.plan_routes(None, true);
         for (route, r) in self.routes.iter_mut().zip(fresh) {
@@ -1342,7 +1349,9 @@ impl<'a, 'r> SimState<'a, 'r> {
     /// the link table to it. Returns `rebuild_sync`'s
     /// `(links_kept, links_churned, packets_dropped)`.
     fn remask(&mut self, now: f64) -> (u64, u64, u64) {
-        let mut graph = self.full.clone();
+        // Refill the work graph's own rows instead of cloning afresh.
+        let mut graph = std::mem::replace(&mut self.work_graph, Graph::new(0, 0));
+        graph.clone_from(&self.full);
         if !self.down_since.is_empty() || !self.down_links.is_empty() {
             graph.retain_edges(|u, e| !self.masked(u, e.to));
         }

@@ -11,8 +11,9 @@
 //!   system needs. A QoS route is a [`shortest_path`] under
 //!   [`QosRequirement::weight`], filtered by its latency bound.
 //! * [`planner`] — the batched per-source [`RoutePlanner`]: one
-//!   settled-predecessor tree per distinct source, scratch-buffer reuse,
-//!   and within-tick tree caching for replan-heavy workloads. Its tree
+//!   settled-predecessor tree per distinct source, one recycled buffer
+//!   set per worker, and weight rows shared across a generation's trees
+//!   for replan-heavy workloads. Its tree
 //!   search is the only shortest-path search in the crate:
 //!   [`shortest_path`] is a single-request batch on a fresh planner.
 //!   ([`widest_path`] is a max-bottleneck search, not a shortest path.)

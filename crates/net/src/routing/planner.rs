@@ -7,16 +7,19 @@
 //! Dijkstra per flow redoes identical work once per flow. The
 //! [`RoutePlanner`] instead:
 //!
-//! * **groups requests by source** and grows one settled-predecessor
-//!   shortest-path tree per distinct source, answering every destination
-//!   from that tree;
-//! * **reuses scratch buffers** (node marks, `(dist, prev)` labels and
-//!   the frontier heap) across trees, with generation stamps so resetting
-//!   a buffer set is O(1) instead of O(nodes);
-//! * **shares compiled weight rows** between the trees of one generation
-//!   (see below);
-//! * **caches trees between calls** until [`RoutePlanner::invalidate`]
-//!   declares the topology or the edge weights changed.
+//! * **groups requests by source** through a per-node index and grows
+//!   one settled-predecessor shortest-path tree per distinct source,
+//!   answering every destination from that tree;
+//! * **keeps a tree only for its batch**: above the parallel grain each
+//!   worker grows its sources' trees one after another on a single
+//!   recycled buffer set (node marks, `(dist, prev)` labels and the
+//!   frontier heap), so a large batch holds `workers × nodes` labels, not
+//!   `trees × nodes`; below it a batch's trees hold fewer than
+//!   [`PARALLEL_GRAIN`] labels together. Generation stamps make a
+//!   restart O(1) instead of O(nodes);
+//! * **shares compiled weight rows** between all the trees of one
+//!   generation, across calls until [`RoutePlanner::invalidate`]
+//!   declares the edge weights changed (see below).
 //!
 //! The one-shot [`shortest_path`](crate::routing::shortest_path) — and
 //! so [`qos_route`](crate::routing::qos_route) and each spur search of
@@ -78,41 +81,46 @@
 //! searches that reach it.
 //!
 //! Rows carry a generation stamp like the tree buffers, and a new row
-//! generation starts whenever the cached trees stop being trustworthy:
-//! on [`invalidate`](RoutePlanner::invalidate) and on a node-count
-//! change. Trees and rows always start over together.
+//! generation starts on [`invalidate`](RoutePlanner::invalidate) (the
+//! weights changed) and on a node-count change. Rows are the only search
+//! state that outlives a batch.
 //!
 //! # Parallel growth
 //!
-//! A batch runs in three phases. **Assign** walks the requests in order
-//! and starts a tree, on pooled buffers, for each source that has none
-//! yet. **Grow** runs only when the new trees' work crosses a
-//! grain, `new trees × graph.node_count() >= `[`PARALLEL_GRAIN`]
-//! (2¹⁶): the rows are compiled eagerly, then each new tree is grown
-//! until every destination asked of it settles, on
-//! `min(`[`default_threads`]`(), new trees)` workers. **Extract** walks
-//! the requests in order, resuming cached trees from earlier batches
-//! as needed, and reads and maps each path; a tree grown in parallel
-//! answers without a pop.
+//! A batch first groups its requests by source: each distinct source, in
+//! first-request order, gets a group, found through a per-node index.
+//! What happens next depends on the grain,
+//! `groups × graph.node_count() >= `[`PARALLEL_GRAIN`] (2¹⁶):
 //!
-//! The output cannot depend on the worker count. A tree's pop sequence
-//! is a pure function of `(graph, rows, source)` (see above), the rows
-//! are complete and read-only before any worker starts, and trees share
-//! nothing else. Growing a tree for its destination set stops where the
-//! serial run's last request to it stops, whatever the order. Paths are
-//! extracted, and `map` called, in request order on the calling thread,
-//! so a caller that allocates ids as it maps (the packet simulator's
-//! link table) allocates them in the same order. The `routing.*`
-//! counters are integer sums. So paths, cost bits and every counter are
-//! identical at any worker count, 1 included.
+//! * **At or above it** the rows are compiled eagerly and the groups go
+//!   to `min(`[`default_threads`]`(), groups)` workers in contiguous
+//!   runs, one run and one buffer set per worker. For each group a worker
+//!   starts a tree on its buffer set, settles the group's destinations in
+//!   request order, extracts each path into the group's answers, and
+//!   restarts the same buffers for the next group. The calling thread
+//!   answers the first run itself, so two workers cost one spawn. Then
+//!   the calling thread hands the answers to `map` in request order.
+//! * **Below it** the calling thread starts one tree per group, on its
+//!   own buffer set, and walks the requests in order, resuming each
+//!   request's tree until its destination settles and passing the path to
+//!   `map` as soon as it is extracted, with lazy rows. The trees are few
+//!   and small by the grain's definition, and no path waits in a buffer:
+//!   `demand_day`'s one batch maps 41,460 paths from 46 sources on a
+//!   72-node graph, and holding those paths until the map lifted its
+//!   peak RSS by 0.8–2.8 MiB in each of the four buffered layouts
+//!   measured.
 //!
-//! Each worker grows one *contiguous* chunk of the new trees; the calling
-//! thread grows the first chunk itself, so two workers cost one spawn.
-//! Contiguous chunks keep the workers' trees apart in memory: neighbouring
-//! tree headers share a cache line and a heap's length is written on
-//! every push and pop, so claiming trees one at a time from a shared
-//! counter would invite false sharing. A worker's panic (a bad weight) is re-raised on the calling
-//! thread with its own payload.
+//! The output cannot depend on the worker count or the grain. A tree's
+//! pop sequence is a pure function of `(graph, rows, source)` (see
+//! above), the rows are complete and read-only before any worker starts,
+//! and trees share nothing else. A tree grows until the last of its
+//! destinations settles, in either mode. `map` is called in request
+//! order on the calling thread, so a caller that allocates ids as it
+//! maps (the packet simulator's link table) allocates them in the same
+//! order. The `routing.*` counters are integer sums. So paths, cost bits
+//! and every counter are identical at any worker count, 1 included, and
+//! from one call to the next. A worker's panic (a bad weight) is
+//! re-raised on the calling thread with its own payload.
 //!
 //! The grain keeps small batches serial, with lazy rows: compiling every
 //! row up front made a one-shot search on Iridium about 1.4× slower, and
@@ -128,9 +136,7 @@
 //! now counted once per tree, not once per flow):
 //!
 //! * `routing.planner.trees` — shortest-path trees grown;
-//! * `routing.planner.path_extractions` — paths read out of a tree;
-//! * `routing.planner.scratch_reuses` — trees that recycled a pooled
-//!   buffer set instead of allocating.
+//! * `routing.planner.path_extractions` — paths read out of a tree.
 
 use crate::routing::dijkstra::Path;
 use crate::topology::{Edge, Graph, NodeId};
@@ -259,9 +265,10 @@ impl Rows {
     }
 }
 
-/// One shortest-path tree rooted at a source, pausable and resumable:
-/// the heap keeps its frontier so a later request for a deeper
-/// destination continues the same search instead of restarting it.
+/// One buffer set for shortest-path trees: a tree from one source at a
+/// time, pausable and resumable — the heap keeps its frontier, so a later
+/// destination of the same source continues the search instead of
+/// restarting it — then restarted in O(1) for the next source.
 struct Tree {
     src: NodeId,
     /// Stamp generation, always even: `mark[i] == gen` ⇒ node `i` was
@@ -278,26 +285,6 @@ struct Tree {
 }
 
 impl Tree {
-    fn start(mut buffers: Tree, n: usize, src: NodeId) -> Tree {
-        buffers.src = src;
-        buffers.heap.clear();
-        buffers.exhausted = false;
-        // Generation bump invalidates every mark in O(1); on wrap (or a
-        // resize) fall back to a hard clear so stale marks can't alias.
-        if buffers.gen >= u32::MAX - 3 || buffers.mark.len() != n {
-            buffers.gen = 2;
-            buffers.mark.clear();
-            buffers.mark.resize(n, 0);
-            buffers.label.resize(n, (f64::INFINITY, NodeId(0)));
-            buffers.heap.reserve(n);
-        } else {
-            buffers.gen += 2;
-        }
-        buffers.touch(src, 0.0, src);
-        buffers.heap.push(Reverse(frontier_key(0.0, src)));
-        buffers
-    }
-
     fn empty() -> Tree {
         Tree {
             src: NodeId(0),
@@ -307,6 +294,26 @@ impl Tree {
             heap: BinaryHeap::new(),
             exhausted: false,
         }
+    }
+
+    /// Start a new tree from `src` over `n` nodes on these buffers.
+    fn restart(&mut self, n: usize, src: NodeId) {
+        self.src = src;
+        self.heap.clear();
+        self.exhausted = false;
+        // Generation bump invalidates every mark in O(1); on wrap (or a
+        // resize) fall back to a hard clear so stale marks can't alias.
+        if self.gen >= u32::MAX - 3 || self.mark.len() != n {
+            self.gen = 2;
+            self.mark.clear();
+            self.mark.resize(n, 0);
+            self.label.resize(n, (f64::INFINITY, NodeId(0)));
+            self.heap.reserve(n);
+        } else {
+            self.gen += 2;
+        }
+        self.touch(src, 0.0, src);
+        self.heap.push(Reverse(frontier_key(0.0, src)));
     }
 
     fn touch(&mut self, node: NodeId, dist: f64, prev: NodeId) {
@@ -388,27 +395,61 @@ impl Tree {
     }
 }
 
+/// The requests of a grown batch that share a source: one tree answers
+/// them all, on a worker, before any is mapped.
+struct Group {
+    src: NodeId,
+    /// Destinations, in request order.
+    dsts: Vec<NodeId>,
+    /// Answers, in request order.
+    paths: Vec<Option<Path>>,
+    /// Answers handed out so far.
+    taken: usize,
+}
+
+impl Group {
+    /// Grow a tree from `src` on `tree`'s buffers until each destination
+    /// settles, in request order, reading the compiled `rows`, and
+    /// extract each path. Returns the heap pops.
+    fn answer(&mut self, n: usize, tree: &mut Tree, rows: &Rows) -> u64 {
+        tree.restart(n, self.src);
+        let mut visited = 0u64;
+        self.paths.reserve_exact(self.dsts.len());
+        for &dst in &self.dsts {
+            visited += tree.settle(dst, |tree, cost, node| rows.relax(tree, cost, node));
+            self.paths.push(tree.extract(dst));
+        }
+        visited
+    }
+
+    /// The next answer, in request order.
+    fn take(&mut self) -> Option<Path> {
+        self.taken += 1;
+        self.paths[self.taken - 1].take()
+    }
+}
+
 /// Batched per-source shortest-path planner (see the [module
 /// docs](self) for the equivalence argument and telemetry keys).
 ///
-/// # Cache contract
+/// # Weight contract
 ///
-/// Cached trees and compiled weight rows are valid for one *topology
-/// generation*: after any change to the graph's structure **or** to
-/// anything an edge-weight function reads (e.g. `load_fraction` before
-/// QoS routing), call [`invalidate`](Self::invalidate) before planning
-/// again. Planning with a different weight function within one
-/// generation likewise requires an `invalidate` in between — the planner
-/// cannot see inside the closure, and even a new source's tree would read
-/// rows compiled under the old weight.
+/// A batch's trees live only for the batch; what the planner keeps
+/// between calls is its last batch's buffer sets and the compiled weight
+/// rows. Rows are valid for one *row generation*: after
+/// any change to the graph's structure **or** to anything an edge-weight
+/// function reads (e.g. `load_fraction` before QoS routing), call
+/// [`invalidate`](Self::invalidate) before planning again. Planning with
+/// a different weight function likewise requires an `invalidate` in
+/// between — the planner cannot see inside the closure, and a tree would
+/// read rows compiled under the old weight.
 pub struct RoutePlanner {
-    /// Trees grown in the current generation, in first-request order.
+    /// The last batch's tree buffers, kept for the next: one per worker
+    /// above the grain, one per source below it.
     trees: Vec<Tree>,
-    /// Retired buffer sets awaiting reuse.
-    pool: Vec<Tree>,
     /// Out-rows compiled for the current generation, shared by its trees.
     rows: Rows,
-    /// Node count the cached trees were built against.
+    /// Node count the rows were compiled for.
     n: usize,
 }
 
@@ -419,26 +460,20 @@ impl Default for RoutePlanner {
 }
 
 impl RoutePlanner {
-    /// A planner with no cached state.
+    /// A planner with no compiled rows.
     pub fn new() -> Self {
         Self {
             trees: Vec::new(),
-            pool: Vec::new(),
             rows: Rows::new(),
             n: 0,
         }
     }
 
-    /// Drop every cached tree and compiled row (buffers are retained for
-    /// reuse). Call whenever the topology or the edge weights change.
+    /// Start a new row generation: every compiled weight row goes stale
+    /// (buffers are retained for reuse). Call whenever the topology or
+    /// the edge weights change.
     pub fn invalidate(&mut self) {
-        self.pool.append(&mut self.trees);
         self.rows.reset(self.n);
-    }
-
-    /// Number of trees cached for the current generation.
-    pub fn cached_trees(&self) -> usize {
-        self.trees.len()
     }
 
     /// Plan a batch of `(src, dst)` route requests under `weight`,
@@ -473,13 +508,14 @@ impl RoutePlanner {
     }
 
     /// [`plan_recorded`](Self::plan_recorded) with a caller-supplied
-    /// extraction map: each found [`Path`] is passed to `map` *as it is
-    /// extracted*, and the mapped value is returned in its place.
+    /// map: each found [`Path`] is passed to `map`, in request order on
+    /// the calling thread, and the mapped value is returned in its place.
     ///
     /// This lets a caller compile paths straight into its own route
-    /// representation (e.g. the packet simulator's link-index form)
-    /// without materializing an intermediate `Vec<Path>`. `map`
-    /// returning `None` demotes the request to unroutable (e.g.
+    /// representation (e.g. the packet simulator's link-index form,
+    /// whose ids are allocated in the order `map` sees the paths)
+    /// without keeping an intermediate `Vec<Path>`. `map` returning
+    /// `None` demotes the request to unroutable (e.g.
     /// [`QosRequirement::admit`](crate::routing::QosRequirement::admit)
     /// for a QoS latency bound); the `routing.planner.path_extractions`
     /// counter still counts the raw extraction, so telemetry is
@@ -495,7 +531,7 @@ impl RoutePlanner {
         self.plan_on(graph, requests, weight, map, rec, default_threads)
     }
 
-    /// [`plan_mapped`](Self::plan_mapped) growing a batch's new trees on
+    /// [`plan_mapped`](Self::plan_mapped) growing a large batch's trees on
     /// `threads()` workers. `threads` is called only when the batch
     /// crosses [`PARALLEL_GRAIN`]: the default worker count reads cgroup
     /// files, too slow to ask on every one-shot search.
@@ -514,56 +550,74 @@ impl RoutePlanner {
             self.n = n;
             self.invalidate();
         }
-        // Assign: a tree, on pooled buffers, for each new source in
-        // request order.
-        let first_new = self.trees.len();
-        let mut scratch_reuses = 0u64;
+        // Group: each distinct source, in first-request order, and a
+        // per-node index to its group.
+        let mut group_of = vec![usize::MAX; n];
+        let mut sources = Vec::new();
         for &(src, dst) in requests {
             assert!(src.0 < n, "src out of range");
             assert!(dst.0 < n, "dst out of range");
-            if self.trees.iter().any(|t| t.src == src) {
-                continue;
+            if group_of[src.0] == usize::MAX {
+                group_of[src.0] = sources.len();
+                sources.push(src);
             }
-            let buffers = match self.pool.pop() {
-                Some(b) => {
-                    scratch_reuses += 1;
-                    b
-                }
-                None => Tree::empty(),
-            };
-            self.trees.push(Tree::start(buffers, n, src));
         }
-        let trees_built = self.trees.len() - first_new;
+        let grown = sources.len() * n >= PARALLEL_GRAIN;
+        let mut groups = Vec::new();
         let mut visited = 0u64;
-        // Grow: a large batch's new trees, in parallel on compiled rows.
-        if trees_built * n >= PARALLEL_GRAIN {
+        if grown {
+            // Answer every group on workers, one buffer set each, on rows
+            // compiled up front.
+            groups = sources
+                .iter()
+                .map(|&src| Group {
+                    src,
+                    dsts: Vec::new(),
+                    paths: Vec::new(),
+                    taken: 0,
+                })
+                .collect();
+            for &(src, dst) in requests {
+                groups[group_of[src.0]].dsts.push(dst);
+            }
             self.rows.compile_all(graph, &weight);
-            let workers = threads().clamp(1, trees_built);
-            visited += grow(&mut self.trees[first_new..], &self.rows, requests, workers);
+            let per = groups.len().div_ceil(threads().clamp(1, groups.len()));
+            self.trees
+                .resize_with(groups.len().div_ceil(per), Tree::empty);
+            visited = grow(&mut self.trees, &self.rows, &mut groups, n, per);
+        } else {
+            // Below the grain the groups' trees hold fewer than
+            // `PARALLEL_GRAIN` labels together: each keeps its own buffers
+            // for the batch, so no path waits to be mapped.
+            self.trees.resize_with(sources.len(), Tree::empty);
+            for (tree, &src) in self.trees.iter_mut().zip(&sources) {
+                tree.restart(n, src);
+            }
         }
-        // Extract, in request order; a tree grown above has already
-        // settled every destination asked of it.
+        // Map, in request order; below the grain each answer is grown and
+        // extracted here, compiling rows as the trees first settle them.
+        let (trees, rows) = (&mut self.trees, &mut self.rows);
         let mut extractions = 0u64;
-        let rows = &mut self.rows;
         let paths: Vec<Option<T>> = requests
             .iter()
             .map(|&(src, dst)| {
-                let tree = self
-                    .trees
-                    .iter_mut()
-                    .find(|t| t.src == src)
-                    .expect("every source was assigned a tree");
-                visited += tree.settle(dst, |tree, cost, node| {
-                    if rows.get(node).is_some() {
-                        rows.relax(tree, cost, node);
-                    } else {
-                        rows.compile(graph, &weight, node, |w, to| tree.relax(cost, w, node, to));
-                    }
-                });
-                let path = tree.extract(dst);
-                if path.is_some() {
-                    extractions += 1;
-                }
+                let g = group_of[src.0];
+                let path = if grown {
+                    groups[g].take()
+                } else {
+                    let tree = &mut trees[g];
+                    visited += tree.settle(dst, |tree, cost, node| {
+                        if rows.get(node).is_some() {
+                            rows.relax(tree, cost, node);
+                        } else {
+                            rows.compile(graph, &weight, node, |w, to| {
+                                tree.relax(cost, w, node, to)
+                            });
+                        }
+                    });
+                    tree.extract(dst)
+                };
+                extractions += u64::from(path.is_some());
                 path.and_then(&mut map)
             })
             .collect();
@@ -572,35 +626,36 @@ impl RoutePlanner {
         // planner's win shows up in `routing.nodes_visited` shrinking.
         rec.add("routing.recomputes", requests.len() as u64);
         rec.add("routing.nodes_visited", visited);
-        rec.add("routing.planner.trees", trees_built as u64);
+        rec.add("routing.planner.trees", sources.len() as u64);
         rec.add("routing.planner.path_extractions", extractions);
-        rec.add("routing.planner.scratch_reuses", scratch_reuses);
         paths
     }
 }
 
-/// Grow each of `trees` until every destination `requests` asks of its
-/// source has settled, reading only compiled `rows`. `trees` is split
-/// into one contiguous chunk per worker; the calling thread grows the
-/// first chunk itself. A worker's panic is re-raised here with its own
-/// payload. Returns the heap pops.
-fn grow(trees: &mut [Tree], rows: &Rows, requests: &[(NodeId, NodeId)], workers: usize) -> u64 {
-    let grow_chunk = |chunk: &mut [Tree]| {
-        let mut visited = 0u64;
-        for &(src, dst) in requests {
-            if let Some(tree) = chunk.iter_mut().find(|t| t.src == src) {
-                visited += tree.settle(dst, |tree, cost, node| rows.relax(tree, cost, node));
+/// Answer `groups` on `trees.len()` workers, each taking `per`
+/// contiguous groups and one buffer set, reading only compiled `rows`;
+/// the calling thread answers the first run itself. A worker's panic is
+/// re-raised here with its own payload. Returns the heap pops.
+fn grow(trees: &mut [Tree], rows: &Rows, groups: &mut [Group], n: usize, per: usize) -> u64 {
+    let mut jobs = trees
+        .iter_mut()
+        .zip(groups.chunks_mut(per))
+        .map(|(tree, run)| {
+            move || {
+                // Grow on a copy of the header in this thread's own
+                // stack: the workers' headers sit side by side in
+                // `trees`, and a heap's length is written on every push
+                // and pop.
+                let mut local = std::mem::replace(tree, Tree::empty());
+                let visited = run.iter_mut().map(|g| g.answer(n, &mut local, rows)).sum();
+                *tree = local;
+                visited
             }
-        }
-        visited
-    };
-    let mut chunks = trees.chunks_mut(trees.len().div_ceil(workers));
-    let own = chunks.next().expect("a grown batch has new trees");
+        });
+    let mut first = jobs.next().expect("a grown batch has groups");
     std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .map(|chunk| scope.spawn(move || grow_chunk(chunk)))
-            .collect();
-        let mut visited = grow_chunk(own);
+        let handles: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
+        let mut visited = first();
         for handle in handles {
             match handle.join() {
                 Ok(v) => visited += v,
@@ -614,7 +669,7 @@ fn grow(trees: &mut [Tree], rows: &Rows, requests: &[(NodeId, NodeId)], workers:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::{latency_weight, qos_route, shortest_path, QosRequirement};
+    use crate::routing::{hop_weight, latency_weight, qos_route, shortest_path, QosRequirement};
     use crate::topology::LinkTech;
     use openspace_telemetry::MemoryRecorder;
 
@@ -655,7 +710,10 @@ mod tests {
         planner.plan_recorded(&g, &reqs, latency_weight, &mut rec);
         assert_eq!(rec.counter("routing.planner.trees"), 1);
         assert_eq!(rec.counter("routing.recomputes"), 3);
-        assert_eq!(planner.cached_trees(), 1);
+        // The tree lives only for its batch: a second batch grows it again.
+        planner.plan_recorded(&g, &reqs, latency_weight, &mut rec);
+        assert_eq!(rec.counter("routing.planner.trees"), 2);
+        assert_eq!(planner.trees.len(), 1, "one buffer set, recycled");
     }
 
     #[test]
@@ -686,21 +744,21 @@ mod tests {
     }
 
     #[test]
-    fn cache_survives_calls_and_invalidate_resets_it() {
+    fn rows_outlive_calls_until_invalidate() {
         let g = diamond();
+        let req = [(NodeId(0), NodeId(2))];
         let mut planner = RoutePlanner::new();
-        let mut rec = MemoryRecorder::new();
-        planner.plan_recorded(&g, &[(NodeId(0), NodeId(2))], latency_weight, &mut rec);
-        planner.plan_recorded(&g, &[(NodeId(0), NodeId(1))], latency_weight, &mut rec);
-        assert_eq!(rec.counter("routing.planner.trees"), 1, "cache hit");
+        let first = |out: Vec<Option<Path>>| out.into_iter().next().flatten().unwrap();
+        let via_1 = first(planner.plan(&g, &req, latency_weight));
+        assert_eq!(via_1.nodes, [0, 1, 2].map(NodeId));
+        // Without an invalidate the next call reads the rows compiled
+        // under the latency weight, whatever closure it passes: the
+        // reason a weight change must invalidate.
+        assert_eq!(first(planner.plan(&g, &req, hop_weight)), via_1);
         planner.invalidate();
-        planner.plan_recorded(&g, &[(NodeId(0), NodeId(2))], latency_weight, &mut rec);
-        assert_eq!(rec.counter("routing.planner.trees"), 2);
-        assert_eq!(
-            rec.counter("routing.planner.scratch_reuses"),
-            1,
-            "the invalidated tree's buffers were recycled"
-        );
+        let direct = first(planner.plan(&g, &req, hop_weight));
+        assert_eq!(direct.nodes, [0, 2].map(NodeId));
+        assert_eq!(direct.total_cost, 1.0);
     }
 
     #[test]
@@ -844,8 +902,8 @@ mod tests {
         let g = walker_shell_with_island();
         let n = g.node_count();
         let island = NodeId(n - 1);
-        // A small first batch leaves cached trees the big batch resumes
-        // serially; the big batch's new trees cross the grain.
+        // A small serial batch, then one whose trees cross the grain on
+        // the same planner (sharing four of its sources).
         let warm: Vec<(NodeId, NodeId)> = (0..4).map(|k| (NodeId(k * 5), NodeId(k * 7))).collect();
         let sources = 128;
         let big: Vec<(NodeId, NodeId)> = (0..3 * sources)
@@ -860,7 +918,7 @@ mod tests {
                 (src, dst)
             })
             .collect();
-        assert!((sources - warm.len()) * n >= PARALLEL_GRAIN);
+        assert!(warm.len() * n < PARALLEL_GRAIN && sources * n >= PARALLEL_GRAIN);
         let run = |workers: usize| {
             let mut planner = RoutePlanner::new();
             let mut rec = MemoryRecorder::new();
@@ -878,7 +936,6 @@ mod tests {
                 "routing.nodes_visited",
                 "routing.planner.trees",
                 "routing.planner.path_extractions",
-                "routing.planner.scratch_reuses",
             ]
             .map(|key| rec.counter(key))
             .to_vec();
@@ -903,6 +960,31 @@ mod tests {
                 got.as_ref()
             );
         }
+    }
+
+    #[test]
+    fn a_grown_batch_keeps_at_most_one_buffer_set_per_worker() {
+        let g = walker_shell_with_island();
+        let n = g.node_count();
+        let sources = 128;
+        let reqs: Vec<(NodeId, NodeId)> = (0..2 * sources)
+            .map(|k| (NodeId((k % sources) * 5), NodeId((k * 37) % (n - 1))))
+            .collect();
+        assert!(sources * n >= PARALLEL_GRAIN);
+        let mut planner = RoutePlanner::new();
+        for workers in [1, 2, 3, 8, 2, 1] {
+            let mut rec = MemoryRecorder::new();
+            planner.plan_on(&g, &reqs, latency_weight, Some, &mut rec, || workers);
+            assert_eq!(rec.counter("routing.planner.trees"), sources as u64);
+            assert!(
+                (1..=workers).contains(&planner.trees.len()),
+                "{} buffer sets at {workers} workers",
+                planner.trees.len()
+            );
+        }
+        // A serial batch keeps one per source.
+        planner.plan(&g, &reqs[..4], latency_weight);
+        assert_eq!(planner.trees.len(), 4);
     }
 
     #[test]

@@ -159,11 +159,30 @@ impl GraphDelta {
 }
 
 /// A snapshot of the network at one instant.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Graph {
     n_sats: usize,
     n_stations: usize,
     adj: Vec<Vec<Edge>>,
+}
+
+/// Written out so that [`clone_from`](Clone::clone_from) refills the
+/// target's existing rows: a work graph re-copied from its source on
+/// every fault event allocates only where a row outgrows its capacity.
+impl Clone for Graph {
+    fn clone(&self) -> Self {
+        Self {
+            n_sats: self.n_sats,
+            n_stations: self.n_stations,
+            adj: self.adj.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.n_sats = source.n_sats;
+        self.n_stations = source.n_stations;
+        self.adj.clone_from(&source.adj);
+    }
 }
 
 impl Graph {
@@ -465,6 +484,24 @@ mod tests {
         let mut only = Graph::new(2, 1);
         only.add_bidirectional(0usize, 2usize, 0.004, 1e6, 1u32, 9u32, LinkTech::Optical);
         assert_eq!(g, only);
+    }
+
+    #[test]
+    fn clone_from_refills_rows_in_place() {
+        let src = shifted_graph();
+        let mut work = line_graph();
+        work.add_bidirectional(0usize, 2usize, 0.001, 1e6, 1u32, 9u32, LinkTech::Rf);
+        let rows: Vec<*const Edge> = (0..3).map(|u| work.edges(u).as_ptr()).collect();
+        work.clone_from(&src);
+        assert_eq!(work, src);
+        for (u, &row) in rows.iter().enumerate() {
+            assert_eq!(work.edges(u).as_ptr(), row, "row {u} reallocated");
+        }
+        // A different roster is copied whole.
+        let mut small = Graph::new(1, 0);
+        small.clone_from(&src);
+        assert_eq!(small, src);
+        assert_eq!(small.satellite_count(), 2);
     }
 
     /// `line_graph` with the 0-1 link dropped, a new 0-2 link added, and

@@ -17,8 +17,10 @@
 //! latency and the congestion/QoS costs, Walker-Delta shells under
 //! `hop_weight` (where costs tie everywhere, so the node tie-break
 //! decides every path), zero and `-0.0` weights, `INFINITY`-filtered
-//! edges and isolated nodes, trees resumed across batches, and a batch
-//! large enough to grow its trees in parallel.
+//! edges and isolated nodes, several batches on one planner (whose
+//! trees live only for their batch, so every batch must match the
+//! reference from scratch), and a batch large enough to grow its trees
+//! in parallel.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -145,21 +147,14 @@ enum Cost<'a> {
     Qos(&'a QosRequirement),
 }
 
-/// Oracle-side model of one planner generation: the number of pops
-/// each source's tree has performed so far. Trees pop the oracle's
-/// sequence, so a request costs `max(0, oracle pops to dst − pops so
-/// far)` — zero when the destination already settled or the tree ran
-/// dry.
-#[derive(Default)]
-struct Model {
-    popped: BTreeMap<NodeId, u64>,
-}
-
 /// Plan `requests` on `planner` and check every answer and the batch's
-/// `routing.nodes_visited` against the reference search.
+/// `routing.nodes_visited` against the reference search. A batch grows
+/// one tree per source that pops the reference's sequence, so a request
+/// costs `max(0, reference pops to dst − pops its source's tree already
+/// made in this batch)`: zero when the destination already settled or
+/// the tree ran dry.
 fn check_batch(
     planner: &mut RoutePlanner,
-    model: &mut Model,
     graph: &Graph,
     requests: &[(NodeId, NodeId)],
     cost: Cost,
@@ -188,6 +183,7 @@ fn check_batch(
             )
         }
     };
+    let mut popped: BTreeMap<NodeId, u64> = BTreeMap::new();
     let mut want_visited = 0u64;
     for (&(s, d), got) in requests.iter().zip(&got) {
         let reference = Reference::search(graph, s, Some(d), weight);
@@ -198,7 +194,7 @@ fn check_batch(
             .as_ref()
             .map(|p| (p.nodes.clone(), p.total_cost.to_bits()));
         assert_eq!(got, want, "{what}: answer for {s:?}->{d:?}");
-        let popped = model.popped.entry(s).or_insert(0);
+        let popped = popped.entry(s).or_insert(0);
         want_visited += reference.pops.saturating_sub(*popped);
         *popped = (*popped).max(reference.pops);
     }
@@ -209,16 +205,9 @@ fn check_batch(
     );
 }
 
-/// A fresh planner and model checked on one batch.
+/// A fresh planner checked on one batch.
 fn check_fresh(graph: &Graph, requests: &[(NodeId, NodeId)], cost: Cost, what: &str) {
-    check_batch(
-        &mut RoutePlanner::new(),
-        &mut Model::default(),
-        graph,
-        requests,
-        cost,
-        what,
-    );
+    check_batch(&mut RoutePlanner::new(), graph, requests, cost, what);
 }
 
 /// A random connected-ish graph: a scrambled spine plus random chords,
@@ -350,44 +339,79 @@ fn planner_qos_batch_is_bitwise_equal_to_qos_route() {
 }
 
 #[test]
-fn cached_trees_stay_correct_across_repeated_batches() {
+fn repeated_batches_on_one_planner_match_the_reference() {
     // Replan-style usage: the same planner answers several batches over
-    // one topology generation, resuming its trees; every batch must
-    // match the reference and pop only what the trees had not popped.
+    // one topology generation, sharing compiled rows but growing every
+    // batch's trees afresh; each batch must match the reference and pop
+    // exactly what a fresh search would.
     for case in 0..32 {
         let mut rng = SimRng::substream(0x9E39, case);
         let g = random_graph(&mut rng);
         let n = g.node_count();
         let mut planner = RoutePlanner::new();
-        let mut model = Model::default();
         for batch in 0..3 {
             let requests = random_requests(&mut rng, n, 8);
             let what = format!("case {case} batch {batch}");
             check_batch(
                 &mut planner,
-                &mut model,
                 &g,
                 &requests,
                 Cost::Plain(&latency_weight),
                 &what,
             );
         }
-        // After an invalidate the next batch starts from scratch, under
-        // a different weight.
+        // After an invalidate the next batches run under a different
+        // weight.
         planner.invalidate();
-        let mut model = Model::default();
         for batch in 3..5 {
             let requests = random_requests(&mut rng, n, 8);
             let what = format!("case {case} batch {batch}");
-            check_batch(
-                &mut planner,
-                &mut model,
-                &g,
-                &requests,
-                Cost::Plain(&hop_weight),
-                &what,
-            );
+            check_batch(&mut planner, &g, &requests, Cost::Plain(&hop_weight), &what);
         }
+    }
+}
+
+#[test]
+fn back_to_back_batches_without_invalidate_are_identical() {
+    // Nothing a batch grows outlives it, so planning the same batch again
+    // on the same planner, with no invalidate between, repeats every
+    // path, cost bit and counter; so does a fresh planner.
+    for case in 0..33 {
+        let mut rng = SimRng::substream(0x9E3E, case);
+        let g = if case < 32 {
+            random_graph(&mut rng)
+        } else {
+            walker_graph(24, 11, 300.0)
+        };
+        let requests = random_requests(&mut rng, g.node_count(), 24);
+        let run = |planner: &mut RoutePlanner| {
+            let mut rec = MemoryRecorder::new();
+            let paths: Vec<_> = planner
+                .plan_recorded(&g, &requests, latency_weight, &mut rec)
+                .into_iter()
+                .map(|p| p.map(|p| (p.nodes, p.total_cost.to_bits())))
+                .collect();
+            let counters = [
+                "routing.recomputes",
+                "routing.nodes_visited",
+                "routing.planner.trees",
+                "routing.planner.path_extractions",
+            ]
+            .map(|key| rec.counter(key));
+            (paths, counters)
+        };
+        let mut planner = RoutePlanner::new();
+        let first = run(&mut planner);
+        assert_eq!(run(&mut planner), first, "case {case}: second batch");
+        assert_eq!(run(&mut planner), first, "case {case}: third batch");
+        assert_eq!(run(&mut RoutePlanner::new()), first, "case {case}: fresh");
+        check_batch(
+            &mut planner,
+            &g,
+            &requests,
+            Cost::Plain(&latency_weight),
+            &format!("case {case}"),
+        );
     }
 }
 
@@ -407,28 +431,15 @@ fn walker_shells_under_hop_weight_tie_break_by_node_index() {
             .map(|k| (NodeId((k % 4) * n / 4), NodeId(rng.index(n))))
             .collect();
         let mut planner = RoutePlanner::new();
-        let mut model = Model::default();
         let what = format!("walker {planes}x{per_plane}");
-        check_batch(
-            &mut planner,
-            &mut model,
-            &g,
-            &requests,
-            Cost::Plain(&hop_weight),
-            &what,
-        );
-        // A second batch resumes the same trees.
+        check_batch(&mut planner, &g, &requests, Cost::Plain(&hop_weight), &what);
+        // A second batch on the same planner, sharing two sources with
+        // the first, reads the first batch's rows but grows its own
+        // trees.
         let more: Vec<(NodeId, NodeId)> = (0..24)
             .map(|k| (NodeId((k % 6) * n / 6), NodeId(rng.index(n))))
             .collect();
-        check_batch(
-            &mut planner,
-            &mut model,
-            &g,
-            &more,
-            Cost::Plain(&hop_weight),
-            &what,
-        );
+        check_batch(&mut planner, &g, &more, Cost::Plain(&hop_weight), &what);
     }
 }
 
