@@ -6,7 +6,9 @@
 //! experiment sweeps stay interactive, and to catch performance
 //! regressions; the *scientific* outputs come from the `exp_*` binaries.
 //!
-//! Run: `cargo bench -p openspace-bench`
+//! Run: `cargo bench -p openspace-bench --bench kernels`, or only the
+//! kernels whose names contain a filter: `cargo bench -p
+//! openspace-bench --bench kernels -- snapshot_`
 //!
 //! Self-contained harness (no external bench framework): each kernel is
 //! warmed up, then timed over enough iterations to exceed a fixed
@@ -27,9 +29,13 @@ use openspace_orbit::prelude::*;
 use openspace_phy::hardware::SatelliteClass;
 use openspace_protocol::prelude::*;
 
-/// Time `f` for at least `window`, after a short warmup; returns mean
-/// seconds per iteration.
+/// Time `f` for at least `window`, after a short warmup, and print the
+/// mean wall-clock per iteration; a kernel the filter leaves out is
+/// skipped.
 fn bench(name: &str, window: Duration, mut f: impl FnMut()) {
+    if !selected(name) {
+        return;
+    }
     // Warmup: a few iterations to populate caches and branch predictors.
     let warmup_until = Instant::now() + window / 10;
     while Instant::now() < warmup_until {
@@ -50,6 +56,20 @@ fn bench(name: &str, window: Duration, mut f: impl FnMut()) {
         (per_iter * 1e9, "ns")
     };
     println!("{name:<40} {value:>10.3} {unit}/iter  ({iters} iters)");
+}
+
+/// Whether kernel `name` runs: it contains one of the command line's
+/// filters, or none was given. Flags (such as the `--bench` cargo
+/// passes) are not filters.
+fn selected(name: &str) -> bool {
+    static FILTERS: OnceLock<Vec<String>> = OnceLock::new();
+    let filters = FILTERS.get_or_init(|| {
+        std::env::args()
+            .skip(1)
+            .filter(|a| !a.starts_with('-'))
+            .collect()
+    });
+    filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str()))
 }
 
 /// Measurement window per kernel: 300 ms by default, overridable down
@@ -127,7 +147,7 @@ fn bench_snapshot() {
     // understates the pair gap.
     //
     // First a random 1,500-satellite shell at an S-band-grade 2000 km
-    // ISL range: the search tests ~3% of the 1.1M pairs.
+    // ISL range: the search tests ~3% of the 2.2M ordered pairs.
     let big_params = SnapshotParams {
         max_isl_range_m: 2_000_000.0,
         ..SnapshotParams::default()
@@ -139,7 +159,7 @@ fn bench_snapshot() {
     // Then the benchmark's `shell_motion` fleet — a 72×22 Walker-Delta
     // shell at 550 km and 53°, four operators, the default ground
     // segment — at default `SnapshotParams`: the search tests
-    // ~3% of the 1.25M pairs.
+    // ~3% of the 2.5M ordered pairs.
     let shell = walker_shell_federation();
     bench_snapshot_pair(
         "walker_1584",

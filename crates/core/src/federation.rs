@@ -311,9 +311,9 @@ impl Federation {
 
     /// [`Self::snapshot`] with telemetry: surfaces the snapshot
     /// builder's `snapshot.pairs_tested` / `snapshot.pairs_pruned`
-    /// counters on `rec` — the satellite pairs whose distance its
-    /// nearest-first neighbour search computed (each at most once) /
-    /// never computed — and the ground-prune counters.
+    /// counters on `rec` — the ordered satellite pairs whose distance
+    /// its nearest-first neighbour search computed / never computed —
+    /// and the ground-prune counters.
     pub fn snapshot_recorded(&self, t_s: f64, rec: &mut dyn Recorder) -> Graph {
         build_snapshot(
             t_s,
@@ -662,9 +662,8 @@ mod tests {
         assert_eq!(tl.delta_count(), 5);
         for &t in tl.tick_times() {
             let fresh = fed.snapshot(t);
-            let replayed = tl.graph_at(t);
             assert!(
-                openspace_net::topology::GraphDelta::between(&fresh, &replayed)
+                openspace_net::topology::GraphDelta::between(&fresh, tl.graph_at(t))
                     .unwrap()
                     .is_empty(),
                 "timeline diverged from fresh snapshot at t={t}"

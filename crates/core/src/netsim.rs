@@ -34,10 +34,12 @@
 //! dispatches.
 //!
 //! The topology source only decides where the next graph comes from.
-//! A timeline run clones the snapshot the timeline stored for the tick,
-//! bitwise what a fresh provider call returns (the timeline stores
-//! fresh builds). Every resnapshot then syncs the link table to the new
-//! graph, invalidates the route planner and replans, so a timeline
+//! A timeline run copies the snapshot the timeline stored for the tick
+//! into the current snapshot's own rows (`Graph::clone_from`, so a tick
+//! allocates only where a row outgrows its capacity), bitwise what a
+//! fresh provider call returns (the timeline stores fresh builds).
+//! Every resnapshot then syncs the link table to the new graph,
+//! invalidates the route planner and replans, so a timeline
 //! run's [`NetSimReport`] is bit-for-bit the provider run's, pinned by
 //! `tests/tests/netsim_delta_equivalence.rs`. There is no incremental
 //! link patch or planner-tree retention: a moving shell changes every
@@ -70,6 +72,7 @@ use openspace_sim::stats::Summary;
 use openspace_sim::traffic::Arrivals;
 use openspace_telemetry::{NullRecorder, Recorder, SpanTimer};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -453,6 +456,34 @@ impl PktSlab {
     }
 }
 
+/// Multiplicative hashing for [`LinkTable`]'s pair index: each `usize`
+/// word is folded in with one multiply by an odd 64-bit constant, and
+/// `finish` rotates the well-mixed high bits down to the bucket bits. Link ids are assigned in first-seen order and the index
+/// is never iterated for output (replans walk `by_pair`), so the hasher
+/// cannot change a result; unlike std's SipHash it costs a few cycles
+/// per pair, and the keys are node ids, not adversarial input.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(b as usize);
+        }
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        self.0 = (self.0.rotate_left(32) ^ n as u64).wrapping_mul(K);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// The dense link table: every directed link the run has *ever* seen
 /// occupies one slot, addressed by [`LinkId`]. The `(u, v) → LinkId`
 /// index is **append-only**: a pair maps to the same slot for the whole
@@ -471,7 +502,7 @@ struct LinkTable {
     /// Pair of each slot (parallel to `slots`).
     pairs: Vec<(NodeId, NodeId)>,
     /// Append-only pair index; values are stable for the whole run.
-    index: HashMap<(NodeId, NodeId), LinkId>,
+    index: HashMap<(NodeId, NodeId), LinkId, BuildHasherDefault<PairHasher>>,
     /// Every slot in pair order, re-sorted only after
     /// [`id_for`](Self::id_for) has appended slots.
     by_pair: Vec<LinkId>,
@@ -487,7 +518,7 @@ impl LinkTable {
         Self {
             slots: Vec::new(),
             pairs: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             by_pair: Vec::new(),
             queue_capacity_bytes,
             seen: Vec::new(),
@@ -1237,8 +1268,9 @@ impl<'a, 'r> SimState<'a, 'r> {
             }
             TopologySource::Timeline(tl) => {
                 // `now` is the tick's instant bit for bit, so this is
-                // the tick's stored snapshot.
-                self.full = tl.topology_at(now);
+                // the tick's stored snapshot, copied into `full`'s own
+                // rows.
+                self.full.clone_from(tl.graph_at(now));
                 self.rec.add("netsim.timeline.deltas_applied", 1);
             }
         }
@@ -1562,6 +1594,59 @@ mod tests {
         let got = visited(&mut table);
         assert_eq!(got.len(), 6);
         assert_eq!(got, reference(&table));
+    }
+
+    #[test]
+    fn link_ids_are_first_seen_order_under_churn() {
+        // The pair index's hasher must not matter: every slot id is the
+        // order in which `rebuild_sync` (rows in node order) and
+        // `compile` (hops in path order) first met its pair.
+        let mut rng = SimRng::substream(0x11_4B7A, 0);
+        let mut slab = PktSlab::default();
+        let mut table = LinkTable::new(1 << 20);
+        let mut reference: BTreeMap<(NodeId, NodeId), u32> = BTreeMap::new();
+        fn see(reference: &mut BTreeMap<(NodeId, NodeId), u32>, pair: (NodeId, NodeId)) {
+            let next = reference.len() as u32;
+            reference.entry(pair).or_insert(next);
+        }
+        for tick in 0..40 {
+            let mut g = Graph::new(10, 2);
+            for _ in 0..rng.index(30) {
+                let (u, v) = (rng.index(12), rng.index(12));
+                if u != v {
+                    g.add_bidirectional(u, v, 0.001, 1e6, 0, 0, LinkTech::Rf);
+                }
+            }
+            table.rebuild_sync(&g, tick as f64, &mut slab);
+            for u in 0..g.node_count() {
+                for e in g.edges(u) {
+                    see(&mut reference, (NodeId(u), e.to));
+                }
+            }
+            for _ in 0..rng.index(4) {
+                let path: Vec<NodeId> = (0..2 + rng.index(4))
+                    .map(|_| NodeId(rng.index(12)))
+                    .collect();
+                for w in path.windows(2) {
+                    see(&mut reference, (w[0], w[1]));
+                }
+                let route = table.compile(path);
+                for (w, &id) in route.nodes.windows(2).zip(route.links.iter()) {
+                    assert_eq!(id.0, reference[&(w[0], w[1])], "tick {tick}");
+                }
+            }
+            assert_eq!(table.slots.len(), reference.len(), "tick {tick}");
+            for (&pair, &id) in &reference {
+                assert_eq!(table.index[&pair], LinkId(id), "tick {tick}: {pair:?}");
+                assert_eq!(table.pairs[id as usize], pair);
+                let present = g.edges(pair.0).iter().any(|e| e.to == pair.1);
+                assert_eq!(
+                    table.link(LinkId(id)).alive,
+                    present,
+                    "tick {tick}: {pair:?}"
+                );
+            }
+        }
     }
 
     #[test]

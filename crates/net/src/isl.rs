@@ -39,38 +39,34 @@
 //!   entries whose worst distance is below the reach (no unvisited peer
 //!   can displace one), when the reach exceeds `max_isl_range_m` (no
 //!   unvisited peer is in range), or when the rings cover the grid.
-//! * **Each pair once.** Satellites search in index order, and each
-//!   records the last ring it visited. When `i` meets a peer `j < i` in
-//!   its ring `r`, `j`'s search already tested the pair exactly when
-//!   `r ≤` `j`'s last ring (Chebyshev distance between two cells is
-//!   symmetric), so `i` skips it. A tested pair is offered to both
-//!   satellites' lists, whether or not the other satellite's search
-//!   has finished. Range is checked first; the line-of-sight predicate
-//!   — evaluated with the lower index first, as the dense loops do —
-//!   runs only if the pair can enter at least one list right now. A
-//!   list's worst entry only ever improves, so a pair that cannot enter
-//!   now never could.
+//! * **One list per search.** Each satellite searches into its own
+//!   list. Range is checked first; the line-of-sight predicate —
+//!   evaluated with the lower index first, as the dense loops do — runs
+//!   only if the peer can enter the list right now. A list's worst
+//!   entry only ever improves, so a peer that cannot enter now never
+//!   could.
 //! * **Bounded top-k equals sort-then-truncate.** Each list keeps at
 //!   most `k` entries ordered by `(distance, peer index)`. The dense
 //!   sweep pushes peers in ascending index order and then stable-sorts
 //!   by distance — the same lexicographic order. That order is strict
 //!   on one satellite's peers, so the `k` smallest of a set do not
-//!   depend on the order they arrive in. Every peer in `i`'s true top
-//!   `k` is offered to `i`: if `i`'s search reached the peer's cell, one
-//!   of the two searches tested the pair; if not, `i` stopped early and
-//!   the peer could not be in its top `k`. Everything else offered is a
-//!   true candidate too. The sorted lists therefore equal the dense lists after
-//!   truncation, entry for entry, and mutual selection sees
-//!   bit-identical input. (Distance bits don't depend on operand order:
-//!   `|a−b|` and `|b−a|` agree exactly in IEEE arithmetic.)
+//!   depend on the order they arrive in. By the ring termination, every
+//!   peer in `i`'s true top `k` lies in a ring `i` visited, and
+//!   everything else offered is a true candidate too. The sorted lists
+//!   therefore equal the dense lists after truncation, entry for entry,
+//!   and mutual selection sees bit-identical input. (Distances are
+//!   computed as `(lower, higher)` index, so both ends of a pair see the
+//!   same bits.)
 //! * **Fallback.** With a non-finite range (`f64::INFINITY` is how the
 //!   "simplified simulation" study disables the range cut) or non-finite
 //!   positions, the builder runs the exhaustive sweep instead: same
 //!   output, no pruning.
 //!
-//! `snapshot.pairs_tested` counts the satellite pairs whose distance the
-//! builder computed — each at most once — and `snapshot.pairs_pruned`
-//! the rest of the `N(N−1)/2`.
+//! A pair is tested from both ends, so the pair counters are over the
+//! `N(N−1)` ordered pairs: `snapshot.pairs_tested` counts the `(i, j)`
+//! whose distance `i`'s search computed (rings are disjoint, so each at
+//! most once), `snapshot.pairs_pruned` the rest, and
+//! `tested + pruned == N(N−1)` exactly (the fallback tests all of them).
 //!
 //! The ground-link loop keeps its dense station×satellite shape but
 //! hoists a per-station **max-slant-range prune** in front of the
@@ -173,30 +169,38 @@ impl Default for SnapshotParams {
 }
 
 /// Capacity (bit/s) of an ISL between two satellites `distance_m` apart,
-/// choosing optical when both ends have terminals, RF otherwise.
+/// choosing optical when both ends have terminals, RF otherwise; zero
+/// when the distance is not positive and finite (no link budget).
 pub fn isl_capacity_bps(
     a_optical: bool,
     b_optical: bool,
     distance_m: f64,
     params: &SnapshotParams,
 ) -> (f64, LinkTech) {
-    if a_optical && b_optical {
-        let rate = optical_rate_bps(
+    let tech = if a_optical && b_optical {
+        LinkTech::Optical
+    } else {
+        LinkTech::Rf
+    };
+    let rate = if !(distance_m > 0.0 && distance_m.is_finite()) {
+        0.0
+    } else if tech == LinkTech::Optical {
+        optical_rate_bps(
             &params.optical_terminal,
             &params.optical_terminal,
             distance_m,
-        );
-        (rate, LinkTech::Optical)
+        )
     } else {
-        let link = RfLink {
+        RfLink {
             tx: params.rf_terminal,
             rx: params.rf_terminal,
             band: params.isl_band,
             distance_m,
             extra_loss_db: 0.0,
-        };
-        (link.achievable_rate_bps(), LinkTech::Rf)
-    }
+        }
+        .achievable_rate_bps()
+    };
+    (rate, tech)
 }
 
 /// Build the topology snapshot at time `t_s`.
@@ -218,8 +222,12 @@ pub fn build_snapshot(
     params: &SnapshotParams,
     rec: &mut dyn Recorder,
 ) -> Graph {
-    let samples: Vec<EphemerisSample> = sats
-        .iter()
+    build_snapshot_from_samples_recorded(sats, &samples_at(sats, t_s), stations, params, rec)
+}
+
+/// Every satellite's state at `t_s`, in satellite order.
+fn samples_at(sats: &[SatNode], t_s: f64) -> Vec<EphemerisSample> {
+    sats.iter()
         .map(|s| {
             let eci = s.propagator.position_eci(t_s);
             EphemerisSample {
@@ -227,8 +235,7 @@ pub fn build_snapshot(
                 ecef: eci_to_ecef(eci, t_s),
             }
         })
-        .collect();
-    build_snapshot_from_samples_recorded(sats, &samples, stations, params, rec)
+        .collect()
 }
 
 /// [`build_snapshot`] with the per-satellite ephemeris already in hand —
@@ -396,7 +403,7 @@ impl CellGrid {
 
 /// Every satellite's nearest `max_isl_per_sat` in-range, in-sight peers
 /// by the ring search of the module docs, sorted by [`nearer`], plus the
-/// number of pairs whose distance was computed.
+/// number of ordered pairs whose distance was computed.
 fn ring_search_candidates(
     pos: &[Vec3],
     grid: &CellGrid,
@@ -404,60 +411,48 @@ fn ring_search_candidates(
 ) -> (Vec<Candidates>, u64) {
     let k = params.max_isl_per_sat;
     let range = params.max_isl_range_m;
-    let n = pos.len();
     let last_ring = grid.dims.iter().max().map_or(0, |d| d - 1);
-    let mut lists: Vec<Candidates> = vec![Vec::new(); n];
-    // The last ring each satellite's search visited.
-    let mut final_ring = vec![0usize; n];
     let mut tested: u64 = 0;
-    for i in 0..n {
-        let mut r = 0;
-        loop {
-            grid.for_each_in_ring(grid.cell_of[i], r, |run| {
-                for &j in run {
-                    if j == i || (j < i && final_ring[j] >= r) {
-                        continue;
-                    }
-                    tested += 1;
-                    let (lo, hi) = (i.min(j), i.max(j));
-                    let d = pos[lo].distance(pos[hi]);
-                    if d > range {
-                        continue;
-                    }
-                    let to_i = admits(&lists[i], k, (j, d));
-                    let to_j = admits(&lists[j], k, (i, d));
-                    if (to_i || to_j)
-                        && (!params.require_los
-                            || line_of_sight_with_clearance(
-                                pos[lo],
-                                pos[hi],
-                                params.los_clearance_m,
-                            ))
-                    {
-                        if to_i {
-                            offer(&mut lists[i], k, (j, d));
+    let lists = (0..pos.len())
+        .map(|i| {
+            let mut list = Candidates::new();
+            let mut r = 0;
+            loop {
+                grid.for_each_in_ring(grid.cell_of[i], r, |run| {
+                    for &j in run {
+                        if j == i {
+                            continue;
                         }
-                        if to_j {
-                            offer(&mut lists[j], k, (i, d));
+                        tested += 1;
+                        let (lo, hi) = (i.min(j), i.max(j));
+                        let d = pos[lo].distance(pos[hi]);
+                        if d <= range
+                            && admits(&list, k, (j, d))
+                            && (!params.require_los
+                                || line_of_sight_with_clearance(
+                                    pos[lo],
+                                    pos[hi],
+                                    params.los_clearance_m,
+                                ))
+                        {
+                            offer(&mut list, k, (j, d));
                         }
                     }
+                });
+                // Every satellite not yet visited is farther than `reach`.
+                let reach = r as f64 * grid.cell_m * (1.0 - CELL_MARGIN);
+                let settled = list.len() == k && list.last().is_none_or(|w| w.1 < reach);
+                if r == last_ring || reach > range || settled {
+                    break;
                 }
-            });
-            // Every satellite not yet visited is farther than `reach`.
-            let reach = r as f64 * grid.cell_m * (1.0 - CELL_MARGIN);
-            let settled = lists[i].len() == k && lists[i].last().is_none_or(|w| w.1 < reach);
-            if r == last_ring || reach > range || settled {
-                break;
+                r += 1;
             }
-            r += 1;
-        }
-        final_ring[i] = r;
-    }
-    for list in &mut lists {
-        if list.len() < k {
-            list.sort_unstable_by(nearer);
-        }
-    }
+            if list.len() < k {
+                list.sort_unstable_by(nearer);
+            }
+            list
+        })
+        .collect();
     (lists, tested)
 }
 
@@ -493,9 +488,9 @@ fn add_mutual_isls(
 ) {
     for (i, list) in candidates.iter().enumerate() {
         for &(j, d) in list {
-            // Coincident satellites have no link budget (path loss
-            // needs a positive distance), so they get no ISL.
-            if j > i && d > 0.0 && candidates[j].iter().any(|&(k, _)| k == i) {
+            // Coincident satellites have no link budget, so zero
+            // capacity and no ISL.
+            if j > i && candidates[j].iter().any(|&(k, _)| k == i) {
                 let (cap, tech) =
                     isl_capacity_bps(sats[i].has_optical, sats[j].has_optical, d, params);
                 if cap > 0.0 {
@@ -515,8 +510,8 @@ fn add_mutual_isls(
 }
 
 /// [`build_snapshot_from_samples`] with telemetry: counts
-/// `snapshot.pairs_tested` / `snapshot.pairs_pruned` (satellite pairs
-/// whose distance the neighbour search did / did not compute) and
+/// `snapshot.pairs_tested` / `snapshot.pairs_pruned` (ordered satellite
+/// pairs whose distance the neighbour search did / did not compute) and
 /// `snapshot.ground_tested` / `snapshot.ground_pruned` (station–satellite
 /// pairs that reached / never reached the elevation test).
 pub fn build_snapshot_from_samples_recorded(
@@ -531,7 +526,8 @@ pub fn build_snapshot_from_samples_recorded(
     let mut g = Graph::new(n, stations.len());
     let pos_eci: Vec<Vec3> = samples.iter().map(|s| s.eci).collect();
 
-    let total_pairs = (n as u64) * (n as u64).saturating_sub(1) / 2;
+    // Ordered pairs: each end of a pair tests it at most once.
+    let total_pairs = (n as u64) * (n as u64).saturating_sub(1);
     let grid = params
         .max_isl_range_m
         .is_finite()
@@ -542,7 +538,7 @@ pub fn build_snapshot_from_samples_recorded(
         None => (dense_candidates(&pos_eci, params), total_pairs),
     };
     rec.add("snapshot.pairs_tested", tested);
-    rec.add("snapshot.pairs_pruned", total_pairs - tested);
+    rec.add("snapshot.pairs_pruned", total_pairs.saturating_sub(tested));
     add_mutual_isls(&mut g, sats, &candidates, params);
 
     // Ground links: every station links to every visible satellite,
@@ -784,6 +780,21 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_distances_have_zero_capacity() {
+        let p = SnapshotParams::default();
+        for d in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (a, b, tech) in [
+                (false, false, LinkTech::Rf),
+                (true, false, LinkTech::Rf),
+                (true, true, LinkTech::Optical),
+            ] {
+                let (cap, got) = isl_capacity_bps(a, b, d, &p);
+                assert_eq!((cap.to_bits(), got), (0.0f64.to_bits(), tech), "d = {d}");
+            }
+        }
+    }
+
+    #[test]
     fn mixed_pair_falls_back_to_rf() {
         let p = SnapshotParams::default();
         let (_, tech) = isl_capacity_bps(true, false, 1e6, &p);
@@ -842,16 +853,7 @@ mod tests {
     fn gated_builder_matches_dense_and_prunes() {
         use openspace_telemetry::MemoryRecorder;
         let sats = iridium_nodes(false);
-        let samples: Vec<EphemerisSample> = sats
-            .iter()
-            .map(|s| {
-                let eci = s.propagator.position_eci(1234.0);
-                EphemerisSample {
-                    eci,
-                    ecef: eci_to_ecef(eci, 1234.0),
-                }
-            })
-            .collect();
+        let samples = samples_at(&sats, 1234.0);
         let st = [station(0.0, 0.0), station(45.0, 90.0)];
         let params = SnapshotParams::default();
         let mut rec = MemoryRecorder::new();
@@ -860,7 +862,7 @@ mod tests {
         assert_eq!(gated, dense);
         let tested = rec.counter("snapshot.pairs_tested");
         let pruned = rec.counter("snapshot.pairs_pruned");
-        assert_eq!(tested + pruned, 66 * 65 / 2);
+        assert_eq!(tested + pruned, 66 * 65);
         assert!(pruned > 0, "the search should skip far-apart pairs");
         assert!(
             rec.counter("snapshot.ground_pruned") > 0,
@@ -882,19 +884,10 @@ mod tests {
         };
         let mut rec = MemoryRecorder::new();
         let gated = build_snapshot(0.0, &sats, &[], &params, &mut rec);
-        let samples: Vec<EphemerisSample> = sats
-            .iter()
-            .map(|s| {
-                let eci = s.propagator.position_eci(0.0);
-                EphemerisSample {
-                    eci,
-                    ecef: eci_to_ecef(eci, 0.0),
-                }
-            })
-            .collect();
+        let samples = samples_at(&sats, 0.0);
         let dense = build_snapshot_from_samples_dense(&sats, &samples, &[], &params);
         assert_eq!(gated, dense);
-        assert_eq!(rec.counter("snapshot.pairs_tested"), 66 * 65 / 2);
+        assert_eq!(rec.counter("snapshot.pairs_tested"), 66 * 65);
         assert_eq!(rec.counter("snapshot.pairs_pruned"), 0);
     }
 

@@ -253,14 +253,14 @@ impl TopologyTimeline {
 
     /// The snapshot governing instant `t_s`: the provider's graph at
     /// the last tick at or before `t_s`.
-    pub fn graph_at(&self, t_s: f64) -> Graph {
-        self.graphs[self.tick_index_at(t_s)].clone()
+    pub fn graph_at(&self, t_s: f64) -> &Graph {
+        &self.graphs[self.tick_index_at(t_s)]
     }
 }
 
 impl TopologyProvider for TopologyTimeline {
     fn topology_at(&self, t_s: f64) -> Graph {
-        self.graph_at(t_s)
+        self.graph_at(t_s).clone()
     }
 }
 
@@ -310,13 +310,13 @@ mod tests {
     fn graph_at_matches_provider_at_every_tick() {
         let tl = TopologyTimeline::build(&provider, 0.0, 10.0, 50.0, 2).unwrap();
         for &t in tl.tick_times() {
-            assert_eq!(tl.graph_at(t), provider(t), "tick at t={t}");
+            assert_eq!(tl.graph_at(t), &provider(t), "tick at t={t}");
         }
         // Between ticks the floor tick governs; before the start the
         // base governs.
-        assert_eq!(tl.graph_at(14.9), provider(10.0));
-        assert_eq!(tl.graph_at(-3.0), provider(0.0));
-        assert_eq!(tl.graph_at(1e9), provider(50.0));
+        assert_eq!(tl.graph_at(14.9), &provider(10.0));
+        assert_eq!(tl.graph_at(-3.0), &provider(0.0));
+        assert_eq!(tl.graph_at(1e9), &provider(50.0));
     }
 
     #[test]

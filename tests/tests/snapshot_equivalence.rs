@@ -21,6 +21,7 @@ use openspace_net::prelude::*;
 use openspace_orbit::ephemeris::EphemerisSample;
 use openspace_orbit::frames::{eci_to_ecef, geodetic_to_ecef, Geodetic, Vec3};
 use openspace_orbit::propagator::{PerturbationModel, Propagator};
+use openspace_orbit::visibility::line_of_sight_with_clearance;
 use openspace_orbit::walker::{random_constellation, walker_delta, WalkerParams};
 use openspace_sim::prelude::SimRng;
 use openspace_telemetry::MemoryRecorder;
@@ -79,9 +80,10 @@ fn assert_matches_dense(
     assert_graphs_bitwise_equal(&gated, &dense, case);
     let tested = rec.counter("snapshot.pairs_tested");
     let pruned = rec.counter("snapshot.pairs_pruned");
+    // Ordered pairs: the search tests a pair from each end.
     assert_eq!(
         tested + pruned,
-        n * n.saturating_sub(1) / 2,
+        n * n.saturating_sub(1),
         "case {case}: pair accounting"
     );
     (gated, pruned)
@@ -232,12 +234,12 @@ fn plain_build_is_the_gated_builder() {
 fn walker_delta_shells_match_dense() {
     // The benchmark's 72×22 shell at default params and its default
     // ground segment, at several instants: the search must prune most
-    // of the 1.25M pairs and still agree with the dense sweep.
+    // of the 2.5M ordered pairs and still agree with the dense sweep.
     let big = walker_shell(72, 22, 1, 550e3, 53.0);
     let sites = [(48.0, 11.0), (39.0, -77.0), (-33.9, 18.4), (1.35, 103.8)];
     let stations = stations_at(&sites);
     let params = SnapshotParams::default();
-    let all_pairs = 1584 * 1583 / 2;
+    let all_pairs = 1584 * 1583;
     for (case, t_s) in [0.0, 1_234.0, 5_400.0].into_iter().enumerate() {
         let (g, pruned) = assert_matches_dense(
             &big,
@@ -472,8 +474,7 @@ fn non_finite_satellite_is_invisible_and_gets_no_isl() {
 fn clustered_fleets_match_dense() {
     // Dense clusters next to sparse stragglers: a cluster member's
     // search stops after a ring or two, while a straggler a few cells
-    // away must still find it — the case the skip-an-already-tested
-    // pair rule has to get exactly right. Indices are shuffled so
+    // away must still find it on its own. Indices are shuffled so
     // stragglers and members meet in both index orders.
     let mut rng = SimRng::substream(0x5A_90540A, 0);
     for case in 0..160u64 {
@@ -518,5 +519,106 @@ fn clustered_fleets_match_dense() {
             ..SnapshotParams::default()
         };
         assert_matches_dense(&sats, &samples, &[], &params, case);
+    }
+}
+
+/// Every satellite's `k` nearest in-range, in-sight peers by
+/// `(distance, index)`, by brute force.
+fn top_k(pos: &[Vec3], params: &SnapshotParams, k: usize) -> Vec<Vec<usize>> {
+    (0..pos.len())
+        .map(|i| {
+            let mut peers: Vec<(f64, usize)> = (0..pos.len())
+                .filter(|&j| j != i)
+                .filter_map(|j| {
+                    let (lo, hi) = (pos[i.min(j)], pos[i.max(j)]);
+                    let d = lo.distance(hi);
+                    let sight = !params.require_los
+                        || line_of_sight_with_clearance(lo, hi, params.los_clearance_m);
+                    (d <= params.max_isl_range_m && sight).then_some((d, j))
+                })
+                .collect();
+            peers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            peers.into_iter().take(k).map(|(_, j)| j).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn asymmetric_lists_match_dense() {
+    // Two sparse Walker shells (550 km and 1,500 km) plus a dense
+    // cluster of 200 satellites within 30 km: a member's list fills
+    // with members and its search stops after ring 1, while a sparse
+    // satellite two or more cells away keeps members in its list, so
+    // only one end of the pair ever tests it. A witness is computed
+    // from the grid rule of `net::isl`'s module docs (cell edge = the
+    // box's largest extent over ⌈∛N⌉ cells): `j` is in `i`'s top k,
+    // `i` is not in `j`'s, `j`'s k-th peer is nearer than one cell
+    // (so its search stops by ring 1), and some coordinate of the pair
+    // differs by over two cells (so `i`'s cell is in ring 2 or beyond).
+    let mut rng = SimRng::substream(0x5A_90540B, 0);
+    let shell_a = walker_shell(3, 4, 1, 550e3, 53.0);
+    let shell_b = walker_shell(2, 3, 1, 1_500e3, 70.0);
+    let mut witnessed = Vec::new();
+    for case in 0..6u64 {
+        let t_s = rng.uniform_range(0.0, 86_400.0);
+        let mut positions: Vec<Vec3> = [&shell_a, &shell_b]
+            .into_iter()
+            .flat_map(|shell| samples_at(shell, t_s))
+            .map(|s| s.eci)
+            .collect();
+        let (lat, lon) = (rng.uniform_range(-1.0, 1.0), rng.uniform_range(-3.1, 3.1));
+        let r = 6_921_000.0;
+        let center = Vec3::new(
+            r * lat.cos() * lon.cos(),
+            r * lat.cos() * lon.sin(),
+            r * lat.sin(),
+        );
+        for _ in 0..200 {
+            let mut offset = || rng.uniform_range(-30_000.0, 30_000.0);
+            positions.push(center + Vec3::new(offset(), offset(), offset()));
+        }
+        for i in (1..positions.len()).rev() {
+            positions.swap(i, rng.index(i + 1));
+        }
+        let (sats, samples) = fleet_at(&positions);
+        let axes = |p: Vec3| [p.x, p.y, p.z];
+        let extent = (0..3)
+            .map(|a| {
+                let v = positions.iter().map(|&p| axes(p)[a]);
+                v.clone().fold(f64::NEG_INFINITY, f64::max) - v.fold(f64::INFINITY, f64::min)
+            })
+            .fold(0.0, f64::max);
+        let cell = extent / (positions.len() as f64).cbrt().ceil();
+        for k in 1..=6 {
+            for require_los in [true, false] {
+                let params = SnapshotParams {
+                    max_isl_range_m: rng.uniform_range(6_000_000.0, 9_000_000.0),
+                    require_los,
+                    max_isl_per_sat: k,
+                    ..SnapshotParams::default()
+                };
+                let case = 100 * case + 10 * k as u64 + require_los as u64;
+                assert_matches_dense(&sats, &samples, &[], &params, case);
+                let lists = top_k(&positions, &params, k);
+                let worst = |j: usize| positions[j].distance(positions[*lists[j].last().unwrap()]);
+                if lists.iter().enumerate().any(|(i, list)| {
+                    list.iter().any(|&j| {
+                        let gap = axes(positions[i] - positions[j]);
+                        !lists[j].contains(&i)
+                            && lists[j].len() == k
+                            && worst(j) < cell * 0.99
+                            && gap.iter().any(|g| g.abs() > cell * 2.01)
+                    })
+                }) {
+                    witnessed.push(k);
+                }
+            }
+        }
+    }
+    for k in 1..=6 {
+        assert!(
+            witnessed.contains(&k),
+            "k = {k}: no pair whose ends stop at different rings"
+        );
     }
 }

@@ -103,7 +103,7 @@ fn delta_replay_matches_fresh_snapshots_bitwise() {
         // Look up every tick and compare against a fresh snapshot.
         for &t in tl.tick_times() {
             assert!(
-                graphs_bitwise_equal(&topo.at(t), &tl.graph_at(t)),
+                graphs_bitwise_equal(&topo.at(t), tl.graph_at(t)),
                 "case {case}: stored snapshot diverged at t={t}"
             );
         }
@@ -128,7 +128,7 @@ fn timeline_build_is_thread_count_invariant() {
             );
             for &t in reference.tick_times() {
                 assert!(
-                    graphs_bitwise_equal(&reference.graph_at(t), &parallel.graph_at(t)),
+                    graphs_bitwise_equal(reference.graph_at(t), parallel.graph_at(t)),
                     "case {case}: {threads}-thread build diverged at t={t}"
                 );
             }
@@ -162,7 +162,7 @@ fn timeline_replays_real_constellation_motion() {
     assert_eq!(tl.delta_count(), 10);
     for &t in tl.tick_times() {
         assert!(
-            graphs_bitwise_equal(&provider(t), &tl.graph_at(t)),
+            graphs_bitwise_equal(&provider(t), tl.graph_at(t)),
             "stored snapshot diverged from fresh build at t={t}"
         );
     }
