@@ -488,7 +488,7 @@ fn bench_extensions() {
     // The resnapshot-heavy dynamic pair: 30 s over the moving Iridium
     // constellation, topology refreshed every second. The rebuild
     // kernel re-propagates orbits and re-tests every pair at each
-    // refresh; the delta kernel looks each refresh up in the timeline
+    // refresh; the timeline kernel looks each refresh up in the timeline
     // precomputed once outside the loop. Same packets bit for bit —
     // the lookup is the saving the timeline subsystem exists for.
     let sats = iridium_nodes();
@@ -517,7 +517,7 @@ fn bench_extensions() {
     });
     let tl =
         TopologyTimeline::build(&dyn_provider, 0.0, 1.0, 30.0, 1).expect("valid timeline horizon");
-    bench("netsim_dynamic_delta", window(), || {
+    bench("netsim_dynamic_timeline", window(), || {
         black_box(NetSim::new(dyn_cfg).with_timeline(&tl).run(&dyn_flows)).ok();
     });
     // Building the timeline itself (amortized once per horizon).

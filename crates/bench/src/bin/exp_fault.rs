@@ -80,11 +80,11 @@ fn run_members(members: usize, rec: &mut dyn Recorder) -> (usize, NetSimReport) 
     let events = plan
         .compile(&fed.fault_topology())
         .expect("plan fits topology");
-    let cfg = NetSimConfig::builder()
-        .duration_s(60.0)
-        .seed(7)
-        .build()
-        .expect("valid netsim config");
+    let cfg = NetSimConfig {
+        duration_s: 60.0,
+        seed: 7,
+        ..NetSimConfig::default()
+    };
     let g0 = fed.snapshot(0.0);
     let report = NetSim::new(cfg)
         .with_snapshot(&g0)

@@ -329,10 +329,11 @@ impl Federation {
     /// on `threads` workers (serial and parallel builds are
     /// bitwise-identical).
     ///
-    /// The result plugs straight into the network driver via
-    /// [`NetSim::with_timeline`](crate::netsim::NetSim::with_timeline),
-    /// which then refreshes topology by looking up the stored snapshots
-    /// instead of rebuilding each one from orbit propagation.
+    /// The result is a [`TopologyProvider`] like the federation itself.
+    /// [`NetSim::with_timeline`](crate::netsim::NetSim::with_timeline)
+    /// refreshes it every `step_s`, looking each stored snapshot up
+    /// instead of rebuilding it from orbit propagation; a run at any
+    /// other refresh interval, or longer than `horizon_s`, is refused.
     pub fn timeline(
         &self,
         step_s: f64,

@@ -72,8 +72,8 @@ pub mod prelude {
         FederationError, User, Withdrawal,
     };
     pub use crate::netsim::{
-        DemandWorkload, FaultImpact, FlowSpec, NetSim, NetSimConfig, NetSimConfigBuilder,
-        NetSimReport, RoutingMode, TrafficKind,
+        DemandWorkload, FaultImpact, FlowSpec, NetSim, NetSimConfig, NetSimReport, RoutingMode,
+        TrafficKind,
     };
     pub use crate::operator::{make_satellite, GroundStation, Operator, Satellite};
     pub use crate::roaming::{

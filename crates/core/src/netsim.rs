@@ -21,10 +21,10 @@
 //! packets queued on or in flight toward failed elements are lost,
 //! surviving flows re-route, and the report's [`FaultImpact`] section
 //! accounts for availability, repair time, and flow re-association),
-//! and one topology source — a static snapshot
-//! ([`NetSim::with_snapshot`]), an on-demand
-//! [`TopologyProvider`] ([`NetSim::with_provider`]), or a precomputed
-//! [`TopologyTimeline`] ([`NetSim::with_timeline`]). Faults compose with
+//! and one topology source: a [`TopologyProvider`] with an optional
+//! refresh interval ([`NetSim::with_provider`]); a static snapshot
+//! ([`NetSim::with_snapshot`]) and a precomputed [`TopologyTimeline`]
+//! ([`NetSim::with_timeline`]) are providers too. Faults compose with
 //! every source.
 //!
 //! The engine is one `SimState` — flows, link table, packet slab,
@@ -33,19 +33,19 @@
 //! `fault`) and a `finish` that builds the report; the event loop only
 //! dispatches.
 //!
-//! The topology source only decides where the next graph comes from.
-//! A timeline run copies the snapshot the timeline stored for the tick
-//! into the current snapshot's own rows (`Graph::clone_from`, so a tick
-//! allocates only where a row outgrows its capacity), bitwise what a
-//! fresh provider call returns (the timeline stores fresh builds).
+//! The provider only decides where the next graph comes from: the run
+//! takes `topology_at(0.0)`, then each refresh calls
+//! [`TopologyProvider::topology_into`]. A timeline copies the tick's
+//! stored snapshot into the current snapshot's own rows
+//! (`Graph::clone_from`), bitwise what a fresh provider call returns.
 //! Every resnapshot then syncs the link table to the new graph,
-//! invalidates the route planner and replans, so a timeline
-//! run's [`NetSimReport`] is bit-for-bit the provider run's, pinned by
-//! `tests/tests/netsim_delta_equivalence.rs`. There is no incremental
-//! link patch or planner-tree retention: a moving shell changes every
-//! adjacency row at every tick, and on perfbench's `shell_motion` both
-//! together measured slower than this full sync (0.410 s against
-//! 0.359 s median `run_s`, 2-core host).
+//! invalidates the route planner and replans, so a timeline run's
+//! [`NetSimReport`] is bit-for-bit the provider run's, pinned by
+//! `tests/tests/netsim_delta_equivalence.rs`.
+//! There is no incremental link patch or planner-tree retention: a
+//! moving shell changes every adjacency row at every tick, and on
+//! perfbench's `shell_motion` both together measured slower than this
+//! full sync (0.410 s against 0.359 s median `run_s`, 2-core host).
 //!
 //! A fault is a mask, not a graph edit. The run keeps the current
 //! snapshot whole (with the loads replans write into it), the set of
@@ -172,9 +172,8 @@ pub enum RoutingMode {
     },
 }
 
-/// Simulation configuration. Build one with [`NetSimConfig::builder`]
-/// or with [`Default`] and struct update; either way a run checks it
-/// with [`NetSimConfig::validate`].
+/// Simulation configuration: set the fields, or take [`Default`] with
+/// struct update. Every run checks it with [`NetSimConfig::validate`].
 #[derive(Debug, Clone, Copy)]
 pub struct NetSimConfig {
     /// Simulated duration (s).
@@ -199,17 +198,9 @@ impl Default for NetSimConfig {
 }
 
 impl NetSimConfig {
-    /// Start building a config from the defaults.
-    pub fn builder() -> NetSimConfigBuilder {
-        NetSimConfigBuilder {
-            cfg: Self::default(),
-        }
-    }
-
     /// Check the config: a positive duration, a non-zero queue
-    /// capacity, and a positive replan interval in adaptive mode. Both
-    /// [`NetSimConfigBuilder::build`] and [`NetSim::run`] apply it, so a
-    /// struct-literal config is held to the same rules.
+    /// capacity, and a positive replan interval in adaptive mode.
+    /// [`NetSim::run`] applies it before simulating anything.
     pub fn validate(&self) -> Result<(), ConfigError> {
         require_positive("duration_s", self.duration_s)?;
         if self.queue_capacity_bytes == 0 {
@@ -222,44 +213,6 @@ impl NetSimConfig {
             require_positive("replan_interval_s", replan_interval_s)?;
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`NetSimConfig`].
-#[derive(Debug, Clone)]
-pub struct NetSimConfigBuilder {
-    cfg: NetSimConfig,
-}
-
-impl NetSimConfigBuilder {
-    /// Simulated duration (s).
-    pub fn duration_s(mut self, v: f64) -> Self {
-        self.cfg.duration_s = v;
-        self
-    }
-
-    /// Per-link queue capacity (bytes).
-    pub fn queue_capacity_bytes(mut self, v: u64) -> Self {
-        self.cfg.queue_capacity_bytes = v;
-        self
-    }
-
-    /// Routing discipline.
-    pub fn routing(mut self, v: RoutingMode) -> Self {
-        self.cfg.routing = v;
-        self
-    }
-
-    /// Arrival-process seed.
-    pub fn seed(mut self, v: u64) -> Self {
-        self.cfg.seed = v;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn build(self) -> Result<NetSimConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -657,21 +610,16 @@ impl LinkTable {
 
 /// Where the simulation gets its topology from.
 #[derive(Clone, Copy)]
-enum TopologySource<'a> {
-    /// One frozen snapshot for the whole run.
-    Static(&'a Graph),
-    /// Fresh snapshots on demand, every `interval_s` seconds.
-    Provider {
-        provider: &'a dyn TopologyProvider,
-        interval_s: f64,
-    },
-    /// A precomputed timeline, one stored snapshot per refresh.
-    Timeline(&'a TopologyTimeline),
+struct TopologySource<'a> {
+    provider: &'a dyn TopologyProvider,
+    /// Seconds between refreshes; `None` keeps the snapshot at `t = 0`
+    /// for the whole run.
+    refresh_s: Option<f64>,
 }
 
 /// The packet-level simulation driver: one builder for every
-/// combination of routing mode, fault plan, and topology source that
-/// used to be a separate `run_netsim*` entry point.
+/// combination of routing mode, fault plan, demand workload and
+/// topology source.
 ///
 /// ```
 /// use openspace_core::netsim::{FlowSpec, NetSim, NetSimConfig, TrafficKind};
@@ -687,9 +635,9 @@ enum TopologySource<'a> {
 /// assert!(report.delivery_ratio > 0.99);
 /// ```
 ///
-/// Exactly one topology source must be set before
-/// [`run`](Self::run) — [`with_snapshot`](Self::with_snapshot),
-/// [`with_provider`](Self::with_provider), or
+/// A topology source must be set before [`run`](Self::run) by
+/// [`with_provider`](Self::with_provider) or its shorthands
+/// [`with_snapshot`](Self::with_snapshot) (never refreshed) and
 /// [`with_timeline`](Self::with_timeline); setting another replaces the
 /// previous one. Faults ([`with_faults`](Self::with_faults)) compose
 /// with any source.
@@ -716,7 +664,10 @@ impl<'a> NetSim<'a> {
     /// topology, capacities and latencies; queues and measured loads
     /// live inside the simulator.
     pub fn with_snapshot(mut self, graph: &'a Graph) -> Self {
-        self.topology = Some(TopologySource::Static(graph));
+        self.topology = Some(TopologySource {
+            provider: graph,
+            refresh_s: None,
+        });
         self
     }
 
@@ -732,22 +683,20 @@ impl<'a> NetSim<'a> {
         provider: &'a dyn TopologyProvider,
         resnapshot_interval_s: f64,
     ) -> Self {
-        self.topology = Some(TopologySource::Provider {
+        self.topology = Some(TopologySource {
             provider,
-            interval_s: resnapshot_interval_s,
+            refresh_s: Some(resnapshot_interval_s),
         });
         self
     }
 
-    /// Simulate over a precomputed [`TopologyTimeline`]: behaves
-    /// exactly like [`with_provider`](Self::with_provider) at the
-    /// timeline's step, but each refresh *clones the stored snapshot*
-    /// instead of rebuilding it — bit-identical reports, without the
+    /// Simulate over a precomputed [`TopologyTimeline`], a provider at
+    /// its own step: each refresh copies the stored snapshot instead of
+    /// rebuilding it — bit-identical reports, without the
     /// orbit propagation and link tests. The timeline must start at
     /// `t = 0` and cover the configured duration.
-    pub fn with_timeline(mut self, timeline: &'a TopologyTimeline) -> Self {
-        self.topology = Some(TopologySource::Timeline(timeline));
-        self
+    pub fn with_timeline(self, timeline: &'a TopologyTimeline) -> Self {
+        self.with_provider(timeline, timeline.step_s())
     }
 
     /// Consume a fault plan during the run: `events` is the
@@ -783,8 +732,8 @@ impl<'a> NetSim<'a> {
     /// Fails with [`ConfigError`] on a missing topology source, empty
     /// flows (unless a non-empty demand workload is attached),
     /// out-of-range nodes, non-positive
-    /// durations/rates/intervals, or a timeline that starts after
-    /// `t = 0` or ends before the configured duration.
+    /// durations/rates/intervals, or a refresh schedule the provider
+    /// rejects ([`TopologyProvider::check_refresh`]).
     pub fn run(&self, flows: &[FlowSpec]) -> Result<NetSimReport, ConfigError> {
         self.run_recorded(flows, &mut NullRecorder)
     }
@@ -795,8 +744,8 @@ impl<'a> NetSim<'a> {
     /// `netsim.flow.<i>.latency_s` histogram per flow when the recorder
     /// is enabled), re-plan / re-snapshot counters
     /// (`netsim.resnapshot.links_kept` / `links_churned` /
-    /// `packets_dropped`, and `netsim.timeline.deltas_applied` on the
-    /// timeline path), the fault block when faults are present
+    /// `packets_dropped`, and `netsim.timeline.deltas_applied`, one per
+    /// provider lookup), the fault block when faults are present
     /// (`netsim.fault.*`), routing work from the underlying searches,
     /// and the engine's event count and queue-depth high-water mark.
     /// The returned report is bit-identical to [`run`](Self::run)'s —
@@ -809,36 +758,10 @@ impl<'a> NetSim<'a> {
         let source = self.topology.ok_or(ConfigError::Empty {
             field: "netsim.topology",
         })?;
-        match source {
-            TopologySource::Static(_) => {}
-            TopologySource::Provider { interval_s, .. } => {
-                require_positive("resnapshot_interval_s", interval_s)?;
-            }
-            TopologySource::Timeline(tl) => {
-                if tl.start_s() != 0.0 {
-                    return Err(ConfigError::OutOfRange {
-                        field: "timeline.start_s",
-                        value: tl.start_s(),
-                        min: 0.0,
-                        max: 0.0,
-                    });
-                }
-                // The coverage test reads `duration_s`, so it must be
-                // finite first.
-                self.cfg.validate()?;
-                // Resnapshot k fires at `times[k]` (both accumulate
-                // `t += step` from 0). The one after the last tick
-                // would fire at `last + step`, so the timeline is short
-                // if that instant lies inside the run.
-                let last = tl.tick_times()[tl.delta_count()];
-                if last + tl.step_s() <= self.cfg.duration_s {
-                    return Err(ConfigError::IndexOutOfRange {
-                        field: "timeline.delta_count",
-                        index: tl.delta_count(),
-                        len: tl.delta_count(),
-                    });
-                }
-            }
+        if let Some(step) = source.refresh_s {
+            require_positive("resnapshot_interval_s", step)?;
+            self.cfg.validate()?; // a coverage check reads `duration_s`
+            source.provider.check_refresh(step, self.cfg.duration_s)?;
         }
         run_netsim_core(source, flows, &self.cfg, self.events, self.demand, rec)
     }
@@ -910,11 +833,7 @@ fn run_netsim_core(
     demand: Option<&DemandWorkload>,
     rec: &mut dyn Recorder,
 ) -> Result<NetSimReport, ConfigError> {
-    let graph = match source {
-        TopologySource::Static(g) => g.clone(),
-        TopologySource::Provider { provider, .. } => provider.topology_at(0.0),
-        TopologySource::Timeline(tl) => tl.base().clone(),
-    };
+    let graph = source.provider.topology_at(0.0);
     let ticks = demand.map_or(&[][..], DemandWorkload::ticks);
     let all_flows = flows.iter().chain(ticks.iter().flat_map(|(_, b)| b));
     validate(&graph, all_flows, cfg, events)?;
@@ -975,7 +894,6 @@ struct SimState<'a, 'r> {
     /// Links down now, each as its `(min, max)` endpoint pair.
     down_links: BTreeSet<(NodeId, NodeId)>,
     replan_interval: Option<f64>,
-    resnapshot_interval: Option<f64>,
     /// Node count of the initial snapshot, the availability divisor.
     node_count: usize,
 
@@ -1061,11 +979,6 @@ impl<'a, 'r> SimState<'a, 'r> {
                 RoutingMode::Adaptive { replan_interval_s } => Some(replan_interval_s),
                 RoutingMode::Proactive => None,
             },
-            resnapshot_interval: match source {
-                TopologySource::Static(_) => None,
-                TopologySource::Provider { interval_s, .. } => Some(interval_s),
-                TopologySource::Timeline(tl) => Some(tl.step_s()),
-            },
             report: NetSimReport::default(),
             latency: Summary::new(),
             down_since: BTreeMap::new(),
@@ -1087,7 +1000,7 @@ impl<'a, 'r> SimState<'a, 'r> {
         if let Some(interval) = self.replan_interval {
             q.schedule(interval, Ev::Replan);
         }
-        if let Some(interval) = self.resnapshot_interval {
+        if let Some(interval) = self.source.refresh_s {
             q.schedule(interval, Ev::Resnapshot);
         }
         let duration = self.cfg.duration_s;
@@ -1258,22 +1171,11 @@ impl<'a, 'r> SimState<'a, 'r> {
     /// Topology refresh: satellites have moved. Take the new snapshot,
     /// mask the faults out of it, and re-route every flow.
     fn resnapshot(&mut self, q: &mut EventQueue<Ev>, now: f64) {
-        let Some(interval) = self.resnapshot_interval else {
+        let Some(interval) = self.source.refresh_s else {
             return; // resnapshot only ticks in dynamic mode
         };
-        match self.source {
-            TopologySource::Static(_) => return, // unscheduled; unreachable
-            TopologySource::Provider { provider, .. } => {
-                self.full = provider.topology_at(now);
-            }
-            TopologySource::Timeline(tl) => {
-                // `now` is the tick's instant bit for bit, so this is
-                // the tick's stored snapshot, copied into `full`'s own
-                // rows.
-                self.full.clone_from(tl.graph_at(now));
-                self.rec.add("netsim.timeline.deltas_applied", 1);
-            }
-        }
+        self.source.provider.topology_into(now, &mut self.full);
+        self.rec.add("netsim.timeline.deltas_applied", 1);
         let (kept, churned, lost) = self.remask(now);
         self.report.dropped += lost;
         self.rec.add("netsim.resnapshot.links_kept", kept);
@@ -1796,18 +1698,19 @@ mod tests {
 
     #[test]
     fn builder_validates() {
-        assert!(NetSimConfig::builder()
-            .duration_s(10.0)
-            .seed(3)
-            .build()
-            .is_ok());
-        assert!(NetSimConfig::builder().duration_s(0.0).build().is_err());
-        assert!(NetSimConfig::builder()
-            .routing(RoutingMode::Adaptive {
-                replan_interval_s: -1.0
-            })
-            .build()
-            .is_err());
+        let ok = NetSimConfig {
+            seed: 3,
+            ..secs(10.0)
+        };
+        assert!(ok.validate().is_ok());
+        assert!(secs(0.0).validate().is_err());
+        let adaptive = NetSimConfig {
+            routing: RoutingMode::Adaptive {
+                replan_interval_s: -1.0,
+            },
+            ..NetSimConfig::default()
+        };
+        assert!(adaptive.validate().is_err());
     }
 
     #[test]
@@ -1987,19 +1890,14 @@ mod tests {
                 .unwrap();
             let tl = TopologyTimeline::build(&churning_provider, 0.0, 1.0, 20.0, 2).unwrap();
             let via_timeline = NetSim::new(cfg).with_timeline(&tl).run(&flows).unwrap();
-            assert_eq!(via_provider, via_timeline, "routing {routing:?}");
-            assert_eq!(
-                via_provider.mean_latency_s.to_bits(),
-                via_timeline.mean_latency_s.to_bits()
-            );
-            assert_eq!(
-                via_provider.p95_latency_s.to_bits(),
-                via_timeline.p95_latency_s.to_bits()
-            );
-            assert_eq!(
-                via_provider.max_link_utilization.to_bits(),
-                via_timeline.max_link_utilization.to_bits()
-            );
+            let tl_as_provider = NetSim::new(cfg).with_provider(&tl, 1.0).run(&flows);
+            // Debug prints each float's exact value: equal text is
+            // bitwise-equal reports.
+            let want = format!("{via_provider:?}");
+            for r in [via_timeline, tl_as_provider.unwrap()] {
+                assert_eq!(r, via_provider, "routing {routing:?}");
+                assert_eq!(format!("{r:?}"), want, "routing {routing:?}");
+            }
         }
     }
 
@@ -2116,17 +2014,22 @@ mod tests {
         );
     }
 
+    /// The error of a one-flow run on `tl`: the same through
+    /// `with_timeline` as through `with_provider` at the timeline's step.
+    fn timeline_err(tl: &TopologyTimeline, cfg: NetSimConfig) -> ConfigError {
+        let flows = [flow(0, 3, 1e6)];
+        let err = NetSim::new(cfg).with_timeline(tl).run(&flows).unwrap_err();
+        let as_provider = NetSim::new(cfg).with_provider(tl, tl.step_s()).run(&flows);
+        assert_eq!(as_provider.unwrap_err(), err);
+        err
+    }
+
     #[test]
     fn short_timeline_is_a_config_error() {
-        let flows = [flow(0, 3, 1e6)];
         // Covers only 5 s of a 20 s run.
         let tl = TopologyTimeline::build(&churning_provider, 0.0, 1.0, 5.0, 1).unwrap();
-        let err = NetSim::new(secs(20.0))
-            .with_timeline(&tl)
-            .run(&flows)
-            .unwrap_err();
         assert_eq!(
-            err,
+            timeline_err(&tl, secs(20.0)),
             ConfigError::IndexOutOfRange {
                 field: "timeline.delta_count",
                 index: 5,
@@ -2137,14 +2040,9 @@ mod tests {
 
     #[test]
     fn long_run_on_a_short_timeline_fails_fast() {
-        let flows = [flow(0, 3, 1e6)];
         let tl = TopologyTimeline::build(&churning_provider, 0.0, 1.0, 4.0, 1).unwrap();
-        let err = NetSim::new(secs(1e11))
-            .with_timeline(&tl)
-            .run(&flows)
-            .unwrap_err();
         assert_eq!(
-            err,
+            timeline_err(&tl, secs(1e11)),
             ConfigError::IndexOutOfRange {
                 field: "timeline.delta_count",
                 index: 4,
@@ -2155,14 +2053,9 @@ mod tests {
 
     #[test]
     fn infinite_duration_with_a_timeline_is_a_config_error() {
-        let flows = [flow(0, 3, 1e6)];
         let tl = TopologyTimeline::build(&churning_provider, 0.0, 1.0, 4.0, 1).unwrap();
-        let err = NetSim::new(secs(f64::INFINITY))
-            .with_timeline(&tl)
-            .run(&flows)
-            .unwrap_err();
         assert_eq!(
-            err,
+            timeline_err(&tl, secs(f64::INFINITY)),
             ConfigError::NotFinite {
                 field: "duration_s"
             }
@@ -2171,19 +2064,35 @@ mod tests {
 
     #[test]
     fn offset_timeline_is_a_config_error() {
-        let flows = [flow(0, 3, 1e6)];
         let tl = TopologyTimeline::build(&churning_provider, 5.0, 1.0, 40.0, 1).unwrap();
-        let err = NetSim::new(NetSimConfig::default())
-            .with_timeline(&tl)
-            .run(&flows)
-            .unwrap_err();
         assert!(matches!(
-            err,
+            timeline_err(&tl, NetSimConfig::default()),
             ConfigError::OutOfRange {
                 field: "timeline.start_s",
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn foreign_refresh_interval_on_a_timeline_is_a_config_error() {
+        // Flooring onto the stored ticks would run on stale ones (or
+        // repeat the last one past the horizon); the run is refused.
+        let flows = [flow(0, 3, 1e6)];
+        let tl = TopologyTimeline::build(&churning_provider, 0.0, 1.0, 20.0, 1).unwrap();
+        let sim = NetSim::new(secs(10.0));
+        assert!(sim.with_timeline(&tl).run(&flows).is_ok());
+        for foreign in [0.5, 2.0, f64::from_bits(1.0f64.to_bits() + 1)] {
+            assert_eq!(
+                sim.with_provider(&tl, foreign).run(&flows).unwrap_err(),
+                ConfigError::OutOfRange {
+                    field: "resnapshot_interval_s",
+                    value: foreign,
+                    min: 1.0,
+                    max: 1.0
+                }
+            );
+        }
     }
 
     /// One flow over a single 1 Mb/s link, default config.
@@ -2400,7 +2309,10 @@ mod tests {
             .collect();
         let cfg = NetSimConfig::default();
         let mut rec = NullRecorder;
-        let source = TopologySource::Static(g);
+        let source = TopologySource {
+            provider: g,
+            refresh_s: None,
+        };
         let mut state = SimState::new(source, g.clone(), &[], &[], &cfg, &events, &mut rec);
         for idx in 0..events.len() {
             state.fault(1.0, idx);

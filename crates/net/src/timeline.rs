@@ -35,9 +35,10 @@
 //!
 //! [`TopologyProvider`] is the typed capability "can produce the
 //! topology at time t". Any `Fn(f64) -> Graph` closure gets it for free
-//! (the blanket impl), and [`TopologyTimeline`] implements it by
-//! looking up the stored snapshot, so precomputed and on-demand
-//! dynamics are interchangeable everywhere a provider is accepted.
+//! (the blanket impl), a [`Graph`] is a frozen snapshot, and
+//! [`TopologyTimeline`] refills the caller's graph from the stored
+//! snapshot and rejects a refresh schedule other than its own ticks, so
+//! static, precomputed and on-demand topology are interchangeable.
 
 use crate::topology::{Graph, GraphDelta, TopologyError};
 use openspace_sim::config::ConfigError;
@@ -46,7 +47,7 @@ use std::fmt;
 
 /// A source of topology snapshots over time.
 ///
-/// Implemented by every `Fn(f64) -> Graph` closure and by
+/// Implemented by every `Fn(f64) -> Graph` closure, by [`Graph`] and by
 /// [`TopologyTimeline`]. Implementations must be *deterministic*: two
 /// calls with bit-equal `t_s` must return bit-equal graphs, and every
 /// snapshot must keep the same node roster (satellite and station
@@ -54,11 +55,32 @@ use std::fmt;
 pub trait TopologyProvider {
     /// The network snapshot at simulation time `t_s` (seconds).
     fn topology_at(&self, t_s: f64) -> Graph;
+
+    /// Write the snapshot at `t_s` into `out`, bitwise
+    /// [`topology_at`](Self::topology_at). A provider that already
+    /// holds the snapshot may refill `out`'s rows in place.
+    fn topology_into(&self, t_s: f64, out: &mut Graph) {
+        *out = self.topology_at(t_s);
+    }
+
+    /// Check that this provider can answer a run of `duration_s`
+    /// seconds that refreshes at `0, step_s, 2·step_s, …` (accumulated
+    /// `t += step_s`). Any instant is fine by default.
+    fn check_refresh(&self, _step_s: f64, _duration_s: f64) -> Result<(), ConfigError> {
+        Ok(())
+    }
 }
 
 impl<F: Fn(f64) -> Graph> TopologyProvider for F {
     fn topology_at(&self, t_s: f64) -> Graph {
         self(t_s)
+    }
+}
+
+/// A frozen snapshot: the same graph at every instant.
+impl TopologyProvider for Graph {
+    fn topology_at(&self, _t_s: f64) -> Graph {
+        self.clone()
     }
 }
 
@@ -262,6 +284,41 @@ impl TopologyProvider for TopologyTimeline {
     fn topology_at(&self, t_s: f64) -> Graph {
         self.graph_at(t_s).clone()
     }
+
+    fn topology_into(&self, t_s: f64, out: &mut Graph) {
+        out.clone_from(self.graph_at(t_s));
+    }
+
+    /// The refreshes must be the ticks: a start at `t = 0`, this step
+    /// bit for bit, and a tick for every refresh inside the run.
+    fn check_refresh(&self, step_s: f64, duration_s: f64) -> Result<(), ConfigError> {
+        if self.start_s != 0.0 {
+            return Err(ConfigError::OutOfRange {
+                field: "timeline.start_s",
+                value: self.start_s,
+                min: 0.0,
+                max: 0.0,
+            });
+        }
+        if step_s.to_bits() != self.step_s.to_bits() {
+            return Err(ConfigError::OutOfRange {
+                field: "resnapshot_interval_s",
+                value: step_s,
+                min: self.step_s,
+                max: self.step_s,
+            });
+        }
+        // Refresh k fires at `times[k]` (both accumulate `t += step`
+        // from 0), so the one after the last tick fires at `last + step`.
+        if self.times[self.delta_count()] + self.step_s <= duration_s {
+            return Err(ConfigError::IndexOutOfRange {
+                field: "timeline.delta_count",
+                index: self.delta_count(),
+                len: self.delta_count(),
+            });
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -346,6 +403,32 @@ mod tests {
         // Dyn-compatible too (the driver holds `&dyn TopologyProvider`).
         let dynamic: &dyn TopologyProvider = &tl;
         assert_eq!(dynamic.topology_at(20.0), provider(20.0));
+
+        // `topology_into` is bitwise `topology_at`, into an empty target
+        // and into a larger one.
+        let mut larger = Graph::new(6, 2);
+        larger.add_bidirectional(0usize, 7usize, 0.5, 1e9, 0u32, 0u32, LinkTech::Rf);
+        for p in [&provider as &dyn TopologyProvider, dynamic] {
+            for (t, mut out) in [(14.9, Graph::new(0, 0)), (40.0, larger.clone())] {
+                p.topology_into(t, &mut out);
+                assert_eq!(out, p.topology_at(t), "t={t}");
+            }
+        }
+        // A graph is a frozen snapshot: itself at any instant.
+        let frozen = provider(7.0);
+        assert_eq!(frozen.topology_at(1e9), frozen);
+        // Refreshes fire at 0, 10, …, 40, then at `last + step` = 50: a
+        // 50 s run needs a tick the timeline lacks, a shorter one not.
+        let short = Err(ConfigError::IndexOutOfRange {
+            field: "timeline.delta_count",
+            index: 4,
+            len: 4,
+        });
+        assert_eq!(tl.check_refresh(10.0, 50.0), short);
+        assert_eq!(
+            tl.check_refresh(10.0, f64::from_bits(50f64.to_bits() - 1)),
+            Ok(())
+        );
     }
 
     #[test]
