@@ -271,9 +271,6 @@ fn bench_routing() {
             &mut NullRecorder,
         ));
     });
-    bench("yen_k4_iridium", window(), || {
-        black_box(k_shortest_paths(&graph, 0, 35, 4, latency_weight));
-    });
     let req = QosRequirement {
         min_bandwidth_bps: 1e5,
         max_latency_s: f64::INFINITY,

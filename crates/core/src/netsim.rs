@@ -1087,8 +1087,12 @@ impl<'a, 'r> SimState<'a, 'r> {
         // HopArrive: the relative seq numbers decide tie order when
         // serialization equals propagation time.
         if let Some(&(_, next_bytes)) = link.queue.front() {
-            let tx = next_bytes as f64 * 8.0 / link.capacity_bps;
-            q.schedule(now + tx, Ev::Depart(lid));
+            let done = now + next_bytes as f64 * 8.0 / link.capacity_bps;
+            // A subnormal capacity overflows the transmission to
+            // infinity: the packet stays on the wire past `duration_s`.
+            if done.is_finite() {
+                q.schedule(done, Ev::Depart(lid));
+            }
         }
         q.schedule(arrive_at, Ev::HopArrive(pid));
     }
@@ -1360,8 +1364,11 @@ impl<'a, 'r> SimState<'a, 'r> {
             return;
         }
         if idle {
-            let tx = bytes as f64 * 8.0 / link.capacity_bps;
-            q.schedule(now + tx, Ev::Depart(lid));
+            // Same overflow guard as the next-head schedule in `depart`.
+            let done = now + bytes as f64 * 8.0 / link.capacity_bps;
+            if done.is_finite() {
+                q.schedule(done, Ev::Depart(lid));
+            }
         }
     }
 

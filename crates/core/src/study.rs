@@ -61,7 +61,6 @@ use openspace_orbit::visibility::max_isl_range_m;
 use openspace_orbit::walker::random_constellation;
 use openspace_sim::config::{require_non_negative, require_positive, ConfigError};
 use openspace_sim::exec::{default_threads, parallel_map_seeded};
-use openspace_sim::rng::SimRng;
 use openspace_telemetry::NullRecorder;
 
 /// Fidelity level of the latency sweep.
@@ -315,7 +314,7 @@ impl ScenarioRunner {
 
     /// Override the worker count (clamped to ≥ 1). Worker count never
     /// changes results, only wall-clock time.
-    pub fn with_threads(mut self, threads: usize) -> Self {
+    fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
@@ -334,13 +333,6 @@ impl ScenarioRunner {
     /// miss counters included — useful for reporting cache efficacy).
     pub fn cache(&self) -> &EphemerisCache {
         &self.cache
-    }
-
-    /// The RNG substream the runner hands to sweep task `index` — also
-    /// the stream `exp_*` binaries should use for any extra per-point
-    /// randomness so their runs stay reproducible.
-    pub fn task_rng(&self, index: u64) -> SimRng {
-        SimRng::substream(self.cfg.seed, index)
     }
 
     /// Figure 2(b): propagation latency vs constellation size.
@@ -648,16 +640,5 @@ mod tests {
             }
         ));
         assert!(ScenarioRunner::builder().trials(0).build().is_err());
-    }
-
-    #[test]
-    fn task_rng_is_reproducible_per_index() {
-        let runner = ScenarioRunner::serial(quick_cfg());
-        let mut a = runner.task_rng(3);
-        let mut b = runner.task_rng(3);
-        let mut c = runner.task_rng(4);
-        assert_eq!(a.next_u64(), b.next_u64());
-        // Different tasks get decorrelated streams.
-        assert_ne!(a.next_u64(), c.next_u64());
     }
 }

@@ -8,11 +8,10 @@
 //! * [`isl`] — snapshot construction from orbital state: range,
 //!   line-of-sight, terminal budgets, RF/optical capacity selection.
 //! * [`routing`] — proactive shortest paths ([`routing::dijkstra`]),
-//!   k-shortest alternatives ([`routing::yen`]), the congestion/QoS
-//!   machinery ([`routing::qos`]) that §2.2 says a scaled system needs,
-//!   and the batched per-source [`routing::planner`] that serves
-//!   replan-heavy simulations one shortest-path tree per distinct
-//!   source.
+//!   the congestion/QoS machinery ([`routing::qos`]) that §2.2 says a
+//!   scaled system needs, and the batched per-source
+//!   [`routing::planner`] that serves replan-heavy simulations one
+//!   shortest-path tree per distinct source.
 //! * [`contact`] — precomputable contact plans over ground points.
 //! * [`handover`] — successor prediction and handover cost accounting
 //!   (the every-15-seconds problem).
@@ -84,8 +83,8 @@ pub mod prelude {
         StationAttrs,
     };
     pub use crate::routing::{
-        congestion_weight, hop_weight, k_shortest_paths, latency_weight, qos_route, residual_bps,
-        shortest_path, widest_path, Path, QosRequirement, RoutePlanner,
+        congestion_weight, hop_weight, latency_weight, qos_route, residual_bps, shortest_path,
+        Path, QosRequirement, RoutePlanner,
     };
     pub use crate::timeline::{TimelineError, TopologyProvider, TopologyTimeline};
     pub use crate::topology::{

@@ -1,14 +1,12 @@
 //! Routing over topology snapshots.
 //!
-//! Four layers, matching §2.2's progression, over one search kernel:
+//! Three layers, matching §2.2's progression, over one search kernel:
 //!
 //! * [`dijkstra`] — [`shortest_path`] with pluggable weights: the
 //!   proactive precomputed routing a "beginner system" uses.
-//! * [`yen`] — k-shortest alternatives for fallback; each spur search is
-//!   a [`shortest_path`] on a filtered copy of the graph.
-//! * [`qos`] — congestion-aware weights, bandwidth floors, and widest
-//!   paths: the end-to-end reactive routing the paper says a scaled
-//!   system needs. A QoS route is a [`shortest_path`] under
+//! * [`qos`] — congestion-aware weights and bandwidth floors: the
+//!   end-to-end reactive routing the paper says a scaled system needs.
+//!   A QoS route is a [`shortest_path`] under
 //!   [`QosRequirement::weight`], filtered by its latency bound.
 //! * [`planner`] — the batched per-source [`RoutePlanner`]: one
 //!   settled-predecessor tree per distinct source, one recycled buffer
@@ -16,7 +14,6 @@
 //!   for replan-heavy workloads. Its tree
 //!   search is the only shortest-path search in the crate:
 //!   [`shortest_path`] is a single-request batch on a fresh planner.
-//!   ([`widest_path`] is a max-bottleneck search, not a shortest path.)
 //!
 //! [`shortest_path`], [`qos_route`] and the planner report their
 //! `routing.*` work counters through a `&mut dyn Recorder`; pass
@@ -25,9 +22,7 @@
 pub mod dijkstra;
 pub mod planner;
 pub mod qos;
-pub mod yen;
 
 pub use dijkstra::{hop_weight, latency_weight, shortest_path, Path};
 pub use planner::RoutePlanner;
-pub use qos::{congestion_weight, qos_route, residual_bps, widest_path, QosRequirement};
-pub use yen::k_shortest_paths;
+pub use qos::{congestion_weight, qos_route, residual_bps, QosRequirement};

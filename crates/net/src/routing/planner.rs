@@ -22,10 +22,9 @@
 //!   declares the edge weights changed (see below).
 //!
 //! The one-shot [`shortest_path`](crate::routing::shortest_path) — and
-//! so [`qos_route`](crate::routing::qos_route) and each spur search of
-//! [`k_shortest_paths`](crate::routing::k_shortest_paths) — is a
-//! single-request batch on a fresh planner, so every shortest-path
-//! search in the crate runs this one kernel.
+//! so [`qos_route`](crate::routing::qos_route) — is a single-request
+//! batch on a fresh planner, so every shortest-path search in the crate
+//! runs this one kernel.
 //!
 //! # Bitwise equivalence to per-flow search
 //!

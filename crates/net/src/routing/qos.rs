@@ -84,88 +84,6 @@ pub fn qos_route(
         .and_then(|p| requirement.admit(p))
 }
 
-/// Widest path (maximum bottleneck residual bandwidth) via a modified
-/// Dijkstra. Used to answer "what is the best QoS we can advertise to
-/// users in this region" (§2.2's preemptive QoS adjustment).
-pub fn widest_path(
-    graph: &Graph,
-    src: impl Into<NodeId>,
-    dst: impl Into<NodeId>,
-) -> Option<(Path, f64)> {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct Entry {
-        width: f64,
-        node: NodeId,
-    }
-    impl Eq for Entry {}
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Max-heap by width; tie-break on node for determinism.
-            self.width
-                .total_cmp(&other.width)
-                .then(other.node.cmp(&self.node))
-        }
-    }
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let (src, dst) = (src.into(), dst.into());
-    assert!(src.0 < graph.node_count() && dst.0 < graph.node_count());
-    let n = graph.node_count();
-    let mut best = vec![0.0f64; n];
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    best[src.0] = f64::INFINITY;
-    heap.push(Entry {
-        width: f64::INFINITY,
-        node: src,
-    });
-
-    while let Some(Entry { width, node }) = heap.pop() {
-        if width < best[node.0] {
-            continue;
-        }
-        if node == dst {
-            break;
-        }
-        for e in graph.edges(node) {
-            let w = width.min(residual_bps(e));
-            if w > best[e.to.0] {
-                best[e.to.0] = w;
-                prev[e.to.0] = Some(node);
-                heap.push(Entry {
-                    width: w,
-                    node: e.to,
-                });
-            }
-        }
-    }
-    if best[dst.0] <= 0.0 {
-        return None;
-    }
-    let mut nodes = vec![dst];
-    let mut cur = dst;
-    while let Some(p) = prev[cur.0] {
-        nodes.push(p);
-        cur = p;
-    }
-    nodes.reverse();
-    if nodes[0] != src {
-        return None; // dst == src with zero width handled above
-    }
-    let path = Path {
-        total_cost: 0.0,
-        nodes,
-    };
-    Some((path, best[dst.0]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,21 +175,5 @@ mod tests {
         e.load_fraction = 0.99;
         let hot = congestion_weight(&e, PKT);
         assert!(hot > idle * 10.0, "idle {idle}, hot {hot}");
-    }
-
-    #[test]
-    fn widest_path_tracks_residual() {
-        let g = loaded_diamond(0.5);
-        let (p, width) = widest_path(&g, 0, 3).unwrap();
-        // Fast path residual 5 Mbit/s, slow path 10 Mbit/s: widest is slow.
-        assert_eq!(p.nodes, vec![0usize, 2, 3]);
-        assert!((width - 1e7).abs() < 1.0);
-    }
-
-    #[test]
-    fn widest_path_unreachable_is_none() {
-        let mut g = Graph::new(3, 0);
-        g.add_bidirectional(0, 1, 0.001, 1e6, 0, 0, LinkTech::Rf);
-        assert!(widest_path(&g, 0, 2).is_none());
     }
 }

@@ -1,4 +1,4 @@
-//! Memoized ephemeris and visibility sampling.
+//! Memoized ephemeris sampling.
 //!
 //! The Figure 2 sweeps evaluate the *same* orbits at the *same* epochs
 //! over and over: `random_constellation(n, seed)` draws satellites
@@ -13,18 +13,15 @@
 //! position — keyed by the exact bit patterns of
 //! `(orbital elements, perturbation model, sample time)`, so any two
 //! queries for the same orbit at the same epoch hit the cache regardless
-//! of which sweep point asks. [`VisibilityCache`] layers a
-//! ground-visibility memo (elevation-mask test per satellite sample and
-//! ground point) on top — the contact-window building block.
+//! of which sweep point asks.
 //!
-//! Both caches are internally locked and shareable across the scenario
+//! The cache is internally locked and shareable across the scenario
 //! harness's worker threads. Cached values are pure functions of the key,
 //! so cache hits can never change a result — parallel sweeps stay
 //! bitwise-identical to serial ones no matter the hit pattern.
 
 use crate::frames::{eci_to_ecef, Vec3};
 use crate::propagator::{PerturbationModel, Propagator};
-use crate::visibility::is_visible;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -141,90 +138,10 @@ impl EphemerisCache {
     }
 }
 
-/// Key of a ground-visibility query: satellite sample key + ground point
-/// + elevation mask, all exact bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct VisibilityKey {
-    sample: SampleKey,
-    ground: [u64; 3],
-    mask: u64,
-}
-
-/// A memo of elevation-mask visibility tests layered over an
-/// [`EphemerisCache`] — the repeated kernel of contact-window and access
-/// computations.
-#[derive(Debug, Default)]
-pub struct VisibilityCache {
-    ephemeris: EphemerisCache,
-    map: Mutex<HashMap<VisibilityKey, bool>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl VisibilityCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The shared ephemeris memo underneath.
-    pub fn ephemeris(&self) -> &EphemerisCache {
-        &self.ephemeris
-    }
-
-    /// Whether `prop` at `t_s` is visible from `ground_ecef` above
-    /// `min_elevation_rad`, memoized; also returns the satellite sample
-    /// so callers get the slant-range inputs for free.
-    pub fn visible(
-        &self,
-        prop: &Propagator,
-        t_s: f64,
-        ground_ecef: Vec3,
-        min_elevation_rad: f64,
-    ) -> (bool, EphemerisSample) {
-        let sample_key = SampleKey::new(prop, t_s);
-        let key = VisibilityKey {
-            sample: sample_key,
-            ground: [
-                ground_ecef.x.to_bits(),
-                ground_ecef.y.to_bits(),
-                ground_ecef.z.to_bits(),
-            ],
-            mask: min_elevation_rad.to_bits(),
-        };
-        let sample = self.ephemeris.sample(prop, t_s);
-        if let Some(&v) = self.map.lock().expect("visibility cache lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (v, sample);
-        }
-        let v = is_visible(ground_ecef, sample.ecef, min_elevation_rad);
-        let added = self
-            .map
-            .lock()
-            .expect("visibility cache lock")
-            .insert(key, v)
-            .is_none();
-        count_lookup(added, &self.misses, &self.hits);
-        (v, sample)
-    }
-
-    /// Cache hits so far (visibility layer only).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses (= distinct visibility tests computed) so far
-    /// (visibility layer only).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constants::km_to_m;
-    use crate::frames::{geodetic_to_ecef, Geodetic};
     use crate::kepler::OrbitalElements;
 
     fn prop(ma_deg: f64) -> Propagator {
@@ -257,33 +174,32 @@ mod tests {
 
     #[test]
     fn racing_threads_count_one_miss_per_key() {
-        // Every thread queries the same keys at once; whichever
-        // computations race, each key is one miss and every other
-        // lookup a hit.
-        let cache = VisibilityCache::new();
-        let ground = geodetic_to_ecef(Geodetic::from_degrees(0.0, 0.0, 0.0));
+        // All threads query each key at once; whichever computations
+        // race, each key is one miss and every other lookup a hit.
+        let cache = EphemerisCache::new();
         let (threads, keys, rounds) = (4u64, 8u64, 50u64);
+        let props: Vec<_> = (0..keys).map(|k| prop(k as f64)).collect();
         let barrier = std::sync::Barrier::new(threads as usize);
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
-                    barrier.wait();
                     for _ in 0..rounds {
-                        for k in 0..keys {
-                            cache.visible(&prop(k as f64), 60.0, ground, 0.0);
+                        for p in &props {
+                            barrier.wait();
+                            cache.sample(p, 60.0);
                         }
                     }
                 });
             }
         });
         let lookups = threads * keys * rounds;
-        for (hits, misses) in [
-            (cache.hits(), cache.misses()),
-            (cache.ephemeris().hits(), cache.ephemeris().misses()),
-        ] {
-            assert_eq!(misses, keys);
-            assert_eq!(hits, lookups - keys);
-        }
+        assert_eq!(cache.misses(), keys);
+        assert_eq!(cache.hits(), lookups - keys);
+        // A schedule may race no computation at all, so also replay a
+        // race's loser: its insert finds the key stored, which is a hit.
+        let (misses, hits) = (AtomicU64::new(0), AtomicU64::new(0));
+        count_lookup(false, &misses, &hits);
+        assert_eq!((misses.into_inner(), hits.into_inner()), (0, 1));
     }
 
     #[test]
@@ -294,22 +210,6 @@ mod tests {
         cache.sample(&prop(0.0), 60.0); // different epoch
         assert_eq!(cache.misses(), 3);
         assert_eq!(cache.hits(), 0);
-    }
-
-    #[test]
-    fn visibility_memo_hits_and_agrees() {
-        let cache = VisibilityCache::new();
-        let p = prop(0.0);
-        let ground = geodetic_to_ecef(Geodetic::from_degrees(0.0, 0.0, 0.0));
-        let (a, sample) = cache.visible(&p, 0.0, ground, 0.0);
-        let (b, _) = cache.visible(&p, 0.0, ground, 0.0);
-        assert_eq!(a, b);
-        assert_eq!(a, is_visible(ground, sample.ecef, 0.0));
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
-        // The underlying ephemeris sample was shared.
-        assert_eq!(cache.ephemeris().misses(), 1);
-        assert_eq!(cache.ephemeris().hits(), 1);
     }
 
     #[test]

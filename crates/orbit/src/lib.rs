@@ -70,7 +70,7 @@ pub mod prelude {
         worst_case_coverage_fraction, worst_case_coverage_fraction_from_eci, SphereGrid,
     };
     pub use crate::eclipse::{eclipse_fraction, in_eclipse};
-    pub use crate::ephemeris::{EphemerisCache, EphemerisSample, SampleKey, VisibilityCache};
+    pub use crate::ephemeris::{EphemerisCache, EphemerisSample, SampleKey};
     pub use crate::frames::{
         ecef_to_eci, ecef_to_geodetic, eci_to_ecef, geodetic_to_ecef, Geodetic, Vec3,
     };

@@ -9,8 +9,7 @@
 //! * [`rng`] — seeded RNG with substreams and the distributions traffic
 //!   models need.
 //! * [`queue`] — the byte-bounded drop-tail queue every simulated link
-//!   uses, and the two-class priority queue built on it (the
-//!   ground-station "prioritize native traffic" policy of §2.2).
+//!   uses.
 //! * [`traffic`] — the one traffic model: [`traffic::TrafficKind`]
 //!   (CBR / Poisson / on-off) and the per-flow [`traffic::Arrivals`]
 //!   process the packet simulator and the demand layer share (§5's call
@@ -63,7 +62,7 @@ pub mod prelude {
         FaultPlan, FaultPlanBuilder, FaultSpec, FaultTopology, TopologyEvent, TopologyEventKind,
     };
     pub use crate::ids::{GsId, NodeId, OperatorId, SatId};
-    pub use crate::queue::{DropTailQueue, PriorityQueue};
+    pub use crate::queue::DropTailQueue;
     pub use crate::rng::SimRng;
     pub use crate::stats::{Summary, TimeWeighted};
     pub use crate::traffic::{Arrivals, TrafficKind};

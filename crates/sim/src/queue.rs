@@ -1,14 +1,12 @@
-//! Byte-bounded packet queues: drop-tail and two-class priority.
+//! The byte-bounded drop-tail packet queue.
 //!
 //! §2.2's reactive-routing discussion is all about queueing: "the cost of
 //! a path cannot be fully predicted since ISL congestion cannot be
-//! anticipated", and ground stations "may prioritize traffic coming from
-//! \[their\] users". Every directed link of the packet simulator
-//! (`core::netsim`) queues its packets on a [`DropTailQueue`], and
-//! [`PriorityQueue`] is the ground-station policy built from two of them.
+//! anticipated". Every directed link of the packet simulator
+//! (`core::netsim`) queues its packets on a [`DropTailQueue`].
 //!
-//! The queues are generic over what they hold — a packet, or a handle to
-//! one — and account for each entry's size in bytes alongside it.
+//! The queue is generic over what it holds — a packet, or a handle to
+//! one — and accounts for each entry's size in bytes alongside it.
 
 use std::collections::VecDeque;
 
@@ -87,69 +85,6 @@ impl<T> DropTailQueue<T> {
     }
 }
 
-/// A two-class priority queue: native traffic is always served before
-/// visitor traffic — the ground-station policy from §2.2.
-#[derive(Debug, Clone)]
-pub struct PriorityQueue<T> {
-    native: DropTailQueue<T>,
-    visitor: DropTailQueue<T>,
-}
-
-impl<T> PriorityQueue<T> {
-    /// Split `capacity_bytes` between classes: natives get
-    /// `native_share` of the buffer, visitors the rest. Each class gets
-    /// at least one byte, and the two sub-buffers sum to exactly
-    /// `capacity_bytes` — the split can never manufacture capacity the
-    /// physical buffer does not have.
-    ///
-    /// # Panics
-    /// Panics unless `native_share` is in `(0, 1)` and
-    /// `capacity_bytes >= 2` (one byte per class is the smallest
-    /// meaningful split).
-    pub fn new(capacity_bytes: u64, native_share: f64) -> Self {
-        assert!(
-            native_share > 0.0 && native_share < 1.0,
-            "native share must be in (0,1), got {native_share}"
-        );
-        assert!(
-            capacity_bytes >= 2,
-            "priority queue needs at least 2 bytes to split, got {capacity_bytes}"
-        );
-        let native_cap =
-            ((capacity_bytes as f64 * native_share) as u64).clamp(1, capacity_bytes - 1);
-        let visitor_cap = capacity_bytes - native_cap;
-        Self {
-            native: DropTailQueue::new(native_cap),
-            visitor: DropTailQueue::new(visitor_cap),
-        }
-    }
-
-    /// Offer `item` to its class's buffer (`native` = the queue owner's
-    /// own traffic); handed back if that buffer is full.
-    pub fn enqueue(&mut self, item: T, bytes: u32, native: bool) -> Result<(), T> {
-        if native {
-            self.native.enqueue(item, bytes)
-        } else {
-            self.visitor.enqueue(item, bytes)
-        }
-    }
-
-    /// Strict-priority dequeue: native first.
-    pub fn dequeue(&mut self) -> Option<(T, u32)> {
-        self.native.dequeue().or_else(|| self.visitor.dequeue())
-    }
-
-    /// Total entries queued across both classes.
-    pub fn len(&self) -> usize {
-        self.native.len() + self.visitor.len()
-    }
-
-    /// Whether both classes are empty.
-    pub fn is_empty(&self) -> bool {
-        self.native.is_empty() && self.visitor.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,85 +129,8 @@ mod tests {
     }
 
     #[test]
-    fn priority_serves_native_first() {
-        let mut q = PriorityQueue::new(100_000, 0.5);
-        q.enqueue(1, 100, false).unwrap();
-        q.enqueue(2, 100, true).unwrap();
-        assert_eq!(q.dequeue(), Some((2, 100)), "native first");
-        assert_eq!(q.dequeue(), Some((1, 100)));
-    }
-
-    #[test]
-    fn visitor_buffer_is_separate() {
-        let mut q = PriorityQueue::new(1_000, 0.8);
-        // Visitor capacity is 200 bytes; a 300-byte visitor packet drops
-        // even though the native side is empty.
-        assert_eq!(q.enqueue(1, 300, false), Err(1));
-        assert!(q.enqueue(2, 300, true).is_ok());
-    }
-
-    #[test]
-    fn empty_checks() {
-        let mut q = PriorityQueue::new(1_000, 0.5);
-        assert!(q.is_empty());
-        q.enqueue((), 10, false).unwrap();
-        assert!(!q.is_empty());
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         DropTailQueue::<()>::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 bytes")]
-    fn priority_split_of_one_byte_panics() {
-        PriorityQueue::<()>::new(1, 0.5);
-    }
-
-    #[test]
-    fn priority_split_never_exceeds_capacity() {
-        // Extreme shares used to round each class up to 1 byte
-        // independently, so a 2-byte buffer could admit 3 bytes. The
-        // split must now be exact.
-        for &(cap, share) in &[
-            (2u64, 0.5),
-            (2, 0.999),
-            (2, 0.001),
-            (3, 0.9),
-            (1_000, 0.8),
-            (100_000, 0.5),
-        ] {
-            let mut q = PriorityQueue::new(cap, share);
-            let mut admitted = 0u64;
-            loop {
-                let before = admitted;
-                for native in [true, false] {
-                    if q.enqueue((), 1, native).is_ok() {
-                        admitted += 1;
-                    }
-                }
-                if admitted == before {
-                    break;
-                }
-            }
-            assert!(
-                admitted <= cap,
-                "cap {cap} share {share}: admitted {admitted} bytes"
-            );
-        }
-    }
-
-    #[test]
-    fn priority_split_preserves_documented_shares() {
-        // The documented example split (1000 bytes, 0.8 share -> 800/200)
-        // must be unchanged by the exact-sum fix.
-        let mut q = PriorityQueue::new(1_000, 0.8);
-        assert!(q.enqueue((), 800, true).is_ok());
-        assert!(q.enqueue((), 1, true).is_err());
-        assert!(q.enqueue((), 200, false).is_ok());
-        assert!(q.enqueue((), 1, false).is_err());
     }
 }

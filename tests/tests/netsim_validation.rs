@@ -261,6 +261,26 @@ fn resnapshot_rearm_past_f64_max_is_never_scheduled() {
 }
 
 #[test]
+fn subnormal_link_capacity_never_schedules_an_infinite_departure() {
+    // `add_edge` accepts any positive capacity, but a packet's
+    // transmission time on a 1e-320 bit/s link overflows to infinity:
+    // the packet stays on the wire, and the run still ends.
+    let g = single_link(1e-320);
+    let r = NetSim::new(NetSimConfig {
+        duration_s: 1.0,
+        routing: RoutingMode::Proactive,
+        ..Default::default()
+    })
+    .with_snapshot(&g)
+    .run(&[FlowSpec::new(0, 1, 1e5, 1_500, TrafficKind::Cbr)])
+    .expect("valid netsim config");
+    assert!(r.generated > 0);
+    assert_eq!(r.delivered, 0);
+    assert_eq!(r.unroutable, 0);
+    assert!(r.dropped < r.generated, "the head packet stays in flight");
+}
+
+#[test]
 fn zero_queue_capacity_is_a_config_error() {
     // A struct-literal config skips the builder; the run applies the
     // same check instead of dropping every packet.

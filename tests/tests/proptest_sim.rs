@@ -82,65 +82,6 @@ fn queue_conserves_packets() {
 }
 
 #[test]
-fn priority_queue_never_serves_visitor_before_native() {
-    for_cases(0xB4, |rng| {
-        let native: Vec<u32> = (0..rng.index(30))
-            .map(|_| 1 + rng.below(499) as u32)
-            .collect();
-        let visitor: Vec<u32> = (0..rng.index(30))
-            .map(|_| 1 + rng.below(499) as u32)
-            .collect();
-        let mut q = PriorityQueue::new(1_000_000, 0.5);
-        for &s in &visitor {
-            q.enqueue(false, s, false).unwrap();
-        }
-        for &s in &native {
-            q.enqueue(true, s, true).unwrap();
-        }
-        let mut seen_visitor = false;
-        while let Some((is_native, _)) = q.dequeue() {
-            if is_native {
-                assert!(!seen_visitor, "native packet after a visitor one");
-            } else {
-                seen_visitor = true;
-            }
-        }
-    });
-}
-
-#[test]
-fn priority_queue_split_never_exceeds_physical_capacity() {
-    // The class split must partition the buffer exactly: filling both
-    // classes with 1-byte packets until drop can never admit more bytes
-    // than the physical capacity, whatever the share. (The old rounding
-    // gave each class an independent 1-byte floor, so tiny buffers and
-    // extreme shares could oversubscribe.)
-    for_cases(0xB6, |rng| {
-        let capacity = 2 + rng.below(9_998);
-        let share = rng.uniform_range(0.01, 0.99);
-        let mut q = PriorityQueue::new(capacity, share);
-        let mut admitted = 0u64;
-        loop {
-            let before = admitted;
-            for native in [true, false] {
-                if q.enqueue((), 1, native).is_ok() {
-                    admitted += 1;
-                }
-            }
-            if admitted == before {
-                break;
-            }
-        }
-        assert!(
-            admitted <= capacity,
-            "capacity {capacity} share {share}: admitted {admitted}"
-        );
-        // Both classes must still be usable: at least one byte each.
-        assert!(admitted >= 2);
-    });
-}
-
-#[test]
 fn summary_quantiles_are_monotone_and_bounded() {
     for_cases(0xB5, |rng| {
         let n = 2 + rng.index(498);
