@@ -453,13 +453,6 @@ pub fn iridium_federation(
     fed
 }
 
-/// A monolithic baseline: the same constellation and stations under a
-/// single owner — the vertically-integrated incumbent the paper contrasts
-/// against.
-pub fn monolithic_federation(classes: &[SatelliteClass], station_sites: &[Geodetic]) -> Federation {
-    iridium_federation(1, classes, station_sites)
-}
-
 /// A representative shared ground-segment: six sites spread over
 /// continents (rough locations of real teleport clusters).
 pub fn default_station_sites() -> Vec<Geodetic> {
@@ -476,6 +469,7 @@ pub fn default_station_sites() -> Vec<Geodetic> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openspace_protocol::auth::make_access_request;
 
     fn small_fed() -> Federation {
         iridium_federation(
@@ -536,7 +530,10 @@ mod tests {
         let op = fed.operator_ids()[1];
         let u = fed.register_user(op).unwrap();
         assert_eq!(u.home, op);
-        assert_eq!(fed.operator(op).unwrap().auth.user_count(), 1);
+        // The home AAA now knows the user's secret.
+        let req = make_access_request(u.id, op, 1, &u.secret);
+        let aaa = &mut fed.operator_mut(op).unwrap().auth;
+        assert!(aaa.handle_request(&req, 0).is_ok());
     }
 
     #[test]
@@ -571,7 +568,7 @@ mod tests {
 
     #[test]
     fn monolithic_has_one_owner() {
-        let fed = monolithic_federation(&[SatelliteClass::BroadbandBus], &default_station_sites());
+        let fed = iridium_federation(1, &[SatelliteClass::BroadbandBus], &default_station_sites());
         assert_eq!(fed.operator_count(), 1);
         let op = fed.operator_ids()[0];
         assert_eq!(fed.satellites_of(op).len(), 66);
@@ -621,7 +618,9 @@ mod tests {
             assert_ne!(*new_home, leaver);
             let user = fed.user(*uid).unwrap();
             assert_eq!(user.home, *new_home);
-            assert!(fed.operator(*new_home).unwrap().auth.user_count() > 0);
+            let req = make_access_request(*uid, *new_home, 1, &user.secret);
+            let aaa = &mut fed.operator_mut(*new_home).unwrap().auth;
+            assert!(aaa.handle_request(&req, 0).is_ok());
         }
         assert_ne!(fed.user(u1.id).unwrap().secret, u1.secret);
         assert_ne!(fed.user(u2.id).unwrap().home, leaver);
@@ -636,7 +635,7 @@ mod tests {
 
     #[test]
     fn withdrawing_the_last_operator_with_users_is_refused() {
-        let mut fed = monolithic_federation(&[SatelliteClass::SmallSat], &default_station_sites());
+        let mut fed = iridium_federation(1, &[SatelliteClass::SmallSat], &default_station_sites());
         let op = fed.operator_ids()[0];
         fed.register_user(op).unwrap();
         assert_eq!(

@@ -68,8 +68,7 @@ pub mod prelude {
         attach_cells, demand_flows_for, demand_ledgers, BridgeStats, CellAttachment, CellCoverage,
     };
     pub use crate::federation::{
-        default_station_sites, iridium_federation, monolithic_federation, Federation,
-        FederationError, User, Withdrawal,
+        default_station_sites, iridium_federation, Federation, FederationError, User, Withdrawal,
     };
     pub use crate::netsim::{
         DemandWorkload, FaultImpact, FlowSpec, NetSim, NetSimConfig, NetSimReport, RoutingMode,

@@ -1443,7 +1443,7 @@ mod tests {
     use openspace_net::topology::{Graph, LinkTech};
     use openspace_sim::fault::{FaultPlan, FaultTopology};
     use openspace_sim::ids::OperatorId;
-    use openspace_telemetry::MemoryRecorder;
+    use openspace_telemetry::{JsonValue, MemoryRecorder};
 
     /// 0 —fast— 1 —fast— 3   plus a slow bypass 0 — 2 — 3.
     fn diamond(fast_bps: f64) -> Graph {
@@ -1827,11 +1827,17 @@ mod tests {
         assert_eq!(rec.counter("netsim.delivered"), plain.delivered);
         assert_eq!(rec.counter("netsim.dropped"), plain.dropped);
         // One latency sample per delivered packet, split across flows.
-        let overall = rec.histogram("netsim.latency_s").unwrap();
-        assert_eq!(overall.count() as u64, plain.delivered);
-        let f0 = rec.histogram("netsim.flow.0.latency_s").unwrap().count();
-        let f1 = rec.histogram("netsim.flow.1.latency_s").unwrap().count();
-        assert_eq!((f0 + f1) as u64, plain.delivered);
+        let dump = rec.deterministic_json();
+        let count = |key: &str| {
+            let h = dump.get("histograms").and_then(|h| h.get(key));
+            match h.and_then(|s| s.get("count")) {
+                Some(&JsonValue::Uint(n)) => n,
+                other => panic!("{key}: no sample count ({other:?})"),
+            }
+        };
+        assert_eq!(count("netsim.latency_s"), plain.delivered);
+        let per_flow = count("netsim.flow.0.latency_s") + count("netsim.flow.1.latency_s");
+        assert_eq!(per_flow, plain.delivered);
         // The engine counters made it out.
         assert!(rec.counter("engine.events_processed") > 0);
         assert!(rec.maximum("engine.queue_depth_high_water").unwrap() >= 1.0);
@@ -2285,9 +2291,13 @@ mod tests {
         let recorded = sim.run_recorded(&flows, &mut rec).unwrap();
         assert_eq!(plain, recorded);
         assert_eq!(rec.counter("netsim.fault.events_applied"), 2);
+        let dump = rec.deterministic_json();
+        let availability = dump
+            .get("gauges")
+            .and_then(|g| g.get("netsim.fault.node_availability"));
         assert_eq!(
-            rec.gauge_value("netsim.fault.node_availability").unwrap(),
-            plain.fault.node_availability
+            availability,
+            Some(&JsonValue::Num(plain.fault.node_availability))
         );
         assert_eq!(
             rec.counter("netsim.fault.reassociations"),
@@ -2332,7 +2342,7 @@ mod tests {
         use TopologyEventKind::{NodeDown, NodeUp};
         let g = ring(5);
         let down = masked_after(&g, &[NodeDown(NodeId(2))]);
-        assert_eq!(down.degree(2usize), 0);
+        assert_eq!(down.edges(2usize).len(), 0);
         assert_eq!(down.edge_count(), g.edge_count() - 4);
         assert_eq!(
             masked_after(&g, &[NodeDown(NodeId(2)), NodeUp(NodeId(2))]),
@@ -2369,7 +2379,7 @@ mod tests {
         // bring back edges the node outage holds, and the node's own up
         // restores the link.
         let shadowed = masked_after(&g, &[NodeDown(n0), LinkDown(n0, n1), LinkUp(n0, n1)]);
-        assert_eq!(shadowed.degree(0usize), 0);
+        assert_eq!(shadowed.edges(0usize).len(), 0);
         assert!(shadowed.find_edge(1usize, 0usize).is_none());
         let restored = [NodeDown(n0), LinkDown(n0, n1), NodeUp(n0)];
         assert_eq!(masked_after(&g, &restored), g);

@@ -107,19 +107,6 @@ impl DiurnalProfile {
         let t = h - h.floor();
         self.hourly[lo] * (1.0 - t) + self.hourly[hi] * t
     }
-
-    /// Mean activity over the 24 hourly samples.
-    pub fn mean_activity(&self) -> f64 {
-        self.hourly.iter().sum::<f64>() / 24.0
-    }
-
-    /// Ratio of the largest to the smallest hourly activity (the
-    /// profile's diurnal swing). Infinite if any hour is zero.
-    pub fn peak_to_trough(&self) -> f64 {
-        let max = self.hourly.iter().cloned().fold(f64::MIN, f64::max);
-        let min = self.hourly.iter().cloned().fold(f64::MAX, f64::min);
-        max / min
-    }
 }
 
 #[cfg(test)]
@@ -154,8 +141,6 @@ mod tests {
         assert!(s.activity(21.0) > 5.0 * s.activity(3.0));
         let b = DiurnalProfile::business_hours();
         assert!(b.activity(10.0) > b.activity(22.0));
-        let i = DiurnalProfile::iot_flat();
-        assert!(i.peak_to_trough() < 1.5);
     }
 
     #[test]

@@ -173,12 +173,6 @@ impl AppMix {
     pub fn classes(&self) -> &[ClassSpec] {
         &self.classes
     }
-
-    /// Mean offered bits/s per user at full (activity = 1) load,
-    /// summed over classes.
-    pub fn per_user_full_activity_bps(&self) -> f64 {
-        self.classes.iter().map(|c| c.share * c.per_user_bps).sum()
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +184,6 @@ mod tests {
         let mix = AppMix::broadband();
         assert_eq!(mix.classes().len(), 4);
         assert_eq!(mix.classes()[0].class, AppClass::Streaming);
-        assert!(mix.per_user_full_activity_bps() > 0.0);
     }
 
     #[test]

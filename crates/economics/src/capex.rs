@@ -33,14 +33,6 @@ impl LaunchPricing {
             integration_usd: 60_000.0,
         }
     }
-
-    /// Dedicated small-launcher pricing (several times rideshare).
-    pub fn dedicated_small_launcher() -> Self {
-        Self {
-            usd_per_kg: 25_000.0,
-            integration_usd: 250_000.0,
-        }
-    }
 }
 
 /// Cost breakdown for one satellite.
@@ -158,17 +150,6 @@ mod tests {
         // 66/5 → 14 sats per member.
         let per_sat = satellite_cost(SatelliteClass::CubeSat, &launch).total_usd();
         assert!((b.federated_usd - 14.0 * per_sat).abs() < 1.0);
-    }
-
-    #[test]
-    fn dedicated_launch_costs_more() {
-        let ride = fleet_cost_usd(SatelliteClass::SmallSat, 10, &LaunchPricing::rideshare());
-        let dedicated = fleet_cost_usd(
-            SatelliteClass::SmallSat,
-            10,
-            &LaunchPricing::dedicated_small_launcher(),
-        );
-        assert!(dedicated > ride);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`capex`] — fleet costs: hardware, launch, and the FCC's $12,145
 //!   small-sat fee; the entry-barrier comparison between monolithic and
 //!   federated deployment.
-//! * [`pricing`] — hardware-aware path pricing: RF hops cheap in capex,
-//!   laser hops cheap per byte, congestion surcharges under load.
+//! * [`pricing`] — hardware-aware hop pricing: RF hops cheap in capex,
+//!   laser hops cheap per byte.
 //! * [`incentives`] — §5(4)'s open problem: exact Shapley-value revenue
 //!   sharing and the join-or-go-alone rationality test.
 
@@ -46,6 +46,6 @@ pub mod prelude {
     pub use crate::incentives::{collaboration_surplus, shapley_shares, Share};
     pub use crate::ledger::{reconcile, BillingKey, Dispute, Reconciliation, TrafficLedger};
     pub use crate::peering::{evaluate_peering, PeeringPolicy, PeeringVerdict};
-    pub use crate::pricing::{path_price_usd_per_gib, HopEconomics};
+    pub use crate::pricing::HopEconomics;
     pub use crate::settlement::{PriceBook, SettlementMatrix};
 }

@@ -1,4 +1,4 @@
-//! Path price formation.
+//! Hop price formation.
 //!
 //! §3: "This cost model has the advantage of being adaptive to different
 //! technical specifications of the underlying satellite links, since
@@ -8,8 +8,7 @@
 //! be cheaper … and will have looser QoS guarantees."
 //!
 //! The model: a hop's price per GiB is its amortized capex divided by the
-//! traffic it can move over its amortization window, scaled by a
-//! utilization surcharge (congested links price higher). Laser hops
+//! traffic it can move over its amortization window. Laser hops
 //! amortize a $500k terminal but move orders of magnitude more bits, so
 //! their *price per GiB* can undercut RF while their *absolute* price per
 //! hop-hour is higher — exactly the "adaptive to hardware" property.
@@ -61,22 +60,6 @@ impl HopEconomics {
             self.capacity_bps * self.expected_utilization * self.amortization_s / 8.0;
         self.terminal_capex_usd / (lifetime_bytes / (1024.0 * 1024.0 * 1024.0))
     }
-
-    /// Price with a congestion surcharge at instantaneous load
-    /// `load_fraction`: price rises as `1/(1−load)` — scarce capacity
-    /// prices higher, which is what §2.2's "higher tariffs on visitor
-    /// traffic" under load amounts to.
-    pub fn congested_price_usd_per_gib(&self, load_fraction: f64) -> f64 {
-        assert!((0.0..1.0).contains(&load_fraction), "load must be in [0,1)");
-        self.base_price_usd_per_gib() / (1.0 - load_fraction)
-    }
-}
-
-/// Price (USD per GiB) of a full path: the sum of its hop prices.
-pub fn path_price_usd_per_gib(hops: &[(HopEconomics, f64)]) -> f64 {
-    hops.iter()
-        .map(|(h, load)| h.congested_price_usd_per_gib(*load))
-        .sum()
 }
 
 #[cfg(test)]
@@ -106,22 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn congestion_raises_price() {
-        let h = HopEconomics::rf_isl(RF_BPS);
-        let idle = h.congested_price_usd_per_gib(0.0);
-        let busy = h.congested_price_usd_per_gib(0.9);
-        assert!((busy / idle - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn path_price_sums_hops() {
-        let h = HopEconomics::rf_isl(RF_BPS);
-        let one = path_price_usd_per_gib(&[(h, 0.0)]);
-        let three = path_price_usd_per_gib(&[(h, 0.0), (h, 0.0), (h, 0.0)]);
-        assert!((three / one - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn base_price_is_positive_and_finite() {
         for h in [
             HopEconomics::rf_isl(RF_BPS),
@@ -138,11 +105,5 @@ mod tests {
         // years moves ~29k GiB; $90k capex → an order of $3/GiB.
         let p = HopEconomics::rf_isl(RF_BPS).base_price_usd_per_gib();
         assert!((0.5..20.0).contains(&p), "RF price {p} USD/GiB");
-    }
-
-    #[test]
-    #[should_panic(expected = "load must be in [0,1)")]
-    fn saturated_load_panics() {
-        HopEconomics::rf_isl(RF_BPS).congested_price_usd_per_gib(1.0);
     }
 }

@@ -95,11 +95,6 @@ impl SettlementMatrix {
         self.invoices.get(&(payer, payee)).copied().unwrap_or(0.0)
     }
 
-    /// Net bilateral flow: positive means `a` pays `b` after netting.
-    pub fn net_between(&self, a: OperatorId, b: OperatorId) -> f64 {
-        self.owed(a, b) - self.owed(b, a)
-    }
-
     /// Net position of one operator across the federation: positive means
     /// it receives money overall.
     pub fn net_position(&self, op: OperatorId) -> f64 {
@@ -168,7 +163,6 @@ mod tests {
     fn netting_works() {
         let prices = PriceBook::new(10.0);
         let m = SettlementMatrix::from_ledgers(&ledgers_two_ops(), &prices);
-        assert!((m.net_between(OperatorId(1), OperatorId(2)) - 10.0).abs() < 1e-9);
         assert!((m.net_position(OperatorId(1)) + 10.0).abs() < 1e-9);
         assert!((m.net_position(OperatorId(2)) - 10.0).abs() < 1e-9);
     }
@@ -222,7 +216,7 @@ mod tests {
 
     #[test]
     fn recorded_settlement_counts_items_and_gross() {
-        use openspace_telemetry::MemoryRecorder;
+        use openspace_telemetry::{JsonValue, MemoryRecorder};
         let prices = PriceBook::new(10.0);
         let ledgers = ledgers_two_ops();
         let plain = SettlementMatrix::from_ledgers(&ledgers, &prices);
@@ -234,7 +228,14 @@ mod tests {
         );
         assert_eq!(rec.counter("settlement.records_settled"), 2);
         // 2 GiB @ 10 + 1 GiB @ 10 = 30 USD gross.
-        assert!((rec.gauge_value("settlement.gross_usd").unwrap() - 30.0).abs() < 1e-9);
+        let dump = rec.deterministic_json();
+        let gross = dump
+            .get("gauges")
+            .and_then(|g| g.get("settlement.gross_usd"));
+        let Some(&JsonValue::Num(gross)) = gross else {
+            panic!("no gross settlement gauge");
+        };
+        assert!((gross - 30.0).abs() < 1e-9);
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl BeaconSchedule {
     pub fn mean_discovery_latency_s(&self) -> f64 {
         self.period_s / 2.0 + self.beacon_airtime_s()
     }
-
-    /// Worst-case discovery latency (s).
-    pub fn max_discovery_latency_s(&self) -> f64 {
-        self.period_s + self.beacon_airtime_s()
-    }
 }
 
 #[cfg(test)]
@@ -78,7 +73,6 @@ mod tests {
     fn discovery_latency_bounds() {
         let b = BeaconSchedule::openspace_default();
         assert!(b.mean_discovery_latency_s() > b.period_s / 2.0);
-        assert!(b.mean_discovery_latency_s() < b.max_discovery_latency_s());
     }
 
     #[test]

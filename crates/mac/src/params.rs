@@ -52,24 +52,6 @@ impl MacParams {
         }
     }
 
-    /// A satellite-to-user access channel at Ku band: 20 Mbit/s share,
-    /// 780 km slant (2.6 ms).
-    pub fn ku_user_link() -> Self {
-        Self {
-            bit_rate_bps: 20.0e6,
-            slot_time_s: 9e-6,
-            sifs_s: 16e-6,
-            difs_s: 34e-6,
-            cw_min: 15,
-            cw_max: 1023,
-            payload_bits: 12_000,
-            header_bits: 400,
-            ack_bits: 112,
-            max_retries: 7,
-            propagation_delay_s: 2.6e-3,
-        }
-    }
-
     /// Time (s) to serialize a payload frame.
     pub fn frame_tx_time_s(&self) -> f64 {
         (self.payload_bits + self.header_bits) as f64 / self.bit_rate_bps
@@ -101,7 +83,6 @@ mod tests {
     #[test]
     fn presets_validate() {
         MacParams::s_band_isl().validate();
-        MacParams::ku_user_link().validate();
     }
 
     #[test]

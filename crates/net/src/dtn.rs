@@ -73,11 +73,6 @@ impl Contact {
     pub fn duration_s(&self) -> f64 {
         self.end_s - self.start_s
     }
-
-    /// Volume (bits) the contact can move.
-    pub fn volume_bits(&self) -> f64 {
-        self.duration_s() * self.rate_bps
-    }
 }
 
 /// Sample the time-varying topology into a contact plan over
@@ -160,13 +155,6 @@ pub struct DtnRoute {
     pub nodes: Vec<NodeId>,
     /// Custody-transfer retries spent along the route (0 without faults).
     pub retries: u32,
-}
-
-impl DtnRoute {
-    /// Store-and-forward hops taken.
-    pub fn hops(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
-    }
 }
 
 /// Custody-transfer retry policy: capped exponential backoff.
@@ -409,7 +397,7 @@ mod tests {
         // The later contact listed first: the fixed-point loop handles it.
         let plan = [contact(1, 2, 500.0, 600.0), contact(0, 1, 0.0, 10.0)];
         let r = arrive(&plan, 3, 0, 2, 0.0, 1e6).unwrap();
-        assert_eq!(r.hops(), 2);
+        assert_eq!(r.nodes.len(), 3);
     }
 
     #[test]
@@ -534,7 +522,7 @@ mod tests {
 
     #[test]
     fn recorded_route_reports_retries_and_delay() {
-        use openspace_telemetry::MemoryRecorder;
+        use openspace_telemetry::{JsonValue, MemoryRecorder};
         let plan = [contact(0, 1, 0.0, 100.0)];
         let outage = [NodeOutageWindow {
             node: NodeId(1),
@@ -556,9 +544,16 @@ mod tests {
         .unwrap();
         assert_eq!(rec.counter("dtn.bundles_routed"), 1);
         assert_eq!(rec.counter("dtn.custody_retries"), u64::from(r.retries));
-        let delay = rec.histogram("dtn.delivery_delay_s").unwrap();
-        assert_eq!(delay.count(), 1);
-        assert!((delay.mean() - r.arrival_s).abs() < 1e-9);
+        let dump = rec.deterministic_json();
+        let delay = dump
+            .get("histograms")
+            .and_then(|h| h.get("dtn.delivery_delay_s"));
+        let delay = delay.expect("a delivery-delay histogram");
+        assert_eq!(delay.get("count"), Some(&JsonValue::Uint(1)));
+        let Some(&JsonValue::Num(mean)) = delay.get("mean") else {
+            panic!("no mean delay");
+        };
+        assert!((mean - r.arrival_s).abs() < 1e-9);
     }
 
     #[test]

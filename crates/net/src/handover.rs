@@ -233,7 +233,7 @@ impl HandoverCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openspace_telemetry::NullRecorder;
+    use openspace_telemetry::{JsonValue, NullRecorder};
 
     fn w(sat: usize, start: f64, end: f64) -> ContactWindow {
         ContactWindow {
@@ -395,7 +395,14 @@ mod tests {
         assert_eq!(rec.counter("handover.schedules"), 1);
         assert_eq!(rec.counter("handover.switches"), 1);
         assert_eq!(rec.counter("handover.forced_reassociations"), 1);
-        assert_eq!(rec.histogram("handover.outage_s").unwrap().mean(), 0.0);
+        let dump = rec.deterministic_json();
+        let outage = dump
+            .get("histograms")
+            .and_then(|h| h.get("handover.outage_s"));
+        assert_eq!(
+            outage.and_then(|s| s.get("mean")),
+            Some(&JsonValue::Num(0.0))
+        );
     }
 
     #[test]

@@ -316,11 +316,6 @@ impl Graph {
         self.adj.iter().map(Vec::len).sum()
     }
 
-    /// Out-degree of `node`.
-    pub fn degree(&self, node: impl Into<NodeId>) -> usize {
-        self.adj[node.into().0].len()
-    }
-
     /// Find the edge `from → to`, if present.
     pub fn find_edge(&self, from: impl Into<NodeId>, to: impl Into<NodeId>) -> Option<&Edge> {
         let to = to.into();
@@ -406,7 +401,7 @@ mod tests {
     fn bidirectional_adds_two_edges() {
         let g = line_graph();
         assert_eq!(g.edge_count(), 4);
-        assert_eq!(g.degree(1usize), 2);
+        assert_eq!(g.edges(1usize).len(), 2);
         assert!(g.find_edge(0usize, 1usize).is_some());
         assert!(g.find_edge(1usize, 0usize).is_some());
         assert!(g.find_edge(0usize, 2usize).is_none());

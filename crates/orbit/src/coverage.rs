@@ -212,21 +212,6 @@ fn disjoint_packing_from_footprints(fp: Vec<(Vec3, f64)>) -> f64 {
     frac.min(1.0)
 }
 
-/// Count of satellites visible from a ground point at time `t_s`.
-pub fn visible_count(
-    ground_ecef: Vec3,
-    sats: &[Propagator],
-    t_s: f64,
-    min_elevation_rad: f64,
-) -> usize {
-    sats.iter()
-        .filter(|p| {
-            let s = eci_to_ecef(p.position_eci(t_s), t_s);
-            is_visible(ground_ecef, s, min_elevation_rad)
-        })
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,15 +363,5 @@ mod tests {
     fn worst_case_clamps_at_one() {
         let sats = props(random_constellation(400, km_to_m(780.0), 86.4, 2).unwrap());
         assert!(worst_case_coverage_fraction(&sats, 0.0, 0.0) <= 1.0);
-    }
-
-    #[test]
-    fn visible_count_zero_without_sats_overhead() {
-        let ground = Vec3::new(crate::constants::EARTH_RADIUS_M, 0.0, 0.0);
-        // One satellite on the opposite side of the planet.
-        let els =
-            crate::kepler::OrbitalElements::circular(km_to_m(780.0), 86.4, 0.0, 180.0).unwrap();
-        let sats = props(vec![els]);
-        assert_eq!(visible_count(ground, &sats, 0.0, 0.0), 0);
     }
 }

@@ -5,7 +5,7 @@
 //! mean-motion solar ephemeris is plenty: LEO eclipse fractions are
 //! dominated by geometry, not penumbra subtleties.
 
-use crate::constants::{ASTRONOMICAL_UNIT_M, EARTH_RADIUS_M, ECLIPTIC_OBLIQUITY_RAD};
+use crate::constants::{EARTH_RADIUS_M, ECLIPTIC_OBLIQUITY_RAD};
 use crate::frames::Vec3;
 use crate::propagator::Propagator;
 
@@ -22,11 +22,6 @@ pub fn sun_direction_eci(t_s: f64) -> Vec3 {
     let (so, co) = ECLIPTIC_OBLIQUITY_RAD.sin_cos();
     // Ecliptic -> equatorial rotation about +X.
     Vec3::new(cl, sl * co, sl * so)
-}
-
-/// Position of the Sun (m, ECI) at time `t_s` (circular 1 AU orbit).
-pub fn sun_position_eci(t_s: f64) -> Vec3 {
-    sun_direction_eci(t_s) * ASTRONOMICAL_UNIT_M
 }
 
 /// True when the satellite at ECI position `sat_pos` is inside the Earth's

@@ -322,7 +322,8 @@ mod tests {
     #[test]
     fn quarter_sidereal_day_rotates_ninety_degrees() {
         let p = Vec3::new(7.0e6, 0.0, 0.0);
-        let t = crate::constants::SIDEREAL_DAY_S / 4.0;
+        // A quarter of the 86 164.0905 s sidereal day.
+        let t = 86_164.090_5 / 4.0;
         let q = eci_to_ecef(p, t);
         // After a quarter turn, the inertial +X point appears near ECEF -Y.
         assert_close(q.x / 7.0e6, 0.0, 1e-4, "x");
@@ -357,7 +358,8 @@ mod tests {
     #[test]
     fn pole_ecef_is_on_polar_radius() {
         let p = geodetic_to_ecef(Geodetic::from_degrees(90.0, 0.0, 0.0));
-        assert_close(p.z, crate::constants::EARTH_POLAR_RADIUS_M, 1e-3, "z");
+        // The WGS84 semi-minor axis.
+        assert_close(p.z, 6_356_752.314_245, 1e-3, "z");
     }
 
     #[test]

@@ -42,12 +42,6 @@ pub fn ground_track(
         .collect()
 }
 
-/// Maximum geodetic latitude (rad) reachable by the sub-satellite point of
-/// an orbit with the given inclination: `min(i, π − i)`.
-pub fn max_ground_latitude_rad(inclination_rad: f64) -> f64 {
-    inclination_rad.min(std::f64::consts::PI - inclination_rad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,13 +120,6 @@ mod tests {
             (-28.0..-22.0).contains(&dlon),
             "westward drift per orbit {dlon} deg"
         );
-    }
-
-    #[test]
-    fn max_ground_latitude_symmetric() {
-        assert!((max_ground_latitude_rad(1.0) - 1.0).abs() < 1e-12);
-        let retro = max_ground_latitude_rad(std::f64::consts::PI - 1.0);
-        assert!((retro - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -210,7 +210,7 @@ pub fn elements_to_state(el: &OrbitalElements) -> (Vec3, Vec3) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constants::{circular_velocity_m_per_s, km_to_m};
+    use crate::constants::km_to_m;
 
     fn iridium_like() -> OrbitalElements {
         OrbitalElements::circular(km_to_m(780.0), 86.4, 0.0, 0.0).unwrap()
@@ -273,7 +273,7 @@ mod tests {
         let (r, v) = elements_to_state(&el);
         let expect_r = EARTH_RADIUS_M + km_to_m(780.0);
         assert!((r.norm() - expect_r).abs() < 1.0, "radius {}", r.norm());
-        let expect_v = circular_velocity_m_per_s(expect_r);
+        let expect_v = (EARTH_MU_M3_PER_S2 / expect_r).sqrt();
         assert!((v.norm() - expect_v).abs() < 0.1, "speed {}", v.norm());
     }
 

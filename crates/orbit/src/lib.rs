@@ -20,8 +20,6 @@
 //! * [`tle`] — Two-Line Element parsing/generation: the public-catalog
 //!   format (§2.2's "radar-tracked orbital paths … readily available on
 //!   public websites") for ingesting and publishing constellations.
-//! * [`time`] — civil-time arithmetic for placing mixed-epoch TLE
-//!   catalogs on one simulation timeline.
 //!
 //! Everything is deterministic: given the same elements and times, every
 //! function returns bit-identical results, which is what makes the
@@ -53,7 +51,6 @@ pub mod frames;
 pub mod groundtrack;
 pub mod kepler;
 pub mod propagator;
-pub mod time;
 pub mod tle;
 pub mod visibility;
 pub mod walker;
@@ -61,13 +58,13 @@ pub mod walker;
 /// Convenient glob-import surface for downstream crates and examples.
 pub mod prelude {
     pub use crate::constants::{
-        deg_to_rad, km_to_m, m_to_km, orbital_period_s, rad_to_deg, EARTH_MEAN_RADIUS_M,
-        EARTH_RADIUS_M, SPEED_OF_LIGHT_M_PER_S,
+        km_to_m, m_to_km, orbital_period_s, EARTH_MEAN_RADIUS_M, EARTH_RADIUS_M,
+        SPEED_OF_LIGHT_M_PER_S,
     };
     pub use crate::coverage::{
         disjoint_packing_coverage_fraction, disjoint_packing_coverage_fraction_from_eci,
-        grid_coverage_fraction, grid_coverage_fraction_from_ecef, visible_count,
-        worst_case_coverage_fraction, worst_case_coverage_fraction_from_eci, SphereGrid,
+        grid_coverage_fraction, grid_coverage_fraction_from_ecef, worst_case_coverage_fraction,
+        worst_case_coverage_fraction_from_eci, SphereGrid,
     };
     pub use crate::eclipse::{eclipse_fraction, in_eclipse};
     pub use crate::ephemeris::{EphemerisCache, EphemerisSample, SampleKey};
@@ -77,12 +74,11 @@ pub mod prelude {
     pub use crate::groundtrack::{ground_track, TrackPoint};
     pub use crate::kepler::{ElementsError, OrbitalElements};
     pub use crate::propagator::{PerturbationModel, Propagator};
-    pub use crate::time::{tle_epoch_to_sim_s, CivilDate, UtcInstant};
     pub use crate::tle::{elements_to_tle, parse_tle, Tle, TleError};
     pub use crate::visibility::{
         cap_fraction, coverage_half_angle_rad, elevation_angle_rad, is_visible, line_of_sight,
-        line_of_sight_with_clearance, look_angles_rad, max_isl_range_m, max_slant_range_m,
-        slant_range_at_elevation_m, slant_range_m, visible_slant_range_m,
+        line_of_sight_with_clearance, look_angles_rad, max_isl_range_m, slant_range_at_elevation_m,
+        slant_range_m, visible_slant_range_m,
     };
     pub use crate::walker::{
         cbo_params, iridium_params, random_constellation, walker_delta, walker_star, WalkerParams,

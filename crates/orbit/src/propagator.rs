@@ -76,23 +76,6 @@ impl Propagator {
         self.model
     }
 
-    /// Secular RAAN drift rate (rad/s); zero for the two-body model.
-    pub fn raan_rate_rad_per_s(&self) -> f64 {
-        self.raan_rate
-    }
-
-    /// Secular argument-of-perigee drift rate (rad/s); zero for the
-    /// two-body model.
-    pub fn argp_rate_rad_per_s(&self) -> f64 {
-        self.argp_rate
-    }
-
-    /// Effective mean-anomaly advance rate (rad/s): the Keplerian mean
-    /// motion plus the secular J2 correction.
-    pub fn mean_anomaly_rate_rad_per_s(&self) -> f64 {
-        self.mean_anomaly_rate
-    }
-
     /// Tight geocentric radius bounds `(r_min, r_max)` in metres over the
     /// whole trajectory.
     ///
@@ -184,13 +167,10 @@ mod tests {
     #[test]
     fn j2_regresses_node_westward_for_prograde_orbit() {
         let prop = Propagator::new(leo(53.0), PerturbationModel::SecularJ2);
-        assert!(
-            prop.raan_rate_rad_per_s() < 0.0,
-            "prograde orbits regress westward"
-        );
+        assert!(prop.raan_rate < 0.0, "prograde orbits regress westward");
         // Published magnitude for 780 km / 53 deg is ~ -4.1e-7 rad/s
         // (≈ -2 deg/day). Check the ballpark.
-        let deg_per_day = prop.raan_rate_rad_per_s().to_degrees() * 86_400.0;
+        let deg_per_day = prop.raan_rate.to_degrees() * 86_400.0;
         assert!(
             (-6.0..-2.0).contains(&deg_per_day),
             "RAAN rate {deg_per_day} deg/day out of LEO ballpark"
@@ -201,16 +181,14 @@ mod tests {
     fn j2_advances_node_eastward_for_retrograde_orbit() {
         let el = OrbitalElements::circular(km_to_m(780.0), 98.0, 0.0, 0.0).unwrap();
         let prop = Propagator::new(el, PerturbationModel::SecularJ2);
-        assert!(prop.raan_rate_rad_per_s() > 0.0);
+        assert!(prop.raan_rate > 0.0);
     }
 
     #[test]
     fn near_polar_orbit_has_small_nodal_regression() {
         let prop_polar = Propagator::new(leo(89.9), PerturbationModel::SecularJ2);
         let prop_mid = Propagator::new(leo(45.0), PerturbationModel::SecularJ2);
-        assert!(
-            prop_polar.raan_rate_rad_per_s().abs() < prop_mid.raan_rate_rad_per_s().abs() / 10.0
-        );
+        assert!(prop_polar.raan_rate.abs() < prop_mid.raan_rate.abs() / 10.0);
     }
 
     #[test]

@@ -56,6 +56,12 @@ pub enum TleError {
         /// Its length.
         len: usize,
     },
+    /// A line held a non-ASCII character, so its fixed columns cannot be
+    /// sliced by byte offset.
+    NonAscii {
+        /// Which line (1 or 2).
+        line: u8,
+    },
     /// Line did not start with the expected line number.
     BadLineNumber {
         /// Which line was expected.
@@ -85,6 +91,7 @@ impl std::fmt::Display for TleError {
             Self::LineTooShort { line, len } => {
                 write!(f, "line {line} too short: {len} chars (need 69)")
             }
+            Self::NonAscii { line } => write!(f, "line {line} is not ASCII"),
             Self::BadLineNumber { expected } => write!(f, "expected line {expected}"),
             Self::BadChecksum {
                 line,
@@ -158,6 +165,9 @@ fn check_line(line: &str, which: u8) -> Result<(), TleError> {
             line: which,
             len: line.len(),
         });
+    }
+    if !line.is_ascii() {
+        return Err(TleError::NonAscii { line: which });
     }
     if !line.starts_with(&which.to_string()) {
         return Err(TleError::BadLineNumber { expected: which });
@@ -324,6 +334,18 @@ mod tests {
         assert!(matches!(
             parse_tle("1 25544U", ISS_L2),
             Err(TleError::LineTooShort { line: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn non_ascii_line_rejected() {
+        // 69 bytes with a valid checksum, but the two-byte 'é' shifts every
+        // later field off its fixed byte column.
+        let l1 = "1 25544U\u{e9}98067A  08264.51782528 -.00002182  00000-0 -11606-4 0  2957";
+        assert_eq!(l1.len(), 69);
+        assert!(matches!(
+            parse_tle(l1, ISS_L2),
+            Err(TleError::NonAscii { line: 1 })
         ));
     }
 

@@ -13,8 +13,7 @@
 //!   [`EARTH_RADIUS_M`] — the *equatorial* radius. A grazing ray is
 //!   blocked by the widest part of the planet, so the equatorial radius
 //!   is the conservative occluder.
-//! * Footprint math ([`coverage_half_angle_rad`], [`cap_area_m2`],
-//!   [`cap_fraction`], [`max_slant_range_m`]) uses
+//! * Footprint math ([`coverage_half_angle_rad`], [`cap_fraction`]) uses
 //!   [`EARTH_MEAN_RADIUS_M`]: coverage fractions integrate over the whole
 //!   globe, where the mean radius minimizes area error.
 //!
@@ -101,22 +100,9 @@ pub fn coverage_half_angle_rad(altitude_m: f64, min_elevation_rad: f64) -> f64 {
     (rho * min_elevation_rad.cos()).acos() - min_elevation_rad
 }
 
-/// Area (m²) of a spherical cap with half-angle `half_angle_rad` on the
-/// mean-radius Earth sphere.
-pub fn cap_area_m2(half_angle_rad: f64) -> f64 {
-    std::f64::consts::TAU * EARTH_MEAN_RADIUS_M * EARTH_MEAN_RADIUS_M * (1.0 - half_angle_rad.cos())
-}
-
 /// Fraction of the Earth's surface covered by one spherical cap.
 pub fn cap_fraction(half_angle_rad: f64) -> f64 {
     (1.0 - half_angle_rad.cos()) / 2.0
-}
-
-/// Maximum slant range (m) from a ground point to a satellite at
-/// `altitude_m` appearing exactly at elevation `min_elevation_rad`.
-pub fn max_slant_range_m(altitude_m: f64, min_elevation_rad: f64) -> f64 {
-    let r = EARTH_MEAN_RADIUS_M;
-    slant_range_at_elevation_m(r, r + altitude_m, min_elevation_rad)
 }
 
 /// Slant range (m) from a ground point at geocentric radius
@@ -315,35 +301,16 @@ mod tests {
     }
 
     #[test]
-    fn cap_area_matches_fraction() {
-        let lam = 0.4;
-        let total = 4.0 * std::f64::consts::PI * EARTH_MEAN_RADIUS_M * EARTH_MEAN_RADIUS_M;
-        assert!((cap_area_m2(lam) / total - cap_fraction(lam)).abs() < 1e-12);
-    }
-
-    #[test]
     fn max_slant_range_decreases_with_elevation() {
-        let r0 = max_slant_range_m(H780, 0.0);
-        let r25 = max_slant_range_m(H780, 25f64.to_radians());
-        let r90 = max_slant_range_m(H780, FRAC_PI_2);
+        let r = EARTH_MEAN_RADIUS_M;
+        let r0 = slant_range_at_elevation_m(r, r + H780, 0.0);
+        let r25 = slant_range_at_elevation_m(r, r + H780, 25f64.to_radians());
+        let r90 = slant_range_at_elevation_m(r, r + H780, FRAC_PI_2);
         assert!(r0 > r25 && r25 > r90);
         // At 90° the slant range is exactly the altitude.
         assert!((r90 - H780).abs() < 1.0);
         // At 0°, roughly sqrt(2Rh + h^2) ≈ 3300 km for 780 km altitude.
         assert!((r0 / 1000.0 - 3_290.0).abs() < 60.0, "{}", r0 / 1000.0);
-    }
-
-    #[test]
-    fn slant_range_pivot_matches_max_slant_range() {
-        // max_slant_range_m is the pivot formula specialized to the mean
-        // radius — the refactor must not have changed a single bit.
-        for &(h, e) in &[(H780, 0.0), (H780, 0.4), (550_000.0, 25f64.to_radians())] {
-            let r = EARTH_MEAN_RADIUS_M;
-            assert_eq!(
-                max_slant_range_m(h, e).to_bits(),
-                slant_range_at_elevation_m(r, r + h, e).to_bits()
-            );
-        }
     }
 
     #[test]

@@ -1,27 +1,7 @@
-//! Antenna gain and beamwidth models.
+//! Antenna beamwidth and pointing-loss models.
 //!
-//! Used to derive terminal gains from physical aperture sizes, and to
-//! compute the beam divergences that drive the optical
-//! pointing-acquisition-tracking model.
-
-/// Gain (dBi) of a circular aperture of `diameter_m` at `wavelength_m`
-/// with aperture efficiency `efficiency` (typically 0.55–0.7).
-///
-/// `G = η (π D / λ)²`.
-///
-/// # Panics
-/// Panics unless diameter and wavelength are positive and efficiency is in
-/// `(0, 1]`.
-pub fn aperture_gain_dbi(diameter_m: f64, wavelength_m: f64, efficiency: f64) -> f64 {
-    assert!(diameter_m > 0.0, "diameter must be positive");
-    assert!(wavelength_m > 0.0, "wavelength must be positive");
-    assert!(
-        efficiency > 0.0 && efficiency <= 1.0,
-        "efficiency must be in (0,1], got {efficiency}"
-    );
-    let g = efficiency * (std::f64::consts::PI * diameter_m / wavelength_m).powi(2);
-    10.0 * g.log10()
-}
+//! Used to compute the beam divergences and pointing losses that drive the
+//! optical link budget.
 
 /// Half-power beamwidth (rad) of a circular aperture:
 /// `θ ≈ 1.22 λ / D` (diffraction limit, full width ≈ 70° λ/D in degrees).
@@ -45,20 +25,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn one_meter_dish_at_ku_is_about_40_dbi() {
-        // 1 m at 12 GHz (λ=2.5 cm), η=0.6: G ≈ 10 log10(0.6·(π·40)²) ≈ 39.7 dBi.
-        let g = aperture_gain_dbi(1.0, 0.025, 0.6);
-        assert!((g - 39.75).abs() < 0.5, "{g}");
-    }
-
-    #[test]
-    fn gain_grows_12db_per_diameter_doubling_squared() {
-        let g1 = aperture_gain_dbi(0.5, 0.025, 0.6);
-        let g2 = aperture_gain_dbi(1.0, 0.025, 0.6);
-        assert!((g2 - g1 - 6.02).abs() < 0.01, "{}", g2 - g1);
-    }
-
-    #[test]
     fn beamwidth_shrinks_with_aperture() {
         assert!(beamwidth_rad(1.0, 0.025) < beamwidth_rad(0.5, 0.025));
     }
@@ -78,11 +44,5 @@ mod tests {
     #[test]
     fn half_beamwidth_offset_costs_3_db() {
         assert!((pointing_loss_db(0.5e-3, 1e-3) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "efficiency")]
-    fn bad_efficiency_panics() {
-        aperture_gain_dbi(1.0, 0.025, 1.5);
     }
 }

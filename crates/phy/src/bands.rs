@@ -48,11 +48,6 @@ impl RfBand {
         }
     }
 
-    /// Wavelength (m) at the band center.
-    pub fn wavelength_m(self) -> f64 {
-        openspace_orbit::constants::SPEED_OF_LIGHT_M_PER_S / self.center_frequency_hz()
-    }
-
     /// All bands, ascending in frequency.
     pub fn all() -> [RfBand; 5] {
         [Self::Uhf, Self::S, Self::X, Self::Ku, Self::Ka]
@@ -80,11 +75,6 @@ impl std::fmt::Display for RfBand {
 /// the wavelength the commercial terminals the paper costs out operate at).
 pub const OPTICAL_WAVELENGTH_M: f64 = 1_550e-9;
 
-/// Optical carrier frequency (Hz).
-pub fn optical_frequency_hz() -> f64 {
-    openspace_orbit::constants::SPEED_OF_LIGHT_M_PER_S / OPTICAL_WAVELENGTH_M
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,24 +85,6 @@ mod tests {
         for w in all.windows(2) {
             assert!(w[0].center_frequency_hz() < w[1].center_frequency_hz());
         }
-    }
-
-    #[test]
-    fn wavelength_frequency_product_is_c() {
-        for b in RfBand::all() {
-            let c = b.wavelength_m() * b.center_frequency_hz();
-            assert!((c - openspace_orbit::constants::SPEED_OF_LIGHT_M_PER_S).abs() < 1.0);
-        }
-    }
-
-    #[test]
-    fn s_band_wavelength_is_about_14_cm() {
-        assert!((RfBand::S.wavelength_m() - 0.136).abs() < 0.01);
-    }
-
-    #[test]
-    fn optical_frequency_is_about_193_thz() {
-        assert!((optical_frequency_hz() / 1e12 - 193.4).abs() < 1.0);
     }
 
     #[test]

@@ -34,20 +34,6 @@ pub fn achievable_rate_bps(bandwidth_hz: f64, snr_linear: f64, gap_db: f64) -> f
     c.min(bandwidth_hz * MAX_SPECTRAL_EFFICIENCY)
 }
 
-/// Minimum SNR (linear) needed to support `rate_bps` in `bandwidth_hz`
-/// with the given gap. Inverse of [`achievable_rate_bps`] below the
-/// spectral-efficiency ceiling.
-pub fn required_snr_linear(rate_bps: f64, bandwidth_hz: f64, gap_db: f64) -> f64 {
-    assert!(bandwidth_hz > 0.0, "bandwidth must be positive");
-    assert!(rate_bps >= 0.0, "rate must be non-negative");
-    let se = rate_bps / bandwidth_hz;
-    assert!(
-        se <= MAX_SPECTRAL_EFFICIENCY,
-        "requested spectral efficiency {se} exceeds modem ceiling"
-    );
-    (2f64.powf(se) - 1.0) * 10f64.powf(gap_db / 10.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,22 +66,6 @@ mod tests {
     fn rate_saturates_at_spectral_ceiling() {
         let r = achievable_rate_bps(1e6, 1e12, 0.0);
         assert_eq!(r, 1e6 * MAX_SPECTRAL_EFFICIENCY);
-    }
-
-    #[test]
-    fn required_snr_inverts_achievable_rate() {
-        let bw = 5e6;
-        for target in [1e6, 5e6, 2.5e7] {
-            let snr = required_snr_linear(target, bw, 3.0);
-            let back = achievable_rate_bps(bw, snr, 3.0);
-            assert!((back - target).abs() / target < 1e-9, "{back} vs {target}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds modem ceiling")]
-    fn impossible_spectral_efficiency_panics() {
-        required_snr_linear(1e9, 1e6, 0.0);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! paper wants to coexist, each with a terminal fit and a launch cost.
 
 use crate::linkbudget::RfTerminal;
-use crate::optical::OpticalTerminal;
-use crate::power::PowerSystem;
 
 /// Cost/mass/volume of one communication terminal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,24 +68,6 @@ impl SatelliteClass {
         }
     }
 
-    /// The laser terminal model fitted, if any.
-    pub fn laser_terminal(self) -> Option<OpticalTerminal> {
-        if self.laser_terminal_count() > 0 {
-            Some(OpticalTerminal::conlct80_class())
-        } else {
-            None
-        }
-    }
-
-    /// Power system of this class.
-    pub fn power_system(self) -> PowerSystem {
-        match self {
-            Self::CubeSat => PowerSystem::cubesat_6u(),
-            Self::SmallSat => PowerSystem::smallsat(),
-            Self::BroadbandBus => PowerSystem::broadband_bus(),
-        }
-    }
-
     /// Bus dry mass (kg), excluding terminals.
     pub fn bus_mass_kg(self) -> f64 {
         match self {
@@ -141,7 +121,6 @@ mod tests {
     #[test]
     fn cubesat_cannot_carry_lasers() {
         assert_eq!(SatelliteClass::CubeSat.laser_terminal_count(), 0);
-        assert!(SatelliteClass::CubeSat.laser_terminal().is_none());
     }
 
     #[test]

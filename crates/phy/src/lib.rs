@@ -9,9 +9,8 @@
 //! * [`capacity`] — Shannon + implementation-gap rate model.
 //! * [`antenna`] — aperture gain, beamwidth, pointing loss.
 //! * [`atmosphere`] — gaseous and rain attenuation for ground links.
-//! * [`doppler`] — LEO Doppler shifts.
 //! * [`optical`] — laser ISL link budget and the PAT (pointing,
-//!   acquisition, tracking) session state machine.
+//!   acquisition, tracking) delay of each terminal.
 //! * [`power`] — solar/battery energy budget; the power constraint that
 //!   limits how many ISLs a satellite can afford (§2.2).
 //! * [`hardware`] — the cost/mass/volume catalogue behind the paper's
@@ -48,7 +47,6 @@ pub mod antenna;
 pub mod atmosphere;
 pub mod bands;
 pub mod capacity;
-pub mod doppler;
 pub mod hardware;
 pub mod linkbudget;
 pub mod optical;
@@ -56,18 +54,16 @@ pub mod power;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::antenna::{aperture_gain_dbi, beamwidth_rad, pointing_loss_db};
+    pub use crate::antenna::{beamwidth_rad, pointing_loss_db};
     pub use crate::atmosphere::{gas_loss_db, rain_loss_db, total_atmospheric_loss_db};
-    pub use crate::bands::{optical_frequency_hz, RfBand, OPTICAL_WAVELENGTH_M};
+    pub use crate::bands::{RfBand, OPTICAL_WAVELENGTH_M};
     pub use crate::capacity::{
-        achievable_rate_bps, required_snr_linear, shannon_capacity_bps,
-        DEFAULT_IMPLEMENTATION_GAP_DB,
+        achievable_rate_bps, shannon_capacity_bps, DEFAULT_IMPLEMENTATION_GAP_DB,
     };
-    pub use crate::doppler::{doppler_shift_hz, max_doppler_hz, radial_velocity_m_per_s};
     pub use crate::hardware::{
         laser_terminal_spec, rf_terminal_spec, SatelliteClass, TerminalSpec,
     };
     pub use crate::linkbudget::{free_space_path_loss_db, from_db, to_db, RfLink, RfTerminal};
-    pub use crate::optical::{OpticalTerminal, PatSession, PatState};
+    pub use crate::optical::OpticalTerminal;
     pub use crate::power::{slew_energy_j, InsufficientPower, PowerBudget, PowerSystem};
 }

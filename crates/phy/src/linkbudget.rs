@@ -31,12 +31,6 @@ pub fn watts_to_dbw(w: f64) -> f64 {
     to_db(w)
 }
 
-/// Convert dBW to watts.
-#[inline]
-pub fn dbw_to_watts(dbw: f64) -> f64 {
-    from_db(dbw)
-}
-
 /// Free-space path loss (dB) over `distance_m` at `frequency_hz`.
 ///
 /// `FSPL = 20 log10(4π d f / c)`.
@@ -102,11 +96,6 @@ impl RfTerminal {
     /// EIRP (dBW) of this terminal.
     pub fn eirp_dbw(&self) -> f64 {
         watts_to_dbw(self.tx_power_w) + self.tx_gain_dbi
-    }
-
-    /// Receive figure of merit G/T (dB/K).
-    pub fn g_over_t_db_per_k(&self) -> f64 {
-        self.rx_gain_dbi - to_db(self.system_noise_temp_k)
     }
 }
 
@@ -295,12 +284,5 @@ mod tests {
         };
         let e = link.energy_per_bit_j();
         assert!(e.is_finite() && e > 0.0);
-    }
-
-    #[test]
-    fn g_over_t_prefers_cool_receivers() {
-        assert!(
-            RfTerminal::gateway().g_over_t_db_per_k() > RfTerminal::smallsat().g_over_t_db_per_k()
-        );
     }
 }

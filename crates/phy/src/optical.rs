@@ -6,8 +6,8 @@
 //! pointing-acquisition-tracking (PAT) phase before data flows.
 //!
 //! The model: a Gaussian-beam link budget (free-space spreading of a
-//! diffraction-limited beam between telescope apertures) plus a PAT state
-//! machine with configurable acquisition time. Receiver sensitivity is
+//! diffraction-limited beam between telescope apertures) plus a
+//! configurable PAT acquisition time per terminal. Receiver sensitivity is
 //! expressed in photons/bit, the standard figure for coherent/APD optical
 //! receivers.
 
@@ -96,106 +96,6 @@ pub fn energy_per_bit_j(tx: &OpticalTerminal, rx: &OpticalTerminal, distance_m: 
     }
 }
 
-/// PAT (pointing, acquisition, tracking) session state.
-///
-/// §2.1: once two satellites pair over RF and exchange laser-diode
-/// positions, they re-orient and run acquisition before the optical link
-/// carries data.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PatState {
-    /// Terminals are slewing toward the predicted peer direction.
-    Pointing {
-        /// Remaining slew time (s).
-        remaining_s: f64,
-    },
-    /// Spiral-scan acquisition in progress.
-    Acquiring {
-        /// Remaining scan time (s).
-        remaining_s: f64,
-    },
-    /// Closed-loop tracking: the link carries data.
-    Tracking,
-    /// Link lost (peer out of range or occluded); must restart.
-    Lost,
-}
-
-/// A PAT session driving one optical link from slew to track.
-#[derive(Debug, Clone, Copy)]
-pub struct PatSession {
-    state: PatState,
-}
-
-impl PatSession {
-    /// Start a session: `slew_time_s` of pointing followed by the
-    /// terminal's acquisition scan.
-    pub fn start(slew_time_s: f64, terminal: &OpticalTerminal) -> Self {
-        assert!(slew_time_s >= 0.0);
-        let state = if slew_time_s > 0.0 {
-            PatState::Pointing {
-                remaining_s: slew_time_s,
-            }
-        } else {
-            PatState::Acquiring {
-                remaining_s: terminal.acquisition_time_s,
-            }
-        };
-        let mut s = Self { state };
-        // Normalize zero-duration acquisition immediately.
-        s.advance(0.0, terminal);
-        s
-    }
-
-    /// Current state.
-    pub fn state(&self) -> PatState {
-        self.state
-    }
-
-    /// True when the link is carrying data.
-    pub fn is_tracking(&self) -> bool {
-        matches!(self.state, PatState::Tracking)
-    }
-
-    /// Advance the session by `dt_s`. Leftover time rolls from pointing
-    /// into acquisition into tracking.
-    pub fn advance(&mut self, dt_s: f64, terminal: &OpticalTerminal) {
-        assert!(dt_s >= 0.0);
-        let mut dt = dt_s;
-        loop {
-            match self.state {
-                PatState::Pointing { remaining_s } => {
-                    if dt >= remaining_s {
-                        dt -= remaining_s;
-                        self.state = PatState::Acquiring {
-                            remaining_s: terminal.acquisition_time_s,
-                        };
-                    } else {
-                        self.state = PatState::Pointing {
-                            remaining_s: remaining_s - dt,
-                        };
-                        return;
-                    }
-                }
-                PatState::Acquiring { remaining_s } => {
-                    if dt >= remaining_s {
-                        self.state = PatState::Tracking;
-                        return;
-                    }
-                    self.state = PatState::Acquiring {
-                        remaining_s: remaining_s - dt,
-                    };
-                    return;
-                }
-                PatState::Tracking | PatState::Lost => return,
-            }
-        }
-    }
-
-    /// Drop the link (occlusion, range limit, peer handover).
-    pub fn lose(&mut self) {
-        self.state = PatState::Lost;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,51 +162,5 @@ mod tests {
     fn short_range_rate_clamps_at_modem_ceiling() {
         let t = term();
         assert_eq!(achievable_rate_bps(&t, &t, 200_000.0), t.max_data_rate_bps);
-    }
-
-    #[test]
-    fn pat_progresses_point_acquire_track() {
-        let t = term();
-        let mut s = PatSession::start(10.0, &t);
-        assert!(matches!(s.state(), PatState::Pointing { .. }));
-        s.advance(10.0, &t);
-        assert!(matches!(s.state(), PatState::Acquiring { .. }));
-        s.advance(t.acquisition_time_s, &t);
-        assert!(s.is_tracking());
-    }
-
-    #[test]
-    fn pat_rolls_leftover_time_across_phases() {
-        let t = term();
-        let mut s = PatSession::start(5.0, &t);
-        s.advance(5.0 + t.acquisition_time_s + 1.0, &t);
-        assert!(s.is_tracking());
-    }
-
-    #[test]
-    fn pat_partial_advance_stays_in_phase() {
-        let t = term();
-        let mut s = PatSession::start(10.0, &t);
-        s.advance(4.0, &t);
-        match s.state() {
-            PatState::Pointing { remaining_s } => assert!((remaining_s - 6.0).abs() < 1e-12),
-            other => panic!("unexpected state {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pat_zero_slew_starts_acquiring() {
-        let t = term();
-        let s = PatSession::start(0.0, &t);
-        assert!(matches!(s.state(), PatState::Acquiring { .. }));
-    }
-
-    #[test]
-    fn lost_link_stays_lost() {
-        let t = term();
-        let mut s = PatSession::start(0.0, &t);
-        s.lose();
-        s.advance(1e6, &t);
-        assert_eq!(s.state(), PatState::Lost);
     }
 }

@@ -204,11 +204,6 @@ impl AuthService {
         self.users.insert(user, secret);
     }
 
-    /// Number of registered subscribers.
-    pub fn user_count(&self) -> usize {
-        self.users.len()
-    }
-
     /// Process an Access-Request at `now_ms`; returns the certificate on
     /// success.
     pub fn handle_request(

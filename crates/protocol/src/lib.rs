@@ -19,8 +19,6 @@
 //!   the home AAA, Access-Accept carrying the certificate.
 //! * [`handover`] — successor-prediction handover signaling that skips
 //!   re-authentication (§2.2).
-//! * [`neighbors`] — the receiver-side neighbour table fed by beacons:
-//!   staleness expiry, capability tracking, pairing-candidate queries.
 //! * [`accounting`] — signed, cross-verifiable traffic records (§3).
 //!
 //! ## Example: a beacon over the wire
@@ -53,7 +51,6 @@ pub mod certificate;
 pub mod crypto;
 pub mod frame;
 pub mod handover;
-pub mod neighbors;
 pub mod pairing;
 pub mod types;
 pub mod wire;
@@ -71,7 +68,6 @@ pub mod prelude {
     pub use crate::handover::{
         derive_session_token, validate_commit, HandoverCommit, HandoverPrepare,
     };
-    pub use crate::neighbors::{Neighbor, NeighborTable};
     pub use crate::pairing::{
         decide_pair, PairFailure, PairRequest, PairResponse, PairVerdict, PairingMachine,
         PairingState, RejectReason,

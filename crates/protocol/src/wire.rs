@@ -141,11 +141,6 @@ impl<'a> Reader<'a> {
         out.copy_from_slice(s);
         Ok(out)
     }
-
-    /// Read `n` raw bytes as a slice borrowed from the buffer.
-    pub fn slice(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        self.take(n)
-    }
 }
 
 /// Append-only big-endian writer.
@@ -165,16 +160,6 @@ impl Writer {
     /// Finish, returning the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Write one byte.
@@ -273,15 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_borrows_without_copy() {
-        let buf = [9u8, 8, 7, 6];
-        let mut r = Reader::new(&buf);
-        let s = r.slice(3).unwrap();
-        assert_eq!(s, &[9, 8, 7]);
-        assert_eq!(r.remaining(), 1);
-    }
-
-    #[test]
     fn fletcher_known_values() {
         // Classic test vectors: "abcde" -> 0xF04FC729, "abcdef" -> 0x56502D2A
         // (16-bit blocks big-endian per our definition differ from the
@@ -307,8 +283,7 @@ mod tests {
     #[test]
     fn writer_len_tracks() {
         let mut w = Writer::with_capacity(16);
-        assert!(w.is_empty());
         w.u32(5);
-        assert_eq!(w.len(), 4);
+        assert_eq!(w.into_bytes(), [0, 0, 0, 5]);
     }
 }

@@ -108,15 +108,6 @@ impl SimRng {
         -(1.0 - self.uniform()).ln() / rate
     }
 
-    /// Standard normal (Box–Muller; one value per call, the pair's twin is
-    /// discarded for simplicity).
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev >= 0.0, "std dev must be non-negative");
-        let u1 = (1.0 - self.uniform()).max(f64::MIN_POSITIVE);
-        let u2 = self.uniform();
-        mean + std_dev * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
     /// Bernoulli with probability `p`.
     ///
     /// # Panics
@@ -187,17 +178,6 @@ mod tests {
             let v = rng.uniform_range(-3.0, 5.0);
             assert!((-3.0..5.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut rng = SimRng::new(5);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.15, "var {var}");
     }
 
     #[test]

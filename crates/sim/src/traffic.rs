@@ -85,18 +85,6 @@ impl Arrivals {
         self.packet_bytes as f64 * 8.0 / self.rate_bps
     }
 
-    /// Long-run offered load (bit/s): the rate, scaled by the duty
-    /// cycle for on/off flows.
-    pub fn offered_load_bps(&self) -> f64 {
-        match self.kind {
-            TrafficKind::Cbr | TrafficKind::Poisson => self.rate_bps,
-            TrafficKind::OnOff {
-                mean_on_s,
-                mean_off_s,
-            } => self.rate_bps * mean_on_s / (mean_on_s + mean_off_s),
-        }
-    }
-
     /// Start the flow at `now_s`: draw its phase and, for on/off flows,
     /// its first ON period, which opens with the first packet. Returns
     /// the first arrival time. Restarting a flow draws a fresh phase.
@@ -179,7 +167,6 @@ mod tests {
     #[test]
     fn cbr_offered_load_exact() {
         let a = flow(TrafficKind::Cbr, 1_000_000.0, 1250, 0);
-        assert_eq!(a.offered_load_bps(), 1_000_000.0);
         assert_eq!(a.gap_s(), 0.01);
     }
 
@@ -204,7 +191,8 @@ mod tests {
         let horizon = 2_000.0;
         let arr = times_until(&mut a, horizon);
         let measured = arr.len() as f64 * 1250.0 * 8.0 / horizon;
-        let expected = a.offered_load_bps(); // 250 kbit/s
+        // 1 Mbit/s at a 1-in-4 duty cycle: 250 kbit/s.
+        let expected = 250_000.0;
         assert!(
             (measured - expected).abs() / expected < 0.15,
             "measured {measured}, expected {expected}"

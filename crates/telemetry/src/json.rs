@@ -52,15 +52,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The numeric payload (`Num` or `Uint`), if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(x) => Some(*x),
-            JsonValue::Uint(x) => Some(*x as f64),
-            _ => None,
-        }
-    }
 }
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
@@ -423,8 +414,8 @@ mod tests {
     fn get_and_accessors() {
         let v = parse(r#"{"s": "hi", "n": 3, "x": 1.5}"#).unwrap();
         assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("hi"));
-        assert_eq!(v.get("n").and_then(JsonValue::as_f64), Some(3.0));
-        assert_eq!(v.get("x").and_then(JsonValue::as_f64), Some(1.5));
+        assert_eq!(v.get("n"), Some(&JsonValue::Uint(3)));
+        assert_eq!(v.get("x"), Some(&JsonValue::Num(1.5)));
         assert_eq!(v.get("missing"), None);
         assert_eq!(JsonValue::Null.get("s"), None);
     }

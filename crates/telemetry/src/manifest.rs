@@ -236,16 +236,13 @@ mod tests {
             v.get("schema").and_then(JsonValue::as_str),
             Some("openspace.run_manifest.v1")
         );
-        assert_eq!(v.get("seed").and_then(JsonValue::as_f64), Some(7.0));
+        assert_eq!(v.get("seed"), Some(&JsonValue::Uint(7)));
         let wall = v.get("wall").unwrap();
-        assert_eq!(wall.get("threads").and_then(JsonValue::as_f64), Some(4.0));
+        assert_eq!(wall.get("threads"), Some(&JsonValue::Uint(4)));
         let extra = v.get("extra").unwrap();
         assert_eq!(
-            extra
-                .get("fault")
-                .and_then(|f| f.get("mttr_s"))
-                .and_then(JsonValue::as_f64),
-            Some(3.0)
+            extra.get("fault").and_then(|f| f.get("mttr_s")),
+            Some(&JsonValue::Num(3.0))
         );
     }
 

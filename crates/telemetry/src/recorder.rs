@@ -104,19 +104,9 @@ impl MemoryRecorder {
         self.counters.get(key).copied().unwrap_or(0)
     }
 
-    /// Gauge value, if ever set.
-    pub fn gauge_value(&self, key: &str) -> Option<f64> {
-        self.gauges.get(key).copied()
-    }
-
     /// High-water mark, if ever raised.
     pub fn maximum(&self, key: &str) -> Option<f64> {
         self.maxima.get(key).copied()
-    }
-
-    /// Histogram under `key`, if any sample was observed.
-    pub fn histogram(&self, key: &str) -> Option<&Summary> {
-        self.histograms.get(key)
     }
 
     /// Span aggregate under `key`, if any span completed.
@@ -345,9 +335,9 @@ mod tests {
         let mut rec = MemoryRecorder::new();
         feed(&mut rec);
         assert_eq!(rec.counter("c.events"), 5);
-        assert_eq!(rec.gauge_value("g.ratio"), Some(0.5));
+        assert_eq!(rec.gauges["g.ratio"], 0.5);
         assert_eq!(rec.maximum("m.depth"), Some(4.0));
-        assert_eq!(rec.histogram("h.latency").unwrap().count(), 3);
+        assert_eq!(rec.histograms["h.latency"].count(), 3);
         let s = rec.span_agg("s.run").unwrap();
         assert_eq!(s.count, 1);
         assert_eq!(s.sim_s, 30.0);
@@ -364,9 +354,7 @@ mod tests {
     fn unknown_keys_read_as_empty() {
         let rec = MemoryRecorder::new();
         assert_eq!(rec.counter("nope"), 0);
-        assert_eq!(rec.gauge_value("nope"), None);
         assert_eq!(rec.maximum("nope"), None);
-        assert!(rec.histogram("nope").is_none());
         assert!(rec.is_empty());
     }
 
@@ -395,7 +383,7 @@ mod tests {
         a.gauge("g", 1.0);
         b.gauge("g", 2.0);
         a.merge(&b);
-        assert_eq!(a.gauge_value("g"), Some(2.0));
+        assert_eq!(a.gauges["g"], 2.0);
     }
 
     #[test]

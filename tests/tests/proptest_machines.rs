@@ -220,34 +220,3 @@ fn shapley_is_always_efficient_for_monotone_games() {
         assert!((total - grand).abs() < 1e-9, "sum {total} vs grand {grand}");
     });
 }
-
-#[test]
-fn neighbor_table_never_reports_expired_entries() {
-    for_cases(0xC6, |rng| {
-        let n_obs = 1 + rng.index(59);
-        let observations: Vec<(u64, u64)> = (0..n_obs)
-            .map(|_| (rng.below(50), rng.below(10_000)))
-            .collect();
-        let probe = rng.below(20_000);
-        let ttl = 1 + rng.below(4_999);
-        let mut t = NeighborTable::new(ttl);
-        for (id, at) in &observations {
-            let b = Beacon {
-                satellite: SatelliteId(*id),
-                operator: OperatorId(1),
-                capabilities: Capabilities::rf_only(),
-                timestamp_ms: *at,
-                semi_major_axis_m: 7.1e6,
-                eccentricity: 0.0,
-                inclination_rad: 1.0,
-                raan_rad: 0.0,
-                arg_perigee_rad: 0.0,
-                mean_anomaly_rad: 0.0,
-            };
-            t.observe(b, *at);
-        }
-        for n in t.active(probe) {
-            assert!(probe.saturating_sub(n.last_heard_ms) <= ttl);
-        }
-    });
-}
