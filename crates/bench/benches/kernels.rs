@@ -528,9 +528,9 @@ fn bench_engine() {
 
     // Event-queue churn in isolation: hold `depth` pending events and
     // run a steady-state pop-one/schedule-one loop — the access pattern
-    // the packet engine produces (Depart/HopArrive chains at short
-    // offsets). 1,024 is a mid-size queue; 4,675 is the peak depth of
-    // the benchmark's `demand_day` packet day.
+    // the packet engine produces (each `HopArrive` schedules the
+    // packet's next hop at a short offset). 1,024 is a mid-size queue;
+    // 4,675 is the peak depth of the benchmark's `demand_day` packet day.
     for (name, depth) in [("equeue_churn", 1024u64), ("equeue_churn_4675", 4675)] {
         bench(name, window(), || {
             let mut q = EventQueue::new();

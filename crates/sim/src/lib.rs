@@ -8,8 +8,8 @@
 //!   [`engine::EventQueue`].
 //! * [`rng`] — seeded RNG with substreams and the distributions traffic
 //!   models need.
-//! * [`queue`] — the byte-bounded drop-tail queue every simulated link
-//!   uses.
+//! * [`queue`] — the byte-bounded drop-tail FIFO server every simulated
+//!   link transmits through.
 //! * [`traffic`] — the one traffic model: [`traffic::TrafficKind`]
 //!   (CBR / Poisson / on-off) and the per-flow [`traffic::Arrivals`]
 //!   process the packet simulator and the demand layer share (§5's call

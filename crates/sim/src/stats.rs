@@ -13,7 +13,6 @@
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
     samples: Vec<f64>,
-    sorted: bool,
     mean: f64,
     m2: f64,
 }
@@ -35,7 +34,6 @@ impl Summary {
         self.mean += delta / n;
         self.m2 += delta * (x - self.mean);
         self.samples.push(x);
-        self.sorted = false;
     }
 
     /// Number of samples.
@@ -82,8 +80,9 @@ impl Summary {
     /// Fold another summary into this one.
     ///
     /// Implemented by **replaying** `other`'s samples through
-    /// [`add`](Summary::add) in insertion order, so
-    /// `a.merge(&b)` is bit-identical to feeding `a` the concatenated
+    /// [`add`](Summary::add) in their current storage order: insertion
+    /// order until a quantile query reorders them. So `a.merge(&b)` on
+    /// an unqueried `b` is bit-identical to feeding `a` the concatenated
     /// sample stream — which makes the merge associative at the bit
     /// level and lets per-worker summaries fold into exactly what a
     /// serial run would have produced. (Combining Welford moments with
@@ -96,29 +95,39 @@ impl Summary {
         }
     }
 
-    /// Exact quantile by linear interpolation, `q` in `[0, 1]`.
+    /// Exact quantile by linear interpolation, `q` in `[0, 1]`: the
+    /// samples of ranks `floor` and `ceil` of `q · (n − 1)` in
+    /// `total_cmp` order (NaN is already excluded at `add`), weighted by
+    /// the fractional part.
     ///
-    /// The sample store sorts lazily: the first quantile query after an
-    /// [`add`](Summary::add) sorts once (unstable, by `total_cmp` —
-    /// NaN is already excluded at `add`) and the sorted state is cached,
-    /// so `median()` + `p95()` + `p99()` on a settled summary cost one
-    /// sort total, not three. The `&mut self` signature exists for this
-    /// cache; results are unaffected.
+    /// Each query selects its ranks in `O(n)` instead of sorting: the
+    /// lower rank by `select_nth_unstable_by`, the upper one as the least
+    /// sample above it. The selected values are those a full sort would
+    /// put at both ranks, bit for bit. A query reorders the stored
+    /// samples, hence `&mut self`; see [`merge`](Self::merge).
     ///
     /// # Panics
     /// Panics if empty or `q` out of range.
     pub fn quantile(&mut self, q: f64) -> f64 {
         assert!(!self.samples.is_empty(), "quantile of empty summary");
         assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
-        if !self.sorted {
-            self.samples.sort_unstable_by(f64::total_cmp);
-            self.sorted = true;
-        }
         let pos = q * (self.samples.len() - 1) as f64;
         let lo = pos.floor() as usize;
         let hi = pos.ceil() as usize;
         let frac = pos - lo as f64;
-        self.samples[lo] * (1.0 - frac) + self.samples[hi] * frac
+        let (_, &mut lo_value, above) = self.samples.select_nth_unstable_by(lo, f64::total_cmp);
+        let hi_value = if hi == lo {
+            lo_value
+        } else {
+            // Everything above rank `lo` is in `above`, so rank `lo + 1`
+            // is its least element.
+            above
+                .iter()
+                .copied()
+                .min_by(f64::total_cmp)
+                .expect("rank hi is in range")
+        };
+        lo_value * (1.0 - frac) + hi_value * frac
     }
 
     /// Median.
@@ -254,16 +263,17 @@ mod tests {
     }
 
     #[test]
-    fn quantile_sort_is_cached_until_the_next_add() {
+    fn quantile_stays_exact_across_queries_and_adds() {
         let mut s = Summary::new();
         for x in [5.0, 1.0, 3.0] {
             s.add(x);
         }
-        // Three queries, one sort: answers must agree and stay exact.
+        // Queries reorder the samples; answers must agree and stay exact,
+        // also after a later add.
         assert_eq!(s.median(), 3.0);
         assert_eq!(s.quantile(0.0), 1.0);
         assert_eq!(s.quantile(1.0), 5.0);
-        s.add(0.0); // invalidates the cache
+        s.add(0.0);
         assert_eq!(s.median(), 2.0);
     }
 

@@ -125,7 +125,7 @@ fn adversarial_schedules_pop_in_time_seq_order() {
 #[test]
 fn handler_cascades_pop_in_time_seq_order() {
     // The handler schedules offspring mid-run — the shape the packet
-    // engine produces (each `Depart` schedules the next) — at
+    // engine produces (each `HopArrive` schedules the next hop's) — at
     // deliberately mixed time scales.
     let until = 2.0e6;
     let mut q = EventQueue::new();

@@ -5,7 +5,7 @@
 //! loose bound, so a change that shifts every run the same way passes
 //! them all. This suite pins absolute outputs: eight scenarios that
 //! between them fire every event kind of the engine (injection, demand
-//! tick, departure, hop arrival, replan, resnapshot, fault), each
+//! tick, hop arrival, replan, resnapshot, fault), each
 //! asserting every [`NetSimReport`] field bit for bit, plus the engine's
 //! event count, event-queue high-water mark and packet-slab high-water
 //! mark.
@@ -206,8 +206,8 @@ fn golden_mixed_traffic_proactive() {
             mttr_s: None,
             reassociations: 0,
             mean_reassociation_latency_s: None,
-            events_processed: 12271,
-            queue_depth_high_water: 10.0,
+            events_processed: 7362,
+            queue_depth_high_water: 13.0,
             slab_high_water: 10.0,
         },
     );
@@ -244,8 +244,8 @@ fn golden_adaptive_replans_under_overload() {
             mttr_s: None,
             reassociations: 0,
             mean_reassociation_latency_s: None,
-            events_processed: 19400,
-            queue_depth_high_water: 12.0,
+            events_processed: 12129,
+            queue_depth_high_water: 65.0,
             slab_high_water: 61.0,
         },
     );
@@ -278,8 +278,8 @@ fn golden_overloaded_link_drops() {
             mttr_s: None,
             reassociations: 0,
             mean_reassociation_latency_s: None,
-            events_processed: 4183,
-            queue_depth_high_water: 3.0,
+            events_processed: 3350,
+            queue_depth_high_water: 12.0,
             slab_high_water: 12.0,
         },
     );
@@ -311,8 +311,8 @@ fn golden_fault_plan_with_open_outage() {
             mttr_s: Some(4.0),
             reassociations: 7,
             mean_reassociation_latency_s: Some(0.5714285714285714),
-            events_processed: 12774,
-            queue_depth_high_water: 15.0,
+            events_processed: 7830,
+            queue_depth_high_water: 16.0,
             slab_high_water: 7.0,
         },
     );
@@ -340,8 +340,8 @@ fn golden_provider_adaptive() {
             mttr_s: None,
             reassociations: 0,
             mean_reassociation_latency_s: None,
-            events_processed: 14406,
-            queue_depth_high_water: 12.0,
+            events_processed: 8860,
+            queue_depth_high_water: 14.0,
             slab_high_water: 7.0,
         },
     );
@@ -370,8 +370,8 @@ fn golden_timeline_proactive() {
             mttr_s: None,
             reassociations: 0,
             mean_reassociation_latency_s: None,
-            events_processed: 13207,
-            queue_depth_high_water: 11.0,
+            events_processed: 7968,
+            queue_depth_high_water: 12.0,
             slab_high_water: 7.0,
         },
     );
@@ -403,8 +403,8 @@ fn golden_timeline_adaptive_with_faults() {
             mttr_s: Some(4.0),
             reassociations: 2,
             mean_reassociation_latency_s: Some(0.0),
-            events_processed: 12006,
-            queue_depth_high_water: 18.0,
+            events_processed: 7448,
+            queue_depth_high_water: 19.0,
             slab_high_water: 8.0,
         },
     );
@@ -453,7 +453,7 @@ fn golden_two_tick_demand() {
             mttr_s: None,
             reassociations: 0,
             mean_reassociation_latency_s: None,
-            events_processed: 3808,
+            events_processed: 2384,
             queue_depth_high_water: 10.0,
             slab_high_water: 6.0,
         },

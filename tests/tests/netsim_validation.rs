@@ -6,10 +6,11 @@ use openspace_core::netsim::{
 };
 use openspace_core::prelude::*;
 use openspace_net::timeline::TopologyProvider;
-use openspace_net::topology::{Graph, LinkTech};
+use openspace_net::topology::{Graph, LinkTech, NodeId};
 use openspace_orbit::frames::{geodetic_to_ecef, Geodetic};
 use openspace_phy::hardware::SatelliteClass;
 use openspace_sim::config::ConfigError;
+use openspace_sim::fault::{TopologyEvent, TopologyEventKind};
 
 /// One directed link of capacity `bps` between two nodes.
 fn single_link(bps: f64) -> Graph {
@@ -278,6 +279,54 @@ fn subnormal_link_capacity_never_schedules_an_infinite_departure() {
     assert_eq!(r.delivered, 0);
     assert_eq!(r.unroutable, 0);
     assert!(r.dropped < r.generated, "the head packet stays in flight");
+}
+
+#[test]
+fn a_link_killed_and_revived_mid_transmission_serves_at_its_capacity() {
+    // A 1,500 B packet takes 1 s on a 12 kbit/s link, and a 24 kbit/s
+    // flow keeps the link busy for the whole run, so at most
+    // `duration / service` = 20 transmissions can finish. A fault flaps
+    // the link within one transmission: the packets on its wire are lost,
+    // and the revived link must start idle. (With a departure event per
+    // packet, the dead link's pending departure kept firing on the
+    // revived slot beside the new link's own chain: 33 delivered.)
+    let g = single_link(12e3);
+    let service_s = 1_500.0 * 8.0 / 12e3;
+    let duration_s = 20.0;
+    let flap = [
+        TopologyEvent {
+            at_s: 5.6,
+            seq: 0,
+            kind: TopologyEventKind::LinkDown(NodeId(0), NodeId(1)),
+        },
+        TopologyEvent {
+            at_s: 5.62,
+            seq: 1,
+            kind: TopologyEventKind::LinkUp(NodeId(0), NodeId(1)),
+        },
+    ];
+    let sim = NetSim::new(NetSimConfig {
+        duration_s,
+        ..Default::default()
+    })
+    .with_snapshot(&g);
+    let flows = [FlowSpec::new(0, 1, 24e3, 1_500, TrafficKind::Cbr)];
+    let steady = sim.run(&flows).expect("valid netsim config");
+    let flapped = sim
+        .with_faults(&flap)
+        .run(&flows)
+        .expect("valid netsim config");
+    let most = (duration_s / service_s) as u64;
+    assert!(steady.delivered <= most, "steady {}", steady.delivered);
+    assert!(
+        flapped.delivered <= most,
+        "the flapped link delivered {} packets, more than its capacity allows ({most})",
+        flapped.delivered
+    );
+    assert!(
+        flapped.fault.packets_lost > 0,
+        "the flap lost the packets on the wire"
+    );
 }
 
 #[test]

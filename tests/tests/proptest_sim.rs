@@ -55,29 +55,51 @@ fn equal_times_preserve_insertion_order() {
 fn queue_conserves_packets() {
     for_cases(0xB3, |rng| {
         let n = 1 + rng.index(99);
-        let sizes: Vec<u32> = (0..n).map(|_| 1 + rng.below(4_999) as u32).collect();
         let capacity = 5_000 + rng.below(45_000);
-        let drains = rng.index(50);
+        let rate_bps = rng.uniform_range(1e3, 1e6);
         let mut q = DropTailQueue::new(capacity);
-        // Packets and bytes the queue should hold.
-        let (mut held, mut held_bytes) = (0u64, 0u64);
-        for (i, &s) in sizes.iter().enumerate() {
-            match q.enqueue(i, s) {
-                Ok(()) => (held, held_bytes) = (held + 1, held_bytes + s as u64),
-                Err(back) => assert_eq!(back, i, "the refused packet is handed back"),
+        // An independent model of the FIFO server: the `(end, bytes)` of
+        // every accepted packet, and the bytes it has sent.
+        let mut model: Vec<(f64, u32)> = Vec::new();
+        let mut now = 0.0;
+        let (mut accepted_bytes, mut sent_bytes) = (0u64, 0u64);
+        for i in 0..n {
+            now += rng.uniform_range(0.0, 0.05);
+            let bytes = 1 + rng.below(4_999) as u32;
+            let on_wire = |m: &[(f64, u32)]| -> u64 {
+                m.iter()
+                    .filter(|&&(end, _)| end > now)
+                    .map(|&(_, b)| u64::from(b))
+                    .sum()
+            };
+            let fits = on_wire(&model) + u64::from(bytes) <= capacity;
+            match q.offer(now, i, bytes, rate_bps) {
+                Ok(end) => {
+                    assert!(fits, "accepted past the bound");
+                    let start = model.last().map_or(now, |&(e, _)| e.max(now));
+                    assert_eq!(
+                        end.to_bits(),
+                        (start + bytes as f64 * 8.0 / rate_bps).to_bits()
+                    );
+                    model.push((end, bytes));
+                    accepted_bytes += u64::from(bytes);
+                }
+                Err(back) => {
+                    assert!(!fits, "refused within the bound");
+                    assert_eq!(back, i, "the refused packet is handed back");
+                }
             }
+            sent_bytes += q.take_sent_bytes();
+            // Conservation: every accepted byte is either sent or still
+            // on the wire, and the wire never holds more than the bound.
+            assert_eq!(q.occupancy_bytes(), on_wire(&model));
+            assert_eq!(accepted_bytes, sent_bytes + q.occupancy_bytes());
+            assert!(q.occupancy_bytes() <= capacity);
         }
-        for _ in 0..drains {
-            if let Some((i, bytes)) = q.dequeue() {
-                assert_eq!(bytes, sizes[i]);
-                (held, held_bytes) = (held - 1, held_bytes - bytes as u64);
-            }
-        }
-        // Conservation: the queue holds exactly the accepted, undrained
-        // packets and their bytes, never more than its capacity.
-        assert_eq!(q.len() as u64, held);
-        assert_eq!(q.occupancy_bytes(), held_bytes);
-        assert!(held_bytes <= capacity);
+        let unsent = q.drain_unsent(now).count();
+        sent_bytes += q.take_sent_bytes();
+        assert_eq!(unsent, model.iter().filter(|&&(end, _)| end > now).count());
+        assert!(sent_bytes <= accepted_bytes);
     });
 }
 

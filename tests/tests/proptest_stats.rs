@@ -90,11 +90,61 @@ fn quantile_answers_are_stable_across_cache_rebuilds() {
         let q = rng.uniform();
         let mut s = filled(&samples);
         let first = s.quantile(q);
-        // Re-querying a settled summary (cache hit) and re-building the
-        // summary from scratch (fresh sort) must agree bitwise.
+        // Re-querying a summary an earlier query reordered and re-building
+        // the summary from scratch must agree bitwise.
         assert_eq!(s.quantile(q).to_bits(), first.to_bits());
         let mut rebuilt = filled(&samples);
         assert_eq!(rebuilt.quantile(q).to_bits(), first.to_bits());
+    });
+}
+
+/// The quantile a full `total_cmp` sort gives: the interpolation
+/// `Summary::quantile` documents, on sorted samples.
+fn sorted_quantile(samples: &[f64], q: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    let frac = pos - lo as f64;
+    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+}
+
+#[test]
+fn selected_quantiles_equal_a_full_sort_bitwise() {
+    // Few distinct values, so ranks tie often, and both zeros and both
+    // infinities among them.
+    const POOL: [f64; 9] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.5,
+        -1.5,
+        2.0,
+        1e-300,
+        -7.25,
+    ];
+    for_cases(0xC6, |rng| {
+        let n = 1 + rng.index(60);
+        let samples: Vec<f64> = (0..n)
+            .map(|_| match rng.index(3) {
+                0 => rng.uniform_range(-10.0, 10.0),
+                _ => POOL[rng.index(POOL.len())],
+            })
+            .collect();
+        let mut s = filled(&samples);
+        let mut queries: Vec<f64> = (0..6).map(|_| rng.uniform()).collect();
+        queries.extend([0.0, 0.5, 0.95, 1.0]);
+        // One summary answers every query in turn, each on the order the
+        // previous query left.
+        for q in queries {
+            let want = sorted_quantile(&samples, q);
+            assert_eq!(
+                s.quantile(q).to_bits(),
+                want.to_bits(),
+                "q = {q} on {samples:?}"
+            );
+        }
     });
 }
 
