@@ -22,10 +22,11 @@ fn main() {
     let cfg = runner.config();
 
     println!(
-        "Figure 2(c): coverage vs constellation size ({} trials/point, {} worker threads)",
-        cfg.trials,
-        runner.threads()
+        "Figure 2(c): coverage vs constellation size ({} trials/point)",
+        cfg.trials
     );
+    // The worker count depends on the host, so it goes to stderr.
+    eprintln!("{} worker threads", runner.threads());
     print_header(
         "Random constellations, 780 km, 86.4 deg",
         &format!(
