@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use openspace_core::federation::{default_station_sites, Federation};
-use openspace_core::study::{latency_vs_satellites, StudyConfig};
+use openspace_core::study::{ScenarioRunner, StudyConfig};
 use openspace_economics::prelude::*;
 use openspace_mac::prelude::*;
 use openspace_net::prelude::*;
@@ -625,7 +625,8 @@ fn bench_study() {
         ..Default::default()
     };
     bench("fig2b_point_n25", window(), || {
-        black_box(latency_vs_satellites(&cfg, &[25]));
+        let runner = ScenarioRunner::new(cfg, 1).expect("valid study config");
+        black_box(runner.latency_vs_satellites(&[25]));
     });
 }
 

@@ -12,12 +12,12 @@
 //!
 //! Run: `cargo run -p openspace-bench --release --bin exp_diversity`
 
-use openspace_bench::{
-    access_satellite, best_station_route, nairobi_user, print_header, standard_federation,
-};
+use openspace_bench::{access_satellite, nairobi_user, print_header, standard_federation};
 use openspace_economics::capex::{satellite_cost, LaunchPricing};
+use openspace_net::routing::{latency_weight, shortest_path_to_any};
 use openspace_net::topology::LinkTech;
 use openspace_phy::hardware::SatelliteClass;
+use openspace_telemetry::NullRecorder;
 
 fn mix_classes(optical_share: f64) -> Vec<SatelliteClass> {
     // A repeating pattern approximating the share of laser-equipped
@@ -67,7 +67,8 @@ fn main() {
         }
 
         let (src_sat, _) = access_satellite(&fed, user, 0.0).expect("coverage");
-        let best = best_station_route(&fed, &graph, src_sat);
+        let (src, stations) = (graph.sat_node(src_sat), graph.station_nodes());
+        let best = shortest_path_to_any(&graph, src, &stations, latency_weight, &mut NullRecorder);
         let (latency_ms, bottleneck) = best
             .map(|(_, p)| (p.total_cost * 1e3, p.bottleneck_bps(&graph).unwrap_or(0.0)))
             .unwrap_or((f64::NAN, 0.0));

@@ -14,12 +14,11 @@
 //!
 //! Run: `cargo run -p openspace-bench --release --bin exp_incremental`
 
-use openspace_bench::{
-    access_satellite, best_station_route, fmt_opt, ground_user, iridium_elements, print_header,
-};
+use openspace_bench::{access_satellite, fmt_opt, ground_user, iridium_elements, print_header};
 use openspace_core::prelude::*;
 use openspace_economics::capex::{fleet_cost_usd, LaunchPricing};
 use openspace_net::contact::coverage_time_fraction;
+use openspace_net::routing::{latency_weight, shortest_path_to_any};
 use openspace_phy::hardware::SatelliteClass;
 use openspace_telemetry::NullRecorder;
 
@@ -69,7 +68,9 @@ fn main() {
         // Best end-to-end latency for the equatorial user right now.
         let graph = fed.snapshot(0.0);
         let latency = access_satellite(&fed, users[0].1, 0.0).and_then(|(sat, slant)| {
-            best_station_route(&fed, &graph, sat).map(|(_, p)| {
+            let (src, stations) = (graph.sat_node(sat), graph.station_nodes());
+            let rec = &mut NullRecorder;
+            shortest_path_to_any(&graph, src, &stations, latency_weight, rec).map(|(_, p)| {
                 (slant / openspace_orbit::constants::SPEED_OF_LIGHT_M_PER_S + p.total_cost) * 1e3
             })
         });

@@ -15,7 +15,7 @@
 
 use openspace_bench::{access_satellite, nairobi_user, print_header, standard_federation, ExpRun};
 use openspace_net::routing::{
-    congestion_weight, latency_weight, qos_route, shortest_path, QosRequirement,
+    congestion_weight, latency_weight, shortest_path_to_any, QosRequirement,
 };
 use openspace_net::topology::NodeId;
 use openspace_phy::hardware::SatelliteClass;
@@ -71,38 +71,25 @@ fn main() {
                         .expect("edges enumerated from this same graph");
                 }
             }
-            let src = graph.sat_node(src_sat);
+            let (src, stations) = (graph.sat_node(src_sat), graph.station_nodes());
             // Proactive picks its station and path by *propagation*
             // latency alone (orbits are public, loads are not); we then
             // charge the chosen path at its effective (queueing-aware)
             // cost.
-            let mut best_pro: Option<(f64, f64)> = None; // (prop, effective)
-            let mut best_qos: Option<f64> = None;
-            for gi in 0..fed.stations().len() {
-                let dst = graph.station_node(gi);
-                if let Some(p) = shortest_path(&graph, src, dst, latency_weight, run.rec()) {
-                    let eff = p
-                        .sum_metric(&graph, |e| congestion_weight(e, PKT_BITS))
-                        .unwrap_or(f64::INFINITY);
-                    if best_pro.is_none_or(|(bp, _)| p.total_cost < bp) {
-                        best_pro = Some((p.total_cost, eff));
-                    }
-                }
-                let req = QosRequirement {
-                    min_bandwidth_bps: 256_000.0,
-                    max_latency_s: f64::INFINITY,
-                };
-                if let Some(p) = qos_route(&graph, src, dst, &req, PKT_BITS, run.rec()) {
-                    if best_qos.is_none_or(|b| p.total_cost < b) {
-                        best_qos = Some(p.total_cost);
-                    }
-                }
+            if let Some((_, p)) =
+                shortest_path_to_any(&graph, src, &stations, latency_weight, run.rec())
+            {
+                pro_sum += p
+                    .sum_metric(&graph, |e| congestion_weight(e, PKT_BITS))
+                    .unwrap_or(f64::INFINITY);
             }
-            if let Some((_, eff)) = best_pro {
-                pro_sum += eff;
-            }
-            if let Some(v) = best_qos {
-                qos_sum += v;
+            let req = QosRequirement {
+                min_bandwidth_bps: 256_000.0,
+                max_latency_s: f64::INFINITY,
+            };
+            let weight = req.weight(PKT_BITS);
+            if let Some((_, p)) = shortest_path_to_any(&graph, src, &stations, weight, run.rec()) {
+                qos_sum += p.total_cost;
                 qos_ok += 1;
             }
         }

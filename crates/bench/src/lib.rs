@@ -16,9 +16,8 @@ pub mod scenario;
 
 pub use run::ExpRun;
 pub use scenario::{
-    access_satellite, best_station_route, ground_user, iridium_elements, nairobi_user,
-    random_sat_nodes, standard_federation, study_runner, timed, walker_propagators, FIG2B_SIZES,
-    FIG2C_SIZES,
+    access_satellite, ground_user, iridium_elements, nairobi_user, random_sat_nodes,
+    standard_federation, study_runner, timed, walker_propagators, FIG2B_SIZES, FIG2C_SIZES,
 };
 
 /// Print a table header row followed by a separator sized to it.

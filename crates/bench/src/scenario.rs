@@ -1,21 +1,18 @@
 //! Shared scenario setup for the `exp_*` binaries.
 //!
 //! Every experiment used to open with the same boilerplate: build the §4
-//! Iridium-split federation, place the Nairobi reference user, find the
-//! access satellite, route to the nearest gateway. This module is that
-//! boilerplate, written once, plus the [`ScenarioRunner`] constructors
-//! the Figure 2 sweeps run on.
+//! Iridium-split federation, place the Nairobi reference user and find
+//! the access satellite. This module is that boilerplate, written once,
+//! plus the [`ScenarioRunner`] the Figure 2 sweeps run on.
 
 use openspace_core::prelude::*;
 use openspace_net::isl::{best_access_satellite, SatNode};
-use openspace_net::routing::{latency_weight, shortest_path, Path};
-use openspace_net::topology::Graph;
 use openspace_orbit::frames::{geodetic_to_ecef, Geodetic, Vec3};
 use openspace_orbit::kepler::OrbitalElements;
 use openspace_orbit::propagator::{PerturbationModel, Propagator};
 use openspace_orbit::walker::{iridium_params, random_constellation, walker_star, WalkerParams};
 use openspace_phy::hardware::SatelliteClass;
-use openspace_telemetry::NullRecorder;
+use openspace_sim::exec::default_threads;
 use std::time::{Duration, Instant};
 
 /// Constellation sizes swept by Figure 2(b).
@@ -60,35 +57,15 @@ pub fn access_satellite(fed: &Federation, user_ecef: Vec3, t_s: f64) -> Option<(
     )
 }
 
-/// Lowest-propagation-latency route from satellite `sat_idx` to any
-/// ground station; returns the station index and the path.
-pub fn best_station_route(
-    fed: &Federation,
-    graph: &Graph,
-    sat_idx: usize,
-) -> Option<(usize, Path)> {
-    (0..fed.stations().len())
-        .filter_map(|gi| {
-            shortest_path(
-                graph,
-                graph.sat_node(sat_idx),
-                graph.station_node(gi),
-                latency_weight,
-                &mut NullRecorder,
-            )
-            .map(|p| (gi, p))
-        })
-        .min_by(|(_, a), (_, b)| a.total_cost.total_cmp(&b.total_cost))
-}
-
 /// A parallel [`ScenarioRunner`] over the default §4 study scenario with
 /// the given sampling depth.
 pub fn study_runner(trials: u64, epochs_per_trial: usize) -> ScenarioRunner {
-    ScenarioRunner::parallel(StudyConfig {
+    let cfg = StudyConfig {
         trials,
         epochs_per_trial,
         ..Default::default()
-    })
+    };
+    ScenarioRunner::new(cfg, default_threads()).expect("the default study scenario is valid")
 }
 
 /// The paper's 66-satellite Iridium-like Walker Star, as raw elements.
@@ -128,6 +105,8 @@ pub fn random_sat_nodes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openspace_net::routing::{latency_weight, shortest_path, shortest_path_to_any};
+    use openspace_telemetry::NullRecorder;
 
     #[test]
     fn standard_federation_splits_the_iridium_fleet() {
@@ -143,18 +122,15 @@ mod tests {
         let (sat, slant) = access_satellite(&fed, nairobi_user(), 0.0).expect("coverage");
         assert!(slant > 0.0);
         let graph = fed.snapshot(0.0);
-        let (gi, path) = best_station_route(&fed, &graph, sat).expect("connected");
+        let (src, stations) = (graph.sat_node(sat), graph.station_nodes());
+        let (gi, path) =
+            shortest_path_to_any(&graph, src, &stations, latency_weight, &mut NullRecorder)
+                .expect("connected");
         assert!(gi < fed.stations().len());
         assert!(path.total_cost > 0.0);
         // It really is the minimum over stations.
-        for other in 0..fed.stations().len() {
-            if let Some(p) = shortest_path(
-                &graph,
-                graph.sat_node(sat),
-                graph.station_node(other),
-                latency_weight,
-                &mut NullRecorder,
-            ) {
+        for &other in &stations {
+            if let Some(p) = shortest_path(&graph, src, other, latency_weight, &mut NullRecorder) {
                 assert!(path.total_cost <= p.total_cost);
             }
         }

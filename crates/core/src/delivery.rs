@@ -9,7 +9,7 @@
 use crate::federation::{Federation, User};
 use openspace_economics::ledger::TrafficLedger;
 use openspace_net::isl::best_access_satellite;
-use openspace_net::routing::{latency_weight, qos_route, shortest_path, Path, QosRequirement};
+use openspace_net::routing::{latency_weight, shortest_path_to_any, Path, QosRequirement};
 use openspace_net::topology::{Graph, NodeKind};
 use openspace_orbit::constants::SPEED_OF_LIGHT_M_PER_S;
 use openspace_orbit::frames::Vec3;
@@ -85,24 +85,18 @@ pub fn deliver(
     .ok_or(DeliveryError::NoAccessSatellite)?;
     let access = fed.satellites()[sat_idx];
 
-    // Best compliant route to any station (QoS-aware; falls back over all
-    // stations by total cost).
-    let mut best: Option<Path> = None;
-    let (from, rec) = (graph.sat_node(sat_idx), &mut NullRecorder);
-    for gi in 0..fed.stations().len() {
-        let dst = graph.station_node(gi);
-        let candidate = if qos.min_bandwidth_bps > 0.0 || qos.max_latency_s.is_finite() {
-            qos_route(graph, from, dst, qos, 12_000.0, rec)
-        } else {
-            shortest_path(graph, from, dst, latency_weight, rec)
-        };
-        if let Some(p) = candidate {
-            if best.as_ref().is_none_or(|b| p.total_cost < b.total_cost) {
-                best = Some(p);
-            }
-        }
-    }
-    let path = best.ok_or(DeliveryError::NoRoute)?;
+    // Best compliant route to any station: QoS-aware when a floor or a
+    // bound is set. The bound is on the cost being minimised, so when the
+    // cheapest path misses it every other path does too.
+    let (from, dsts) = (graph.sat_node(sat_idx), graph.station_nodes());
+    let rec = &mut NullRecorder;
+    let path = if qos.min_bandwidth_bps > 0.0 || qos.max_latency_s.is_finite() {
+        shortest_path_to_any(graph, from, &dsts, qos.weight(12_000.0), rec)
+            .and_then(|(_, p)| qos.admit(p))
+    } else {
+        shortest_path_to_any(graph, from, &dsts, latency_weight, rec).map(|(_, p)| p)
+    };
+    let path = path.ok_or(DeliveryError::NoRoute)?;
     let Some(&exit_station_node) = path.nodes.last() else {
         return Err(DeliveryError::NoRoute);
     };

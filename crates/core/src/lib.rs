@@ -80,8 +80,7 @@ pub mod prelude {
     };
     pub use crate::security::{ReputationPolicy, ReputationTracker, TrustState};
     pub use crate::study::{
-        coverage_vs_satellites, latency_vs_satellites, study_constellation, study_snapshot_params,
-        CoveragePoint, LatencyPoint, ScenarioRunner, ScenarioRunnerBuilder, StudyConfig,
-        StudyModel,
+        study_constellation, study_snapshot_params, CoveragePoint, LatencyPoint, ScenarioRunner,
+        StudyConfig, StudyModel,
     };
 }

@@ -807,7 +807,7 @@ impl<'a> NetSim<'a> {
     ///
     /// Fails with [`ConfigError`] on a missing topology source, empty
     /// flows (unless a non-empty demand workload is attached),
-    /// out-of-range nodes, non-positive
+    /// out-of-range nodes, a flow from a node to itself, non-positive
     /// durations/rates/intervals, or a refresh schedule the provider
     /// rejects ([`TopologyProvider::check_refresh`]).
     pub fn run(&self, flows: &[FlowSpec]) -> Result<NetSimReport, ConfigError> {
@@ -860,6 +860,12 @@ fn validate<'f>(
     for f in flows {
         require_index("flow.src", f.src.0, n)?;
         require_index("flow.dst", f.dst.0, n)?;
+        if f.src == f.dst {
+            return Err(ConfigError::NotDistinct {
+                field: "flow.dst",
+                other: "flow.src",
+            });
+        }
         require_positive("flow.rate_bps", f.rate_bps)?;
         if f.packet_bytes == 0 {
             return Err(ConfigError::NonPositive {
@@ -1783,6 +1789,25 @@ mod tests {
             .run(&[flow(0, 9, 1e5)])
             .unwrap_err();
         assert!(matches!(err, ConfigError::IndexOutOfRange { .. }));
+    }
+
+    /// A flow from a node to itself used to panic `run`: the planner
+    /// returns a 0-hop path and `forward` indexed its first link.
+    #[test]
+    fn self_flow_is_a_config_error() {
+        let mut g = Graph::new(2, 0);
+        g.add_bidirectional(0, 1, 0.001, 1e6, 0, 0, LinkTech::Rf);
+        let err = NetSim::new(secs(1.0))
+            .with_snapshot(&g)
+            .run(&[flow(0, 0, 1e5)])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::NotDistinct {
+                field: "flow.dst",
+                other: "flow.src"
+            }
+        );
     }
 
     #[test]

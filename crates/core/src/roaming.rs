@@ -10,8 +10,8 @@
 
 use crate::federation::{Federation, FederationError, User};
 use openspace_net::isl::best_access_satellite;
-use openspace_net::routing::{latency_weight, shortest_path};
-use openspace_net::topology::Graph;
+use openspace_net::routing::{latency_weight, shortest_path_to_any};
+use openspace_net::topology::{Graph, NodeId};
 use openspace_orbit::constants::SPEED_OF_LIGHT_M_PER_S;
 use openspace_orbit::frames::{eci_to_ecef, Vec3};
 use openspace_protocol::auth::make_access_request;
@@ -128,20 +128,16 @@ fn route_to_operator_station(
     sat_idx: usize,
     op: OperatorId,
 ) -> Option<(f64, usize)> {
-    let mut best: Option<(f64, usize)> = None;
-    for (gi, station) in fed.stations().iter().enumerate() {
-        if station.owner != op {
-            continue;
-        }
-        let dst = graph.station_node(gi);
-        let from = graph.sat_node(sat_idx);
-        if let Some(p) = shortest_path(graph, from, dst, latency_weight, &mut NullRecorder) {
-            if best.is_none_or(|(c, _)| p.total_cost < c) {
-                best = Some((p.total_cost, p.hops()));
-            }
-        }
-    }
-    best
+    let dsts: Vec<NodeId> = fed
+        .stations()
+        .iter()
+        .enumerate()
+        .filter(|(_, station)| station.owner == op)
+        .map(|(gi, _)| graph.station_node(gi))
+        .collect();
+    let from = graph.sat_node(sat_idx);
+    let (_, p) = shortest_path_to_any(graph, from, &dsts, latency_weight, &mut NullRecorder)?;
+    Some((p.total_cost, p.hops()))
 }
 
 /// One handover step executed with the OpenSpace successor-prediction

@@ -31,9 +31,9 @@
 //!   order. Worker count affects wall-clock only: a parallel sweep is
 //!   bitwise-identical to a serial one.
 //!
-//! The free functions [`latency_vs_satellites`] /
-//! [`coverage_vs_satellites`] remain as serial single-call conveniences
-//! and delegate to a serial runner.
+//! [`ScenarioRunner::new`] is the one way to get a runner: it validates
+//! the [`StudyConfig`] and takes the worker count, 1 being the serial
+//! reference semantics.
 //!
 //! The geometry kernels underneath inherit the gated fast paths of
 //! `openspace-net` transparently: [`build_snapshot_from_samples`]
@@ -60,7 +60,7 @@ use openspace_orbit::propagator::{PerturbationModel, Propagator};
 use openspace_orbit::visibility::max_isl_range_m;
 use openspace_orbit::walker::random_constellation;
 use openspace_sim::config::{require_non_negative, require_positive, ConfigError};
-use openspace_sim::exec::{default_threads, parallel_map_seeded};
+use openspace_sim::exec::parallel_map_seeded;
 use openspace_telemetry::NullRecorder;
 
 /// Fidelity level of the latency sweep.
@@ -202,8 +202,8 @@ pub fn study_snapshot_params(cfg: &StudyConfig) -> SnapshotParams {
 pub fn study_constellation(cfg: &StudyConfig, n: usize, trial: u64) -> Vec<SatNode> {
     // Invalid parameters (non-positive altitude) yield an empty
     // constellation — every sample then counts as unreachable instead of
-    // aborting a sweep. [`ScenarioRunner::builder`] rejects such configs
-    // up front.
+    // aborting a sweep. [`ScenarioRunner::new`] rejects such configs up
+    // front.
     random_constellation(n, cfg.altitude_m, cfg.inclination_deg, cfg.seed + trial)
         .unwrap_or_default()
         .into_iter()
@@ -234,41 +234,18 @@ pub struct ScenarioRunner {
     cache: EphemerisCache,
 }
 
-/// Validating builder for [`ScenarioRunner`].
-#[derive(Debug, Clone)]
-pub struct ScenarioRunnerBuilder {
-    cfg: StudyConfig,
-    threads: usize,
-}
-
-impl ScenarioRunnerBuilder {
-    /// Replace the whole sweep configuration.
-    pub fn config(mut self, cfg: StudyConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Worker count (clamped to ≥ 1 at build).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// RNG seed override.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Trials per sweep point.
-    pub fn trials(mut self, trials: u64) -> Self {
-        self.cfg.trials = trials;
-        self
-    }
-
-    /// Validate and produce the runner.
-    pub fn build(self) -> Result<ScenarioRunner, ConfigError> {
-        let cfg = &self.cfg;
+impl ScenarioRunner {
+    /// A runner for `cfg` on `threads` workers (clamped to ≥ 1; pass
+    /// [`default_threads`](openspace_sim::exec::default_threads)`()` for
+    /// all available cores). Worker count never changes results, only
+    /// wall-clock time.
+    ///
+    /// # Errors
+    /// A non-positive or non-finite `altitude_m` or `epoch_spacing_s`, a
+    /// negative or non-finite `min_elevation_rad`, and zero `trials` or
+    /// `epochs_per_trial` come back as a [`ConfigError`] naming the
+    /// field.
+    pub fn new(cfg: StudyConfig, threads: usize) -> Result<Self, ConfigError> {
         require_positive("altitude_m", cfg.altitude_m)?;
         require_positive("epoch_spacing_s", cfg.epoch_spacing_s)?;
         require_non_negative("min_elevation_rad", cfg.min_elevation_rad)?;
@@ -284,39 +261,11 @@ impl ScenarioRunnerBuilder {
                 value: 0.0,
             });
         }
-        Ok(ScenarioRunner::serial(self.cfg).with_threads(self.threads))
-    }
-}
-
-impl ScenarioRunner {
-    /// Start building a validated runner from the default config and a
-    /// single worker.
-    pub fn builder() -> ScenarioRunnerBuilder {
-        ScenarioRunnerBuilder {
-            cfg: StudyConfig::default(),
-            threads: 1,
-        }
-    }
-
-    /// A single-threaded runner — the reference semantics.
-    pub fn serial(cfg: StudyConfig) -> Self {
-        Self {
+        Ok(Self {
             cfg,
-            threads: 1,
+            threads: threads.max(1),
             cache: EphemerisCache::new(),
-        }
-    }
-
-    /// A runner using all available cores (honours `OPENSPACE_THREADS`).
-    pub fn parallel(cfg: StudyConfig) -> Self {
-        Self::serial(cfg).with_threads(default_threads())
-    }
-
-    /// Override the worker count (clamped to ≥ 1). Worker count never
-    /// changes results, only wall-clock time.
-    fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        })
     }
 
     /// The sweep configuration.
@@ -367,7 +316,7 @@ impl ScenarioRunner {
         for trial in 0..cfg.trials {
             let sats = study_constellation(cfg, n, trial);
             let props: Vec<Propagator> = sats.iter().map(|s| s.propagator).collect();
-            for epoch in 0..cfg.epochs_per_trial.max(1) {
+            for epoch in 0..cfg.epochs_per_trial {
                 let t = epoch as f64 * cfg.epoch_spacing_s;
                 let eph = self.cache.samples(&props, t);
                 samples_total += 1;
@@ -449,16 +398,6 @@ impl ScenarioRunner {
     }
 }
 
-/// Serial convenience wrapper over [`ScenarioRunner::latency_vs_satellites`].
-pub fn latency_vs_satellites(cfg: &StudyConfig, sizes: &[usize]) -> Vec<LatencyPoint> {
-    ScenarioRunner::serial(*cfg).latency_vs_satellites(sizes)
-}
-
-/// Serial convenience wrapper over [`ScenarioRunner::coverage_vs_satellites`].
-pub fn coverage_vs_satellites(cfg: &StudyConfig, sizes: &[usize]) -> Vec<CoveragePoint> {
-    ScenarioRunner::serial(*cfg).coverage_vs_satellites(sizes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,6 +408,18 @@ mod tests {
             epochs_per_trial: 4,
             ..Default::default()
         }
+    }
+
+    fn serial(cfg: StudyConfig) -> ScenarioRunner {
+        ScenarioRunner::new(cfg, 1).expect("valid config")
+    }
+
+    fn latency_vs_satellites(cfg: &StudyConfig, sizes: &[usize]) -> Vec<LatencyPoint> {
+        serial(*cfg).latency_vs_satellites(sizes)
+    }
+
+    fn coverage_vs_satellites(cfg: &StudyConfig, sizes: &[usize]) -> Vec<CoveragePoint> {
+        serial(*cfg).coverage_vs_satellites(sizes)
     }
 
     #[test]
@@ -562,24 +513,22 @@ mod tests {
     fn parallel_sweep_is_bitwise_identical_to_serial() {
         let cfg = quick_cfg();
         let sizes = [4, 8, 16, 25, 40];
-        let serial = ScenarioRunner::serial(cfg).latency_vs_satellites(&sizes);
+        let serial = serial(cfg).latency_vs_satellites(&sizes);
         for threads in [2, 3, 8] {
-            let par = ScenarioRunner::serial(cfg)
-                .with_threads(threads)
+            let par = ScenarioRunner::new(cfg, threads)
+                .expect("valid config")
                 .latency_vs_satellites(&sizes);
             assert_points_bitwise_eq(&serial, &par);
         }
-        // And the runner output matches the legacy free function.
-        assert_points_bitwise_eq(&serial, &latency_vs_satellites(&cfg, &sizes));
     }
 
     #[test]
     fn parallel_coverage_matches_serial() {
         let cfg = quick_cfg();
         let sizes = [5, 15, 30];
-        let serial = ScenarioRunner::serial(cfg).coverage_vs_satellites(&sizes);
-        let par = ScenarioRunner::serial(cfg)
-            .with_threads(4)
+        let serial = serial(cfg).coverage_vs_satellites(&sizes);
+        let par = ScenarioRunner::new(cfg, 4)
+            .expect("valid config")
             .coverage_vs_satellites(&sizes);
         for (x, y) in serial.iter().zip(&par) {
             assert_eq!(x.n_satellites, y.n_satellites);
@@ -595,7 +544,7 @@ mod tests {
         // constellation is a prefix of the size-16/24 ones — the second
         // and third size points must hit the cache for every satellite
         // the smaller points already propagated.
-        let runner = ScenarioRunner::serial(quick_cfg());
+        let runner = serial(quick_cfg());
         runner.latency_vs_satellites(&[8]);
         let misses_after_first = runner.cache().misses();
         assert_eq!(runner.cache().hits(), 0, "first sweep point cannot hit");
@@ -613,32 +562,54 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_and_matches_serial() {
+    fn new_clamps_threads_and_matches_serial() {
         let cfg = quick_cfg();
-        let built = ScenarioRunner::builder()
-            .config(cfg)
-            .threads(2)
-            .build()
-            .expect("valid config");
-        assert_eq!(built.threads(), 2);
-        let a = built.latency_vs_satellites(&[10]);
-        let b = ScenarioRunner::serial(cfg).latency_vs_satellites(&[10]);
-        assert_points_bitwise_eq(&a, &b);
+        assert_eq!(ScenarioRunner::new(cfg, 0).unwrap().threads(), 1);
+        let two = ScenarioRunner::new(cfg, 2).expect("valid config");
+        assert_eq!(two.threads(), 2);
+        let a = two.latency_vs_satellites(&[10]);
+        assert_points_bitwise_eq(&a, &latency_vs_satellites(&cfg, &[10]));
+    }
 
-        let err = ScenarioRunner::builder()
-            .config(StudyConfig {
-                altitude_m: -5.0,
+    /// Zero trials used to divide 0 by 0 into a NaN reachability and NaN
+    /// coverage.
+    #[test]
+    fn zero_trials_is_a_config_error() {
+        let err = ScenarioRunner::new(
+            StudyConfig {
+                trials: 0,
                 ..quick_cfg()
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(
+            },
+            1,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::NonPositive {
+                field: "trials",
+                value: 0.0
+            }
+        );
+    }
+
+    /// A below-ground altitude used to draw empty constellations and
+    /// report 0 reachability as if it were a result.
+    #[test]
+    fn below_ground_altitude_is_a_config_error() {
+        let err = ScenarioRunner::new(
+            StudyConfig {
+                altitude_m: -1.0,
+                ..quick_cfg()
+            },
+            1,
+        )
+        .unwrap_err();
+        assert_eq!(
             err,
             ConfigError::NonPositive {
                 field: "altitude_m",
-                ..
+                value: -1.0
             }
-        ));
-        assert!(ScenarioRunner::builder().trials(0).build().is_err());
+        );
     }
 }

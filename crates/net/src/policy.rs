@@ -14,8 +14,8 @@
 //! may transit it. [`policy_route`] finds the best compliant route — or
 //! proves none exists, which is itself the §5(3) finding.
 
-use crate::routing::dijkstra::{shortest_path, Path};
-use crate::topology::{Edge, Graph, NodeKind};
+use crate::routing::dijkstra::{shortest_path_to_any, Path};
+use crate::topology::{Edge, Graph, NodeId, NodeKind};
 use openspace_telemetry::NullRecorder;
 
 /// A legal jurisdiction (country/region code, opaque).
@@ -92,9 +92,9 @@ pub fn policy_route(
     graph: &Graph,
     station_attrs: &[StationAttrs],
     licenses: &[DownlinkLicense],
-    src: impl Into<crate::topology::NodeId>,
+    src: impl Into<NodeId>,
     policy: &RoutePolicy,
-    weight: impl Fn(&Edge) -> f64 + Copy,
+    weight: impl Fn(&Edge) -> f64,
 ) -> PolicyRoute {
     let src = src.into();
     assert_eq!(
@@ -109,44 +109,34 @@ pub fn policy_route(
             .any(|l| l.operator == op && l.jurisdiction == j)
     };
 
-    let mut best: Option<(Path, usize)> = None;
-    let mut any_route = false;
-    for (gi, attrs) in station_attrs.iter().enumerate() {
-        let dst = graph.station_node(gi);
-        // Track raw reachability for the OnlyNonCompliant distinction.
-        if shortest_path(graph, src, dst, weight, &mut NullRecorder).is_some() {
-            any_route = true;
+    let compliant = |e: &Edge| {
+        if !policy.carrier_allowed(e.operator.0) {
+            return f64::INFINITY;
         }
-        if !policy.exit_allowed(attrs.jurisdiction) {
-            continue;
-        }
-        let compliant = |e: &Edge| {
-            if !policy.carrier_allowed(e.operator.0) {
+        // A hop terminating at a ground station is a downlink: the
+        // transmitting operator must hold a license there.
+        if e.to >= n_sats {
+            let j = station_attrs[e.to.0 - n_sats].jurisdiction;
+            if !licensed(e.operator.0, j) {
                 return f64::INFINITY;
             }
-            // A hop terminating at a ground station is a downlink: the
-            // transmitting operator must hold a license there.
-            if e.to >= n_sats {
-                let j = station_attrs[e.to.0 - n_sats].jurisdiction;
-                if !licensed(e.operator.0, j) {
-                    return f64::INFINITY;
-                }
-            }
-            weight(e)
-        };
-        let constrained = shortest_path(graph, src, dst, compliant, &mut NullRecorder);
-        if let Some(p) = constrained {
-            if best
-                .as_ref()
-                .is_none_or(|(b, _)| p.total_cost < b.total_cost)
-            {
-                best = Some((p, gi));
-            }
         }
+        weight(e)
+    };
+    let exits: Vec<usize> = (0..station_attrs.len())
+        .filter(|&gi| policy.exit_allowed(station_attrs[gi].jurisdiction))
+        .collect();
+    let exit_nodes: Vec<NodeId> = exits.iter().map(|&gi| graph.station_node(gi)).collect();
+    let rec = &mut NullRecorder;
+    if let Some((i, path)) = shortest_path_to_any(graph, src, &exit_nodes, compliant, rec) {
+        return PolicyRoute::Compliant {
+            path,
+            exit_station: exits[i],
+        };
     }
-    match best {
-        Some((path, exit_station)) => PolicyRoute::Compliant { path, exit_station },
-        None if any_route => PolicyRoute::OnlyNonCompliant,
+    // No compliant route: tell a policy block from no connectivity.
+    match shortest_path_to_any(graph, src, &graph.station_nodes(), weight, rec) {
+        Some(_) => PolicyRoute::OnlyNonCompliant,
         None => PolicyRoute::Unreachable,
     }
 }
@@ -181,7 +171,7 @@ pub fn audit_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::latency_weight;
+    use crate::routing::{latency_weight, shortest_path};
     use crate::topology::LinkTech;
 
     /// sat0 —(op1)— sat1 —(op1)→ gs0 (juris A, near)

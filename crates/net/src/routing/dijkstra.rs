@@ -45,7 +45,8 @@ impl Path {
     }
 }
 
-/// Shortest path from `src` to `dst` under `weight`.
+/// Shortest path from `src` to `dst` under `weight`: the
+/// one-destination case of [`shortest_path_to_any`].
 ///
 /// Edges for which `weight` returns `f64::INFINITY` are skipped (that is
 /// how QoS filters express "this link does not qualify"). Returns `None`
@@ -55,8 +56,7 @@ impl Path {
 /// `routing.nodes_visited` by the number of heap pops the search
 /// performed (the work metric that distinguishes a cheap local route
 /// from a constellation-crossing one); pass `&mut NullRecorder` for no
-/// telemetry. A single-request batch on a fresh
-/// [`RoutePlanner`], which stops as soon as the destination settles.
+/// telemetry.
 ///
 /// # Panics
 /// Panics if `weight` returns a negative or NaN value for a usable edge,
@@ -68,10 +68,42 @@ pub fn shortest_path(
     weight: impl Fn(&Edge) -> f64,
     rec: &mut dyn Recorder,
 ) -> Option<Path> {
+    shortest_path_to_any(graph, src, &[dst.into()], weight, rec).map(|(_, p)| p)
+}
+
+/// Cheapest path from `src` to any of `dsts` under `weight`, with its
+/// index in `dsts`; on equal cost the earlier destination wins. `None`
+/// when no destination is reachable (or `dsts` is empty).
+///
+/// A single-source batch on a fresh [`RoutePlanner`]: one tree grows
+/// until the last destination settles, and each candidate path is
+/// bitwise-identical to what [`shortest_path`] returns for it alone.
+/// Telemetry is the batch's: `routing.recomputes` counts one per
+/// destination, `routing.planner.trees` one.
+///
+/// # Panics
+/// As [`shortest_path`].
+pub fn shortest_path_to_any(
+    graph: &Graph,
+    src: impl Into<NodeId>,
+    dsts: &[NodeId],
+    weight: impl Fn(&Edge) -> f64,
+    rec: &mut dyn Recorder,
+) -> Option<(usize, Path)> {
+    let src = src.into();
+    let requests: Vec<(NodeId, NodeId)> = dsts.iter().map(|&dst| (src, dst)).collect();
     RoutePlanner::new()
-        .plan_recorded(graph, &[(src.into(), dst.into())], weight, rec)
-        .pop()
-        .flatten()
+        .plan_recorded(graph, &requests, weight, rec)
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, p)| Some((i, p?)))
+        .reduce(|best, next| {
+            if next.1.total_cost < best.1.total_cost {
+                next
+            } else {
+                best
+            }
+        })
 }
 
 /// Latency edge weight: pure propagation delay.

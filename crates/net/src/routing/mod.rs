@@ -2,8 +2,11 @@
 //!
 //! Three layers, matching §2.2's progression, over one search kernel:
 //!
-//! * [`dijkstra`] — [`shortest_path`] with pluggable weights: the
-//!   proactive precomputed routing a "beginner system" uses.
+//! * [`dijkstra`] — [`shortest_path_to_any`] with pluggable weights:
+//!   the cheapest path from one source to the nearest of several
+//!   destinations (§2.2's "satellite that will relay that signal to the
+//!   ground station"), the proactive precomputed routing a "beginner
+//!   system" uses. [`shortest_path`] is its one-destination case.
 //! * [`qos`] — congestion-aware weights and bandwidth floors: the
 //!   end-to-end reactive routing the paper says a scaled system needs.
 //!   A QoS route is a [`shortest_path`] under
@@ -13,7 +16,8 @@
 //!   set per worker, and weight rows shared across a generation's trees
 //!   for replan-heavy workloads. Its tree
 //!   search is the only shortest-path search in the crate:
-//!   [`shortest_path`] is a single-request batch on a fresh planner.
+//!   [`shortest_path_to_any`] is a single-source batch on a fresh
+//!   planner, one tree for all its destinations.
 //!
 //! [`shortest_path`], [`qos_route`] and the planner report their
 //! `routing.*` work counters through a `&mut dyn Recorder`; pass
@@ -23,6 +27,6 @@ pub mod dijkstra;
 pub mod planner;
 pub mod qos;
 
-pub use dijkstra::{hop_weight, latency_weight, shortest_path, Path};
+pub use dijkstra::{hop_weight, latency_weight, shortest_path, shortest_path_to_any, Path};
 pub use planner::RoutePlanner;
 pub use qos::{congestion_weight, qos_route, residual_bps, QosRequirement};

@@ -21,10 +21,13 @@
 //!   generation, across calls until [`RoutePlanner::invalidate`]
 //!   declares the edge weights changed (see below).
 //!
-//! The one-shot [`shortest_path`](crate::routing::shortest_path) — and
-//! so [`qos_route`](crate::routing::qos_route) — is a single-request
-//! batch on a fresh planner, so every shortest-path search in the crate
-//! runs this one kernel.
+//! The one-shot
+//! [`shortest_path_to_any`](crate::routing::shortest_path_to_any) is a
+//! single-source batch on a fresh planner, and
+//! [`shortest_path`](crate::routing::shortest_path) — and so
+//! [`qos_route`](crate::routing::qos_route) — is its one-destination
+//! anycast, so every shortest-path search in the crate runs this one
+//! kernel.
 //!
 //! # Bitwise equivalence to per-flow search
 //!

@@ -244,6 +244,11 @@ impl Graph {
         NodeId(self.n_sats + i.0)
     }
 
+    /// Node indices of every ground station, in station order.
+    pub fn station_nodes(&self) -> Vec<NodeId> {
+        (self.n_sats..self.node_count()).map(NodeId).collect()
+    }
+
     /// Add a directed edge.
     ///
     /// # Panics

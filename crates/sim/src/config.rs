@@ -1,8 +1,8 @@
 //! Shared configuration-validation error type.
 //!
-//! Every builder in the stack (`FaultPlan`, `NetSimConfig`,
-//! `ScenarioRunner`, …) validates at `build()` and reports problems
-//! through this one enum, so callers handle a single error type no
+//! Every builder and validating constructor in the stack (`FaultPlan`'s
+//! `build()`, `NetSimConfig::validate`, `ScenarioRunner::new`, …) reports
+//! problems through this one enum, so callers handle a single error type no
 //! matter which layer's configuration was malformed. Each variant names
 //! the offending field so the message is actionable without a backtrace.
 
@@ -64,6 +64,13 @@ pub enum ConfigError {
         /// Name of the offending field.
         field: &'static str,
     },
+    /// A value equal to one it must differ from.
+    NotDistinct {
+        /// Name of the offending field.
+        field: &'static str,
+        /// Name of the field it must differ from.
+        other: &'static str,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -89,6 +96,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "{field} interval inverted ({start} > {end})")
             }
             ConfigError::NotFinite { field } => write!(f, "{field} must be finite"),
+            ConfigError::NotDistinct { field, other } => {
+                write!(f, "{field} must differ from {other}")
+            }
         }
     }
 }

@@ -13,7 +13,7 @@
 //! ```
 
 use openspace_core::prelude::*;
-use openspace_net::routing::{latency_weight, qos_route, shortest_path, QosRequirement};
+use openspace_net::routing::{latency_weight, shortest_path_to_any, QosRequirement};
 use openspace_orbit::frames::{geodetic_to_ecef, Geodetic};
 use openspace_phy::hardware::SatelliteClass;
 use openspace_sim::rng::SimRng;
@@ -43,23 +43,16 @@ fn main() {
     let mut graph = fed.snapshot(0.0);
     let mut rng = SimRng::new(7);
     let sat_idx = fed.satellite_index(assoc.serving).expect("serving exists");
-    let src = graph.sat_node(sat_idx);
+    let (src, stations) = (graph.sat_node(sat_idx), graph.station_nodes());
     let rec = &mut NullRecorder;
 
     // Baseline: proactive routing on the idle network.
-    let mut best_idle: Option<(usize, f64)> = None;
-    for gi in 0..fed.stations().len() {
-        if let Some(p) = shortest_path(&graph, src, graph.station_node(gi), latency_weight, rec) {
-            if best_idle.is_none_or(|(_, c)| p.total_cost < c) {
-                best_idle = Some((gi, p.total_cost));
-            }
-        }
-    }
-    let (idle_gi, idle_cost) = best_idle.expect("connected");
+    let (idle_gi, proactive) =
+        shortest_path_to_any(&graph, src, &stations, latency_weight, rec).expect("connected");
     println!(
         "\npre-disaster proactive route exits at {} ({:.1} ms)",
         fed.stations()[idle_gi].id,
-        idle_cost * 1e3
+        proactive.total_cost * 1e3
     );
 
     // Disaster: the regional gateway is swamped (0.99 load on its ground
@@ -87,9 +80,6 @@ fn main() {
     }
 
     // Proactive routing ignores load: same path, now with queueing pain.
-    let idle_gs = graph.station_node(idle_gi);
-    let proactive =
-        shortest_path(&graph, src, idle_gs, latency_weight, rec).expect("path still exists");
     let proactive_latency = proactive
         .sum_metric(&graph, |e| {
             e.latency_s + 12_000.0 / e.capacity_bps / (1.0 - e.load_fraction)
@@ -101,17 +91,7 @@ fn main() {
         min_bandwidth_bps: 64_000.0, // voice-grade floor for relief comms
         max_latency_s: f64::INFINITY,
     };
-    let mut best_qos: Option<(usize, openspace_net::routing::Path)> = None;
-    for gi in 0..fed.stations().len() {
-        if let Some(p) = qos_route(&graph, src, graph.station_node(gi), &req, 12_000.0, rec) {
-            if best_qos
-                .as_ref()
-                .is_none_or(|(_, b)| p.total_cost < b.total_cost)
-            {
-                best_qos = Some((gi, p));
-            }
-        }
-    }
+    let best_qos = shortest_path_to_any(&graph, src, &stations, req.weight(12_000.0), rec);
 
     println!("\n-- after the surge --");
     println!(

@@ -2,9 +2,17 @@
 //! the full curves; these tests pin the qualitative claims so a
 //! regression in any underlying crate is caught by `cargo test`.
 
-use openspace_core::study::{
-    coverage_vs_satellites, latency_vs_satellites, StudyConfig, StudyModel,
-};
+use openspace_core::study::{CoveragePoint, LatencyPoint, ScenarioRunner, StudyConfig, StudyModel};
+
+fn latency_vs_satellites(cfg: &StudyConfig, sizes: &[usize]) -> Vec<LatencyPoint> {
+    let runner = ScenarioRunner::new(*cfg, 1).expect("valid study config");
+    runner.latency_vs_satellites(sizes)
+}
+
+fn coverage_vs_satellites(cfg: &StudyConfig, sizes: &[usize]) -> Vec<CoveragePoint> {
+    let runner = ScenarioRunner::new(*cfg, 1).expect("valid study config");
+    runner.coverage_vs_satellites(sizes)
+}
 
 fn cfg() -> StudyConfig {
     StudyConfig {

@@ -20,14 +20,15 @@
 //! edges and isolated nodes, several batches on one planner (whose
 //! trees live only for their batch, so every batch must match the
 //! reference from scratch), and a batch large enough to grow its trees
-//! in parallel.
+//! in parallel. `shortest_path_to_any` is checked against the first
+//! strictly cheapest of its destinations' reference paths, ties included.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use openspace_net::prelude::*;
 use openspace_net::routing::planner::PARALLEL_GRAIN;
-use openspace_net::routing::{congestion_weight, residual_bps, RoutePlanner};
+use openspace_net::routing::{congestion_weight, residual_bps, shortest_path_to_any, RoutePlanner};
 use openspace_net::topology::LinkTech;
 use openspace_orbit::propagator::{PerturbationModel, Propagator};
 use openspace_orbit::walker::{walker_delta, WalkerParams};
@@ -208,6 +209,46 @@ fn check_batch(
 /// A fresh planner checked on one batch.
 fn check_fresh(graph: &Graph, requests: &[(NodeId, NodeId)], cost: Cost, what: &str) {
     check_batch(&mut RoutePlanner::new(), graph, requests, cost, what);
+}
+
+/// Check `shortest_path_to_any(src, dsts)` against the reference: the
+/// first destination whose reference path is strictly cheaper than all
+/// before it wins, with that path's nodes and cost bits, and the one tree
+/// pops what the reference pops for the last destination to settle.
+fn check_to_any(
+    graph: &Graph,
+    src: NodeId,
+    dsts: &[NodeId],
+    weight: &dyn Fn(&Edge) -> f64,
+    what: &str,
+) -> Option<usize> {
+    let mut want: Option<(usize, Vec<NodeId>, u64)> = None;
+    let mut want_visited = 0u64;
+    for (i, &d) in dsts.iter().enumerate() {
+        let reference = Reference::search(graph, src, Some(d), weight);
+        want_visited = want_visited.max(reference.pops);
+        if let Some((nodes, bits)) = reference.path(src, d) {
+            if want
+                .as_ref()
+                .is_none_or(|&(_, _, best)| f64::from_bits(bits) < f64::from_bits(best))
+            {
+                want = Some((i, nodes, bits));
+            }
+        }
+    }
+    let mut rec = MemoryRecorder::new();
+    let got = shortest_path_to_any(graph, src, dsts, weight, &mut rec);
+    let got = got.map(|(i, p)| (i, p.nodes, p.total_cost.to_bits()));
+    assert_eq!(got, want, "{what}: {src:?} -> any of {dsts:?}");
+    assert_eq!(
+        rec.counter("routing.nodes_visited"),
+        want_visited,
+        "{what}: nodes_visited"
+    );
+    let trees = u64::from(!dsts.is_empty());
+    assert_eq!(rec.counter("routing.planner.trees"), trees, "{what}: trees");
+    assert_eq!(rec.counter("routing.recomputes"), dsts.len() as u64);
+    want.map(|(i, _, _)| i)
 }
 
 /// A random connected-ish graph: a scrambled spine plus random chords,
@@ -518,5 +559,76 @@ fn infinite_weights_and_isolated_nodes_match_the_reference() {
         let what = format!("case {case}");
         check_fresh(&g, &requests, Cost::Plain(&filtered), &what);
         check_fresh(&g, &requests, Cost::Plain(&|_: &Edge| f64::INFINITY), &what);
+    }
+}
+
+#[test]
+fn shortest_path_to_any_is_the_first_cheapest_reference_path() {
+    // Random destination sets, with repeats, the source itself and (past
+    // each random spine, plus appended nodes) unreachable destinations;
+    // every fourth case also asks for an empty set.
+    for case in 0..CASES {
+        let mut rng = SimRng::substream(0x9E3F, case);
+        let base = random_graph(&mut rng);
+        let n = base.node_count() + rng.index(3);
+        let mut g = Graph::new(n, 0);
+        for u in 0..base.node_count() {
+            for e in base.edges(u) {
+                g.add_edge(u, *e);
+            }
+        }
+        let src = NodeId(rng.index(n));
+        let len = if case % 4 == 0 { 0 } else { 1 + rng.index(8) };
+        let mut dsts: Vec<NodeId> = (0..len).map(|_| NodeId(rng.index(n))).collect();
+        let what = format!("case {case}");
+        check_to_any(&g, src, &dsts, &latency_weight, &what);
+        // Every latency is positive, so the source itself, once asked
+        // for, is the cheapest destination: its first occurrence wins.
+        dsts.insert(rng.index(dsts.len() + 1), src);
+        let got = check_to_any(&g, src, &dsts, &latency_weight, &what);
+        assert_eq!(got, dsts.iter().position(|&d| d == src), "{what}");
+        // Only unreachable destinations: no route.
+        let reachable = g.reachable_from(src);
+        let cut: Vec<NodeId> = (0..n).map(NodeId).filter(|d| !reachable[d.0]).collect();
+        assert_eq!(check_to_any(&g, src, &cut, &latency_weight, &what), None);
+    }
+}
+
+#[test]
+fn shortest_path_to_any_ties_go_to_the_earlier_destination() {
+    // Under `hop_weight` on a Walker shell many destinations lie the same
+    // number of hops away: whichever of two tied destinations is listed
+    // first wins, in either order, behind a farther destination listed
+    // before both.
+    for (case, &(planes, per_plane, t_s)) in [(12, 8, 0.0), (24, 11, 300.0)].iter().enumerate() {
+        let g = walker_graph(planes, per_plane, t_s);
+        let n = g.node_count();
+        let mut rng = SimRng::substream(0x9E40, case as u64);
+        for _ in 0..8 {
+            let src = NodeId(rng.index(n));
+            let full = Reference::search(&g, src, None, &hop_weight);
+            // Two distinct nodes at the same (finite, non-zero) hop count,
+            // and one farther node.
+            let level = 1.0 + rng.index(3) as f64;
+            let tied: Vec<NodeId> = (0..n)
+                .map(NodeId)
+                .filter(|d| full.dist[d.0] == level)
+                .collect();
+            let far = (0..n).map(NodeId).find(|d| full.dist[d.0] > level);
+            assert!(
+                tied.len() >= 2,
+                "walker {planes}x{per_plane}: no tie at {level}"
+            );
+            let (a, b) = (tied[0], tied[tied.len() - 1]);
+            let what = format!("walker {planes}x{per_plane} {src:?}");
+            for dsts in [[far, Some(a), Some(b)], [far, Some(b), Some(a)]] {
+                let dsts: Vec<NodeId> = dsts.into_iter().flatten().collect();
+                let first = usize::from(far.is_some());
+                assert_eq!(
+                    check_to_any(&g, src, &dsts, &hop_weight, &what),
+                    Some(first)
+                );
+            }
+        }
     }
 }
