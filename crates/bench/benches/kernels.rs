@@ -307,6 +307,7 @@ fn bench_routing() {
             &graph,
             &requests,
             req.weight(12_000.0),
+            None,
             |p| req.admit(p),
             &mut NullRecorder,
         ));
@@ -342,6 +343,23 @@ fn bench_routing() {
             &graph,
             &requests,
             req.weight(12_000.0),
+            None,
+            |p| req.admit(p),
+            &mut NullRecorder,
+        ));
+    });
+    // The same tick with goal bounds toward the gateways, built outside
+    // the timed closure as the packet simulator builds them once per
+    // snapshot. Every source has one destination, so every tree is
+    // bounded; the paths are the planner variant's, bit for bit.
+    let bounds = GoalBounds::new(&graph, requests.iter().map(|&(_, d)| d), latency_weight);
+    bench("qos_256flows_walker_1584_bounded", window(), || {
+        planner.invalidate();
+        black_box(planner.plan_mapped(
+            &graph,
+            &requests,
+            req.weight(12_000.0),
+            Some(&bounds),
             |p| req.admit(p),
             &mut NullRecorder,
         ));

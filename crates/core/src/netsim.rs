@@ -72,9 +72,19 @@
 //! packet dropped at a dead link was lost to a fault is read from the
 //! mask at that moment.
 //!
+//! Adaptive replans are goal-bounded. The first adaptive replan on a
+//! snapshot builds [`GoalBounds`] toward every flow destination on the
+//! unfaulted snapshot under `latency_weight`; from then on every adaptive
+//! plan passes them, replans and fault re-plans alike, until the next
+//! resnapshot drops them. Latency never exceeds the congestion weight and
+//! a fault only masks edges, so the bounds survive load changes and
+//! faults. The initial plan, each resnapshot's plan and every proactive
+//! plan are unbounded. Paths and cost bits are the unbounded ones (see
+//! the planner's module docs); only `routing.nodes_visited` falls.
+//!
 //! Absolute reports are pinned by `tests/tests/netsim_golden.rs`.
 
-use openspace_net::routing::{latency_weight, Path, QosRequirement, RoutePlanner};
+use openspace_net::routing::{latency_weight, GoalBounds, Path, QosRequirement, RoutePlanner};
 use openspace_net::timeline::{TopologyProvider, TopologyTimeline};
 use openspace_net::topology::{Graph, NodeId};
 use openspace_sim::config::{require_index, require_non_negative, require_positive, ConfigError};
@@ -972,6 +982,11 @@ struct SimState<'a, 'r> {
     /// One batched planner for every recompute: flows sharing a source
     /// share a tree, and scratch buffers persist across events.
     planner: RoutePlanner,
+    /// Latency lower bounds on `full` toward every flow destination,
+    /// built at the first adaptive replan on a snapshot and dropped when
+    /// the snapshot changes; every adaptive plan reads them while they
+    /// exist.
+    bounds: Option<GoalBounds>,
     /// Links down now, each as its `(min, max)` endpoint pair.
     down_links: BTreeSet<(NodeId, NodeId)>,
     replan_interval: Option<f64>,
@@ -1056,6 +1071,7 @@ impl<'a, 'r> SimState<'a, 'r> {
             slab,
             table,
             planner: RoutePlanner::new(),
+            bounds: None,
             down_links: BTreeSet::new(),
             replan_interval: match cfg.routing {
                 RoutingMode::Adaptive { replan_interval_s } => Some(replan_interval_s),
@@ -1214,7 +1230,13 @@ impl<'a, 'r> SimState<'a, 'r> {
             let _ = self.full.set_load(u, v, load);
         });
         // Loads changed under the QoS weight: compiled rows are stale.
+        // The bounds are not: latency never exceeds the congestion
+        // weight, at any load, on `full` or on any mask of it.
         self.planner.invalidate();
+        if self.bounds.is_none() {
+            let dsts = self.endpoints.iter().map(|&(_, dst)| dst);
+            self.bounds = Some(GoalBounds::new(&self.full, dsts, latency_weight));
+        }
         let fresh = self.plan_routes(None, true);
         for (route, r) in self.routes.iter_mut().zip(fresh) {
             if r.is_some() {
@@ -1237,6 +1259,7 @@ impl<'a, 'r> SimState<'a, 'r> {
             return; // resnapshot only ticks in dynamic mode
         };
         self.source.provider.topology_into(now, &mut self.full);
+        self.bounds = None;
         self.rec.add("netsim.timeline.deltas_applied", 1);
         let (kept, churned, lost) = self.remask(q, now);
         self.report.dropped += lost;
@@ -1358,8 +1381,9 @@ impl<'a, 'r> SimState<'a, 'r> {
 
     /// Route the flows named by `idxs` (every flow for `None`) in one
     /// planner batch — on propagation latency (proactive) or the
-    /// congestion weight with a best-effort QoS floor (adaptive) — and
-    /// compile each path into [`LinkId`] form as it is extracted. Route
+    /// congestion weight with a best-effort QoS floor (adaptive, bounded
+    /// by the goal bounds when built) — and compile each path into
+    /// [`LinkId`] form as it is extracted. Route
     /// work counts toward the recorder's `routing.*` counters, and each
     /// batch is one `netsim.plan_routes` span (wall time, 0 sim-seconds).
     fn plan_routes(
@@ -1380,13 +1404,21 @@ impl<'a, 'r> SimState<'a, 'r> {
         let compile = |p: Path| Some(table.compile(p.nodes));
         let routes = if adaptive {
             let weight = QosRequirement::best_effort().weight(12_000.0);
-            self.planner
-                .plan_mapped(&self.work_graph, requests, weight, compile, self.rec)
+            let bounds = self.bounds.as_ref();
+            self.planner.plan_mapped(
+                &self.work_graph,
+                requests,
+                weight,
+                bounds,
+                compile,
+                self.rec,
+            )
         } else {
             self.planner.plan_mapped(
                 &self.work_graph,
                 requests,
                 latency_weight,
+                None,
                 compile,
                 self.rec,
             )

@@ -241,12 +241,21 @@ impl ScenarioRunner {
     /// wall-clock time.
     ///
     /// # Errors
-    /// A non-positive or non-finite `altitude_m` or `epoch_spacing_s`, a
-    /// negative or non-finite `min_elevation_rad`, and zero `trials` or
+    /// A non-positive or non-finite `altitude_m` or `epoch_spacing_s`, an
+    /// `inclination_deg` outside `[0, 180]` (or NaN), a negative or
+    /// non-finite `min_elevation_rad`, and zero `trials` or
     /// `epochs_per_trial` come back as a [`ConfigError`] naming the
     /// field.
     pub fn new(cfg: StudyConfig, threads: usize) -> Result<Self, ConfigError> {
         require_positive("altitude_m", cfg.altitude_m)?;
+        if !(0.0..=180.0).contains(&cfg.inclination_deg) {
+            return Err(ConfigError::OutOfRange {
+                field: "inclination_deg",
+                value: cfg.inclination_deg,
+                min: 0.0,
+                max: 180.0,
+            });
+        }
         require_positive("epoch_spacing_s", cfg.epoch_spacing_s)?;
         require_non_negative("min_elevation_rad", cfg.min_elevation_rad)?;
         if cfg.trials == 0 {
@@ -590,6 +599,36 @@ mod tests {
                 value: 0.0
             }
         );
+    }
+
+    /// An inclination outside [0°, 180°] used to draw empty
+    /// constellations and report 0 reachability as if it were a result;
+    /// both ends of the range are orbits.
+    #[test]
+    fn inclination_outside_0_to_180_degrees_is_a_config_error() {
+        let with = |inclination_deg| StudyConfig {
+            inclination_deg,
+            ..quick_cfg()
+        };
+        for bad in [-0.5, 180.5, f64::NAN, f64::INFINITY] {
+            let err = ScenarioRunner::new(with(bad), 1).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ConfigError::OutOfRange {
+                        field: "inclination_deg",
+                        min: 0.0,
+                        max: 180.0,
+                        value,
+                    } if value.to_bits() == bad.to_bits()
+                ),
+                "{bad}: {err:?}"
+            );
+        }
+        for edge in [0.0, 180.0] {
+            assert!(ScenarioRunner::new(with(edge), 1).is_ok(), "{edge}");
+            assert_eq!(study_constellation(&with(edge), 3, 0).len(), 3, "{edge}");
+        }
     }
 
     /// A below-ground altitude used to draw empty constellations and

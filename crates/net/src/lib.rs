@@ -84,7 +84,7 @@ pub mod prelude {
     };
     pub use crate::routing::{
         congestion_weight, hop_weight, latency_weight, qos_route, residual_bps, shortest_path,
-        shortest_path_to_any, Path, QosRequirement, RoutePlanner,
+        shortest_path_to_any, GoalBounds, Path, QosRequirement, RoutePlanner,
     };
     pub use crate::timeline::{TimelineError, TopologyProvider, TopologyTimeline};
     pub use crate::topology::{

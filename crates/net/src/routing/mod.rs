@@ -13,8 +13,10 @@
 //!   [`QosRequirement::weight`], filtered by its latency bound.
 //! * [`planner`] — the batched per-source [`RoutePlanner`]: one
 //!   settled-predecessor tree per distinct source, one recycled buffer
-//!   set per worker, and weight rows shared across a generation's trees
-//!   for replan-heavy workloads. Its tree
+//!   set per worker, weight rows shared across a generation's trees
+//!   for replan-heavy workloads, and caller-built [`GoalBounds`] that
+//!   prune a tree toward its one destination without changing a path
+//!   or a cost bit. Its tree
 //!   search is the only shortest-path search in the crate:
 //!   [`shortest_path_to_any`] is a single-source batch on a fresh
 //!   planner, one tree for all its destinations.
@@ -28,5 +30,5 @@ pub mod planner;
 pub mod qos;
 
 pub use dijkstra::{hop_weight, latency_weight, shortest_path, shortest_path_to_any, Path};
-pub use planner::RoutePlanner;
+pub use planner::{GoalBounds, RoutePlanner};
 pub use qos::{congestion_weight, qos_route, residual_bps, QosRequirement};

@@ -20,6 +20,8 @@
 //! * **shares compiled weight rows** between all the trees of one
 //!   generation, across calls until [`RoutePlanner::invalidate`]
 //!   declares the edge weights changed (see below).
+//! * **prunes a tree toward its one destination** with caller-built
+//!   [`GoalBounds`], without changing a path or a cost bit (see below).
 //!
 //! The one-shot
 //! [`shortest_path_to_any`](crate::routing::shortest_path_to_any) is a
@@ -87,6 +89,82 @@
 //! weights changed) and on a node-count change. Rows are the only search
 //! state that outlives a batch.
 //!
+//! # Goal bounds
+//!
+//! A caller that plans batch after batch toward a few destinations (the
+//! packet simulator's adaptive replans send every flow to one of a
+//! handful of gateways) can pass [`GoalBounds`]: for each destination
+//! `d`, `lb(v)`, a lower bound on the cost from `v` to `d`. They are one
+//! Dijkstra tree per destination on the transposed graph under a *lower
+//! weight*, one never above the search's weight on any edge, with every
+//! cost times `1 − GOAL_MARGIN` (`GOAL_MARGIN = 1e-9`). A group whose
+//! requests all name one covered destination grows a *bounded* tree;
+//! groups with several destinations stay unbounded.
+//!
+//! * **Upper bound.** Before the tree starts, a greedy walk from the
+//!   source takes, at each node, the arc of least `w + lb(to)`, and sums
+//!   the `w`s forward from `+0.0` exactly as the search sums costs. It is
+//!   a real walk, so its sum `G` is at least the answer's cost `C`: a
+//!   float Dijkstra label is the least float sum over all walks, since
+//!   adding a non-negative float is monotone and never decreases.
+//!   `ub = G · (1 + GOAL_MARGIN)`. A dead end, more than `n` steps (`n`
+//!   the node count), or `G` below the least normal `f64` gives
+//!   `ub = +∞`.
+//! * **One relax.** An offer that would lower a label is refused when
+//!   `next + lb(to) > ub`. With `ub = +∞` nothing is refused, so an
+//!   unbounded tree runs the same kernel with a bound that never bites.
+//!
+//! **The answer is the same bits.** Let `D(v)` be the unbounded search's
+//! final label and call `u` a *min-predecessor* of `v` when
+//! `fl(D(u) + w(u, v)) = D(v)`. Let `A` be the answer's chain `s … d`,
+//! closed under min-predecessors.
+//!
+//! 1. *Every node of `A` passes the test at its final label.* From
+//!    `u ∈ A`, min-predecessor arcs lead forward to the chain and along
+//!    it to `d` in at most `2n` float additions, which turn `D(u)` into
+//!    `C` exactly. Each rounds down by at most a factor `1 − 2⁻⁵³`, so
+//!    `D(u) + W ≤ C / (1 − 2⁻⁵³)²ⁿ`, with `W` the exact sum of that
+//!    walk's weights. The walk with its cycles cut is a path from `u` to
+//!    `d` in the bounds' graph (a mask only removes edges) whose lower
+//!    weights sum to at most `W`, and `lb(u)` is at most that path's
+//!    float sum, at most `(1 + 2⁻⁵³)ⁿ` times the exact one. So
+//!    `fl(D(u) + lb(u)) ≤ C · (1 + 2⁻⁵³)ⁿ⁺¹ / (1 − 2⁻⁵³)²ⁿ`, while
+//!    `ub ≥ C · (1 + GOAL_MARGIN)(1 − 2⁻⁵³)`, and the test passes once
+//!    `(3n + 3) · 2⁻⁵³ < GOAL_MARGIN`. Bounds cover graphs of at most
+//!    `MAX_GOAL_NODES` (2¹⁹) nodes, where that error stays below
+//!    `GOAL_MARGIN / 2`; on the 1,590 nodes of a 1,584-satellite shell it
+//!    is 5 · 10⁻¹³, over three orders of magnitude inside the margin.
+//!    In exact arithmetic (hop counts) every tie passes with no margin.
+//! 2. *A refused offer is strictly worse than the final label.* Refusal
+//!    is monotone in `next`, so an offer refused at `v ∈ A` has
+//!    `fl(next + lb(v)) > ub ≥ fl(D(v) + lb(v))`, hence `next > D(v)`.
+//!    A node outside `A` never offers a node of `A` as little as its
+//!    final label either (a bounded label is never below the unbounded
+//!    one): if it did, it would be a min-predecessor.
+//!
+//! So, in the unbounded search's settle order, each node of `A` receives
+//! its final label first from the same min-predecessor and settles in the
+//! same order relative to the rest of `A`: all its min-predecessors are
+//! in `A`, and every other offer it sees is strictly worse. `d` settles
+//! with the same label and the same predecessor chain, so the path and
+//! its cost bits are the unbounded search's. Nodes outside `A` may settle
+//! later, differently or never; that is the saving.
+//!
+//! **Contract.** Bounds hold for any search graph that is a subgraph of
+//! the one they were built on, under any weight at or above theirs on
+//! every edge. The packet simulator builds them on its unfaulted snapshot
+//! under `latency_weight`: a fault mask only removes edges, and the
+//! congestion weight `latency + service / (1 − load)` adds a
+//! non-negative term to the latency, which float addition cannot round
+//! below the latency. So the bounds outlive every load change (which
+//! invalidates the rows) and every fault, but not a new snapshot, which
+//! is why they are the caller's, passed to each plan, not planner state.
+//!
+//! **What moves.** Only `routing.nodes_visited` falls; `recomputes`,
+//! `planner.trees` and `planner.path_extractions` are unchanged. On
+//! perfbench's `shell_adaptive` (seed 1) a run's trees popped 904,791
+//! nodes instead of 16,059,046.
+//!
 //! # Parallel growth
 //!
 //! A batch first groups its requests by source: each distinct source, in
@@ -96,7 +174,9 @@
 //!
 //! * **At or above it** the rows are compiled eagerly and the groups go
 //!   to `min(`[`default_threads`]`(), groups)` workers in contiguous
-//!   runs, one run and one buffer set per worker. For each group a worker
+//!   runs, one run and one buffer set per worker; unless the unbounded
+//!   groups alone stay below the grain, in which case the calling thread
+//!   is the only worker. For each group a worker
 //!   starts a tree on its buffer set, settles the group's destinations in
 //!   request order, extracts each path into the group's answers, and
 //!   restarts the same buffers for the next group. The calling thread
@@ -129,13 +209,22 @@
 //! a spawn costs more than a few small trees. Below the grain the worker
 //! count is not even asked for: [`default_threads`] reads cgroup files,
 //! and asking on every batch made that search about 10× slower.
+//! Bounded trees pop about 18× fewer nodes, and spawning for them
+//! measured slower at every size tried on a 2-core host: a
+//! `shell_adaptive` run took 0.18–0.20 s on one worker against
+//! 0.23–0.24 s on two, and batches of 512 and 1,584 bounded trees on the
+//! 1,584-satellite shell took 1.4–1.8 and 4.6–5.1 ms against 2.4–2.5
+//! and 6.4–6.6 ms. So only unbounded groups count toward spawning, while
+//! the grain still decides whether a batch keeps one buffer set per
+//! worker or one per tree.
 //!
 //! # Telemetry
 //!
 //! Through a [`Recorder`] the planner reports, alongside the established
 //! `routing.recomputes` (one per route *request*, preserving the metric's
 //! meaning) and `routing.nodes_visited` (heap pops actually performed —
-//! now counted once per tree, not once per flow):
+//! now counted once per tree, not once per flow, and fewer in a bounded
+//! tree):
 //!
 //! * `routing.planner.trees` — shortest-path trees grown;
 //! * `routing.planner.path_extractions` — paths read out of a tree.
@@ -147,11 +236,21 @@ use openspace_telemetry::{NullRecorder, Recorder};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Parallel-growth grain: a batch grows its new trees on worker threads
-/// only when `new trees × graph.node_count()` reaches this. Below it a
-/// worker spawn and eager row compilation cost more than they save
-/// (see the [module docs](self)).
+/// Parallel-growth grain: a batch keeps one buffer set per worker, with
+/// rows compiled up front, when `new trees × graph.node_count()` reaches
+/// this, and grows its trees on worker threads when its unbounded trees
+/// alone do. Below it a worker spawn and eager row compilation cost more
+/// than they save (see the [module docs](self)).
 pub const PARALLEL_GRAIN: usize = 1 << 16;
+
+/// Relative margin of a goal bound: lower bounds shrink by it and upper
+/// bounds grow by it. Orders of magnitude above the fp error of any path
+/// of at most [`MAX_GOAL_NODES`] hops (see the [module docs](self)).
+const GOAL_MARGIN: f64 = 1e-9;
+
+/// Largest graph [`GoalBounds`] cover: `(3n + 3) · 2⁻⁵³`, the relative
+/// error the margin must absorb, stays below `GOAL_MARGIN / 2`.
+const MAX_GOAL_NODES: usize = 1 << 19;
 
 /// Frontier key of a `(cost, node)` pair: the cost's bits above the
 /// node index, so unsigned order is `(cost, node)` order for every cost
@@ -251,19 +350,92 @@ impl Rows {
     /// order, so the rows can be read from several threads at once.
     fn compile_all(&mut self, graph: &Graph, weight: &impl Fn(&Edge) -> f64) {
         for node in (0..graph.node_count()).map(NodeId) {
-            if self.get(node).is_none() {
-                self.compile(graph, weight, node, |_, _| {});
-            }
+            self.ensure(graph, weight, node);
         }
     }
 
-    /// Relax `node`'s compiled row into `tree`.
+    /// Compile `node`'s row unless this generation already has.
+    fn ensure(&mut self, graph: &Graph, weight: &impl Fn(&Edge) -> f64, node: NodeId) {
+        if self.get(node).is_none() {
+            self.compile(graph, weight, node, |_, _| {});
+        }
+    }
+
+    /// Relax `node`'s compiled row into `tree` under `goal`.
     #[inline(always)]
-    fn relax(&self, tree: &mut Tree, cost: f64, node: NodeId) {
+    fn relax(&self, tree: &mut Tree, cost: f64, node: NodeId, goal: Goal) {
         let row = self.get(node).expect("row compiled before it is read");
         for &(w, to) in row {
-            tree.relax(cost, w, node, to);
+            tree.relax(cost, w, node, to, goal);
         }
+    }
+
+    /// The upper half of a goal bound from `src` to `dst`: walk from
+    /// `src`, each step along the arc of least `w + lb[to]`, and sum the
+    /// walk's weights forward from `+0.0` as the search does, compiling
+    /// the rows it reads. The sum is a real walk's cost, so at least the
+    /// cheapest path's; it returns that sum times `1 + GOAL_MARGIN`, or
+    /// `+∞` (no bound) on a dead end, a walk longer than the node count,
+    /// or a sum below the least normal `f64` (see the [module
+    /// docs](self)).
+    fn upper_bound(
+        &mut self,
+        graph: &Graph,
+        weight: &impl Fn(&Edge) -> f64,
+        (src, dst): (NodeId, NodeId),
+        lb: &[f64],
+    ) -> f64 {
+        let (mut node, mut cost) = (src, 0.0);
+        for _ in 0..graph.node_count() {
+            if node == dst {
+                break;
+            }
+            self.ensure(graph, weight, node);
+            let mut best = (f64::INFINITY, 0.0, node);
+            for &(w, to) in self.get(node).expect("row compiled above") {
+                // A negative or NaN weight is the search's to panic on,
+                // never the walk's to take.
+                let estimate = w + lb[to.0];
+                if w >= 0.0 && estimate < best.0 {
+                    best = (estimate, w, to);
+                }
+            }
+            if best.0 == f64::INFINITY {
+                return f64::INFINITY;
+            }
+            cost += best.1;
+            node = best.2;
+        }
+        if node == dst && cost >= f64::MIN_POSITIVE {
+            cost * (1.0 + GOAL_MARGIN)
+        } else {
+            f64::INFINITY
+        }
+    }
+}
+
+/// One tree's goal bound: an offer of cost `next` to node `to` is
+/// refused when `next + lb[to] > ub` (see the [module docs](self)).
+#[derive(Clone, Copy)]
+struct Goal<'b> {
+    /// Lower bounds on the cost from each node to the goal.
+    lb: &'b [f64],
+    /// Upper bound on the cost of the answer, `+∞` for none.
+    ub: f64,
+}
+
+impl Goal<'_> {
+    /// No bound: every offer passes, and `lb` is never read.
+    const NONE: Goal<'static> = Goal {
+        lb: &[],
+        ub: f64::INFINITY,
+    };
+
+    /// Whether an offer of cost `next` to `to` can still lie on a path
+    /// to the goal that costs at most `ub`.
+    #[inline(always)]
+    fn admits(self, next: f64, to: NodeId) -> bool {
+        self.ub == f64::INFINITY || next + self.lb[to.0] <= self.ub
     }
 }
 
@@ -335,14 +507,14 @@ impl Tree {
         self.mark[node.0] == self.gen + 1
     }
 
-    /// Offer `to` the cost `cost + w` through `node`. The weight check
-    /// runs here, on every relaxation, so an edge no search reaches never
-    /// panics.
+    /// Offer `to` the cost `cost + w` through `node`, unless `goal`
+    /// refuses it. The weight check runs here, on every relaxation, so an
+    /// edge no search reaches never panics.
     #[inline(always)]
-    fn relax(&mut self, cost: f64, w: f64, node: NodeId, to: NodeId) {
+    fn relax(&mut self, cost: f64, w: f64, node: NodeId, to: NodeId, goal: Goal) {
         assert!(w >= 0.0 && !w.is_nan(), "edge weight must be non-negative");
         let next = cost + w;
-        if next < self.dist_of(to) {
+        if next < self.dist_of(to) && goal.admits(next, to) {
             self.touch(to, next, node);
             self.heap.push(Reverse(frontier_key(next, to)));
         }
@@ -399,8 +571,10 @@ impl Tree {
 
 /// The requests of a grown batch that share a source: one tree answers
 /// them all, on a worker, before any is mapped.
-struct Group {
+struct Group<'b> {
     src: NodeId,
+    /// The tree's goal bound ([`Goal::NONE`] when unbounded).
+    goal: Goal<'b>,
     /// Destinations, in request order.
     dsts: Vec<NodeId>,
     /// Answers, in request order.
@@ -409,16 +583,17 @@ struct Group {
     taken: usize,
 }
 
-impl Group {
+impl Group<'_> {
     /// Grow a tree from `src` on `tree`'s buffers until each destination
     /// settles, in request order, reading the compiled `rows`, and
     /// extract each path. Returns the heap pops.
     fn answer(&mut self, n: usize, tree: &mut Tree, rows: &Rows) -> u64 {
         tree.restart(n, self.src);
+        let goal = self.goal;
         let mut visited = 0u64;
         self.paths.reserve_exact(self.dsts.len());
         for &dst in &self.dsts {
-            visited += tree.settle(dst, |tree, cost, node| rows.relax(tree, cost, node));
+            visited += tree.settle(dst, |tree, cost, node| rows.relax(tree, cost, node, goal));
             self.paths.push(tree.extract(dst));
         }
         visited
@@ -428,6 +603,88 @@ impl Group {
     fn take(&mut self) -> Option<Path> {
         self.taken += 1;
         self.paths[self.taken - 1].take()
+    }
+}
+
+/// Lower bounds on the cost still to go toward each of a set of
+/// destinations, for bounding a batch's trees (see the [module
+/// docs](self)): built once by the caller, passed to
+/// [`RoutePlanner::plan_mapped`], and valid for as long as the weights
+/// the batches search under stay at or above the weight the bounds were
+/// built under, on a subgraph of the graph they were built on.
+pub struct GoalBounds {
+    /// Node count of the graph the bounds were built on.
+    n: usize,
+    /// The destinations, ascending and distinct; destination `i`'s
+    /// bounds are `lb[i * n..(i + 1) * n]`.
+    dsts: Vec<NodeId>,
+    lb: Vec<f64>,
+}
+
+impl GoalBounds {
+    /// Bounds toward every node in `dsts` on `graph` under `weight`: one
+    /// tree per distinct destination on the transposed graph, its costs
+    /// scaled by `1 − GOAL_MARGIN`. An arc `weight` filters
+    /// (`f64::INFINITY`) is absent, as in a search. On a graph too large
+    /// for the margin the bounds cover no destination.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range destination or a negative/NaN weight.
+    pub fn new(
+        graph: &Graph,
+        dsts: impl IntoIterator<Item = NodeId>,
+        weight: impl Fn(&Edge) -> f64,
+    ) -> GoalBounds {
+        let n = graph.node_count();
+        let mut dsts: Vec<NodeId> = dsts.into_iter().collect();
+        assert!(dsts.iter().all(|d| d.0 < n), "dst out of range");
+        dsts.sort_unstable();
+        dsts.dedup();
+        if n > MAX_GOAL_NODES {
+            dsts.clear();
+        }
+        // In-rows: arc `u → v` packed in `v`'s row as `(weight, u)`,
+        // `v`'s row at `arcs[start[v]..start[v + 1]]`.
+        let mut start = vec![0usize; n + 1];
+        for u in 0..n {
+            for e in graph.edges(u) {
+                start[e.to.0 + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start.clone();
+        let mut arcs = vec![(0.0, NodeId(0)); start[n]];
+        for u in 0..n {
+            for e in graph.edges(u) {
+                arcs[fill[e.to.0]] = (weight(e), NodeId(u));
+                fill[e.to.0] += 1;
+            }
+        }
+        let mut tree = Tree::empty();
+        let mut lb = Vec::with_capacity(dsts.len() * n);
+        for &d in &dsts {
+            tree.restart(n, d);
+            // Settling every node in turn grows the whole tree.
+            for v in (0..n).map(NodeId) {
+                tree.settle(v, |tree, cost, node| {
+                    for &(w, from) in &arcs[start[node.0]..start[node.0 + 1]] {
+                        if w != f64::INFINITY {
+                            tree.relax(cost, w, node, from, Goal::NONE);
+                        }
+                    }
+                });
+            }
+            lb.extend((0..n).map(|v| tree.dist_of(NodeId(v)) * (1.0 - GOAL_MARGIN)));
+        }
+        GoalBounds { n, dsts, lb }
+    }
+
+    /// The bounds toward `dst` on an `n`-node graph, if built.
+    fn toward(&self, dst: NodeId, n: usize) -> Option<&[f64]> {
+        let i = self.dsts.binary_search(&dst).ok().filter(|_| n == self.n)?;
+        Some(&self.lb[i * n..(i + 1) * n])
     }
 }
 
@@ -444,7 +701,9 @@ impl Group {
 /// [`invalidate`](Self::invalidate) before planning again. Planning with
 /// a different weight function likewise requires an `invalidate` in
 /// between — the planner cannot see inside the closure, and a tree would
-/// read rows compiled under the old weight.
+/// read rows compiled under the old weight. [`GoalBounds`] are the
+/// caller's and follow their own contract: a load change that
+/// invalidates the rows can leave the bounds valid.
 pub struct RoutePlanner {
     /// The last batch's tree buffers, kept for the next: one per worker
     /// above the grain, one per source below it.
@@ -453,6 +712,9 @@ pub struct RoutePlanner {
     rows: Rows,
     /// Node count the rows were compiled for.
     n: usize,
+    /// Worker count of a batch that spawns; `None` asks
+    /// [`default_threads`]. Tests pin it.
+    workers: Option<usize>,
 }
 
 impl Default for RoutePlanner {
@@ -468,6 +730,7 @@ impl RoutePlanner {
             trees: Vec::new(),
             rows: Rows::new(),
             n: 0,
+            workers: None,
         }
     }
 
@@ -506,14 +769,21 @@ impl RoutePlanner {
         weight: impl Fn(&Edge) -> f64,
         rec: &mut dyn Recorder,
     ) -> Vec<Option<Path>> {
-        self.plan_mapped(graph, requests, weight, Some, rec)
+        self.plan_mapped(graph, requests, weight, None, Some, rec)
     }
 
-    /// [`plan_recorded`](Self::plan_recorded) with a caller-supplied
-    /// map: each found [`Path`] is passed to `map`, in request order on
-    /// the calling thread, and the mapped value is returned in its place.
+    /// [`plan_recorded`](Self::plan_recorded) with goal bounds and a
+    /// caller-supplied map: each found [`Path`] is passed to `map`, in
+    /// request order on the calling thread, and the mapped value is
+    /// returned in its place.
     ///
-    /// This lets a caller compile paths straight into its own route
+    /// With `bounds`, every group of requests that shares one source and
+    /// one destination the bounds cover grows a bounded tree (see the
+    /// [module docs](self)); answers are the same bits either way, and
+    /// only `routing.nodes_visited` falls. The bounds must hold for
+    /// `graph` under `weight` (see [`GoalBounds`]).
+    ///
+    /// The map lets a caller compile paths straight into its own route
     /// representation (e.g. the packet simulator's link-index form,
     /// whose ids are allocated in the order `map` sees the paths)
     /// without keeping an intermediate `Vec<Path>`. `map` returning
@@ -527,24 +797,9 @@ impl RoutePlanner {
         graph: &Graph,
         requests: &[(NodeId, NodeId)],
         weight: impl Fn(&Edge) -> f64,
-        map: impl FnMut(Path) -> Option<T>,
-        rec: &mut dyn Recorder,
-    ) -> Vec<Option<T>> {
-        self.plan_on(graph, requests, weight, map, rec, default_threads)
-    }
-
-    /// [`plan_mapped`](Self::plan_mapped) growing a large batch's trees on
-    /// `threads()` workers. `threads` is called only when the batch
-    /// crosses [`PARALLEL_GRAIN`]: the default worker count reads cgroup
-    /// files, too slow to ask on every one-shot search.
-    fn plan_on<T>(
-        &mut self,
-        graph: &Graph,
-        requests: &[(NodeId, NodeId)],
-        weight: impl Fn(&Edge) -> f64,
+        bounds: Option<&GoalBounds>,
         mut map: impl FnMut(Path) -> Option<T>,
         rec: &mut dyn Recorder,
-        threads: impl FnOnce() -> usize,
     ) -> Vec<Option<T>> {
         let n = graph.node_count();
         if n != self.n {
@@ -552,28 +807,53 @@ impl RoutePlanner {
             self.n = n;
             self.invalidate();
         }
-        // Group: each distinct source, in first-request order, and a
-        // per-node index to its group.
+        // Group: each distinct source, in first-request order, with its
+        // one destination (`None` once it has two), and a per-node index
+        // to its group.
         let mut group_of = vec![usize::MAX; n];
-        let mut sources = Vec::new();
+        let mut sources: Vec<(NodeId, Option<NodeId>)> = Vec::new();
         for &(src, dst) in requests {
             assert!(src.0 < n, "src out of range");
             assert!(dst.0 < n, "dst out of range");
             if group_of[src.0] == usize::MAX {
                 group_of[src.0] = sources.len();
-                sources.push(src);
+                sources.push((src, Some(dst)));
+            } else {
+                let one = &mut sources[group_of[src.0]].1;
+                if *one != Some(dst) {
+                    *one = None;
+                }
             }
         }
         let grown = sources.len() * n >= PARALLEL_GRAIN;
+        if grown {
+            self.rows.compile_all(graph, &weight);
+        }
+        let rows = &mut self.rows;
+        let goals: Vec<Goal> = sources
+            .iter()
+            .map(|&(src, one)| {
+                let lb = one
+                    .zip(bounds)
+                    .and_then(|(dst, b)| Some((dst, b.toward(dst, n)?)));
+                lb.map_or(Goal::NONE, |(dst, lb)| Goal {
+                    lb,
+                    ub: rows.upper_bound(graph, &weight, (src, dst), lb),
+                })
+            })
+            .collect();
         let mut groups = Vec::new();
         let mut visited = 0u64;
         if grown {
-            // Answer every group on workers, one buffer set each, on rows
-            // compiled up front.
+            // Answer every group, one buffer set per worker, on rows
+            // compiled up front; spawn only when the unbounded trees alone
+            // cross the grain (bounded trees measured faster unspawned).
             groups = sources
                 .iter()
-                .map(|&src| Group {
+                .zip(&goals)
+                .map(|(&(src, _), &goal)| Group {
                     src,
+                    goal,
                     dsts: Vec::new(),
                     paths: Vec::new(),
                     taken: 0,
@@ -582,8 +862,13 @@ impl RoutePlanner {
             for &(src, dst) in requests {
                 groups[group_of[src.0]].dsts.push(dst);
             }
-            self.rows.compile_all(graph, &weight);
-            let per = groups.len().div_ceil(threads().clamp(1, groups.len()));
+            let unbounded = goals.iter().filter(|g| g.ub == f64::INFINITY).count();
+            let threads = if unbounded * n >= PARALLEL_GRAIN {
+                self.workers.unwrap_or_else(default_threads)
+            } else {
+                1
+            };
+            let per = groups.len().div_ceil(threads.clamp(1, groups.len()));
             self.trees
                 .resize_with(groups.len().div_ceil(per), Tree::empty);
             visited = grow(&mut self.trees, &self.rows, &mut groups, n, per);
@@ -592,7 +877,7 @@ impl RoutePlanner {
             // `PARALLEL_GRAIN` labels together: each keeps its own buffers
             // for the batch, so no path waits to be mapped.
             self.trees.resize_with(sources.len(), Tree::empty);
-            for (tree, &src) in self.trees.iter_mut().zip(&sources) {
+            for (tree, &(src, _)) in self.trees.iter_mut().zip(&sources) {
                 tree.restart(n, src);
             }
         }
@@ -607,13 +892,13 @@ impl RoutePlanner {
                 let path = if grown {
                     groups[g].take()
                 } else {
-                    let tree = &mut trees[g];
+                    let (tree, goal) = (&mut trees[g], goals[g]);
                     visited += tree.settle(dst, |tree, cost, node| {
                         if rows.get(node).is_some() {
-                            rows.relax(tree, cost, node);
+                            rows.relax(tree, cost, node, goal);
                         } else {
                             rows.compile(graph, &weight, node, |w, to| {
-                                tree.relax(cost, w, node, to)
+                                tree.relax(cost, w, node, to, goal)
                             });
                         }
                     });
@@ -777,6 +1062,7 @@ mod tests {
             &g,
             &[(NodeId(0), NodeId(2))],
             req.weight(12_000.0),
+            None,
             |p| req.admit(p),
             &mut NullRecorder,
         );
@@ -798,6 +1084,7 @@ mod tests {
             &g,
             &[(NodeId(0), NodeId(2))],
             req.weight(12_000.0),
+            None,
             |p| req.admit(p),
             &mut NullRecorder,
         );
@@ -813,6 +1100,14 @@ mod tests {
         big.add_bidirectional(0, 5, 0.001, 1e6, 0u32, 0u32, LinkTech::Rf);
         let out = planner.plan(&big, &[(NodeId(0), NodeId(5))], latency_weight);
         assert_eq!(out[0].as_ref().unwrap().nodes, vec![NodeId(0), NodeId(5)]);
+    }
+
+    /// A planner whose spawning batches use `workers` workers.
+    fn with_workers(workers: usize) -> RoutePlanner {
+        RoutePlanner {
+            workers: Some(workers),
+            ..RoutePlanner::new()
+        }
     }
 
     /// The panic message of `f`, or `None` when it returns normally.
@@ -920,15 +1215,29 @@ mod tests {
                 (src, dst)
             })
             .collect();
+        // Then `big` again plus 128 sources bound for one goal each (six
+        // satellites or the island), planned with bounds: the unbounded
+        // groups still cross the grain, so the bounded trees are spread
+        // over the workers too.
+        let goals: Vec<NodeId> = (0..6)
+            .map(|k| NodeId(k * 101 + 7))
+            .chain([island])
+            .collect();
+        let bounds = GoalBounds::new(&g, goals.iter().copied(), latency_weight);
+        let mixed: Vec<(NodeId, NodeId)> = (0..sources)
+            .map(|k| (NodeId(k * 5 + 2), goals[k % goals.len()]))
+            .chain(big.iter().copied())
+            .collect();
         assert!(warm.len() * n < PARALLEL_GRAIN && sources * n >= PARALLEL_GRAIN);
+        let batches = [(&warm, None), (&big, None), (&mixed, Some(&bounds))];
         let run = |workers: usize| {
-            let mut planner = RoutePlanner::new();
+            let mut planner = with_workers(workers);
             let mut rec = MemoryRecorder::new();
             let mut paths = Vec::new();
-            for batch in [&warm, &big] {
+            for (batch, bounds) in batches {
                 paths.extend(
                     planner
-                        .plan_on(&g, batch, latency_weight, Some, &mut rec, || workers)
+                        .plan_mapped(&g, batch, latency_weight, bounds, Some, &mut rec)
                         .into_iter()
                         .map(|p| p.map(|p| (p.nodes, p.total_cost.to_bits()))),
                 );
@@ -948,14 +1257,15 @@ mod tests {
             paths.iter().any(Option::is_none),
             "the island is unreachable"
         );
-        assert!(paths.iter().filter(|p| p.is_some()).count() > 2 * sources);
+        assert!(paths.iter().filter(|p| p.is_some()).count() > 4 * sources);
         for workers in [2, 3, 8] {
             let (p, c) = run(workers);
             assert_eq!(p, paths, "paths and cost bits at {workers} workers");
             assert_eq!(c, counters, "routing counters at {workers} workers");
         }
         // And every answer is the one-shot search's.
-        for (&(s, d), got) in warm.iter().chain(&big).zip(&paths) {
+        let requests = batches.iter().flat_map(|(batch, _)| batch.iter());
+        for (&(s, d), got) in requests.zip(&paths) {
             let solo = shortest_path(&g, s, d, latency_weight, &mut NullRecorder);
             assert_eq!(
                 solo.map(|p| (p.nodes, p.total_cost.to_bits())).as_ref(),
@@ -976,13 +1286,33 @@ mod tests {
         let mut planner = RoutePlanner::new();
         for workers in [1, 2, 3, 8, 2, 1] {
             let mut rec = MemoryRecorder::new();
-            planner.plan_on(&g, &reqs, latency_weight, Some, &mut rec, || workers);
+            planner.workers = Some(workers);
+            planner.plan_recorded(&g, &reqs, latency_weight, &mut rec);
             assert_eq!(rec.counter("routing.planner.trees"), sources as u64);
             assert!(
                 (1..=workers).contains(&planner.trees.len()),
                 "{} buffer sets at {workers} workers",
                 planner.trees.len()
             );
+        }
+        // A grown batch of bounded trees alone stays below the spawn
+        // test: one buffer set at any worker count.
+        let goals = [NodeId(7), NodeId(311)];
+        let bounds = GoalBounds::new(&g, goals, latency_weight);
+        let bounded: Vec<(NodeId, NodeId)> = (0..sources)
+            .map(|k| (NodeId(k * 5), goals[k % 2]))
+            .collect();
+        for workers in [2, 8] {
+            planner.workers = Some(workers);
+            planner.plan_mapped(
+                &g,
+                &bounded,
+                latency_weight,
+                Some(&bounds),
+                Some,
+                &mut NullRecorder,
+            );
+            assert_eq!(planner.trees.len(), 1, "bounded at {workers} workers");
         }
         // A serial batch keeps one per source.
         planner.plan(&g, &reqs[..4], latency_weight);
@@ -1028,11 +1358,11 @@ mod tests {
         };
         let ring_a = ring_reqs(0);
         assert!(ring_a.len() * g.node_count() >= PARALLEL_GRAIN);
-        let out = RoutePlanner::new().plan_on(&g, &ring_a, weight, Some, &mut NullRecorder, || 2);
+        let out = with_workers(2).plan(&g, &ring_a, weight);
         assert!(out.iter().all(Option::is_some), "ring A never reaches it");
         let both = [ring_a, ring_reqs(ring)].concat();
         let msg = panic_message(|| {
-            RoutePlanner::new().plan_on(&g, &both, weight, Some, &mut NullRecorder, || 2);
+            with_workers(2).plan(&g, &both, weight);
         });
         assert_eq!(msg.as_deref(), Some("edge weight must be non-negative"));
     }

@@ -22,13 +22,23 @@
 //! reference from scratch), and a batch large enough to grow its trees
 //! in parallel. `shortest_path_to_any` is checked against the first
 //! strictly cheapest of its destinations' reference paths, ties included.
+//!
+//! Batches planned with [`GoalBounds`] must return the reference's paths,
+//! cost bits and `None`s too, while popping no more nodes than the same
+//! batch unbounded: on random graphs under latency bounds (the tightest
+//! case, where the search weight is the bound's own), on tie-heavy
+//! Walker shells under hop-count bounds, after loads rose and edges were
+//! masked under bounds built before, and where no bound applies
+//! (unreachable goals, and a greedy walk that dead-ends or loops).
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use openspace_net::prelude::*;
 use openspace_net::routing::planner::PARALLEL_GRAIN;
-use openspace_net::routing::{congestion_weight, residual_bps, shortest_path_to_any, RoutePlanner};
+use openspace_net::routing::{
+    congestion_weight, residual_bps, shortest_path_to_any, GoalBounds, RoutePlanner,
+};
 use openspace_net::topology::LinkTech;
 use openspace_orbit::propagator::{PerturbationModel, Propagator};
 use openspace_orbit::walker::{walker_delta, WalkerParams};
@@ -176,6 +186,7 @@ fn check_batch(
                     graph,
                     requests,
                     req.weight(PKT_BITS),
+                    None,
                     |p| req.admit(p),
                     &mut rec,
                 ),
@@ -630,5 +641,183 @@ fn shortest_path_to_any_ties_go_to_the_earlier_destination() {
                 );
             }
         }
+    }
+}
+
+/// Plan `requests` under `weight` with `bounds` and check every answer
+/// against the reference search — path nodes, cost bits and `None`s —
+/// and every counter against the same batch unbounded: the bounded batch
+/// pops at most as many nodes and grows, asks and extracts exactly as
+/// many. Returns the bounded and unbounded `routing.nodes_visited`.
+fn check_bounded(
+    graph: &Graph,
+    requests: &[(NodeId, NodeId)],
+    weight: &dyn Fn(&Edge) -> f64,
+    bounds: &GoalBounds,
+    what: &str,
+) -> (u64, u64) {
+    let mut rec = MemoryRecorder::new();
+    let got =
+        RoutePlanner::new().plan_mapped(graph, requests, weight, Some(bounds), Some, &mut rec);
+    for (&(s, d), got) in requests.iter().zip(&got) {
+        let want = Reference::search(graph, s, Some(d), weight).path(s, d);
+        let got = got
+            .as_ref()
+            .map(|p| (p.nodes.clone(), p.total_cost.to_bits()));
+        assert_eq!(got, want, "{what}: bounded answer for {s:?}->{d:?}");
+    }
+    let mut plain = MemoryRecorder::new();
+    RoutePlanner::new().plan_recorded(graph, requests, weight, &mut plain);
+    for key in [
+        "routing.recomputes",
+        "routing.planner.trees",
+        "routing.planner.path_extractions",
+    ] {
+        assert_eq!(rec.counter(key), plain.counter(key), "{what}: {key}");
+    }
+    let visited = |r: &MemoryRecorder| r.counter("routing.nodes_visited");
+    let (bounded, unbounded) = (visited(&rec), visited(&plain));
+    assert!(
+        bounded <= unbounded,
+        "{what}: bounded {bounded} > unbounded {unbounded} nodes visited"
+    );
+    (bounded, unbounded)
+}
+
+/// Requests shaped like adaptive replans: most sources send to one of a
+/// few goals (bounded groups, some asking twice), a few to two goals
+/// (unbounded groups).
+fn goal_requests(rng: &mut SimRng, n: usize, goals: &[NodeId]) -> Vec<(NodeId, NodeId)> {
+    let mut requests = Vec::new();
+    for _ in 0..1 + rng.index(16) {
+        let src = NodeId(rng.index(n));
+        let dst = goals[rng.index(goals.len())];
+        requests.push((src, dst));
+        match rng.index(4) {
+            0 => requests.push((src, dst)),
+            1 => requests.push((src, goals[rng.index(goals.len())])),
+            _ => {}
+        }
+    }
+    requests
+}
+
+#[test]
+fn bounded_batches_match_the_reference_on_random_graphs() {
+    let best_effort = QosRequirement::best_effort();
+    let qos = qos_weight(&best_effort);
+    let floor = QosRequirement {
+        min_bandwidth_bps: 2e8,
+        max_latency_s: f64::INFINITY,
+    };
+    let filtered = qos_weight(&floor);
+    let (mut bounded, mut unbounded) = (0, 0);
+    for case in 0..CASES {
+        let mut rng = SimRng::substream(0x9E41, case);
+        let mut g = random_graph(&mut rng);
+        let n = g.node_count();
+        let goals: Vec<NodeId> = (0..1 + rng.index(3))
+            .map(|_| NodeId(rng.index(n)))
+            .collect();
+        let requests = goal_requests(&mut rng, n, &goals);
+        let bounds = GoalBounds::new(&g, goals.iter().copied(), latency_weight);
+        let what = |w: &str| format!("case {case} {w}");
+        // Under the bounds' own weight, the tightest case; under the
+        // congestion weight; and under a bandwidth floor that filters.
+        let (b, u) = check_bounded(&g, &requests, &latency_weight, &bounds, &what("latency"));
+        (bounded, unbounded) = (bounded + b, unbounded + u);
+        check_bounded(&g, &requests, &qos, &bounds, &what("congestion"));
+        check_bounded(&g, &requests, &filtered, &bounds, &what("floor"));
+        // Loads raised after the bounds were built.
+        for u in 0..n {
+            for e in g.edges_mut(u) {
+                e.load_fraction = e.load_fraction.max(rng.uniform_range(0.0, 0.99));
+            }
+        }
+        check_bounded(&g, &requests, &qos, &bounds, &what("loads raised"));
+        // Edges masked after the bounds were built.
+        g.retain_edges(|_, e| edge_bucket(e, 4) != 0);
+        check_bounded(&g, &requests, &latency_weight, &bounds, &what("masked"));
+        check_bounded(&g, &requests, &qos, &bounds, &what("masked, loaded"));
+    }
+    assert!(
+        bounded < unbounded,
+        "bounds saved nothing: {bounded} of {unbounded} nodes visited"
+    );
+}
+
+#[test]
+fn bounded_walker_shells_keep_every_tie() {
+    // Under hop-count bounds every cost is a small integer, exact in
+    // either summation order, so every tie between equal-hop paths
+    // reaches the bound test and must pass it: the node tie-break decides
+    // each path exactly as unbounded. Latency bounds on the same shells
+    // exercise the margin on long paths.
+    for (case, &(planes, per_plane, t_s)) in [(12, 8, 0.0), (24, 11, 300.0), (36, 18, 1_234.0)]
+        .iter()
+        .enumerate()
+    {
+        let g = walker_graph(planes, per_plane, t_s);
+        let n = g.node_count();
+        let mut rng = SimRng::substream(0x9E42, case as u64);
+        let goals: Vec<NodeId> = (0..6).map(|_| NodeId(rng.index(n))).collect();
+        let requests: Vec<(NodeId, NodeId)> = (0..64)
+            .map(|k| (NodeId(rng.index(n)), goals[k % goals.len()]))
+            .collect();
+        let what = format!("walker {planes}x{per_plane}");
+        for (name, weight) in [
+            ("hop", &hop_weight as &dyn Fn(&Edge) -> f64),
+            ("latency", &latency_weight),
+        ] {
+            let bounds = GoalBounds::new(&g, goals.iter().copied(), weight);
+            let (bounded, unbounded) =
+                check_bounded(&g, &requests, weight, &bounds, &format!("{what} {name}"));
+            assert!(
+                bounded < unbounded,
+                "{what} {name}: bounded {bounded} of {unbounded} nodes visited"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_dead_end_loop_or_unreachable_goal_leaves_the_tree_unbounded() {
+    // 0 —1 ms→ 1 —1 ms→ 3 and 0 —1.5 ms→ 2 —5 ms→ 3, plus an isolated 4;
+    // the bounds are built with `1 → 3` present, then it is masked.
+    let arc = |to: usize, latency_s: f64| Edge {
+        to: NodeId(to),
+        latency_s,
+        capacity_bps: 1e6,
+        operator: OperatorId(0),
+        technology: LinkTech::Rf,
+        load_fraction: 0.0,
+    };
+    for back in [false, true] {
+        let mut g = Graph::new(5, 0);
+        g.add_edge(0, arc(1, 0.001));
+        g.add_edge(1, arc(3, 0.001));
+        g.add_edge(0, arc(2, 0.0015));
+        g.add_edge(2, arc(3, 0.005));
+        if back {
+            g.add_edge(1, arc(0, 0.001));
+        }
+        let goals = [NodeId(3), NodeId(4)];
+        let bounds = GoalBounds::new(&g, goals, latency_weight);
+        let reqs = [(NodeId(0), NodeId(3))];
+        // With `1 → 3` the bound keeps node 2 (1.5 ms out, 5 ms short)
+        // out of the tree.
+        let (bounded, unbounded) = check_bounded(&g, &reqs, &latency_weight, &bounds, "intact");
+        assert!(bounded < unbounded, "{bounded} of {unbounded}");
+        // Without it the greedy walk reaches 1 and dead-ends there, or
+        // (with `1 → 0`) loops between 0 and 1: no bound, so the tree
+        // pops exactly the unbounded search's nodes.
+        g.retain_edges(|u, e| (u.0, e.to.0) != (1, 3));
+        let what = if back { "loop" } else { "dead end" };
+        let (bounded, unbounded) = check_bounded(&g, &reqs, &latency_weight, &bounds, what);
+        assert_eq!(bounded, unbounded, "{what}");
+        // An unreachable goal, from a connected and an isolated source.
+        let lost = [(NodeId(0), NodeId(4)), (NodeId(4), NodeId(3))];
+        let (bounded, unbounded) = check_bounded(&g, &lost, &latency_weight, &bounds, "lost");
+        assert_eq!(bounded, unbounded, "unreachable");
     }
 }
