@@ -11,10 +11,19 @@
 //! openspace-bench --bench kernels -- snapshot_`
 //!
 //! Self-contained harness (no external bench framework): each kernel is
-//! warmed up, then timed over enough iterations to exceed a fixed
-//! measurement window, reporting mean wall-clock per iteration. Set
-//! `OPENSPACE_BENCH_WINDOW_MS` to shrink the window (CI smoke runs use
-//! a few milliseconds just to prove every kernel still executes).
+//! warmed up, then timed over five equal sub-windows that together make
+//! a fixed measurement window, each running at least one iteration. The
+//! table reports the mean wall-clock per iteration over the whole
+//! window. Set `OPENSPACE_BENCH_WINDOW_MS` to shrink the window (CI
+//! smoke runs use a few milliseconds just to prove every kernel still
+//! executes).
+//!
+//! `--json` replaces the table with one JSON object per selected kernel
+//! and line: `name`, the `median_s`, `q1_s` and `q3_s` of the five
+//! sub-windows' seconds per iteration (linear interpolation between
+//! order statistics, so the quartiles are the second and fourth), the
+//! `iters` run and the `host_cores` available
+//! (`cargo bench -p openspace-bench --bench kernels -- --json equeue_`).
 
 use std::hint::black_box;
 use std::sync::OnceLock;
@@ -30,8 +39,8 @@ use openspace_phy::hardware::SatelliteClass;
 use openspace_protocol::prelude::*;
 
 /// Time `f` for at least `window`, after a short warmup, and print the
-/// mean wall-clock per iteration; a kernel the filter leaves out is
-/// skipped.
+/// mean wall-clock per iteration (or, with `--json`, the sub-window
+/// median and quartiles); a kernel the filter leaves out is skipped.
 fn bench(name: &str, window: Duration, mut f: impl FnMut()) {
     if !selected(name) {
         return;
@@ -41,13 +50,32 @@ fn bench(name: &str, window: Duration, mut f: impl FnMut()) {
     while Instant::now() < warmup_until {
         f();
     }
-    let start = Instant::now();
+    let mut per_iter = [0.0f64; SUB_WINDOWS];
     let mut iters: u64 = 0;
-    while start.elapsed() < window {
-        f();
-        iters += 1;
+    let mut elapsed = 0.0;
+    for slot in &mut per_iter {
+        let start = Instant::now();
+        let mut n: u64 = 0;
+        while n == 0 || start.elapsed() < window / SUB_WINDOWS as u32 {
+            f();
+            n += 1;
+        }
+        let secs = start.elapsed().as_secs_f64();
+        *slot = secs / n as f64;
+        iters += n;
+        elapsed += secs;
     }
-    let per_iter = start.elapsed().as_secs_f64() / iters as f64;
+    if json() {
+        per_iter.sort_by(f64::total_cmp);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        println!(
+            "{{\"name\": \"{name}\", \"median_s\": {:e}, \"q1_s\": {:e}, \"q3_s\": {:e}, \
+             \"iters\": {iters}, \"host_cores\": {cores}}}",
+            per_iter[2], per_iter[1], per_iter[3]
+        );
+        return;
+    }
+    let per_iter = elapsed / iters as f64;
     let (value, unit) = if per_iter >= 1e-3 {
         (per_iter * 1e3, "ms")
     } else if per_iter >= 1e-6 {
@@ -56,6 +84,16 @@ fn bench(name: &str, window: Duration, mut f: impl FnMut()) {
         (per_iter * 1e9, "ns")
     };
     println!("{name:<40} {value:>10.3} {unit}/iter  ({iters} iters)");
+}
+
+/// Equal sub-windows per measurement window; `--json` reports their
+/// median and quartiles, indices 2, 1 and 3 once sorted.
+const SUB_WINDOWS: usize = 5;
+
+/// Whether `--json` was passed.
+fn json() -> bool {
+    static JSON: OnceLock<bool> = OnceLock::new();
+    *JSON.get_or_init(|| std::env::args().skip(1).any(|a| a == "--json"))
 }
 
 /// Whether kernel `name` runs: it contains one of the command line's
@@ -565,6 +603,47 @@ fn bench_engine() {
             }
         });
     }
+
+    // `demand_day`'s mix: about 4,200 pending far events (each flow's
+    // next injection, re-armed up to 2 s ahead when popped) and about
+    // 500 in flight near (each injection starts a packet that arrives
+    // three times, hops ≤ 80 ms apart), so three near pops per far pop.
+    // The one-lane kernel runs the same schedule with every event far.
+    for (name, two_lanes) in [
+        ("equeue_one_lane_4675", false),
+        ("equeue_two_lane_4675", true),
+    ] {
+        bench(name, window(), || {
+            // A payload below `FLOWS` is a flow; above, a packet with
+            // `e / FLOWS` arrivals left.
+            const FLOWS: u64 = 4_200;
+            let mut q = EventQueue::new();
+            let mut rng = SimRng::new(42);
+            for i in 0..FLOWS {
+                q.schedule(rng.uniform_range(0.0, 2.0), i);
+            }
+            for _ in 0..16_384u64 {
+                let (t, e) = q.pop().expect("queue stays loaded");
+                let next_arrival = if e < FLOWS {
+                    q.schedule(t + rng.uniform_range(0.0, 2.0), e);
+                    Some(3 * FLOWS)
+                } else {
+                    (e >= 2 * FLOWS).then_some(e - FLOWS)
+                };
+                if let Some(pkt) = next_arrival {
+                    let at = t + rng.uniform_range(0.0, 0.08);
+                    if two_lanes {
+                        q.schedule_near(at, pkt);
+                    } else {
+                        q.schedule(at, pkt);
+                    }
+                }
+            }
+            while let Some(x) = q.pop() {
+                black_box(x);
+            }
+        });
+    }
 }
 
 fn bench_telemetry() {
@@ -649,8 +728,10 @@ fn bench_study() {
 }
 
 fn main() {
-    println!("{:<40} {:>10}", "kernel", "time");
-    println!("{}", "-".repeat(72));
+    if !json() {
+        println!("{:<40} {:>10}", "kernel", "time");
+        println!("{}", "-".repeat(72));
+    }
     bench_propagation();
     bench_snapshot();
     bench_contact_scan();

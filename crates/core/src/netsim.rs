@@ -465,12 +465,14 @@ impl PktSlab {
     /// Schedule packet `id`'s arrival at the end of its hop, at `at`,
     /// under a fresh stamp, so every arrival scheduled for it before
     /// fizzles. An arrival that overflows to infinity is not scheduled:
-    /// the packet stays in flight past `duration_s`.
+    /// the packet stays in flight past `duration_s`. Arrivals go on the
+    /// queue's near lane, a heap of in-flight packets only; every other
+    /// event (one pending `Inject` per flow among them) goes far.
     fn send(&mut self, q: &mut EventQueue<Ev>, id: PktId, at: f64) {
         self.last_stamp += 1;
         self.pkts[id.0 as usize].stamp = self.last_stamp;
         if at.is_finite() {
-            q.schedule(at, Ev::HopArrive(id, self.last_stamp));
+            q.schedule_near(at, Ev::HopArrive(id, self.last_stamp));
         }
     }
 }

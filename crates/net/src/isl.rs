@@ -182,9 +182,7 @@ pub fn isl_capacity_bps(
     } else {
         LinkTech::Rf
     };
-    let rate = if !(distance_m > 0.0 && distance_m.is_finite()) {
-        0.0
-    } else if tech == LinkTech::Optical {
+    let rate = if tech == LinkTech::Optical {
         optical_rate_bps(
             &params.optical_terminal,
             &params.optical_terminal,

@@ -146,8 +146,12 @@ impl RfLink {
     }
 
     /// Achievable data rate (bit/s) via the capacity model in
-    /// [`crate::capacity`], with the default coded-modulation gap.
+    /// [`crate::capacity`], with the default coded-modulation gap; zero
+    /// when `distance_m` is not positive and finite (no link budget).
     pub fn achievable_rate_bps(&self) -> f64 {
+        if !(self.distance_m > 0.0 && self.distance_m.is_finite()) {
+            return 0.0;
+        }
         crate::capacity::achievable_rate_bps(
             self.band.channel_bandwidth_hz(),
             self.snr_linear(),
@@ -284,5 +288,24 @@ mod tests {
         };
         let e = link.energy_per_bit_j();
         assert!(e.is_finite() && e > 0.0);
+    }
+
+    #[test]
+    fn degenerate_distance_has_zero_rate() {
+        for d in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let link = RfLink {
+                tx: RfTerminal::midsat(),
+                rx: RfTerminal::midsat(),
+                band: RfBand::S,
+                distance_m: d,
+                extra_loss_db: 0.0,
+            };
+            assert_eq!(
+                link.achievable_rate_bps().to_bits(),
+                0.0f64.to_bits(),
+                "d = {d}"
+            );
+            assert_eq!(link.energy_per_bit_j(), f64::INFINITY, "d = {d}");
+        }
     }
 }

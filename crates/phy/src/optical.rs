@@ -78,8 +78,12 @@ pub fn received_power_w(tx: &OpticalTerminal, rx: &OpticalTerminal, distance_m: 
 }
 
 /// Achievable data rate (bit/s): received photon flux divided by the
-/// receiver's photons-per-bit sensitivity.
+/// receiver's photons-per-bit sensitivity; zero when `distance_m` is not
+/// positive and finite (no link budget).
 pub fn achievable_rate_bps(tx: &OpticalTerminal, rx: &OpticalTerminal, distance_m: f64) -> f64 {
+    if !(distance_m > 0.0 && distance_m.is_finite()) {
+        return 0.0;
+    }
     let photon_energy_j =
         PLANCK_J_S * openspace_orbit::constants::SPEED_OF_LIGHT_M_PER_S / OPTICAL_WAVELENGTH_M;
     let photon_rate = received_power_w(tx, rx, distance_m) / photon_energy_j;
@@ -162,5 +166,15 @@ mod tests {
     fn short_range_rate_clamps_at_modem_ceiling() {
         let t = term();
         assert_eq!(achievable_rate_bps(&t, &t, 200_000.0), t.max_data_rate_bps);
+    }
+
+    #[test]
+    fn degenerate_distance_has_zero_rate() {
+        let t = term();
+        for d in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let rate = achievable_rate_bps(&t, &t, d);
+            assert_eq!(rate.to_bits(), 0.0f64.to_bits(), "d = {d}");
+            assert_eq!(energy_per_bit_j(&t, &t, d), f64::INFINITY, "d = {d}");
+        }
     }
 }

@@ -8,19 +8,29 @@
 //! inputs and seed. `tests/tests/event_queue_order.rs` checks the pop
 //! sequence against an independent sort of every scheduled event.
 //!
-//! [`EventQueue`] is an implicit 4-ary min-heap, `O(log n)` per
-//! operation, and the only engine. Each entry carries one `u128` key,
-//! `time.to_bits() << 64 | seq`: event times are never below `+0.0`
-//! (`-0.0` is stored as `+0.0`), and for non-negative floats the bit
-//! pattern orders as the value, so unsigned key order *is* `(time, seq)`
-//! order. A pop picks the least of four children with comparisons whose
-//! results feed index arithmetic, not branches, and moves entries
-//! through a hole rather than swapping (DESIGN.md §4 measures this shape
-//! against arity 2 and other layouts). A bucketed calendar queue (`O(1)`
-//! amortized) once sat beside a binary heap. On the repo benchmark's
-//! workloads, whose queues peak at 4,675 pending events, it tied the
-//! heap on two and lost on the deepest, so it was removed (DESIGN.md §4
-//! has the numbers).
+//! [`EventQueue`] is the only engine. It keeps its events in two lanes,
+//! each an implicit 4-ary min-heap, `O(log n)` per operation:
+//! [`schedule`](EventQueue::schedule) feeds the far lane and
+//! [`schedule_near`](EventQueue::schedule_near) the near lane, meant for
+//! short-horizon events (netsim's hop arrivals, at most a few hundred
+//! packets in flight) that would otherwise sift through a heap of every
+//! flow's next injection. A pop takes the lesser of the two lane heads.
+//! One `seq` counter numbers both lanes, so keys are unique across them
+//! and the least head is the least pending key: the merged pops are
+//! exactly the single heap's, and the lane an event goes to changes
+//! speed, never order.
+//!
+//! Each entry carries one `u128` key, `time.to_bits() << 64 | seq`:
+//! event times are never below `+0.0` (`-0.0` is stored as `+0.0`), and
+//! for non-negative floats the bit pattern orders as the value, so
+//! unsigned key order *is* `(time, seq)` order. A pop picks the least of
+//! four children with comparisons whose results feed index arithmetic,
+//! not branches, and moves entries through a hole rather than swapping
+//! (DESIGN.md §4 measures this shape against arity 2, a radix heap and
+//! one lane). A bucketed calendar queue (`O(1)` amortized) once sat
+//! beside a binary heap. On the repo benchmark's workloads, whose queues
+//! peak at 4,675 pending events, it tied the heap on two and lost on the
+//! deepest, so it was removed (DESIGN.md §4 has the numbers).
 
 /// Simulation timestamp (seconds since simulation epoch).
 pub type SimTime = f64;
@@ -48,112 +58,42 @@ fn time_of(key: u128) -> SimTime {
     f64::from_bits((key >> 64) as u64)
 }
 
-/// A deterministic discrete-event scheduler.
-///
-/// `E` is the caller's event payload, moved by copy through the heap.
-/// The engine owns time; handlers run strictly in timestamp order and
-/// may schedule further events (at or after the current time).
-pub struct EventQueue<E> {
-    heap: Vec<Entry<E>>,
-    now: SimTime,
-    seq: u64,
-    processed: u64,
-    depth_high_water: usize,
+/// One lane: an implicit 4-ary min-heap of entries by key.
+struct Heap<E> {
+    entries: Vec<Entry<E>>,
 }
 
-impl<E: Copy> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E: Copy> EventQueue<E> {
-    /// An empty queue at time 0.
-    pub fn new() -> Self {
-        Self {
-            heap: Vec::new(),
-            now: 0.0,
-            seq: 0,
-            processed: 0,
-            depth_high_water: 0,
-        }
-    }
-
-    /// Current simulation time: the timestamp of the last popped event
-    /// (or the last [`run_until`](Self::run_until) horizon, whichever is
-    /// later).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Events waiting.
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Events processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Highest number of events ever waiting at once — the queue-depth
-    /// high-water mark telemetry reports for capacity planning.
-    pub fn depth_high_water(&self) -> usize {
-        self.depth_high_water
-    }
-
-    /// Schedule `event` at absolute time `at`. An event scheduled at
-    /// `-0.0` pops at `+0.0`.
-    ///
-    /// # Panics
-    /// Panics if `at` is NaN/infinite or earlier than the current time
-    /// (causality violation — always a caller bug).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(at.is_finite(), "event time must be finite, got {at}");
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < now {}",
-            self.now
-        );
-        let new = Entry {
-            key: key(at, self.seq),
-            event,
-        };
-        self.seq += 1;
+impl<E: Copy> Heap<E> {
+    fn push(&mut self, new: Entry<E>) {
         // Sift the hole at the new leaf up until its parent is smaller.
-        let mut hole = self.heap.len();
-        self.heap.push(new);
+        let mut hole = self.entries.len();
+        self.entries.push(new);
         while hole > 0 {
             let parent = (hole - 1) / ARITY;
-            if self.heap[parent].key < new.key {
+            if self.entries[parent].key < new.key {
                 break;
             }
-            self.heap[hole] = self.heap[parent];
+            self.entries[hole] = self.entries[parent];
             hole = parent;
         }
-        self.heap[hole] = new;
-        self.depth_high_water = self.depth_high_water.max(self.heap.len());
+        self.entries[hole] = new;
     }
 
-    /// Pop the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let last = self.heap.pop()?;
-        let top = match self.heap.first() {
+    fn pop(&mut self) -> Option<Entry<E>> {
+        let last = self.entries.pop()?;
+        Some(match self.entries.first() {
             Some(&top) => {
                 self.sift_down_from_root(last);
                 top
             }
             None => last,
-        };
-        self.now = time_of(top.key);
-        self.processed += 1;
-        Some((self.now, top.event))
+        })
     }
 
     /// Refill the root's hole with `last`: move the least child up into
     /// the hole until no child is smaller than `last`.
     fn sift_down_from_root(&mut self, last: Entry<E>) {
-        let heap = &mut self.heap[..];
+        let heap = &mut self.entries[..];
         let len = heap.len();
         let mut hole = 0;
         loop {
@@ -179,6 +119,137 @@ impl<E: Copy> EventQueue<E> {
         }
         heap[hole] = last;
     }
+}
+
+/// A deterministic discrete-event scheduler.
+///
+/// `E` is the caller's event payload, moved by copy through the heaps.
+/// The engine owns time; handlers run strictly in timestamp order and
+/// may schedule further events (at or after the current time).
+pub struct EventQueue<E> {
+    far: Heap<E>,
+    near: Heap<E>,
+    now: SimTime,
+    seq: u64,
+    processed: u64,
+    depth_high_water: usize,
+}
+
+impl<E: Copy> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E: Copy> EventQueue<E> {
+    /// An empty queue at time 0.
+    pub fn new() -> Self {
+        Self {
+            far: Heap {
+                entries: Vec::new(),
+            },
+            near: Heap {
+                entries: Vec::new(),
+            },
+            now: 0.0,
+            seq: 0,
+            processed: 0,
+            depth_high_water: 0,
+        }
+    }
+
+    /// Current simulation time: the timestamp of the last popped event
+    /// (or the last [`run_until`](Self::run_until) horizon, whichever is
+    /// later).
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Events waiting, in both lanes.
+    pub fn pending(&self) -> usize {
+        self.far.entries.len() + self.near.entries.len()
+    }
+
+    /// Events processed so far.
+    pub fn processed(&self) -> u64 {
+        self.processed
+    }
+
+    /// Highest number of events ever waiting at once, both lanes
+    /// together — the queue-depth high-water mark telemetry reports for
+    /// capacity planning.
+    pub fn depth_high_water(&self) -> usize {
+        self.depth_high_water
+    }
+
+    /// Schedule `event` at absolute time `at`. An event scheduled at
+    /// `-0.0` pops at `+0.0`.
+    ///
+    /// # Panics
+    /// Panics if `at` is NaN/infinite or earlier than the current time
+    /// (causality violation — always a caller bug).
+    pub fn schedule(&mut self, at: SimTime, event: E) {
+        let entry = self.entry(at, event);
+        self.far.push(entry);
+        self.note_depth();
+    }
+
+    /// [`schedule`](Self::schedule) on the near lane, for an event a
+    /// short horizon ahead of which few are pending at once. It pops in
+    /// the same `(time, seq)` order as if scheduled with `schedule`; the
+    /// lane changes only how deep a heap the event sifts through.
+    ///
+    /// # Panics
+    /// As [`schedule`](Self::schedule).
+    pub fn schedule_near(&mut self, at: SimTime, event: E) {
+        let entry = self.entry(at, event);
+        self.near.push(entry);
+        self.note_depth();
+    }
+
+    /// Check `at` and key `event` with the next `seq`.
+    fn entry(&mut self, at: SimTime, event: E) -> Entry<E> {
+        assert!(at.is_finite(), "event time must be finite, got {at}");
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: {at} < now {}",
+            self.now
+        );
+        let entry = Entry {
+            key: key(at, self.seq),
+            event,
+        };
+        self.seq += 1;
+        entry
+    }
+
+    fn note_depth(&mut self) {
+        self.depth_high_water = self.depth_high_water.max(self.pending());
+    }
+
+    /// The lane whose head is the least pending event: keys are unique
+    /// across the lanes, so the lesser head is the least key. With both
+    /// lanes empty it is the (empty) far lane. The near lane is tested
+    /// first, so a queue that never uses it pays one emptiness test.
+    fn next_lane(&mut self) -> &mut Heap<E> {
+        match self.near.entries.first() {
+            Some(n) if self.far.entries.first().is_none_or(|f| n.key < f.key) => &mut self.near,
+            _ => &mut self.far,
+        }
+    }
+
+    /// Pop the next event, advancing the clock to its timestamp.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let top = self.next_lane().pop()?;
+        Some(self.fire(top))
+    }
+
+    /// Advance the clock to popped entry `top` and count it.
+    fn fire(&mut self, top: Entry<E>) -> (SimTime, E) {
+        self.now = time_of(top.key);
+        self.processed += 1;
+        (self.now, top.event)
+    }
 
     /// Run until the queue drains or the clock passes `until`, feeding
     /// each event to `handler` (which may schedule more via the `&mut
@@ -188,11 +259,17 @@ impl<E: Copy> EventQueue<E> {
     where
         F: FnMut(&mut Self, SimTime, E),
     {
-        while let Some(next) = self.heap.first() {
-            if time_of(next.key) > until {
+        loop {
+            let lane = self.next_lane();
+            let due = lane
+                .entries
+                .first()
+                .is_some_and(|e| time_of(e.key) <= until);
+            if !due {
                 break;
             }
-            let (t, e) = self.pop().expect("peeked event exists");
+            let top = lane.pop().expect("peeked event exists");
+            let (t, e) = self.fire(top);
             handler(self, t, e);
         }
         // Advance the clock to the horizon even if the queue drained early,
@@ -294,6 +371,28 @@ mod tests {
         q.run_until(10.0, |_, _, _| {});
         assert_eq!(q.pending(), 0);
         assert_eq!(q.depth_high_water(), 5, "high water survives the drain");
+    }
+
+    #[test]
+    fn lanes_merge_by_time_then_schedule_order() {
+        let mut q = EventQueue::new();
+        q.schedule(2.0, "far at 2");
+        q.schedule_near(1.0, "near at 1");
+        q.schedule_near(2.0, "near at 2");
+        q.schedule(1.0, "far at 1");
+        assert_eq!(q.pending(), 4);
+        assert_eq!(q.depth_high_water(), 4, "both lanes count");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["near at 1", "far at 1", "far at 2", "near at 2"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "into the past")]
+    fn scheduling_near_into_the_past_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_near(5.0, ());
+        q.pop();
+        q.schedule_near(1.0, ());
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! stack.
 //!
 //! * [`engine`] — the time-ordered event queue with stable tie-breaking
-//!   (same inputs + same seed ⇒ bit-identical runs): one 4-ary heap,
-//!   [`engine::EventQueue`].
+//!   (same inputs + same seed ⇒ bit-identical runs),
+//!   [`engine::EventQueue`]: two 4-ary heap lanes, far and near, merged
+//!   at the pop by `(time, seq)`, so the lane an event takes changes
+//!   speed, never order.
 //! * [`rng`] — seeded RNG with substreams and the distributions traffic
 //!   models need.
 //! * [`queue`] — the byte-bounded drop-tail FIFO server every simulated
