@@ -13,8 +13,8 @@
 //!   [`QosRequirement::weight`], filtered by its latency bound.
 //! * [`planner`] — the batched per-source [`RoutePlanner`]: one
 //!   settled-predecessor tree per distinct source, one recycled buffer
-//!   set per worker, weight rows shared across a generation's trees
-//!   for replan-heavy workloads, and caller-built [`GoalBounds`] that
+//!   set for a large batch, weight rows shared across a generation's
+//!   trees for replan-heavy workloads, and caller-built [`GoalBounds`] that
 //!   prune a tree toward its one destination without changing a path
 //!   or a cost bit. Its tree
 //!   search is the only shortest-path search in the crate:

@@ -10,12 +10,12 @@
 //! * **groups requests by source** through a per-node index and grows
 //!   one settled-predecessor shortest-path tree per distinct source,
 //!   answering every destination from that tree;
-//! * **keeps a tree only for its batch**: above the parallel grain each
-//!   worker grows its sources' trees one after another on a single
+//! * **keeps a tree only for its batch**: above the shared-buffer grain
+//!   the batch grows its sources' trees one after another on a single
 //!   recycled buffer set (node marks, `(dist, prev)` labels and the
-//!   frontier heap), so a large batch holds `workers × nodes` labels, not
+//!   frontier heap), so a large batch holds `nodes` labels, not
 //!   `trees × nodes`; below it a batch's trees hold fewer than
-//!   [`PARALLEL_GRAIN`] labels together. Generation stamps make a
+//!   [`SHARED_BUFFER_GRAIN`] labels together. Generation stamps make a
 //!   restart O(1) instead of O(nodes);
 //! * **shares compiled weight rows** between all the trees of one
 //!   generation, across calls until [`RoutePlanner::invalidate`]
@@ -70,19 +70,13 @@
 //! `INFINITY` (filtered) dropped. Every tree that settles a node after
 //! its row exists reads the packed row instead of the 48-byte `Edge`s
 //! and the closure (for the congestion weight, two divisions per edge).
-//! A row is compiled one of two ways:
-//!
-//! * **lazily**, in a serial batch: the first time any tree of the
-//!   generation settles a node, the planner calls the weight closure on
-//!   that node's out-edges in order, relaxing each arc as it packs it.
-//!   A one-shot search pays only for the rows it reads;
-//! * **eagerly**, in a batch that grows its trees in parallel (see
-//!   below): every row the generation lacks is compiled on the calling
-//!   thread, in node order, before any worker starts.
-//!
-//! Either way the weights are stored as returned and checked on every
-//! relaxation, so a NaN or negative weight panics in exactly the
-//! searches that reach it.
+//! A row is compiled the first time any tree of the generation settles
+//! its node: the planner calls the weight closure on that node's
+//! out-edges in order, relaxing each arc as it packs it, so a row read
+//! and a row compiled relax the same arcs in the same order, and a batch
+//! pays only for the rows its trees read. The weights are stored as
+//! returned and checked on every relaxation, so a NaN or negative weight
+//! panics in exactly the searches that reach it.
 //!
 //! Rows carry a generation stamp like the tree buffers, and a new row
 //! generation starts on [`invalidate`](RoutePlanner::invalidate) (the
@@ -165,58 +159,38 @@
 //! perfbench's `shell_adaptive` (seed 1) a run's trees popped 904,791
 //! nodes instead of 16,059,046.
 //!
-//! # Parallel growth
+//! # Two buffer modes
 //!
 //! A batch first groups its requests by source: each distinct source, in
 //! first-request order, gets a group, found through a per-node index.
-//! What happens next depends on the grain,
-//! `groups × graph.node_count() >= `[`PARALLEL_GRAIN`] (2¹⁶):
+//! Every tree grows on the calling thread. The grain,
+//! `groups × graph.node_count() >= `[`SHARED_BUFFER_GRAIN`] (2¹⁶),
+//! decides only how many buffer sets the batch holds:
 //!
-//! * **At or above it** the rows are compiled eagerly and the groups go
-//!   to `min(`[`default_threads`]`(), groups)` workers in contiguous
-//!   runs, one run and one buffer set per worker; unless the unbounded
-//!   groups alone stay below the grain, in which case the calling thread
-//!   is the only worker. For each group a worker
-//!   starts a tree on its buffer set, settles the group's destinations in
+//! * **At or above it** one buffer set serves every group in turn: the
+//!   planner starts a tree on it, settles the group's destinations in
 //!   request order, extracts each path into the group's answers, and
-//!   restarts the same buffers for the next group. The calling thread
-//!   answers the first run itself, so two workers cost one spawn. Then
-//!   the calling thread hands the answers to `map` in request order.
-//! * **Below it** the calling thread starts one tree per group, on its
-//!   own buffer set, and walks the requests in order, resuming each
-//!   request's tree until its destination settles and passing the path to
-//!   `map` as soon as it is extracted, with lazy rows. The trees are few
-//!   and small by the grain's definition, and no path waits in a buffer:
-//!   `demand_day`'s one batch maps 41,460 paths from 46 sources on a
-//!   72-node graph, and holding those paths until the map lifted its
-//!   peak RSS by 0.8–2.8 MiB in each of the four buffered layouts
-//!   measured.
+//!   restarts the same buffers for the next group. Then it hands the
+//!   answers to `map` in request order. A buffer set per group would
+//!   hold `groups × nodes` labels at once, 256 × 1,590 in the packet
+//!   simulator's first plan on a 1,584-satellite shell.
+//! * **Below it** each group starts a tree on its own buffer set, and the
+//!   planner walks the requests in order, resuming each request's tree
+//!   until its destination settles and passing the path to `map` as soon
+//!   as it is extracted. The trees are few and small by the grain's
+//!   definition, and no path waits in a buffer: `demand_day`'s one batch
+//!   maps 41,460 paths from 46 sources on a 72-node graph, and holding
+//!   those paths until the map lifted its peak RSS by 0.8–2.8 MiB in each
+//!   of the four buffered layouts measured.
 //!
-//! The output cannot depend on the worker count or the grain. A tree's
-//! pop sequence is a pure function of `(graph, rows, source)` (see
-//! above), the rows are complete and read-only before any worker starts,
-//! and trees share nothing else. A tree grows until the last of its
-//! destinations settles, in either mode. `map` is called in request
-//! order on the calling thread, so a caller that allocates ids as it
-//! maps (the packet simulator's link table) allocates them in the same
-//! order. The `routing.*` counters are integer sums. So paths, cost bits
-//! and every counter are identical at any worker count, 1 included, and
-//! from one call to the next. A worker's panic (a bad weight) is
-//! re-raised on the calling thread with its own payload.
-//!
-//! The grain keeps small batches serial, with lazy rows: compiling every
-//! row up front made a one-shot search on Iridium about 1.4× slower, and
-//! a spawn costs more than a few small trees. Below the grain the worker
-//! count is not even asked for: [`default_threads`] reads cgroup files,
-//! and asking on every batch made that search about 10× slower.
-//! Bounded trees pop about 18× fewer nodes, and spawning for them
-//! measured slower at every size tried on a 2-core host: a
-//! `shell_adaptive` run took 0.18–0.20 s on one worker against
-//! 0.23–0.24 s on two, and batches of 512 and 1,584 bounded trees on the
-//! 1,584-satellite shell took 1.4–1.8 and 4.6–5.1 ms against 2.4–2.5
-//! and 6.4–6.6 ms. So only unbounded groups count toward spawning, while
-//! the grain still decides whether a batch keeps one buffer set per
-//! worker or one per tree.
+//! The output cannot depend on the mode. A tree's pop sequence is a pure
+//! function of `(graph, weight, source)` (see above), and a tree grows
+//! until the last of its destinations settles in either mode. `map` is
+//! called in request order, so a caller that allocates ids as it maps
+//! (the packet simulator's link table) allocates them in the same order.
+//! The `routing.*` counters are integer sums. So paths, cost bits and
+//! every counter are the same in either mode and from one call to the
+//! next.
 //!
 //! # Telemetry
 //!
@@ -231,17 +205,16 @@
 
 use crate::routing::dijkstra::Path;
 use crate::topology::{Edge, Graph, NodeId};
-use openspace_sim::exec::default_threads;
 use openspace_telemetry::{NullRecorder, Recorder};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Parallel-growth grain: a batch keeps one buffer set per worker, with
-/// rows compiled up front, when `new trees × graph.node_count()` reaches
-/// this, and grows its trees on worker threads when its unbounded trees
-/// alone do. Below it a worker spawn and eager row compilation cost more
-/// than they save (see the [module docs](self)).
-pub const PARALLEL_GRAIN: usize = 1 << 16;
+/// Shared-buffer grain: a batch whose `trees × graph.node_count()`
+/// reaches this grows its trees one after another on one buffer set and
+/// maps their paths afterwards; below it each tree keeps its own buffer
+/// set and each path is mapped as it is found (see the [module
+/// docs](self)).
+pub const SHARED_BUFFER_GRAIN: usize = 1 << 16;
 
 /// Relative margin of a goal bound: lower bounds shrink by it and upper
 /// bounds grow by it. Orders of magnitude above the fp error of any path
@@ -326,7 +299,7 @@ impl Rows {
 
     /// Compile `node`'s row: the weight closure runs on its out-edges in
     /// edge order, and every arc it does not filter is kept and passed to
-    /// `each` (a serial search relaxes the arcs as they are packed).
+    /// `each`.
     #[inline(always)]
     fn compile(
         &mut self,
@@ -346,14 +319,6 @@ impl Rows {
         self.seal(node, start);
     }
 
-    /// Compile every row this generation has not compiled yet, in node
-    /// order, so the rows can be read from several threads at once.
-    fn compile_all(&mut self, graph: &Graph, weight: &impl Fn(&Edge) -> f64) {
-        for node in (0..graph.node_count()).map(NodeId) {
-            self.ensure(graph, weight, node);
-        }
-    }
-
     /// Compile `node`'s row unless this generation already has.
     fn ensure(&mut self, graph: &Graph, weight: &impl Fn(&Edge) -> f64, node: NodeId) {
         if self.get(node).is_none() {
@@ -361,13 +326,28 @@ impl Rows {
         }
     }
 
-    /// Relax `node`'s compiled row into `tree` under `goal`.
-    #[inline(always)]
-    fn relax(&self, tree: &mut Tree, cost: f64, node: NodeId, goal: Goal) {
-        let row = self.get(node).expect("row compiled before it is read");
-        for &(w, to) in row {
-            tree.relax(cost, w, node, to, goal);
-        }
+    /// Run (or resume) `tree` until `dst` settles, relaxing each settled
+    /// node's row under `goal`; a row this generation lacks is compiled
+    /// as it is relaxed. Returns the heap pops.
+    fn settle(
+        &mut self,
+        graph: &Graph,
+        weight: &impl Fn(&Edge) -> f64,
+        tree: &mut Tree,
+        dst: NodeId,
+        goal: Goal,
+    ) -> u64 {
+        tree.settle(dst, |tree, cost, node| {
+            if let Some(row) = self.get(node) {
+                for &(w, to) in row {
+                    tree.relax(cost, w, node, to, goal);
+                }
+            } else {
+                self.compile(graph, weight, node, |w, to| {
+                    tree.relax(cost, w, node, to, goal)
+                });
+            }
+        })
     }
 
     /// The upper half of a goal bound from `src` to `dst`: walk from
@@ -569,8 +549,8 @@ impl Tree {
     }
 }
 
-/// The requests of a grown batch that share a source: one tree answers
-/// them all, on a worker, before any is mapped.
+/// The requests of a batch above the grain that share a source: one tree
+/// answers them all before any is mapped.
 struct Group<'b> {
     src: NodeId,
     /// The tree's goal bound ([`Goal::NONE`] when unbounded).
@@ -585,15 +565,21 @@ struct Group<'b> {
 
 impl Group<'_> {
     /// Grow a tree from `src` on `tree`'s buffers until each destination
-    /// settles, in request order, reading the compiled `rows`, and
-    /// extract each path. Returns the heap pops.
-    fn answer(&mut self, n: usize, tree: &mut Tree, rows: &Rows) -> u64 {
-        tree.restart(n, self.src);
+    /// settles, in request order, and extract each path. Returns the heap
+    /// pops.
+    fn answer(
+        &mut self,
+        tree: &mut Tree,
+        rows: &mut Rows,
+        graph: &Graph,
+        weight: &impl Fn(&Edge) -> f64,
+    ) -> u64 {
+        tree.restart(graph.node_count(), self.src);
         let goal = self.goal;
         let mut visited = 0u64;
         self.paths.reserve_exact(self.dsts.len());
         for &dst in &self.dsts {
-            visited += tree.settle(dst, |tree, cost, node| rows.relax(tree, cost, node, goal));
+            visited += rows.settle(graph, weight, tree, dst, goal);
             self.paths.push(tree.extract(dst));
         }
         visited
@@ -705,16 +691,13 @@ impl GoalBounds {
 /// caller's and follow their own contract: a load change that
 /// invalidates the rows can leave the bounds valid.
 pub struct RoutePlanner {
-    /// The last batch's tree buffers, kept for the next: one per worker
-    /// above the grain, one per source below it.
+    /// The last batch's tree buffers, kept for the next: one above the
+    /// grain, one per source below it.
     trees: Vec<Tree>,
     /// Out-rows compiled for the current generation, shared by its trees.
     rows: Rows,
     /// Node count the rows were compiled for.
     n: usize,
-    /// Worker count of a batch that spawns; `None` asks
-    /// [`default_threads`]. Tests pin it.
-    workers: Option<usize>,
 }
 
 impl Default for RoutePlanner {
@@ -730,7 +713,6 @@ impl RoutePlanner {
             trees: Vec::new(),
             rows: Rows::new(),
             n: 0,
-            workers: None,
         }
     }
 
@@ -774,8 +756,7 @@ impl RoutePlanner {
 
     /// [`plan_recorded`](Self::plan_recorded) with goal bounds and a
     /// caller-supplied map: each found [`Path`] is passed to `map`, in
-    /// request order on the calling thread, and the mapped value is
-    /// returned in its place.
+    /// request order, and the mapped value is returned in its place.
     ///
     /// With `bounds`, every group of requests that shares one source and
     /// one destination the bounds cover grows a bounded tree (see the
@@ -825,10 +806,7 @@ impl RoutePlanner {
                 }
             }
         }
-        let grown = sources.len() * n >= PARALLEL_GRAIN;
-        if grown {
-            self.rows.compile_all(graph, &weight);
-        }
+        let shared = sources.len() * n >= SHARED_BUFFER_GRAIN;
         let rows = &mut self.rows;
         let goals: Vec<Goal> = sources
             .iter()
@@ -844,10 +822,8 @@ impl RoutePlanner {
             .collect();
         let mut groups = Vec::new();
         let mut visited = 0u64;
-        if grown {
-            // Answer every group, one buffer set per worker, on rows
-            // compiled up front; spawn only when the unbounded trees alone
-            // cross the grain (bounded trees measured faster unspawned).
+        if shared {
+            // Answer every group on one buffer set before mapping any.
             groups = sources
                 .iter()
                 .zip(&goals)
@@ -862,46 +838,33 @@ impl RoutePlanner {
             for &(src, dst) in requests {
                 groups[group_of[src.0]].dsts.push(dst);
             }
-            let unbounded = goals.iter().filter(|g| g.ub == f64::INFINITY).count();
-            let threads = if unbounded * n >= PARALLEL_GRAIN {
-                self.workers.unwrap_or_else(default_threads)
-            } else {
-                1
-            };
-            let per = groups.len().div_ceil(threads.clamp(1, groups.len()));
-            self.trees
-                .resize_with(groups.len().div_ceil(per), Tree::empty);
-            visited = grow(&mut self.trees, &self.rows, &mut groups, n, per);
+            self.trees.resize_with(1, Tree::empty);
+            let tree = &mut self.trees[0];
+            for group in &mut groups {
+                visited += group.answer(tree, rows, graph, &weight);
+            }
         } else {
             // Below the grain the groups' trees hold fewer than
-            // `PARALLEL_GRAIN` labels together: each keeps its own buffers
-            // for the batch, so no path waits to be mapped.
+            // `SHARED_BUFFER_GRAIN` labels together: each keeps its own
+            // buffers for the batch, so no path waits to be mapped.
             self.trees.resize_with(sources.len(), Tree::empty);
             for (tree, &(src, _)) in self.trees.iter_mut().zip(&sources) {
                 tree.restart(n, src);
             }
         }
         // Map, in request order; below the grain each answer is grown and
-        // extracted here, compiling rows as the trees first settle them.
-        let (trees, rows) = (&mut self.trees, &mut self.rows);
+        // extracted here.
+        let trees = &mut self.trees;
         let mut extractions = 0u64;
         let paths: Vec<Option<T>> = requests
             .iter()
             .map(|&(src, dst)| {
                 let g = group_of[src.0];
-                let path = if grown {
+                let path = if shared {
                     groups[g].take()
                 } else {
                     let (tree, goal) = (&mut trees[g], goals[g]);
-                    visited += tree.settle(dst, |tree, cost, node| {
-                        if rows.get(node).is_some() {
-                            rows.relax(tree, cost, node, goal);
-                        } else {
-                            rows.compile(graph, &weight, node, |w, to| {
-                                tree.relax(cost, w, node, to, goal)
-                            });
-                        }
-                    });
+                    visited += rows.settle(graph, &weight, tree, dst, goal);
                     tree.extract(dst)
                 };
                 extractions += u64::from(path.is_some());
@@ -917,40 +880,6 @@ impl RoutePlanner {
         rec.add("routing.planner.path_extractions", extractions);
         paths
     }
-}
-
-/// Answer `groups` on `trees.len()` workers, each taking `per`
-/// contiguous groups and one buffer set, reading only compiled `rows`;
-/// the calling thread answers the first run itself. A worker's panic is
-/// re-raised here with its own payload. Returns the heap pops.
-fn grow(trees: &mut [Tree], rows: &Rows, groups: &mut [Group], n: usize, per: usize) -> u64 {
-    let mut jobs = trees
-        .iter_mut()
-        .zip(groups.chunks_mut(per))
-        .map(|(tree, run)| {
-            move || {
-                // Grow on a copy of the header in this thread's own
-                // stack: the workers' headers sit side by side in
-                // `trees`, and a heap's length is written on every push
-                // and pop.
-                let mut local = std::mem::replace(tree, Tree::empty());
-                let visited = run.iter_mut().map(|g| g.answer(n, &mut local, rows)).sum();
-                *tree = local;
-                visited
-            }
-        });
-    let mut first = jobs.next().expect("a grown batch has groups");
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
-        let mut visited = first();
-        for handle in handles {
-            match handle.join() {
-                Ok(v) => visited += v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        visited
-    })
 }
 
 #[cfg(test)]
@@ -1102,14 +1031,6 @@ mod tests {
         assert_eq!(out[0].as_ref().unwrap().nodes, vec![NodeId(0), NodeId(5)]);
     }
 
-    /// A planner whose spawning batches use `workers` workers.
-    fn with_workers(workers: usize) -> RoutePlanner {
-        RoutePlanner {
-            workers: Some(workers),
-            ..RoutePlanner::new()
-        }
-    }
-
     /// The panic message of `f`, or `None` when it returns normally.
     fn panic_message(f: impl FnOnce()) -> Option<String> {
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
@@ -1195,77 +1116,73 @@ mod tests {
     }
 
     #[test]
-    fn parallel_growth_is_identical_at_any_worker_count() {
+    fn one_batch_above_the_grain_matches_sub_grain_batches() {
         let g = walker_shell_with_island();
         let n = g.node_count();
         let island = NodeId(n - 1);
-        // A small serial batch, then one whose trees cross the grain on
-        // the same planner (sharing four of its sources).
-        let warm: Vec<(NodeId, NodeId)> = (0..4).map(|k| (NodeId(k * 5), NodeId(k * 7))).collect();
-        let sources = 128;
-        let big: Vec<(NodeId, NodeId)> = (0..3 * sources)
-            .map(|k| {
-                let src = NodeId((k % sources) * 5);
-                let dst = match k / sources {
-                    0 => NodeId((k * 37) % (n - 1)),
-                    1 => NodeId((k * 101 + 13) % (n - 1)),
-                    _ if k % 4 == 0 => island,
-                    _ => NodeId((k * 11 + 3) % (n - 1)),
-                };
-                (src, dst)
-            })
-            .collect();
-        // Then `big` again plus 128 sources bound for one goal each (six
-        // satellites or the island), planned with bounds: the unbounded
-        // groups still cross the grain, so the bounded trees are spread
-        // over the workers too.
         let goals: Vec<NodeId> = (0..6)
             .map(|k| NodeId(k * 101 + 7))
             .chain([island])
             .collect();
         let bounds = GoalBounds::new(&g, goals.iter().copied(), latency_weight);
-        let mixed: Vec<(NodeId, NodeId)> = (0..sources)
-            .map(|k| (NodeId(k * 5 + 2), goals[k % goals.len()]))
-            .chain(big.iter().copied())
+        // Sixteen runs of sixteen sources, each run's requests together:
+        // sources `5k` ask for three destinations each (every fourth
+        // third one the island) and grow unbounded trees, sources
+        // `5k + 2` ask for one goal each and grow bounded ones.
+        let per_run = 8;
+        let runs: Vec<Vec<(NodeId, NodeId)>> = (0..16)
+            .map(|r| {
+                let ks = r * per_run..(r + 1) * per_run;
+                let mut run = Vec::new();
+                for round in 0..3 {
+                    for k in ks.clone() {
+                        let dst = match round {
+                            0 => NodeId((k * 37) % (n - 1)),
+                            1 => NodeId((k * 101 + 13) % (n - 1)),
+                            _ if k % 4 == 0 => island,
+                            _ => NodeId((k * 11 + 3) % (n - 1)),
+                        };
+                        run.push((NodeId(k * 5), dst));
+                    }
+                }
+                run.extend(ks.map(|k| (NodeId(k * 5 + 2), goals[k % goals.len()])));
+                run
+            })
             .collect();
-        assert!(warm.len() * n < PARALLEL_GRAIN && sources * n >= PARALLEL_GRAIN);
-        let batches = [(&warm, None), (&big, None), (&mixed, Some(&bounds))];
-        let run = |workers: usize| {
-            let mut planner = with_workers(workers);
+        let batch = runs.concat();
+        assert!(2 * per_run * n < SHARED_BUFFER_GRAIN);
+        assert!(runs.len() * 2 * per_run * n >= SHARED_BUFFER_GRAIN);
+        let plan = |batches: &[Vec<(NodeId, NodeId)>]| {
+            let mut planner = RoutePlanner::new();
             let mut rec = MemoryRecorder::new();
             let mut paths = Vec::new();
-            for (batch, bounds) in batches {
+            for batch in batches {
                 paths.extend(
                     planner
-                        .plan_mapped(&g, batch, latency_weight, bounds, Some, &mut rec)
+                        .plan_mapped(&g, batch, latency_weight, Some(&bounds), Some, &mut rec)
                         .into_iter()
                         .map(|p| p.map(|p| (p.nodes, p.total_cost.to_bits()))),
                 );
             }
-            let counters: Vec<u64> = [
+            let counters = [
                 "routing.recomputes",
                 "routing.nodes_visited",
                 "routing.planner.trees",
                 "routing.planner.path_extractions",
             ]
-            .map(|key| rec.counter(key))
-            .to_vec();
+            .map(|key| rec.counter(key));
             (paths, counters)
         };
-        let (paths, counters) = run(1);
+        let (paths, counters) = plan(std::slice::from_ref(&batch));
+        let (sub_paths, sub_counters) = plan(&runs);
+        assert_eq!(sub_paths, paths, "paths and cost bits");
+        assert_eq!(sub_counters, counters, "routing counters");
         assert!(
             paths.iter().any(Option::is_none),
             "the island is unreachable"
         );
-        assert!(paths.iter().filter(|p| p.is_some()).count() > 4 * sources);
-        for workers in [2, 3, 8] {
-            let (p, c) = run(workers);
-            assert_eq!(p, paths, "paths and cost bits at {workers} workers");
-            assert_eq!(c, counters, "routing counters at {workers} workers");
-        }
         // And every answer is the one-shot search's.
-        let requests = batches.iter().flat_map(|(batch, _)| batch.iter());
-        for (&(s, d), got) in requests.zip(&paths) {
+        for (&(s, d), got) in batch.iter().zip(&paths) {
             let solo = shortest_path(&g, s, d, latency_weight, &mut NullRecorder);
             assert_eq!(
                 solo.map(|p| (p.nodes, p.total_cost.to_bits())).as_ref(),
@@ -1275,96 +1192,50 @@ mod tests {
     }
 
     #[test]
-    fn a_grown_batch_keeps_at_most_one_buffer_set_per_worker() {
+    fn one_buffer_set_above_the_grain_one_per_source_below_it() {
         let g = walker_shell_with_island();
         let n = g.node_count();
         let sources = 128;
         let reqs: Vec<(NodeId, NodeId)> = (0..2 * sources)
             .map(|k| (NodeId((k % sources) * 5), NodeId((k * 37) % (n - 1))))
             .collect();
-        assert!(sources * n >= PARALLEL_GRAIN);
+        assert!(sources * n >= SHARED_BUFFER_GRAIN && 4 * n < SHARED_BUFFER_GRAIN);
         let mut planner = RoutePlanner::new();
-        for workers in [1, 2, 3, 8, 2, 1] {
-            let mut rec = MemoryRecorder::new();
-            planner.workers = Some(workers);
-            planner.plan_recorded(&g, &reqs, latency_weight, &mut rec);
-            assert_eq!(rec.counter("routing.planner.trees"), sources as u64);
-            assert!(
-                (1..=workers).contains(&planner.trees.len()),
-                "{} buffer sets at {workers} workers",
-                planner.trees.len()
-            );
+        for (batch, sets) in [(&reqs[..], 1), (&reqs[..4], 4), (&reqs[..], 1)] {
+            planner.plan(&g, batch, latency_weight);
+            assert_eq!(planner.trees.len(), sets, "{} requests", batch.len());
         }
-        // A grown batch of bounded trees alone stays below the spawn
-        // test: one buffer set at any worker count.
-        let goals = [NodeId(7), NodeId(311)];
-        let bounds = GoalBounds::new(&g, goals, latency_weight);
-        let bounded: Vec<(NodeId, NodeId)> = (0..sources)
-            .map(|k| (NodeId(k * 5), goals[k % 2]))
-            .collect();
-        for workers in [2, 8] {
-            planner.workers = Some(workers);
-            planner.plan_mapped(
-                &g,
-                &bounded,
-                latency_weight,
-                Some(&bounds),
-                Some,
-                &mut NullRecorder,
-            );
-            assert_eq!(planner.trees.len(), 1, "bounded at {workers} workers");
-        }
-        // A serial batch keeps one per source.
-        planner.plan(&g, &reqs[..4], latency_weight);
-        assert_eq!(planner.trees.len(), 4);
     }
 
     #[test]
-    fn bad_weight_in_a_worker_panics_with_its_own_message() {
-        // Two disjoint 300-node rings; only ring B has a bad edge. The
-        // batch asks for ring A's trees first, so with 2 workers the
-        // calling thread grows ring A's chunk and the spawned worker ring
-        // B's, which alone reaches the bad edge.
-        let ring = 300;
-        let mut g = Graph::new(2 * ring, 0);
-        for base in [0, ring] {
-            for i in 0..ring {
-                let lat = if base == ring && i == ring / 2 {
-                    0.002
-                } else {
-                    0.001
-                };
-                let (u, v) = (base + i, base + (i + 1) % ring);
-                g.add_bidirectional(u, v, lat, 1e6, 0u32, 0u32, LinkTech::Rf);
-            }
-        }
+    fn a_bounded_batch_above_the_grain_weighs_only_the_rows_it_reads() {
+        let g = walker_shell_with_island();
+        let goals = [NodeId(7), NodeId(100)];
+        let bounds = GoalBounds::new(&g, goals, latency_weight);
+        // The first 128 satellites, each bound for one of two goals
+        // among them.
+        let reqs: Vec<(NodeId, NodeId)> = (0..128).map(|k| (NodeId(k), goals[k % 2])).collect();
+        assert!(reqs.len() * g.node_count() >= SHARED_BUFFER_GRAIN);
+        let weighed = std::cell::Cell::new(0);
         let weight = |e: &Edge| {
-            if e.latency_s == 0.002 {
-                -1.0
-            } else {
-                e.latency_s
-            }
+            weighed.set(weighed.get() + 1);
+            latency_weight(e)
         };
-        // 128 sources per ring, each asking for the node opposite it.
-        let ring_reqs = |base: usize| -> Vec<(NodeId, NodeId)> {
-            (0..128)
-                .map(|k| {
-                    (
-                        NodeId(base + 2 * k),
-                        NodeId(base + (2 * k + ring / 2) % ring),
-                    )
-                })
-                .collect()
-        };
-        let ring_a = ring_reqs(0);
-        assert!(ring_a.len() * g.node_count() >= PARALLEL_GRAIN);
-        let out = with_workers(2).plan(&g, &ring_a, weight);
-        assert!(out.iter().all(Option::is_some), "ring A never reaches it");
-        let both = [ring_a, ring_reqs(ring)].concat();
-        let msg = panic_message(|| {
-            with_workers(2).plan(&g, &both, weight);
-        });
-        assert_eq!(msg.as_deref(), Some("edge weight must be non-negative"));
+        let out = RoutePlanner::new().plan_mapped(
+            &g,
+            &reqs,
+            weight,
+            Some(&bounds),
+            Some,
+            &mut NullRecorder,
+        );
+        assert!(out.iter().all(Option::is_some));
+        assert!(
+            weighed.get() < g.edge_count(),
+            "{} of {} edges weighed",
+            weighed.get(),
+            g.edge_count()
+        );
     }
 
     #[test]

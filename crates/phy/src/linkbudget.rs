@@ -33,13 +33,12 @@ pub fn watts_to_dbw(w: f64) -> f64 {
 
 /// Free-space path loss (dB) over `distance_m` at `frequency_hz`.
 ///
-/// `FSPL = 20 log10(4π d f / c)`.
-///
-/// # Panics
-/// Panics unless both arguments are strictly positive.
+/// `FSPL = 20 log10(4π d f / c)`, or `+∞` (no link) unless both
+/// arguments are strictly positive.
 pub fn free_space_path_loss_db(distance_m: f64, frequency_hz: f64) -> f64 {
-    assert!(distance_m > 0.0, "distance must be positive");
-    assert!(frequency_hz > 0.0, "frequency must be positive");
+    if !(distance_m > 0.0 && frequency_hz > 0.0) {
+        return f64::INFINITY;
+    }
     20.0 * (4.0 * std::f64::consts::PI * distance_m * frequency_hz / SPEED_OF_LIGHT_M_PER_S).log10()
 }
 
@@ -149,9 +148,6 @@ impl RfLink {
     /// [`crate::capacity`], with the default coded-modulation gap; zero
     /// when `distance_m` is not positive and finite (no link budget).
     pub fn achievable_rate_bps(&self) -> f64 {
-        if !(self.distance_m > 0.0 && self.distance_m.is_finite()) {
-            return 0.0;
-        }
         crate::capacity::achievable_rate_bps(
             self.band.channel_bandwidth_hz(),
             self.snr_linear(),
@@ -199,6 +195,26 @@ mod tests {
         // Classic check: 1 km at 2.4 GHz ≈ 100 dB.
         let fspl = free_space_path_loss_db(1_000.0, 2.4e9);
         assert!((fspl - 100.05).abs() < 0.1, "{fspl}");
+    }
+
+    #[test]
+    fn fspl_is_infinite_without_a_positive_distance_and_frequency() {
+        for d in [0.0, -0.0, -1.0, f64::NAN, f64::NEG_INFINITY] {
+            assert_eq!(free_space_path_loss_db(d, 2.2e9), f64::INFINITY, "d = {d}");
+            let link = RfLink {
+                tx: RfTerminal::midsat(),
+                rx: RfTerminal::midsat(),
+                band: RfBand::S,
+                distance_m: d,
+                extra_loss_db: 0.0,
+            };
+            assert_eq!(link.received_power_dbw(), f64::NEG_INFINITY, "d = {d}");
+            assert_eq!(link.cnr_db(), f64::NEG_INFINITY, "d = {d}");
+            assert_eq!(link.snr_linear().to_bits(), 0.0f64.to_bits(), "d = {d}");
+        }
+        for f in [0.0, -1.0, f64::NAN] {
+            assert_eq!(free_space_path_loss_db(1.0e6, f), f64::INFINITY, "f = {f}");
+        }
     }
 
     #[test]

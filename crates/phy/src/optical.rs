@@ -58,9 +58,12 @@ impl OpticalTerminal {
 
 /// Geometric + pointing link efficiency (linear) between two terminals at
 /// `distance_m`: the fraction of transmitted photons collected by the
-/// receive aperture.
+/// receive aperture, or zero (no link) unless `distance_m` is strictly
+/// positive.
 pub fn optical_link_efficiency(tx: &OpticalTerminal, rx: &OpticalTerminal, distance_m: f64) -> f64 {
-    assert!(distance_m > 0.0, "distance must be positive");
+    if distance_m.is_nan() || distance_m <= 0.0 {
+        return 0.0;
+    }
     // Beam radius at the receiver (half-power cone).
     let spot_radius_m = tx.beam_divergence_rad() / 2.0 * distance_m;
     let rx_radius_m = rx.aperture_m / 2.0;
@@ -81,9 +84,6 @@ pub fn received_power_w(tx: &OpticalTerminal, rx: &OpticalTerminal, distance_m: 
 /// receiver's photons-per-bit sensitivity; zero when `distance_m` is not
 /// positive and finite (no link budget).
 pub fn achievable_rate_bps(tx: &OpticalTerminal, rx: &OpticalTerminal, distance_m: f64) -> f64 {
-    if !(distance_m > 0.0 && distance_m.is_finite()) {
-        return 0.0;
-    }
     let photon_energy_j =
         PLANCK_J_S * openspace_orbit::constants::SPEED_OF_LIGHT_M_PER_S / OPTICAL_WAVELENGTH_M;
     let photon_rate = received_power_w(tx, rx, distance_m) / photon_energy_j;
@@ -166,6 +166,15 @@ mod tests {
     fn short_range_rate_clamps_at_modem_ceiling() {
         let t = term();
         assert_eq!(achievable_rate_bps(&t, &t, 200_000.0), t.max_data_rate_bps);
+    }
+
+    #[test]
+    fn no_photons_arrive_without_a_positive_distance() {
+        let t = term();
+        for d in [0.0, -0.0, -1.0, f64::NAN, f64::NEG_INFINITY] {
+            assert_eq!(optical_link_efficiency(&t, &t, d).to_bits(), 0, "d = {d}");
+            assert_eq!(received_power_w(&t, &t, d).to_bits(), 0, "d = {d}");
+        }
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   (CBR / Poisson / on-off) and the per-flow [`traffic::Arrivals`]
 //!   process the packet simulator and the demand layer share (§5's call
 //!   for user traffic modelling).
-//! * [`stats`] — summary statistics and time-weighted integrals for the
-//!   experiment reports.
+//! * [`stats`] — summary statistics for the experiment reports.
 //! * [`exec`] — deterministic parallel map over independent tasks with
 //!   per-task RNG substreams (parallel output ≡ serial output).
 //! * [`ids`] — typed entity identifiers (`NodeId`, `SatId`, `GsId`,
@@ -66,6 +65,6 @@ pub mod prelude {
     pub use crate::ids::{GsId, NodeId, OperatorId, SatId};
     pub use crate::queue::DropTailQueue;
     pub use crate::rng::SimRng;
-    pub use crate::stats::{Summary, TimeWeighted};
+    pub use crate::stats::Summary;
     pub use crate::traffic::{Arrivals, TrafficKind};
 }

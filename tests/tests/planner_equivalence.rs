@@ -20,7 +20,7 @@
 //! edges and isolated nodes, several batches on one planner (whose
 //! trees live only for their batch, so every batch must match the
 //! reference from scratch), and a batch large enough to grow its trees
-//! in parallel. `shortest_path_to_any` is checked against the first
+//! on one shared buffer set. `shortest_path_to_any` is checked against the first
 //! strictly cheapest of its destinations' reference paths, ties included.
 //!
 //! Batches planned with [`GoalBounds`] must return the reference's paths,
@@ -35,7 +35,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use openspace_net::prelude::*;
-use openspace_net::routing::planner::PARALLEL_GRAIN;
+use openspace_net::routing::planner::SHARED_BUFFER_GRAIN;
 use openspace_net::routing::{
     congestion_weight, residual_bps, shortest_path_to_any, GoalBounds, RoutePlanner,
 };
@@ -496,14 +496,15 @@ fn walker_shells_under_hop_weight_tie_break_by_node_index() {
 }
 
 #[test]
-fn batch_above_the_parallel_grain_matches_the_reference() {
+fn batch_above_the_shared_buffer_grain_matches_the_reference() {
     // 128 sources on a 648-node shell cross the planner's grain, so the
-    // batch compiles its rows up front and grows its trees on worker
-    // threads; answers and pop counts must still be the reference's.
+    // batch grows its trees one after another on one buffer set and maps
+    // the paths afterwards; answers and pop counts must still be the
+    // reference's.
     let g = walker_graph(36, 18, 600.0);
     let n = g.node_count();
     let sources = 128;
-    assert!(sources * n >= PARALLEL_GRAIN);
+    assert!(sources * n >= SHARED_BUFFER_GRAIN);
     let mut rng = SimRng::substream(0x9E3D, 0);
     let requests: Vec<(NodeId, NodeId)> = (0..2 * sources)
         .map(|k| (NodeId((k % sources) * n / sources), NodeId(rng.index(n))))

@@ -1,13 +1,12 @@
 //! Randomized property tests of the statistics collectors: merge
-//! associativity at the bit level, quantile monotonicity in the query
-//! point, and time-weighted mean bounds.
+//! associativity at the bit level and quantile monotonicity in the query
+//! point.
 //!
 //! Cases are drawn from a seeded [`SimRng`] stream (see
 //! `proptest_orbit.rs` for the scheme) — deterministic, dependency-free
 //! property testing.
 
 use openspace_sim::prelude::*;
-use openspace_sim::stats::TimeWeighted;
 
 const CASES: u64 = 256;
 
@@ -145,41 +144,5 @@ fn selected_quantiles_equal_a_full_sort_bitwise() {
                 "q = {q} on {samples:?}"
             );
         }
-    });
-}
-
-#[test]
-fn time_weighted_mean_is_bounded_by_the_signal_range() {
-    for_cases(0xC4, |rng| {
-        let t0 = rng.uniform_range(0.0, 100.0);
-        let v0 = rng.uniform_range(-50.0, 50.0);
-        let mut tw = TimeWeighted::new(t0, v0);
-        let mut lo = v0;
-        let mut hi = v0;
-        let mut t = t0;
-        for _ in 0..rng.index(50) {
-            t += rng.uniform_range(0.0, 10.0);
-            let v = rng.uniform_range(-50.0, 50.0);
-            tw.update(t, v);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let horizon = t + rng.uniform_range(0.0, 10.0);
-        let mean = tw.mean_until(horizon);
-        assert!(
-            mean >= lo - 1e-9 && mean <= hi + 1e-9,
-            "mean {mean} outside [{lo}, {hi}]"
-        );
-    });
-}
-
-#[test]
-fn time_weighted_constant_signal_means_itself() {
-    for_cases(0xC5, |rng| {
-        let t0 = rng.uniform_range(0.0, 100.0);
-        let v = rng.uniform_range(-1e6, 1e6);
-        let tw = TimeWeighted::new(t0, v);
-        let horizon = t0 + rng.uniform_range(0.0, 1e3);
-        assert!((tw.mean_until(horizon) - v).abs() <= v.abs() * 1e-12 + 1e-12);
     });
 }
